@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark the BM25 scoring backends: compiled kernel vs numpy fallback.
+"""Benchmark the BM25 index: build, cache save/load, and query time.
 
-Builds a synthetic corpus, runs the same query set through each backend,
-checks the rankings agree, and reports timings.
+Builds an index over a synthetic corpus, round-trips it through the cache
+file, checks the reloaded index ranks every query identically, and reports
+timings and the cache size.
 
     python benchmarks/bench_bm25.py --docs 20000 --queries 200
 """
 
 import argparse
+import os
 import random
+import tempfile
 import time
 
 from hopground.core import Document
-from hopground.retrieval import (available_backends, build_index, retrieve,
-                                 use_backend)
+from hopground.retrieval import build_index, load_index, retrieve, save_index
 
 WORD_STEMS = [
     "river", "festival", "capital", "mountain", "reef", "desert", "prize",
@@ -43,50 +45,39 @@ def synthetic_queries(n_queries: int, seed: int) -> list[str]:
             for _ in range(n_queries)]
 
 
-def run_backend(backend: str, index, queries, top_k: int):
-    use_backend(backend)
-    rankings = []
+def _timed(fn, *args):
     started = time.perf_counter()
-    for query in queries:
-        rankings.append(tuple(d.id for d in retrieve(index, query, top_k)))
-    elapsed = time.perf_counter() - started
-    return elapsed, rankings
+    result = fn(*args)
+    return result, time.perf_counter() - started
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=20000)
     parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--top-k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=13)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"building index over {args.docs} synthetic documents ...")
     corpus = synthetic_corpus(args.docs, args.seed)
-    build_start = time.perf_counter()
-    index = build_index(corpus)
-    print(f"  built in {time.perf_counter() - build_start:.2f} s "
-          f"({len(index.postings)} terms)")
+    index, build_s = _timed(build_index, corpus)
+    print(f"  build  {build_s:8.3f} s   ({len(index.terms)} terms)")
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "index.cache")
+        _, save_s = _timed(save_index, index, cache)
+        cache_bytes = os.path.getsize(cache)
+        reloaded, load_s = _timed(load_index, cache)
+    print(f"  save   {save_s:8.3f} s   ({cache_bytes} bytes)")
+    print(f"  load   {load_s:8.3f} s")
 
     queries = synthetic_queries(args.queries, args.seed)
-    backends = available_backends()
-    results = {}
-    for backend in backends:
-        elapsed, rankings = run_backend(backend, index, queries, args.top_k)
-        results[backend] = (elapsed, rankings)
-        per_query = 1000.0 * elapsed / len(queries)
-        print(f"  {backend:<7} {elapsed:8.3f} s total   {per_query:8.3f} ms/query")
-
-    if len(backends) == 2:
-        py_time, py_rankings = results["python"]
-        cy_time, cy_rankings = results["cython"]
-        agree = py_rankings == cy_rankings
-        print(f"  rankings identical: {agree}")
-        if not agree:
-            raise SystemExit("backend rankings diverge")
-        print(f"  speedup (python/cython): {py_time / cy_time:.2f}x")
-    else:
-        print("  compiled kernel not built; benchmarked the fallback only")
+    rankings, query_s = _timed(
+        lambda: [[d.id for d in retrieve(index, q, args.top_k)] for q in queries])
+    print(f"  query  {1000.0 * query_s / len(queries):8.3f} ms/query")
+    if rankings != [[d.id for d in retrieve(reloaded, q, args.top_k)]
+                    for q in queries]:
+        raise SystemExit("reloaded index ranks differently")
 
 
 if __name__ == "__main__":

@@ -2,22 +2,17 @@
 
 from .bm25 import (
     CorpusIndex,
-    active_backend,
-    available_backends,
     build_index,
     load_index,
     retrieve,
     save_index,
     tokenize,
-    use_backend,
 )
 from .corpus import load_corpus
 from .external import retrieve_external
 
 __all__ = [
     "CorpusIndex",
-    "active_backend",
-    "available_backends",
     "build_index",
     "load_corpus",
     "load_index",
@@ -25,5 +20,4 @@ __all__ = [
     "retrieve_external",
     "save_index",
     "tokenize",
-    "use_backend",
 ]

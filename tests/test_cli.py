@@ -118,6 +118,23 @@ class TestRunCommand:
                      "--config", "/nonexistent/config.json",
                      "--out", str(festival_run["out"])]) == 1
 
+    def test_truncated_index_cache_exits_one(self, festival_run, tmp_path,
+                                             capsys):
+        cache = tmp_path / "index.bin"
+        assert main(["index", "--corpus", str(festival_run["corpus"]),
+                     "--out", str(cache)]) == 0
+        cache.write_bytes(cache.read_bytes()[:-100])
+        config = write_json(tmp_path / "cached.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "retrieval": {"index_path": str(cache)}})
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert str(cache) in err
+        assert "Traceback" not in err
+
     def test_malformed_dataset_exits_two(self, festival_run, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("NOT JSON\n", encoding="utf-8")

@@ -1,16 +1,23 @@
+import io
 import json
+import os
+import pickle
 import random
+import re
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hopground.core import Document
 from hopground.errors import (DuplicateDocId, EmptyCorpus, EmptyQuery,
                               MalformedDataset, MalformedResponse,
                               TransportError)
-from hopground.retrieval import (available_backends, build_index, load_corpus,
-                                 load_index, retrieve, retrieve_external,
-                                 save_index, tokenize, use_backend)
+from hopground.retrieval import (build_index, load_corpus, load_index,
+                                 retrieve, retrieve_external, save_index,
+                                 tokenize)
 from hopground.retrieval import bm25
 
 import oracles
@@ -79,9 +86,10 @@ class TestBuildIndex:
             for term, count in oracles.term_counts(text).items():
                 expected.setdefault(term, {})[doc.id] = count
         actual: dict[str, dict[str, int]] = {}
-        for term, (idx, tfs) in index.postings.items():
+        for row, term in enumerate(index.terms):
+            span = slice(index.offsets[row], index.offsets[row + 1])
             actual[term] = {index.doc_ids[i]: int(tf)
-                            for i, tf in zip(idx, tfs)}
+                            for i, tf in zip(index.doc_idx[span], index.tfs[span])}
         assert actual == expected
         assert by_id.keys() == set(index.doc_ids)
 
@@ -179,39 +187,127 @@ class TestRetrieve:
         assert doubled[r] > single[r]
 
 
-@pytest.mark.skipif("cython" not in available_backends(),
-                    reason="compiled kernel not built")
-class TestBackendParity:
-    def test_identical_scores_and_rankings(self, corpus):
-        index = build_index(corpus)
-        results = {}
-        for backend in ("python", "cython"):
-            use_backend(backend)
-            try:
-                results[backend] = {
-                    q: (index.scores(q).copy(),
-                        [d.id for d in retrieve(index, q, 10)])
-                    for q in QUERIES
-                }
-            finally:
-                use_backend("cython")
-        for query in QUERIES:
-            py_scores, py_rank = results["python"][query]
-            cy_scores, cy_rank = results["cython"][query]
-            assert py_rank == cy_rank
-            np.testing.assert_array_equal(py_scores, cy_scores)
+EDGE_CORPORA = {
+    "tokenless": [Document(id="a", title="", body="!!!"),
+                  Document(id="b", title="", body="---")],
+    "one-document": [Document(id="only", title="",
+                              body="the longest river in the world")],
+    "non-ascii": [Document(id="dv", title="Dvořák",
+                           body="Antonín Dvořák wrote a symphony"),
+                  Document(id="wu", title="物理",
+                           body="物理 Nobel Prize physics")],
+}
 
-    def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            use_backend("fortran")
+
+def _cache_members(index, tmp_path):
+    """The arrays of a saved cache, as a name -> array dict."""
+    path = tmp_path / "valid.cache"
+    save_index(index, path)
+    with np.load(path, allow_pickle=False) as npz:
+        return dict(npz)
+
+
+def _blob(text):
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _with(array, position, value):
+    changed = array.copy()
+    changed[position] = value
+    return changed
+
+
+def _documents(*rows):
+    return _blob(json.dumps([list(row) for row in rows]))
+
+
+# each mutation turns the cache of SMALL_CORPUS into a malformed one
+SMALL_CORPUS = [Document(id="d1", title="", body="alpha beta"),
+                Document(id="d2", title="", body="alpha gamma"),
+                Document(id="d3", title="", body="beta beta delta")]
+CACHE_MUTATIONS = {
+    "missing member": lambda m: m.pop("tfs"),
+    "wrong magic": lambda m: m.update(magic=_blob("hopground-bm25-cache-v1")),
+    "blob not uint8": lambda m: m.update(terms=m["terms"].astype(np.int16)),
+    "object array": lambda m: m.update(
+        terms=np.array(["alpha", "beta", "gamma", "delta"], dtype=object)),
+    "offsets int32": lambda m: m.update(offsets=m["offsets"].astype(np.int32)),
+    "doc_idx int64": lambda m: m.update(doc_idx=m["doc_idx"].astype(np.int64)),
+    "tfs float32": lambda m: m.update(tfs=m["tfs"].astype(np.float32)),
+    "lengths 2-d": lambda m: m.update(doc_lengths=m["doc_lengths"][None, :]),
+    "lengths short": lambda m: m.update(doc_lengths=m["doc_lengths"][:-1]),
+    "lengths disagree": lambda m: m.update(
+        doc_lengths=_with(m["doc_lengths"], 0, 7.0)),
+    "offsets start at 1": lambda m: m.update(offsets=_with(m["offsets"], 0, 1)),
+    "offsets repeat": lambda m: m.update(
+        offsets=_with(m["offsets"], 2, m["offsets"][1])),
+    "offsets end early": lambda m: m.update(
+        offsets=_with(m["offsets"], -1, m["offsets"][-1] - 1)),
+    "one term too few": lambda m: m.update(terms=_blob("alpha\nbeta\ngamma")),
+    "doc index negative": lambda m: m.update(doc_idx=_with(m["doc_idx"], 0, -1)),
+    "doc index past end": lambda m: m.update(doc_idx=_with(m["doc_idx"], 0, 3)),
+    "doc indices descend": lambda m: m.update(
+        doc_idx=_with(m["doc_idx"], slice(0, 2), m["doc_idx"][1::-1])),
+    "zero tf": lambda m: m.update(tfs=_with(m["tfs"], 0, 0.0)),
+    "duplicate term": lambda m: m.update(terms=_blob("alpha\nbeta\ngamma\nbeta")),
+    "unsorted doc ids": lambda m: m.update(documents=_documents(
+        ("d2", "", "alpha gamma"), ("d1", "", "alpha beta"),
+        ("d3", "", "beta beta delta"))),
+    "duplicate doc ids": lambda m: m.update(documents=_documents(
+        ("d1", "", "alpha beta"), ("d1", "", "alpha gamma"),
+        ("d3", "", "beta beta delta"))),
+    "no documents": lambda m: m.update(documents=_documents()),
+    "documents not triples": lambda m: m.update(documents=_blob('{"d1": 1}')),
+    "empty body": lambda m: m.update(documents=_documents(
+        ("d1", "", "alpha beta"), ("d2", "", " "), ("d3", "", "beta"))),
+    "documents not json": lambda m: m.update(documents=_blob("[[")),
+    "terms not utf-8": lambda m: m.update(
+        terms=np.frombuffer(b"\xff", dtype=np.uint8)),
+    "k1 zero": lambda m: m.update(params=np.array([0.0, 0.75])),
+    "k1 nan": lambda m: m.update(params=np.array([np.nan, 0.75])),
+    "b above 1": lambda m: m.update(params=np.array([1.2, 1.5])),
+    "three params": lambda m: m.update(params=np.array([1.2, 0.75, 0.0])),
+}
+
+
+class _Planted:
+    """Pickles to a call that creates ``marker`` when unpickled."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
+def _load_outcome(path, data):
+    path.write_bytes(data)
+    try:
+        load_index(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return "rejected"
+    return "loaded"
 
 
 class TestIndexCache:
-    def test_save_then_load_preserves_retrieval(self, index, tmp_path):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, k1, b", [
+        ("fixture", 1.2, 0.75), ("tokenless", 1.2, 0.75),
+        ("one-document", 1.2, 0.75), ("non-ascii", 1.2, 0.75),
+        ("fixture", 0.9, 0.4)])
+    def test_save_then_load_preserves_retrieval(self, corpus, tmp_path,
+                                                name, k1, b):
+        index = build_index(EDGE_CORPORA.get(name, corpus), k1=k1, b=b)
         cache = tmp_path / "index.bin"
         save_index(index, cache)
+        assert os.listdir(tmp_path) == ["index.bin"]
         reloaded = load_index(cache)
-        for query in QUERIES:
+        assert (reloaded.k1, reloaded.b) == (k1, b)
+        assert reloaded.documents == index.documents
+        assert reloaded.terms == index.terms
+        for query in [*QUERIES, "Dvořák 物理 symphony"]:
+            assert np.array_equal(index.scores(query), reloaded.scores(query))
             assert ([d.id for d in retrieve(index, query, 10)]
                     == [d.id for d in retrieve(reloaded, query, 10)])
 
@@ -221,6 +317,82 @@ class TestIndexCache:
         path.write_bytes(pickle.dumps({"magic": "nope"}))
         with pytest.raises(ValueError):
             load_index(path)
+
+    @pytest.mark.parametrize("mutation", CACHE_MUTATIONS.values(),
+                             ids=CACHE_MUTATIONS.keys())
+    def test_rejects_malformed_cache(self, tmp_path, mutation):
+        members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+        assert members["offsets"][1] == 2  # "alpha" has two postings
+        mutation(members)
+        path = tmp_path / "mutated.npz"
+        np.savez(path, **members)
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(path) in str(err.value)
+
+    def test_rejects_array_larger_than_memory(self, tmp_path):
+        members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+        path = tmp_path / "huge.cache"
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, array in members.items():
+                npy = io.BytesIO()
+                np.save(npy, array)
+                header = npy.getvalue()
+                if name == "tfs":  # claims 2**60 float64s, holds 6
+                    header = re.sub(rb"'shape': \(\d+,\)",
+                                    b"'shape': (1152921504606846976,)", header)
+                archive.writestr(f"{name}.npy", header)
+        with pytest.raises(ValueError, match="malformed index cache"):
+            load_index(path)
+
+    def test_never_unpickles(self, tmp_path):
+        marker = tmp_path / "planted"
+        payload = pickle.dumps(_Planted(marker))
+        pickle.loads(payload)  # the payload is live ...
+        assert marker.exists()
+        marker.rmdir()
+
+        old_cache = tmp_path / "v1.cache"
+        old_cache.write_bytes(payload)
+        with pytest.raises(ValueError, match="hopground index"):
+            load_index(old_cache)
+        members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+        members["documents"] = np.array([_Planted(marker)], dtype=object)
+        zipped = tmp_path / "object.npz"
+        np.savez(zipped, **members)
+        with pytest.raises(ValueError):
+            load_index(zipped)
+        assert not marker.exists()  # ... but loading never runs it
+
+    def test_every_truncation_is_rejected(self, tmp_path):
+        valid = tmp_path / "valid.cache"
+        save_index(build_index(SMALL_CORPUS), valid)
+        data = valid.read_bytes()
+        path = tmp_path / "truncated.cache"
+        assert _load_outcome(path, data) == "loaded"
+        for size in range(len(data)):
+            assert _load_outcome(path, data[:size]) == "rejected", size
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=600), st.booleans())
+    def test_arbitrary_bytes_load_or_raise_value_error(self, tmp_path, data,
+                                                       zip_prefix):
+        if zip_prefix:
+            data = b"PK\x03\x04" + data
+        _load_outcome(tmp_path / "fuzzed.cache", data)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_corrupted_bytes_load_or_raise_value_error(self, tmp_path, flips):
+        valid = tmp_path / "valid.cache"
+        save_index(build_index(SMALL_CORPUS), valid)
+        data = bytearray(valid.read_bytes())
+        for position, value in flips:
+            data[position % len(data)] = value
+        _load_outcome(tmp_path / "corrupted.cache", bytes(data))
 
 
 class TestLoadCorpus:
