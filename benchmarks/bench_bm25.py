@@ -3,16 +3,29 @@
 
 Builds an index over a synthetic corpus, round-trips it through the cache
 file, checks the reloaded index ranks every query identically, and reports
-timings and the cache size.
+timings and the cache size.  Query time is split into scoring
+(``CorpusIndex.scores``) and selection (the rest of ``retrieve``: top-k
+selection and the ranked copies), so the script measures any version of
+the package through its public API alone.
 
-    python benchmarks/bench_bm25.py --docs 20000 --queries 200
+    python benchmarks/bench_bm25.py --docs 20000 --queries 200 \
+        --json benchmarks/BENCH_bm25.json --label change
+
+``--json`` adds the run's record to the ``runs`` list of that file, in
+place of an earlier record with the same label, docs, queries, top-k and
+seed.
 """
 
 import argparse
+import json
 import os
+import platform
 import random
+import sys
 import tempfile
 import time
+
+import numpy as np
 
 from hopground.core import Document
 from hopground.retrieval import build_index, load_index, retrieve, save_index
@@ -51,12 +64,60 @@ def _timed(fn, *args):
     return result, time.perf_counter() - started
 
 
-def main(argv=None) -> None:
+def _query_times(index, queries, top_k):
+    """Rankings plus total scoring and total ``retrieve`` seconds."""
+    rankings, score_s, query_s = [], 0.0, 0.0
+    for q in queries:
+        _, elapsed = _timed(index.scores, q)
+        score_s += elapsed
+        ranked, elapsed = _timed(retrieve, index, q, top_k)
+        query_s += elapsed
+        rankings.append([d.id for d in ranked])
+    return rankings, score_s, query_s
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def machine() -> dict:
+    return {"cpu": _cpu_model(), "cpus": os.cpu_count(),
+            "system": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def write_record(path: str, record: dict) -> None:
+    """Add ``record`` to the ``runs`` of the JSON file at ``path``."""
+    key = ("label", "docs", "queries", "top_k", "seed")
+    try:
+        with open(path, encoding="utf-8") as f:
+            runs = json.load(f)["runs"]
+    except FileNotFoundError:
+        runs = []
+    runs = [r for r in runs if [r[k] for k in key] != [record[k] for k in key]]
+    runs.append(record)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"runs": runs}, f, indent=2, ensure_ascii=False)
+        f.write("\n")
+
+
+def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=20000)
     parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--top-k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--json", metavar="PATH",
+                        help="add this run's record to a JSON file")
+    parser.add_argument("--label", default="current",
+                        help="name of the measured code, kept in the record")
     args = parser.parse_args(argv)
 
     print(f"building index over {args.docs} synthetic documents ...")
@@ -72,12 +133,31 @@ def main(argv=None) -> None:
     print(f"  load   {load_s:8.3f} s")
 
     queries = synthetic_queries(args.queries, args.seed)
-    rankings, query_s = _timed(
-        lambda: [[d.id for d in retrieve(index, q, args.top_k)] for q in queries])
-    print(f"  query  {1000.0 * query_s / len(queries):8.3f} ms/query")
+    rankings, score_s, query_s = _query_times(index, queries, args.top_k)
+    per_query = 1000.0 / len(queries)
+    print(f"  score  {per_query * score_s:8.3f} ms/query")
+    print(f"  select {per_query * (query_s - score_s):8.3f} ms/query")
+    print(f"  query  {per_query * query_s:8.3f} ms/query")
     if rankings != [[d.id for d in retrieve(reloaded, q, args.top_k)]
                     for q in queries]:
         raise SystemExit("reloaded index ranks differently")
+
+    record = {
+        "label": args.label,
+        "command": " ".join(["python", "benchmarks/bench_bm25.py",
+                             *(sys.argv[1:] if argv is None else argv)]),
+        "machine": machine(),
+        "docs": args.docs, "queries": args.queries, "top_k": args.top_k,
+        "seed": args.seed, "terms": len(index.terms),
+        "build_s": build_s, "save_s": save_s, "load_s": load_s,
+        "cache_bytes": cache_bytes,
+        "score_ms": per_query * score_s,
+        "select_ms": per_query * (query_s - score_s),
+        "query_ms": per_query * query_s,
+    }
+    if args.json:
+        write_record(args.json, record)
+    return record
 
 
 if __name__ == "__main__":

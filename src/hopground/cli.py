@@ -50,6 +50,11 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _make_llm(section: Mapping[str, Any], role: str) -> LlmClient:
+    if "max_concurrency" in section:
+        raise ConfigError(
+            f"{role}.max_concurrency is no longer supported: requests in "
+            "flight are limited by pipeline.concurrency alone "
+            "(synthesis.concurrency for synth)")
     backend = section.get("backend")
     if backend == "scripted":
         try:
@@ -67,7 +72,6 @@ def _make_llm(section: Mapping[str, Any], role: str) -> LlmClient:
             api_key_env=section.get("api_key_env", "OPENAI_API_KEY"),
             timeout=section.get("timeout", 120.0),
             max_attempts=section.get("max_attempts", 3),
-            max_concurrency=section.get("max_concurrency", 4),
         )
     raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")
 

@@ -9,7 +9,7 @@ are exact (``from_dict(to_dict(x)) == x``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import InvalidRecord
@@ -93,7 +93,7 @@ class Document:
                  "document rank must be >= 1 when present")
 
     def with_rank(self, rank: int) -> "Document":
-        return replace(self, rank=rank)
+        return Document(self.id, self.title, self.body, rank)
 
     def to_dict(self) -> dict[str, Any]:
         return {"id": self.id, "title": self.title, "body": self.body,

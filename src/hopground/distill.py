@@ -12,7 +12,6 @@ import json
 import logging
 import random
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -23,6 +22,7 @@ from .evaluation import cover_em
 from .grounding import (EMPTY_KEYWORD, REF_CLOSE, REF_OPEN, REVISE_CLOSE,
                         REVISE_OPEN, first_tag_span)
 from .llm import ChatMessage, LlmClient
+from .pipeline import map_ordered
 from .prompts import TemplateLibrary, render_synthesis_teacher
 
 log = logging.getLogger(__name__)
@@ -192,7 +192,8 @@ def synthesize_dataset(inputs: Sequence[SynthesisInput],
                        ) -> list[TrainingExample]:
     """Synthesize the whole corpus; output order matches input order.
 
-    Gold positions are drawn up front from one seeded RNG, so a fixed seed
+    ``progress(done, total)`` fires after each completed example.  Gold
+    positions are drawn up front from one seeded RNG, so a fixed seed
     reproduces the corpus exactly (given scripted or temperature-0 models).
     """
     rng = random.Random(seed)
@@ -205,19 +206,8 @@ def synthesize_dataset(inputs: Sequence[SynthesisInput],
         return synthesize_example(inp, student_llm, teacher_llm, library,
                                   position, params)
 
-    jobs = list(zip(trimmed, positions))
-    if concurrency == 1 or len(jobs) <= 1:
-        examples = []
-        for job in jobs:
-            examples.append(run_one(job))
-            if progress is not None:
-                progress(len(examples), len(jobs))
-        return examples
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        examples = list(pool.map(run_one, jobs))
-    if progress is not None:
-        progress(len(examples), len(jobs))
-    return examples
+    return map_ordered(run_one, list(zip(trimmed, positions)), concurrency,
+                       progress)
 
 
 def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:

@@ -24,7 +24,6 @@ VALID_ROLES = ("system", "user", "assistant")
 
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_MAX_ATTEMPTS = 3
-DEFAULT_MAX_CONCURRENCY = 4
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 
@@ -114,15 +113,14 @@ class ScriptedClient:
 class OpenAIChatClient:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Retries 5xx/429/timeouts with exponential backoff; a semaphore caps
-    concurrent in-flight requests.
+    Retries 5xx/429/timeouts with exponential backoff.  It sets no limit of
+    its own on requests in flight: that is the number of threads calling it.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
                  api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = DEFAULT_TIMEOUT,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
                  backoff_base: float = 0.5):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -130,7 +128,6 @@ class OpenAIChatClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._slots = threading.Semaphore(max_concurrency)
         self._session = requests.Session()
 
     def complete(self, messages: Sequence[ChatMessage],
@@ -147,25 +144,24 @@ class OpenAIChatClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
-        with self._slots:
-            for attempt in range(self.max_attempts):
-                if attempt:
-                    time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-                try:
-                    resp = self._session.post(
-                        f"{self.base_url}/chat/completions",
-                        json=payload, headers=headers, timeout=self.timeout)
-                except requests.RequestException as exc:
-                    last_error = exc
-                    continue
-                if resp.status_code in RETRYABLE_STATUS:
-                    last_error = TransportError(
-                        f"HTTP {resp.status_code} from {self.base_url}")
-                    continue
-                if resp.status_code != 200:
-                    raise TransportError(
-                        f"HTTP {resp.status_code} from {self.base_url}: {resp.text[:200]}")
-                return self._parse_response(resp)
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+            try:
+                resp = self._session.post(
+                    f"{self.base_url}/chat/completions",
+                    json=payload, headers=headers, timeout=self.timeout)
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
+            if resp.status_code in RETRYABLE_STATUS:
+                last_error = TransportError(
+                    f"HTTP {resp.status_code} from {self.base_url}")
+                continue
+            if resp.status_code != 200:
+                raise TransportError(
+                    f"HTTP {resp.status_code} from {self.base_url}: {resp.text[:200]}")
+            return self._parse_response(resp)
         raise TransportError(
             f"request failed after {self.max_attempts} attempts: {last_error}")
 
@@ -176,6 +172,9 @@ class OpenAIChatClient:
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unusable completion payload: {exc}") from exc
+        if not isinstance(text, str):
+            raise TransportError("unusable completion payload: message content "
+                                 f"is {type(text).__name__}, not a string")
         usage = data.get("usage") or {}
         return Completion(
             text=text,

@@ -13,7 +13,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .core import (DecodingParams, Document, HopRecord, Question, Termination,
                    TokenCounts, TokenUsage, Trajectory)
@@ -29,6 +29,9 @@ from .retrieval.external import retrieve_external
 log = logging.getLogger(__name__)
 
 RETRIEVER_KINDS = ("bm25", "external")
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -206,20 +209,29 @@ def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
         except Exception as exc:  # isolation: one bad question can't sink the run
             return _failure_trajectory(q, exc)
 
-    total = len(questions)
-    if config.concurrency == 1 or total <= 1:
+    return map_ordered(run_one, questions, config.concurrency, progress)
+
+
+def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
+                progress: Callable[[int, int], None] | None = None,
+                ) -> list[_R]:
+    """``[fn(x) for x in items]`` on up to ``concurrency`` threads.
+
+    Output order matches input order.  ``progress(done, total)`` fires on
+    the calling thread after each completion, whatever order they come in.
+    """
+    total = len(items)
+    if concurrency == 1 or total <= 1:
         results = []
-        for q in questions:
-            results.append(run_one(q))
+        for item in items:
+            results.append(fn(item))
             if progress is not None:
                 progress(len(results), total)
         return results
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = [pool.submit(run_one, q) for q in questions]
-        done = 0
-        for _ in as_completed(futures):
-            done += 1
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        for done, _ in enumerate(as_completed(futures), start=1):
             if progress is not None:
                 progress(done, total)
         return [f.result() for f in futures]

@@ -186,10 +186,17 @@ def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
     candidates = np.flatnonzero(scores > 0.0)
     if candidates.size == 0:
         return []
-    # candidates are already in ascending-id order; a stable sort on -score
+    candidate_scores = scores[candidates]
+    if candidates.size > top_k:
+        # keep every candidate scoring at least the k-th best score: all
+        # documents tied at the cut survive, so the tie-break below still
+        # sees them; many ties cost at most what a full sort costs
+        cut = candidates.size - top_k
+        head = candidate_scores >= np.partition(candidate_scores, cut)[cut]
+        candidates, candidate_scores = candidates[head], candidate_scores[head]
+    # candidates are in ascending-id order; a stable sort on -score
     # therefore breaks ties by ascending id
-    order = candidates[np.argsort(-scores[candidates], kind="stable")]
-    ranked = order[:top_k]
+    ranked = candidates[np.argsort(-candidate_scores, kind="stable")][:top_k]
     return [index.documents[i].with_rank(rank)
             for rank, i in enumerate(ranked, start=1)]
 

@@ -1,12 +1,37 @@
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
 import bench_bm25  # noqa: E402
 
+RECORD_KEYS = {"label", "command", "machine", "docs", "queries", "top_k",
+               "seed", "terms", "build_s", "save_s", "load_s", "cache_bytes",
+               "score_ms", "select_ms", "query_ms"}
+
 
 def test_bench_bm25_runs_on_a_tiny_corpus(capsys):
     bench_bm25.main(["--docs", "300", "--queries", "10"])
     out = capsys.readouterr().out
-    for layer in ("build", "save", "load", "bytes", "ms/query"):
+    for layer in ("build", "save", "load", "bytes", "score", "select",
+                  "ms/query"):
         assert layer in out
+
+
+def test_json_record_keys_and_replacement(tmp_path, capsys):
+    path = tmp_path / "BENCH_bm25.json"
+    for label in ("parent", "change", "change"):
+        bench_bm25.main(["--docs", "300", "--queries", "10",
+                         "--json", str(path), "--label", label])
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    # a rerun replaces the record with the same label and settings
+    assert [r["label"] for r in runs] == ["parent", "change"]
+    for record in runs:
+        assert set(record) == RECORD_KEYS
+        assert set(record["machine"]) == {"cpu", "cpus", "system", "python",
+                                          "numpy"}
+        assert record["docs"] == 300 and record["queries"] == 10
+        assert record["command"].startswith("python benchmarks/bench_bm25.py")
+        assert record["query_ms"] >= record["score_ms"] > 0
+        assert abs(record["score_ms"] + record["select_ms"]
+                   - record["query_ms"]) < 1e-9

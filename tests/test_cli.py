@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -33,6 +35,54 @@ def festival_run(tmp_path):
     })
     return {"corpus": corpus, "dataset": dataset, "script": script,
             "config": config, "out": tmp_path / "out"}
+
+
+class InFlightStub:
+    """Threaded chat-completions stub that holds every reply until ``width``
+    requests are in flight at once; ``most_in_flight`` is the peak seen."""
+
+    def __init__(self, width: int):
+        self.most_in_flight = 0
+        in_flight = 0
+        lock = threading.Lock()
+        barrier = threading.Barrier(width, timeout=5)
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                nonlocal in_flight
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with lock:
+                    in_flight += 1
+                    stub.most_in_flight = max(stub.most_in_flight, in_flight)
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass  # fewer than width ever arrived; reply anyway
+                with lock:
+                    in_flight -= 1
+                body = json.dumps({"choices": [{"message": {
+                    "content": "###Finish[x]"}}]}).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
+                                                       Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
 
 
 class TestIndexCommand:
@@ -112,6 +162,46 @@ class TestRunCommand:
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", str(bad),
                      "--out", str(festival_run["out"])]) == 1
+
+    def test_requests_in_flight_follow_pipeline_concurrency(
+            self, festival_run, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        dataset = tmp_path / "six.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"Question {i}?",
+                               "answers": ["x"]} for i in range(6)])
+        stub = InFlightStub(6)
+        try:
+            config = write_json(tmp_path / "wide.json", {
+                "pipeline": {"concurrency": 6},
+                "llm": {"backend": "openai", "base_url": stub.url,
+                        "model": "stub", "api_key_env": "HOPGROUND_NO_KEY"},
+                "retrieval": {"corpus_path": str(festival_run["corpus"])},
+            })
+            out = tmp_path / "wide-out"
+            assert main(["run", "--dataset", str(dataset),
+                         "--config", str(config), "--out", str(out)]) == 0
+        finally:
+            stub.close()
+        assert stub.most_in_flight == 6
+        lines = (out / "trajectories.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert [json.loads(x)["final_answer"] for x in lines] == ["x"] * 6
+
+    def test_llm_max_concurrency_is_rejected(self, festival_run, tmp_path,
+                                             capsys):
+        config = write_json(tmp_path / "capped.json", {
+            "pipeline": {"concurrency": 16},
+            "llm": {"backend": "openai", "base_url": "http://127.0.0.1:9",
+                    "model": "m", "max_concurrency": 4},
+            "retrieval": {"corpus_path": str(festival_run["corpus"])},
+        })
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "llm.max_concurrency" in err
+        assert "pipeline.concurrency" in err
+        assert not festival_run["out"].exists()
 
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),

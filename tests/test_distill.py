@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                place_gold, synthesize_dataset,
                                synthesize_example)
 from hopground.errors import EmptyList, MalformedDataset
-from hopground.llm import ScriptedClient
+from hopground.llm import Completion, ScriptedClient
 
 import oracles
 from helpers import write_jsonl
@@ -170,6 +172,26 @@ class TestSynthesizeDataset:
         examples = synthesize_dataset(inputs, student, teacher, library, seed=9)
         assert [e.documents[0].id.startswith(("gold", "noise")) for e in examples]
         assert len(examples) == 5
+
+    def test_progress_per_completion_under_concurrency(self, library):
+        class EchoClient:
+            """Echoes the prompt; later inputs answer sooner, so completions
+            arrive out of input order."""
+
+            def complete(self, messages, params):
+                i = int(re.search(r"\((\d+)\)", messages[-1].content)[1])
+                time.sleep(0.02 * (6 - i))
+                return Completion(text=messages[-1].content)
+
+        teacher = ScriptedClient([FILTER_TABLE[0][0]] * 6)
+        inputs = [make_input(i) for i in range(6)]
+        seen = []
+        examples = synthesize_dataset(
+            inputs, EchoClient(), teacher, library, seed=9, concurrency=3,
+            progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(done, 6) for done in range(1, 7)]
+        assert [e.immediate_answer for e in examples] == [
+            inp.question.text for inp in inputs]
 
 
 def make_example(i, keep=True, target_tokens=12):

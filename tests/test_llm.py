@@ -2,12 +2,15 @@ import json
 
 import pytest
 
-from hopground.core import DecodingParams
+from hopground.core import DecodingParams, Termination
 from hopground.errors import ScriptExhausted, TransportError
 from hopground.llm import (ChatMessage, Completion, OpenAIChatClient,
                            ScriptedClient)
+from hopground.pipeline import BM25Retriever, PipelineConfig, answer_dataset
+from hopground.retrieval import build_index
 
-from helpers import StubServer
+from helpers import (FESTIVAL_CORPUS, FESTIVAL_HOP1_REVISED,
+                     FESTIVAL_QUESTION, FESTIVAL_SCRIPT, StubServer)
 
 USER = [ChatMessage(role="user", content="hello there")]
 PARAMS = DecodingParams()
@@ -147,3 +150,27 @@ class TestOpenAIChatClient:
         client = make_client(stub)
         completion = client.complete(USER, PARAMS)
         assert completion.counts.prompt_tokens == 0
+
+    @pytest.mark.parametrize("content", [None, 42, ["text"], {"text": "x"}])
+    def test_non_string_content_is_a_transport_error(self, stub, content):
+        stub.queue(200, {"choices": [{"message": {"content": content}}]})
+        client = make_client(stub)
+        with pytest.raises(TransportError, match="not a string"):
+            client.complete(USER, PARAMS)
+        assert len(stub.requests) == 1
+
+    def test_null_reply_keeps_completed_hops(self, stub, library):
+        # hop 1 completes; the hop-2 deduction comes back with null content
+        stub.queue_completion(FESTIVAL_SCRIPT[0])
+        stub.queue_completion(FESTIVAL_SCRIPT[1])
+        stub.queue(200, {"choices": [{"message": {"content": None}}],
+                         "usage": {"prompt_tokens": 5, "completion_tokens": 0}})
+        [trajectory] = answer_dataset(
+            [FESTIVAL_QUESTION], PipelineConfig(concurrency=1),
+            make_client(stub), BM25Retriever(build_index(FESTIVAL_CORPUS)),
+            library)
+        assert trajectory.termination is Termination.PARSE_FAILURE
+        assert [h.revised_answer for h in trajectory.hops] == [
+            FESTIVAL_HOP1_REVISED]
+        assert trajectory.final_answer == FESTIVAL_HOP1_REVISED
+        assert trajectory.token_usage.total.prompt_tokens == 14

@@ -177,6 +177,42 @@ class TestRetrieve:
         with pytest.raises(ValueError):
             retrieve(index, "river", top_k=0)
 
+    def test_ties_straddling_the_cut_break_by_id(self):
+        # one clear winner, then five identical documents for two slots
+        docs = [Document(id="best", title="", body="oak oak"),
+                *(Document(id=f"tie-{c}", title="", body="oak birch")
+                  for c in "ecadb"),
+                Document(id="other", title="", body="elm fir")]
+        index = build_index(docs)
+        got = [d.id for d in retrieve(index, "oak", top_k=3)]
+        assert got == ["best", "tie-a", "tie-b"]
+        assert got == oracles.bm25_rank(docs, "oak", 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tied_cuts_match_oracle_at_every_top_k(self, data):
+        vocabulary = ["oak", "elm", "fir", "ash", "yew", "birch"][
+            :data.draw(st.integers(4, 6), label="vocabulary size")]
+        words = st.sampled_from(vocabulary)
+        # few distinct bodies shared by many documents: the k-th score is
+        # often tied, and ids are shuffled so tie order is not input order
+        bodies = data.draw(st.lists(
+            st.lists(words, min_size=1, max_size=5).map(" ".join),
+            min_size=1, max_size=4), label="bodies")
+        chosen = data.draw(st.lists(st.sampled_from(bodies), min_size=1,
+                                    max_size=12), label="documents")
+        ids = data.draw(st.permutations([f"d{i:02d}"
+                                         for i in range(len(chosen))]))
+        docs = [Document(id=i, title="", body=body)
+                for i, body in zip(ids, chosen)]
+        # distinct query terms keep the oracle's summation order identical
+        query = " ".join(data.draw(st.lists(words, min_size=1, max_size=3,
+                                            unique=True), label="query"))
+        index = build_index(docs)
+        for top_k in range(1, len(docs) + 2):
+            got = [d.id for d in retrieve(index, query, top_k)]
+            assert got == oracles.bm25_rank(docs, query, top_k), top_k
+
     def test_repeated_query_terms_add_weight(self):
         docs = [Document(id="r", title="", body="river river bank"),
                 Document(id="b", title="", body="bank bank river")]
