@@ -109,8 +109,6 @@ def _make_retriever(config: Mapping[str, Any],
         else:
             raise ConfigError(
                 "bm25 retriever needs retrieval.index_path or retrieval.corpus_path")
-    except MalformedDataset:
-        raise
     except (OSError, RetrievalError, ValueError) as exc:
         raise ConfigError(f"cannot prepare bm25 index: {exc}") from exc
     return pipeline.BM25Retriever(index)
@@ -380,10 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedDataset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
-    except RetrievalError as exc:
+    except (MalformedDataset, RetrievalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except (ConfigError, LlmError, OSError) as exc:

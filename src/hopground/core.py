@@ -1,4 +1,4 @@
-"""Domain types shared by every module.
+"""Domain types shared by every module, and the one JSONL reader/writer.
 
 All types are frozen dataclasses: immutable after construction and safe to
 share between threads.  Each type validates its invariants on construction
@@ -9,10 +9,12 @@ are exact (``from_dict(to_dict(x)) == x``).
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from pathlib import Path
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
-from .errors import InvalidRecord
+from .errors import InvalidRecord, MalformedDataset
 
 __all__ = [
     "Question",
@@ -26,6 +28,8 @@ __all__ = [
     "Trajectory",
     "DecodingParams",
 ]
+
+_T = TypeVar("_T")
 
 
 class GroundingKind(str, enum.Enum):
@@ -320,3 +324,34 @@ class DecodingParams:
     def from_dict(cls, d: Mapping[str, Any]) -> "DecodingParams":
         return cls(temperature=d.get("temperature", 0.0),
                    max_output_tokens=d.get("max_output_tokens", 1024))
+
+
+def read_jsonl(path: str | Path,
+               parse: Callable[[Any, int], _T]) -> list[_T]:
+    """``parse(record, line_no)`` for each non-blank line of a UTF-8 file.
+
+    Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its line.  A
+    line that is not UTF-8 or not JSON, or that ``parse`` rejects with
+    ``KeyError``, ``TypeError`` or ``ValueError``, raises
+    ``MalformedDataset`` at its line.
+    """
+    records = []
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    records.append(parse(json.loads(line), line_no))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
+    return records
+
+
+def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
+    """Write one compact UTF-8 JSON object per line; return the line count."""
+    written = 0
+    with open(path, "w", encoding="utf-8") as f:
+        for written, record in enumerate(records, start=1):
+            f.write(json.dumps(record, ensure_ascii=False,
+                               separators=(",", ":")) + "\n")
+    return written

@@ -65,10 +65,11 @@ def parse_deduction(text: str) -> DeductionResult:
         start = marker + len(FINISH_MARKER)
         end = text.find("]", start)
         if end == -1:
-            raise UnclosedFinish(f"finish marker never closes: {text[marker:marker + 80]!r}")
+            raise UnclosedFinish(
+                f"finish marker never closes: {text[marker:marker + 80]!r}", text)
         final = text[start:end].strip()
         if not final:
-            raise DeductionParseError("finish marker with an empty answer")
+            raise DeductionParseError("finish marker with an empty answer", text)
         return DeductionResult(kind=DeductionKind.FINISH, raw_text=text,
                                final_answer=final)
 
@@ -76,7 +77,7 @@ def parse_deduction(text: str) -> DeductionResult:
     answer = _ANSWER_LINE.search(text)
     if not question or not answer:
         raise DeductionParseError(
-            f"neither step nor finish pattern found in: {text[:120]!r}")
+            f"neither step nor finish pattern found in: {text[:120]!r}", text)
     return DeductionResult(
         kind=DeductionKind.STEP,
         raw_text=text,

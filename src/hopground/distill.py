@@ -8,19 +8,17 @@ The kept (instruction, target) pairs form the instruction-tuning corpus.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
-import string
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import DecodingParams, Document, Question
-from .errors import EmptyList, LlmError, MalformedDataset
+from .core import (DecodingParams, Document, GroundingKind, Question,
+                   read_jsonl, write_jsonl)
+from .errors import EmptyList, LlmError, MalformedGrounding, MissingRevision
 from .evaluation import cover_em
-from .grounding import (EMPTY_KEYWORD, REF_CLOSE, REF_OPEN, REVISE_CLOSE,
-                        REVISE_OPEN, first_tag_span)
+from .grounding import parse_grounding
 from .llm import ChatMessage, LlmClient
 from .pipeline import map_ordered
 from .prompts import TemplateLibrary, render_synthesis_teacher
@@ -33,8 +31,6 @@ DROP_MISALIGNED = "misaligned"
 DROP_LLM_ERROR = "llm_error"
 
 DEFAULT_NOISE_DOCS = 9  # gold + 9 mirrors top-10 retrieval at inference
-
-_ANSWER_TRIM = string.whitespace + "."
 
 
 @dataclass(frozen=True)
@@ -113,20 +109,21 @@ class TrainingExample:
 def apply_filters(target: str, gold_answer: str, gold_doc: Document) -> Verdict:
     """Quality-filter one teacher output; first failing rule wins.
 
+    The output is read by ``parse_grounding``, the parser inference uses.
     Rules, in order: no usable evidence span (missing ref tags, blank, or
     the Empty signal); no usable revision span; revised answer fails
     cover-EM against the gold answer.  The gold document rides along for
     signature stability; alignment is checked against the gold answer.
     """
-    ref_span = first_tag_span(target, REF_OPEN, REF_CLOSE)
-    if ref_span is None or not ref_span.strip() \
-            or ref_span.strip().lower() == EMPTY_KEYWORD:
-        return Verdict.drop(DROP_EMPTY_EVIDENCE)
-    revise_span = first_tag_span(target, REVISE_OPEN, REVISE_CLOSE)
-    if revise_span is None or not revise_span.strip(_ANSWER_TRIM):
+    try:
+        outcome = parse_grounding(target)
+    except MissingRevision:
         return Verdict.drop(DROP_MISSING_REVISION)
-    revised = revise_span.strip(_ANSWER_TRIM)
-    if not cover_em(revised, [gold_answer]):
+    except MalformedGrounding:
+        return Verdict.drop(DROP_EMPTY_EVIDENCE)
+    if outcome.kind is GroundingKind.EMPTY:
+        return Verdict.drop(DROP_EMPTY_EVIDENCE)
+    if not cover_em(outcome.revised_answer, [gold_answer]):
         return Verdict.drop(DROP_MISALIGNED)
     return Verdict.kept()
 
@@ -235,51 +232,24 @@ def emit_corpus(examples: Sequence[TrainingExample], path: str | Path,
 
     Returns the number of lines written.
     """
-    written = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for example in examples:
-            if not example.verdict.keep and not include_dropped:
-                continue
-            f.write(json.dumps(example.to_dict(include_verdict=include_dropped),
-                               ensure_ascii=False, separators=(",", ":")))
-            f.write("\n")
-            written += 1
-    return written
+    return write_jsonl(
+        (example.to_dict(include_verdict=include_dropped)
+         for example in examples if example.verdict.keep or include_dropped),
+        path)
 
 
 def load_training_corpus(path: str | Path) -> list[TrainingExample]:
-    """Reload an emitted corpus file."""
-    examples = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                examples.append(TrainingExample.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-    return examples
+    """Reload an emitted corpus file; a bad line raises ``MalformedDataset``."""
+    return read_jsonl(path,
+                      lambda record, _: TrainingExample.from_dict(record))
 
 
 def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:
     """Read synthesis inputs: JSONL of
     ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``."""
-    inputs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                question = Question(id=str(record["id"]),
-                                    text=record["question"],
-                                    gold_answers=(str(record["answer"]),))
-                inputs.append(SynthesisInput(
-                    question=question,
-                    gold_doc=Document.from_dict(record["gold_doc"]),
-                    noise_docs=tuple(Document.from_dict(d)
-                                     for d in record.get("noise_docs", [])),
-                ))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-    return inputs
+    return read_jsonl(path, lambda record, _: SynthesisInput(
+        question=Question(id=str(record["id"]), text=record["question"],
+                          gold_answers=(str(record["answer"]),)),
+        gold_doc=Document.from_dict(record["gold_doc"]),
+        noise_docs=tuple(Document.from_dict(d)
+                         for d in record.get("noise_docs", []))))

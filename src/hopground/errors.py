@@ -16,7 +16,15 @@ class LlmError(HopgroundError):
 
 
 class TransportError(LlmError):
-    """Network/HTTP failure that survived the bounded retries."""
+    """Network/HTTP failure that survived the bounded retries.
+
+    ``usage`` is the (prompt, completion) token count the server reported
+    for an unusable reply, and (0, 0) when no reply was read.
+    """
+
+    def __init__(self, message: str, usage: tuple[int, int] = (0, 0)):
+        super().__init__(message)
+        self.usage = usage
 
 
 class ScriptExhausted(LlmError):
@@ -64,7 +72,11 @@ class EmptyBatch(PromptError):
 # --- structured-output parsing ---
 
 class ParseError(HopgroundError):
-    """Base class for LLM-output parsing failures."""
+    """Base class for LLM-output parsing failures; ``text`` is the reply."""
+
+    def __init__(self, message: str, text: str):
+        super().__init__(message)
+        self.text = text
 
 
 class DeductionParseError(ParseError):
@@ -79,13 +91,17 @@ class MalformedGrounding(ParseError):
     """Grounding output lacks a usable tag pair."""
 
 
+class MissingRevision(MalformedGrounding):
+    """Grounding output cites evidence but has no usable revise span."""
+
+
 # --- evaluation ---
 
 class MissingGold(HopgroundError):
     """Metric called with an empty gold-answer list."""
 
 
-class UnparseableVerdict(HopgroundError):
+class UnparseableVerdict(ParseError):
     """Judge output starts with neither yes nor no."""
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .core import DecodingParams, Question
+from .core import DecodingParams, Question, read_jsonl
 from .errors import (EmptyRecords, MalformedDataset, MissingGold,
                      UnparseableVerdict)
-from .llm import LlmClient
+from .llm import LlmClient, retry_parse
 from .prompts import TemplateLibrary, render_judge
 
 log = logging.getLogger(__name__)
@@ -102,15 +102,13 @@ def judge(llm: LlmClient, library: TemplateLibrary, question: str,
     Anything else is retried once and then recorded as "no" with a warning.
     """
     messages = render_judge(library, question, prediction, gold_answer)
-    last = ""
-    for _ in range(2):
-        last = llm.complete(messages, params).text
-        try:
-            return _parse_verdict(last)
-        except UnparseableVerdict:
-            continue
-    log.warning("judge verdict unparseable, recording no: %r", last[:80])
-    return "no"
+    try:
+        return retry_parse(
+            lambda: _parse_verdict(llm.complete(messages, params).text))
+    except UnparseableVerdict as exc:
+        log.warning("judge verdict unparseable, recording no: %r",
+                    exc.text[:80])
+        return "no"
 
 
 def _parse_verdict(text: str) -> str:
@@ -120,7 +118,8 @@ def _parse_verdict(text: str) -> str:
         return "yes"
     if first.startswith("no"):
         return "no"
-    raise UnparseableVerdict(f"verdict starts with neither yes nor no: {text[:80]!r}")
+    raise UnparseableVerdict(
+        f"verdict starts with neither yes nor no: {text[:80]!r}", text)
 
 
 def score_prediction(question: Question, prediction: str) -> EvalRecord:
@@ -149,28 +148,7 @@ def aggregate(records: Sequence[EvalRecord]) -> dict[str, float | None]:
 
 # --- dataset loading ---
 
-def _iter_records(path: str | Path):
-    """Yield (line_no, record) from a JSONL file or a JSON array file."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedDataset(f"{path}: {exc}") from exc
-        for i, record in enumerate(data, start=1):
-            yield i, record
-        return
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            yield line_no, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-
-
-def _gold_list(record: dict, line_no: int, path) -> list[str]:
+def _gold_list(record: dict) -> list[str]:
     answer = record.get("answer")
     aliases = record.get("answer_aliases", [])
     golds = []
@@ -178,7 +156,7 @@ def _gold_list(record: dict, line_no: int, path) -> list[str]:
         golds.append(answer)
     golds.extend(a for a in aliases if isinstance(a, str) and a.strip())
     if not golds:
-        raise MalformedDataset(f"{path}: record has no answer", line=line_no)
+        raise ValueError("record has no answer")
     return golds
 
 
@@ -187,36 +165,44 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
 
     generic is JSONL ``{id, question, answers: [...]}``; the named formats
     accept the public release layouts (JSON array or JSONL) and map
-    StrategyQA's boolean labels to yes/no.
+    StrategyQA's boolean labels to yes/no.  Records without an id take
+    their line number (array position for a JSON array).
     """
     if format not in DATASET_FORMATS:
         raise ValueError(f"format must be one of {DATASET_FORMATS}")
-    questions: list[Question] = []
-    for line_no, record in _iter_records(path):
+
+    def to_question(record: Any, line_no: int) -> Question:
+        if format == "generic":
+            golds = record["answers"]
+            if not isinstance(golds, list) or not golds:
+                raise KeyError("answers")
+            return Question(id=str(record["id"]), text=record["question"],
+                            gold_answers=tuple(str(g) for g in golds))
+        if format == "strategyqa":
+            label = record["answer"]
+            if not isinstance(label, bool):
+                raise ValueError("strategyqa answer must be boolean")
+            return Question(id=str(record.get("qid") or record.get("id") or line_no),
+                            text=record["question"],
+                            gold_answers=("yes" if label else "no",))
+        # hotpotqa / musique / 2wiki
+        return Question(id=str(record.get("_id") or record.get("id") or line_no),
+                        text=record["question"],
+                        gold_answers=tuple(_gold_list(record)))
+
+    data = Path(path).read_bytes()
+    if not data.lstrip().startswith(b"["):
+        return read_jsonl(path, to_question)
+    try:
+        records = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MalformedDataset(f"{path}: {exc}") from exc
+    questions = []
+    for i, record in enumerate(records, start=1):
         try:
-            if format == "generic":
-                golds = record["answers"]
-                if not isinstance(golds, list) or not golds:
-                    raise KeyError("answers")
-                q = Question(id=str(record["id"]), text=record["question"],
-                             gold_answers=tuple(str(g) for g in golds))
-            elif format == "strategyqa":
-                label = record["answer"]
-                if not isinstance(label, bool):
-                    raise MalformedDataset(
-                        f"{path}: strategyqa answer must be boolean", line=line_no)
-                q = Question(id=str(record.get("qid") or record.get("id") or line_no),
-                             text=record["question"],
-                             gold_answers=("yes" if label else "no",))
-            else:  # hotpotqa / musique / 2wiki
-                q = Question(id=str(record.get("_id") or record.get("id") or line_no),
-                             text=record["question"],
-                             gold_answers=tuple(_gold_list(record, line_no, path)))
-        except MalformedDataset:
-            raise
+            questions.append(to_question(record, i))
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDataset(f"{path}: bad record ({exc})", line=line_no) from exc
-        questions.append(q)
+            raise MalformedDataset(f"{path}: {exc}", line=i) from exc
     return questions
 
 

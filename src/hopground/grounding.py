@@ -13,8 +13,8 @@ from typing import Sequence
 
 from .core import (DecodingParams, Document, GroundingKind, GroundingOutcome,
                    Question)
-from .errors import MalformedGrounding
-from .llm import LlmClient
+from .errors import MalformedGrounding, MissingRevision
+from .llm import LlmClient, retry_parse
 from .prompts import TemplateLibrary, render_grounding
 
 EMPTY_KEYWORD = "empty"
@@ -67,23 +67,24 @@ def parse_grounding(text: str) -> GroundingOutcome:
     a non-empty ``<revise>..</revise>`` span.  The revised answer is trimmed
     of surrounding whitespace and periods only.
 
-    Raises ``MalformedGrounding`` for anything else.
+    Raises ``MissingRevision`` when a citation has no usable revise span and
+    ``MalformedGrounding`` for anything else.
     """
     ref_span = first_tag_span(text, REF_OPEN, REF_CLOSE)
     if ref_span is None:
-        raise MalformedGrounding(f"no ref span in: {text[:120]!r}")
+        raise MalformedGrounding(f"no ref span in: {text[:120]!r}", text)
     citation = ref_span.strip()
     if citation.lower() == EMPTY_KEYWORD:
         return GroundingOutcome.empty(raw_text=text)
     if not citation:
-        raise MalformedGrounding("ref span is blank")
+        raise MalformedGrounding("ref span is blank", text)
 
     revise_span = first_tag_span(text, REVISE_OPEN, REVISE_CLOSE)
     if revise_span is None:
-        raise MalformedGrounding(f"no revise span in: {text[:120]!r}")
+        raise MissingRevision(f"no revise span in: {text[:120]!r}", text)
     revised = revise_span.strip(_ANSWER_TRIM)
     if not revised:
-        raise MalformedGrounding("revise span is blank")
+        raise MissingRevision("revise span is blank", text)
     return GroundingOutcome(kind=GroundingKind.CITED, raw_text=text,
                             citation=citation, revised_answer=revised)
 
@@ -116,25 +117,19 @@ def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
     """
     plan = plan_batches(len(docs), batch_size)
     consumed = 0
-    last_raw = ""
+    outcome = GroundingOutcome.empty()
     for start, end in plan.windows:
         batch = docs[start - 1:end]
         messages = render_grounding(library, question, sub_question,
                                     immediate_answer, batch)
-        outcome: GroundingOutcome | None = None
-        for _ in range(2):  # one retry on a malformed reply
-            completion = llm.complete(messages, params)
-            last_raw = completion.text
-            try:
-                outcome = parse_grounding(completion.text)
-                break
-            except MalformedGrounding:
-                outcome = None
+        try:
+            outcome = retry_parse(
+                lambda: parse_grounding(llm.complete(messages, params).text))
+        except MalformedGrounding as exc:
+            outcome = GroundingOutcome.empty(raw_text=exc.text)
         consumed += 1
-        if outcome is None:
-            outcome = GroundingOutcome.empty(raw_text=last_raw)
         if outcome.kind is GroundingKind.CITED:
             if strict_citation and not citation_in_documents(outcome.citation, batch):
                 continue
             return outcome.revised_answer, outcome, consumed
-    return immediate_answer, GroundingOutcome.empty(raw_text=last_raw), consumed
+    return immediate_answer, GroundingOutcome.empty(outcome.raw_text), consumed

@@ -13,18 +13,20 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
 from .core import DecodingParams, TokenCounts
-from .errors import ScriptExhausted, TransportError
+from .errors import ParseError, ScriptExhausted, TransportError
 
 VALID_ROLES = ("system", "user", "assistant")
 
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_MAX_ATTEMPTS = 3
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,18 @@ def _check_request(messages: Sequence[ChatMessage]) -> None:
 class LlmClient(Protocol):
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion: ...
+
+
+def retry_parse(attempt: Callable[[], _T]) -> _T:
+    """Call ``attempt()``, and once more if it raises ``ParseError``.
+
+    This is the one retry policy for every structured model reply
+    (deduction, grounding and judge): a second unusable reply propagates.
+    """
+    try:
+        return attempt()
+    except ParseError:
+        return attempt()
 
 
 class ScriptedClient:
@@ -115,6 +129,8 @@ class OpenAIChatClient:
 
     Retries 5xx/429/timeouts with exponential backoff.  It sets no limit of
     its own on requests in flight: that is the number of threads calling it.
+    Each calling thread gets its own ``requests.Session``, so pooled
+    connections follow the threads whatever their number.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
@@ -128,7 +144,12 @@ class OpenAIChatClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self._session = requests.Session()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion:
@@ -148,7 +169,7 @@ class OpenAIChatClient:
             if attempt:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                resp = self._session.post(
+                resp = self._session().post(
                     f"{self.base_url}/chat/completions",
                     json=payload, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
@@ -167,26 +188,29 @@ class OpenAIChatClient:
 
     @staticmethod
     def _parse_response(resp: requests.Response) -> Completion:
+        usage = (0, 0)  # an error raised before usage is read reports none
         try:
             data = resp.json()
+            reported = data.get("usage") or {}
+            counts = TokenCounts(int(reported.get("prompt_tokens", 0)),
+                                 int(reported.get("completion_tokens", 0)))
+            usage = (counts.prompt_tokens, counts.completion_tokens)
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"unusable completion payload: {exc}") from exc
-        if not isinstance(text, str):
-            raise TransportError("unusable completion payload: message content "
-                                 f"is {type(text).__name__}, not a string")
-        usage = data.get("usage") or {}
-        return Completion(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, "
+                                "not a string")
+        except (ValueError, AttributeError, LookupError, TypeError) as exc:
+            raise TransportError(f"unusable completion payload: {exc}",
+                                 usage) from exc
+        return Completion(text, *usage)
 
 
 class RecordingClient:
     """Wraps a client, accumulating call and token counts.
 
-    The pipeline uses one per trajectory to split usage by hop.
+    A call that ends in ``TransportError`` counts too, with the tokens the
+    server reported for its unusable reply.  The pipeline uses one per
+    trajectory to split usage by hop.
     """
 
     def __init__(self, inner: LlmClient):
@@ -197,11 +221,18 @@ class RecordingClient:
 
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion:
-        completion = self._inner.complete(messages, params)
+        try:
+            completion = self._inner.complete(messages, params)
+        except TransportError as exc:
+            self._add(TokenCounts(*exc.usage))
+            raise
+        self._add(completion.counts)
+        return completion
+
+    def _add(self, counts: TokenCounts) -> None:
         with self._lock:
             self.calls += 1
-            self.totals = self.totals + completion.counts
-        return completion
+            self.totals = self.totals + counts
 
     def snapshot(self) -> TokenCounts:
         with self._lock:

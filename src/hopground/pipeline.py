@@ -8,7 +8,6 @@ The loop ends on a finish signal, the hop cap, or an unrecoverable error.
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -16,11 +15,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .core import (DecodingParams, Document, HopRecord, Question, Termination,
-                   TokenCounts, TokenUsage, Trajectory)
-from .deduction import DeductionKind, DeductionResult, deduce
+                   TokenCounts, TokenUsage, Trajectory, read_jsonl, write_jsonl)
+from .deduction import DeductionKind, deduce
 from .errors import DeductionParseError, EmptyQuery, LlmError, RetrievalError
 from .grounding import ground
-from .llm import LlmClient, RecordingClient
+from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
 from .retrieval import CorpusIndex
 from .retrieval import bm25 as _bm25
@@ -103,18 +102,6 @@ class ExternalRetriever:
         return retrieve_external(self.endpoint, query, top_k, timeout=self.timeout)
 
 
-def _deduce_with_retry(llm: LlmClient, library: TemplateLibrary,
-                       question: Question, hops: Sequence[HopRecord],
-                       params: DecodingParams) -> DeductionResult:
-    # one fresh retry on an unparseable reply, then give up
-    try:
-        result, _ = deduce(llm, library, question, hops, params)
-        return result
-    except DeductionParseError:
-        result, _ = deduce(llm, library, question, hops, params)
-        return result
-
-
 def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
                     retriever: Retriever, library: TemplateLibrary) -> Trajectory:
     """Run the loop for one question and return its trajectory.
@@ -138,8 +125,8 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
             break
         before = recorder.snapshot()
         try:
-            result = _deduce_with_retry(recorder, library, question, hops,
-                                        config.decoding)
+            result, _ = retry_parse(lambda: deduce(
+                recorder, library, question, hops, config.decoding))
         except (DeductionParseError, LlmError) as exc:
             log.warning("question %s: deduction failed at hop %d: %s",
                         question.id, len(hops) + 1, exc)
@@ -240,17 +227,9 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
 def write_trajectories(trajectories: Sequence[Trajectory],
                        path: str | Path) -> None:
     """Write one serialized trajectory per line (UTF-8 JSONL)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for traj in trajectories:
-            f.write(json.dumps(traj.to_dict(), ensure_ascii=False,
-                               separators=(",", ":")))
-            f.write("\n")
+    write_jsonl((traj.to_dict() for traj in trajectories), path)
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    trajectories = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                trajectories.append(Trajectory.from_dict(json.loads(line)))
-    return trajectories
+    """Read a trajectory file; a bad line raises ``MalformedDataset``."""
+    return read_jsonl(path, lambda record, _: Trajectory.from_dict(record))

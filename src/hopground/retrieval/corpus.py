@@ -2,25 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from ..core import Document
-from ..errors import MalformedDataset
+from ..core import Document, read_jsonl
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read documents from a JSONL file with fields id, title, body."""
-    docs: list[Document] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                docs.append(Document(id=str(record["id"]),
-                                     title=str(record.get("title", "")),
-                                     body=str(record["body"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-    return docs
+    return read_jsonl(path, lambda record, _: Document(
+        id=str(record["id"]), title=str(record.get("title", "")),
+        body=str(record["body"])))

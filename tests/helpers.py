@@ -1,4 +1,4 @@
-"""Shared test fixtures: the two-hop replay script and a stub HTTP server."""
+"""Shared test fixtures: the two-hop replay script and stub HTTP servers."""
 
 import http.server
 import json
@@ -117,6 +117,54 @@ class StubServer:
     def close(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+class InFlightStub:
+    """Threaded chat-completions stub that holds every reply until ``width``
+    requests are in flight at once; ``most_in_flight`` is the peak seen."""
+
+    def __init__(self, width: int):
+        self.most_in_flight = 0
+        in_flight = 0
+        lock = threading.Lock()
+        barrier = threading.Barrier(width, timeout=5)
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                nonlocal in_flight
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with lock:
+                    in_flight += 1
+                    stub.most_in_flight = max(stub.most_in_flight, in_flight)
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass  # fewer than width ever arrived; reply anyway
+                with lock:
+                    in_flight -= 1
+                body = json.dumps({"choices": [{"message": {
+                    "content": "###Finish[x]"}}]}).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
+                                                       Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
 
 
 def write_jsonl(path, records) -> None:

@@ -6,6 +6,7 @@ article filtering, dict-based multiset overlap, naive window enumeration.
 """
 
 import math
+import re
 import string
 
 ARTICLES = ("a", "an", "the")
@@ -136,3 +137,29 @@ def corpus_stats(examples) -> dict[str, float]:
         "avg_gold_docs": round(gold_docs_total / n, 2),
         "avg_gold_doc_len": round(gold_len_total / n, 2),
     }
+
+
+def _tag_span(text: str, tag: str) -> str | None:
+    """Content of the first <tag>..</tag> pair, by a lazy regex."""
+    match = re.search(f"<{tag}>(.*?)</{tag}>", text, re.DOTALL)
+    return match.group(1) if match else None
+
+
+def synthesis_drop_reason(target: str, gold_answer: str) -> str | None:
+    """The distillation filter as standalone checks on the tag spans: the
+    drop reason for a teacher output, or None when it is kept.
+
+    Evidence: the first ref span, stripped, must be non-blank and not
+    "empty" in any case.  Revision: the first revise span, stripped of
+    whitespace and periods, must be non-blank and cover the gold answer.
+    """
+    ref = _tag_span(target, "ref")
+    if ref is None or not ref.strip() or ref.strip().lower() == "empty":
+        return "empty_evidence"
+    revise = _tag_span(target, "revise")
+    answer = None if revise is None else revise.strip(string.whitespace + ".")
+    if not answer:
+        return "missing_revision"
+    if not cover_em(answer, [gold_answer]):
+        return "misaligned"
+    return None

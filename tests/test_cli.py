@@ -1,6 +1,4 @@
-import http.server
 import json
-import threading
 
 import pytest
 
@@ -8,7 +6,7 @@ from hopground.cli import main
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
-                     FESTIVAL_SCRIPT, write_jsonl)
+                     FESTIVAL_SCRIPT, InFlightStub, write_jsonl)
 
 KEEP_TARGET = "<ref> Paris is the capital of France </ref> <revise> Paris </revise>"
 
@@ -35,54 +33,6 @@ def festival_run(tmp_path):
     })
     return {"corpus": corpus, "dataset": dataset, "script": script,
             "config": config, "out": tmp_path / "out"}
-
-
-class InFlightStub:
-    """Threaded chat-completions stub that holds every reply until ``width``
-    requests are in flight at once; ``most_in_flight`` is the peak seen."""
-
-    def __init__(self, width: int):
-        self.most_in_flight = 0
-        in_flight = 0
-        lock = threading.Lock()
-        barrier = threading.Barrier(width, timeout=5)
-        stub = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                nonlocal in_flight
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                with lock:
-                    in_flight += 1
-                    stub.most_in_flight = max(stub.most_in_flight, in_flight)
-                try:
-                    barrier.wait()
-                except threading.BrokenBarrierError:
-                    pass  # fewer than width ever arrived; reply anyway
-                with lock:
-                    in_flight -= 1
-                body = json.dumps({"choices": [{"message": {
-                    "content": "###Finish[x]"}}]}).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
-                                                       Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
-        self._thread.start()
-        self.url = f"http://127.0.0.1:{self._server.server_port}"
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
 
 
 class TestIndexCommand:
@@ -306,6 +256,16 @@ class TestEvalCommand:
         assert code == 2
         assert FESTIVAL_QUESTION.id in capsys.readouterr().err
 
+    def test_garbage_trajectories_exit_two(self, festival_run, tmp_path,
+                                           capsys):
+        trajectories = tmp_path / "garbage.jsonl"
+        trajectories.write_text("not a trajectory\n", encoding="utf-8")
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectories}" in err and "(line 1)" in err
+        assert "Traceback" not in err
+
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
         questions = [{"id": f"q{i}", "question": f"Q{i}?", "answers": ["gold"]}
                      for i in range(10)]
@@ -414,3 +374,18 @@ class TestStatsCommand:
         assert stats["avg_gold_docs"] == 1.00
         assert set(stats) == {"count", "avg_instruction_len", "avg_target_len",
                               "avg_gold_docs", "avg_gold_doc_len"}
+
+    def test_blank_document_body_exits_two(self, synth_files, capsys):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3",
+                     "--config", str(synth_files["config"])]) == 0
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        records[1]["documents"][0]["body"] = "  "
+        write_jsonl(out, records)
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "(line 2)" in err
+        assert "Traceback" not in err

@@ -3,6 +3,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopground.core import Document, Question
 from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
@@ -48,6 +50,13 @@ FILTER_TABLE = [
 ]
 
 
+# pieces of teacher outputs: every tag, the Empty signal, whitespace,
+# periods and answer words, so joined strings hit each filter rule
+TAG_SOUP = ["<ref>", "</ref>", "<revise>", "</revise>", "<", ">", "/",
+            "Empty", "eMPTY", " ", "\n", "\t", ".", "..", "Paris", "paris",
+            "Lyon", "the", "capital", "ref", "revise"]
+
+
 def make_input(i=0, n_noise=2):
     question = Question(id=f"syn{i}", text=f"What is the capital of France ({i})?",
                         gold_answers=(GOLD_ANSWER,))
@@ -76,6 +85,14 @@ class TestApplyFilters:
         for text in ("", "<ref>", "</revise>", "\x00\x01", "<ref></ref>"):
             verdict = apply_filters(text, GOLD_ANSWER, GOLD_DOC)
             assert isinstance(verdict, Verdict)
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(TAG_SOUP), max_size=14).map("".join))
+    def test_matches_tag_rules_oracle(self, target):
+        verdict = apply_filters(target, GOLD_ANSWER, GOLD_DOC)
+        expected = oracles.synthesis_drop_reason(target, GOLD_ANSWER)
+        assert verdict == (Verdict.kept() if expected is None
+                           else Verdict.drop(expected)), target
 
 
 class TestPlaceGold:

@@ -240,6 +240,15 @@ class TestLoadDataset:
             load_dataset(path, "generic")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_line_separators_inside_values_stay_in_the_line(self, tmp_path,
+                                                            separator):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"id": "a", "question": f"Q{separator}two?",
+                            "answers": ["x"]}])
+        [question] = load_dataset(path, "generic")
+        assert question.text == f"Q{separator}two?"
+
     def test_hotpotqa_json_array(self, tmp_path):
         path = tmp_path / "hotpot.json"
         path.write_text(

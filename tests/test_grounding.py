@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopground.core import Document, GroundingKind, Question
-from hopground.errors import MalformedGrounding, ScriptExhausted
+from hopground.core import Document, GroundingKind, GroundingOutcome, Question
+from hopground.errors import (MalformedGrounding, MissingRevision,
+                              ScriptExhausted)
 from hopground.grounding import (citation_in_documents, first_tag_span,
                                  ground, parse_grounding, plan_batches)
 from hopground.llm import ScriptedClient
@@ -77,7 +78,7 @@ class TestParseGrounding:
                                           "Documentary Festival (LIDF)")
 
     def test_missing_revise_is_malformed(self):
-        with pytest.raises(MalformedGrounding):
+        with pytest.raises(MissingRevision):
             parse_grounding("<ref> evidence </ref> with no revision")
 
     def test_no_tags_is_malformed(self):
@@ -93,7 +94,7 @@ class TestParseGrounding:
         assert outcome.revised_answer == "May, 1990"
 
     def test_revise_of_only_periods_is_malformed(self):
-        with pytest.raises(MalformedGrounding):
+        with pytest.raises(MissingRevision):
             parse_grounding("<ref> e </ref> <revise> .. </revise>")
 
     def test_first_tag_pair_wins(self):
@@ -178,6 +179,14 @@ class TestGround:
         assert consumed == 2
         assert revised == "corrected answer"
         assert len(llm.calls) == 3
+
+    def test_all_malformed_keeps_last_reply_as_raw_text(self, library):
+        llm = ScriptedClient(["bad 1", "bad 2", "bad 3", "bad 4"])
+        revised, outcome, consumed = ground(
+            llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
+            batch_size=3)
+        assert (revised, consumed) == ("draft", 2)
+        assert outcome == GroundingOutcome.empty(raw_text="bad 4")
 
     def test_malformed_then_valid_retry_same_window(self, library):
         llm = ScriptedClient(["garbage", CITED])

@@ -1,16 +1,21 @@
 import json
+import logging
+import threading
 
 import pytest
 
 from hopground.core import DecodingParams, Termination
-from hopground.errors import ScriptExhausted, TransportError
+from hopground.errors import (MalformedGrounding, ScriptExhausted,
+                              TransportError)
+from hopground.grounding import parse_grounding
 from hopground.llm import (ChatMessage, Completion, OpenAIChatClient,
-                           ScriptedClient)
+                           ScriptedClient, retry_parse)
 from hopground.pipeline import BM25Retriever, PipelineConfig, answer_dataset
 from hopground.retrieval import build_index
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_HOP1_REVISED,
-                     FESTIVAL_QUESTION, FESTIVAL_SCRIPT, StubServer)
+                     FESTIVAL_QUESTION, FESTIVAL_SCRIPT, InFlightStub,
+                     StubServer)
 
 USER = [ChatMessage(role="user", content="hello there")]
 PARAMS = DecodingParams()
@@ -82,6 +87,36 @@ class TestScriptedClient:
                 lambda _: client.complete(USER, PARAMS).text, range(100)))
         assert sorted(texts) == sorted(script)
         assert client.remaining == 0
+
+
+class TestRetryParse:
+    def parse_next(self, llm, attempts):
+        def attempt():
+            attempts.append(1)
+            return parse_grounding(llm.complete(USER, PARAMS).text)
+        return attempt
+
+    def test_bad_then_good_returns_the_retry(self):
+        llm = ScriptedClient(["no tags", "<ref> e </ref> <revise> a </revise>"])
+        attempts = []
+        outcome = retry_parse(self.parse_next(llm, attempts))
+        assert outcome.revised_answer == "a"
+        assert len(attempts) == 2
+
+    def test_bad_twice_raises_the_second_error(self):
+        llm = ScriptedClient(["first bad", "second bad", "never sent"])
+        attempts = []
+        with pytest.raises(MalformedGrounding) as err:
+            retry_parse(self.parse_next(llm, attempts))
+        assert err.value.text == "second bad"
+        assert len(attempts) == 2
+        assert llm.remaining == 1
+
+    def test_other_errors_are_not_retried(self):
+        attempts = []
+        with pytest.raises(ScriptExhausted):
+            retry_parse(self.parse_next(ScriptedClient([]), attempts))
+        assert len(attempts) == 1
 
 
 class TestCompletion:
@@ -159,6 +194,44 @@ class TestOpenAIChatClient:
             client.complete(USER, PARAMS)
         assert len(stub.requests) == 1
 
+    @pytest.mark.parametrize("usage", ["many", {"prompt_tokens": "x"},
+                                       {"prompt_tokens": -1}])
+    def test_unusable_usage_is_a_transport_error(self, stub, usage):
+        stub.queue(200, {"choices": [{"message": {"content": "ok"}}],
+                         "usage": usage})
+        with pytest.raises(TransportError, match="unusable completion"):
+            make_client(stub).complete(USER, PARAMS)
+
+    def test_unusable_reply_carries_its_usage(self, stub):
+        stub.queue(200, {"choices": [], "usage": {"prompt_tokens": 5,
+                                                  "completion_tokens": 2}})
+        with pytest.raises(TransportError) as err:
+            make_client(stub).complete(USER, PARAMS)
+        assert err.value.usage == (5, 2)
+
+    def test_concurrent_calls_keep_every_connection(self, caplog):
+        # 12 requests held in flight at once: more than one pool's 10 slots
+        stub = InFlightStub(12)
+        client = OpenAIChatClient(base_url=stub.url, model="m", api_key="k")
+        replies = []
+
+        def call():
+            replies.append(client.complete(USER, PARAMS).text)
+
+        threads = [threading.Thread(target=call) for _ in range(12)]
+        try:
+            with caplog.at_level(logging.WARNING, logger="urllib3"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+        finally:
+            stub.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert replies == ["###Finish[x]"] * 12
+        assert stub.most_in_flight == 12
+        assert "Connection pool is full" not in caplog.text
+
     def test_null_reply_keeps_completed_hops(self, stub, library):
         # hop 1 completes; the hop-2 deduction comes back with null content
         stub.queue_completion(FESTIVAL_SCRIPT[0])
@@ -173,4 +246,4 @@ class TestOpenAIChatClient:
         assert [h.revised_answer for h in trajectory.hops] == [
             FESTIVAL_HOP1_REVISED]
         assert trajectory.final_answer == FESTIVAL_HOP1_REVISED
-        assert trajectory.token_usage.total.prompt_tokens == 14
+        assert trajectory.token_usage.total.prompt_tokens == 19

@@ -439,6 +439,14 @@ class TestLoadCorpus:
             load_corpus(path)
         assert err.value.line == 2
 
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "body": "x"}\n'
+                         b'{"id": "b", "body": "caf\xe9"}\n')
+        with pytest.raises(MalformedDataset) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
     def test_missing_body_is_malformed(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "title": "t"}\n', encoding="utf-8")
