@@ -48,6 +48,11 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidRecord(message)
 
 
+def _is_text(value: Any) -> bool:
+    """A string with at least one non-whitespace character."""
+    return isinstance(value, str) and bool(value.strip())
+
+
 @dataclass(frozen=True)
 class Question:
     """One input question, optionally labeled with gold answers."""
@@ -58,9 +63,10 @@ class Question:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _require(bool(self.text.strip()), "question text must be non-empty")
-        _require(all(a.strip() for a in self.gold_answers),
-                 "gold answers must be non-empty")
+        _require(isinstance(self.id, str), "question id must be a string")
+        _require(_is_text(self.text), "question text must be a non-empty string")
+        _require(all(_is_text(a) for a in self.gold_answers),
+                 "gold answers must be non-empty strings")
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -92,7 +98,9 @@ class Document:
     rank: int | None = None
 
     def __post_init__(self):
-        _require(bool(self.body.strip()), "document body must be non-empty")
+        _require(isinstance(self.id, str) and isinstance(self.title, str),
+                 "document id and title must be strings")
+        _require(_is_text(self.body), "document body must be a non-empty string")
         _require(self.rank is None or self.rank >= 1,
                  "document rank must be >= 1 when present")
 
@@ -122,10 +130,13 @@ class GroundingOutcome:
     revised_answer: str | None = None
 
     def __post_init__(self):
+        _require(isinstance(self.raw_text, str), "raw_text must be a string")
         if self.kind is GroundingKind.CITED:
-            _require(bool(self.citation), "cited outcome needs a citation")
-            _require(bool(self.revised_answer),
-                     "cited outcome needs a revised answer")
+            _require(isinstance(self.citation, str) and bool(self.citation),
+                     "cited outcome needs a citation string")
+            _require(isinstance(self.revised_answer, str)
+                     and bool(self.revised_answer),
+                     "cited outcome needs a revised answer string")
         else:
             _require(self.citation is None and self.revised_answer is None,
                      "empty outcome carries no citation or revision")
@@ -172,12 +183,14 @@ class HopRecord:
 
     def __post_init__(self):
         _require(self.index >= 1, "hop index is 1-based")
-        _require(bool(self.sub_question.strip()),
-                 "sub_question must be non-empty")
-        _require(bool(self.immediate_answer.strip()),
-                 "immediate_answer must be non-empty")
-        _require(bool(self.revised_answer.strip()),
-                 "revised_answer must be non-empty")
+        _require(_is_text(self.sub_question),
+                 "sub_question must be a non-empty string")
+        _require(_is_text(self.immediate_answer),
+                 "immediate_answer must be a non-empty string")
+        _require(_is_text(self.revised_answer),
+                 "revised_answer must be a non-empty string")
+        _require(isinstance(self.deduction_raw, str),
+                 "deduction_raw must be a string")
         _require(self.batches_consumed >= 0, "batches_consumed must be >= 0")
         if self.grounding.kind is GroundingKind.EMPTY:
             _require(self.revised_answer == self.immediate_answer,
@@ -281,6 +294,8 @@ class Trajectory:
         object.__setattr__(self, "hops", tuple(self.hops))
         for i, hop in enumerate(self.hops, start=1):
             _require(hop.index == i, "hop indices must run 1..n in order")
+        _require(isinstance(self.final_answer, str),
+                 "final answer must be a string")
         if self.termination is Termination.FINISH_SIGNAL:
             _require(bool(self.final_answer.strip()),
                      "finish signal requires a non-empty final answer")

@@ -266,6 +266,24 @@ class TestEvalCommand:
         assert f"{trajectories}" in err and "(line 1)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_file", ["dataset", "trajectories"])
+    def test_wrong_typed_question_exits_two(self, festival_run, bad_file,
+                                            capsys):
+        files = {"trajectories": self.run_festival(festival_run),
+                 "dataset": festival_run["dataset"]}
+        record = json.loads(files[bad_file].read_text(encoding="utf-8"))
+        if bad_file == "dataset":
+            record["question"] = 7
+        else:
+            record["question"]["text"] = 5
+        write_jsonl(files[bad_file], [record])
+        capsys.readouterr()
+        assert main(["eval", "--trajectories", str(files["trajectories"]),
+                     "--dataset", str(files["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{files[bad_file]}" in err and "(line 1)" in err
+        assert "Traceback" not in err
+
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
         questions = [{"id": f"q{i}", "question": f"Q{i}?", "answers": ["gold"]}
                      for i in range(10)]

@@ -110,6 +110,40 @@ class TestTrajectory:
         assert len(traj.hops) == 0
 
 
+WRONG_TYPED_FIELDS = {
+    "question id": (("question", "id"), 7),
+    "question text": (("question", "text"), 5),
+    "gold answer": (("question", "gold_answers", 0), 1),
+    "document id": (("hops", 0, "retrieved", 0, "id"), 1),
+    "document title": (("hops", 0, "retrieved", 0, "title"), None),
+    "document body": (("hops", 0, "retrieved", 0, "body"), ["Paris"]),
+    "sub-question": (("hops", 0, "sub_question"), 3),
+    "immediate answer": (("hops", 0, "immediate_answer"), 3),
+    "revised answer": (("hops", 0, "revised_answer"), 3),
+    "deduction raw": (("hops", 0, "deduction_raw"), None),
+    "citation": (("hops", 0, "grounding", "citation"), 5),
+    "grounding revision": (("hops", 0, "grounding", "revised_answer"), ["x"]),
+    "grounding raw text": (("hops", 0, "grounding", "raw_text"), 7),
+    "final answer": (("final_answer",), 42),
+}
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPED_FIELDS.values(),
+                         ids=WRONG_TYPED_FIELDS.keys())
+def test_wrong_typed_field_is_invalid_record(path, value):
+    record = Trajectory(question=Question(id="q", text="t?",
+                                          gold_answers=("Paris",)),
+                        hops=(make_hop(),), final_answer="Paris",
+                        termination=Termination.FINISH_SIGNAL).to_dict()
+    Trajectory.from_dict(record)
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(InvalidRecord):
+        Trajectory.from_dict(record)
+
+
 class TestDecodingParams:
     def test_defaults(self):
         params = DecodingParams()

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pickle
 import random
@@ -297,6 +298,15 @@ CACHE_MUTATIONS = {
     "empty body": lambda m: m.update(documents=_documents(
         ("d1", "", "alpha beta"), ("d2", "", " "), ("d3", "", "beta"))),
     "documents not json": lambda m: m.update(documents=_blob("[[")),
+    "id not a string": lambda m: m.update(documents=_documents(
+        ("d1", "", "alpha beta"), (2, "", "alpha gamma"),
+        ("d3", "", "beta beta delta"))),
+    "title null": lambda m: m.update(documents=_documents(
+        ("d1", None, "alpha beta"), ("d2", "", "alpha gamma"),
+        ("d3", "", "beta beta delta"))),
+    "body not a string": lambda m: m.update(documents=_documents(
+        ("d1", "", "alpha beta"), ("d2", "", ["alpha", "gamma"]),
+        ("d3", "", "beta beta delta"))),
     "terms not utf-8": lambda m: m.update(
         terms=np.frombuffer(b"\xff", dtype=np.uint8)),
     "k1 zero": lambda m: m.update(params=np.array([0.0, 0.75])),
@@ -324,6 +334,81 @@ def _load_outcome(path, data):
         assert str(path) in str(exc)
         return "rejected"
     return "loaded"
+
+
+def _scatter_add_scores(index, query):
+    """Reference scores: one scatter-add per distinct query term of
+    idf * qtf * tf * (k1 + 1) / (tf + denom), in first-occurrence order,
+    with idf and length normalization derived here from the CSR arrays."""
+    n_docs = len(index.doc_ids)
+    avg = float(index.doc_lengths.mean())
+    denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
+                        / (avg if avg > 0 else 1.0))
+    rows = {term: row for row, term in enumerate(index.terms)}
+    scores = np.zeros(n_docs, dtype=np.float64)
+    counts: dict[str, int] = {}
+    for term in tokenize(query):
+        counts[term] = counts.get(term, 0) + 1
+    for term, qtf in counts.items():
+        if term not in rows:
+            continue
+        row = rows[term]
+        start, end = int(index.offsets[row]), int(index.offsets[row + 1])
+        idf = math.log((n_docs - (end - start) + 0.5) / (end - start + 0.5) + 1.0)
+        doc_idx, tfs = index.doc_idx[start:end], index.tfs[start:end]
+        scores[doc_idx] += idf * qtf * tfs * (index.k1 + 1.0) / (tfs + denom[doc_idx])
+    return scores
+
+
+def _assert_scores_match_reference(index, queries, cache):
+    save_index(index, cache)
+    reloaded = load_index(cache)
+    for query in queries:
+        expected = _scatter_add_scores(index, query)
+        assert np.array_equal(index.scores(query), expected), query
+        assert np.array_equal(reloaded.scores(query), expected), query
+
+
+class TestScores:
+    """``scores`` sums precomputed per-posting contributions; it must equal
+    the per-term scatter-add bit for bit, fresh and reloaded."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["fixture", *EDGE_CORPORA])
+    def test_equal_to_scatter_add(self, corpus, tmp_path, name):
+        index = build_index(EDGE_CORPORA.get(name, corpus))
+        queries = [*QUERIES, "Dvořák 物理 symphony", "river river river world",
+                   "zyzzyva quux", "the the nile zyzzyva"]
+        _assert_scores_match_reference(index, queries, tmp_path / "index.bin")
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_equal_to_scatter_add_on_drawn_corpora(self, tmp_path, data):
+        vocabulary = ["oak", "elm", "fir", "ash", "yew", "birch"]
+        words = st.sampled_from(vocabulary)
+        # few distinct bodies, some tokenless, shared by many documents
+        bodies = data.draw(st.lists(
+            st.one_of(st.just("!!! ---"),
+                      st.lists(words, min_size=1, max_size=6).map(" ".join)),
+            min_size=1, max_size=4), label="bodies")
+        chosen = data.draw(st.lists(st.sampled_from(bodies), min_size=1,
+                                    max_size=12), label="documents")
+        docs = [Document(id=f"d{i:02d}", title="", body=body)
+                for i, body in enumerate(chosen)]
+        k1 = data.draw(st.sampled_from([1.2, 0.9, 2.0]), label="k1")
+        b = data.draw(st.sampled_from([0.75, 0.4, 0.0, 1.0]), label="b")
+        # terms repeated up to three times, unknown terms among them
+        repeats = data.draw(st.lists(
+            st.tuples(st.sampled_from([*vocabulary, "pine", "zzz"]),
+                      st.integers(1, 3)), min_size=1, max_size=5),
+            label="query terms")
+        query = " ".join(data.draw(st.permutations(
+            [term for term, qtf in repeats for _ in range(qtf)]), label="query"))
+        _assert_scores_match_reference(build_index(docs, k1=k1, b=b),
+                                       [query, "pine zzz pine"],
+                                       tmp_path / "index.bin")
 
 
 class TestIndexCache:
