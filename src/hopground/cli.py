@@ -24,6 +24,7 @@ from .errors import (HopgroundError, LlmError, MalformedDataset, PromptError,
                      RetrievalError)
 from .llm import LlmClient, OpenAIChatClient, RecordingClient, ScriptedClient
 from .prompts import TemplateLibrary
+from .retrieval import bm25
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,6 +50,21 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
+def _section(config: Mapping[str, Any], name: str) -> dict[str, Any]:
+    """The config's ``name`` section, ``{}`` when absent; it must be an
+    object."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    return section
+
+
+def _given(section: Mapping[str, Any], *keys: str) -> dict[str, Any]:
+    """The ``keys`` that ``section`` sets, so that every other one keeps
+    the default of the function it is passed to."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def _make_llm(section: Mapping[str, Any], role: str) -> LlmClient:
     if "max_concurrency" in section:
         raise ConfigError(
@@ -66,39 +82,38 @@ def _make_llm(section: Mapping[str, Any], role: str) -> LlmClient:
         model = section.get("model")
         if not base_url or not model:
             raise ConfigError(f"{role}: openai backend needs base_url and model")
-        return OpenAIChatClient(
-            base_url=base_url,
-            model=model,
-            api_key_env=section.get("api_key_env", "OPENAI_API_KEY"),
-            timeout=section.get("timeout", 120.0),
-            max_attempts=section.get("max_attempts", 3),
-        )
+        try:
+            return OpenAIChatClient(
+                base_url=base_url, model=model,
+                **_given(section, "api_key_env", "timeout", "max_attempts"))
+        except ValueError as exc:
+            raise ConfigError(f"{role}: {exc}") from exc
     raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")
 
 
 def _make_templates(config: Mapping[str, Any],
                     templates_dir: str | None) -> TemplateLibrary:
-    section = config.get("templates", {})
+    section = _section(config, "templates")
     directory = templates_dir or section.get("dir")
     try:
         return TemplateLibrary.load(
-            directory,
-            num_examples=section.get("num_examples", 2),
-            doc_char_budget=section.get("doc_char_budget", 1500),
-        )
+            directory, **_given(section, "num_examples", "doc_char_budget"))
     except (OSError, PromptError, ValueError) as exc:
         raise ConfigError(f"cannot load templates: {exc}") from exc
 
 
 def _make_retriever(config: Mapping[str, Any],
                     pipe_config: pipeline.PipelineConfig) -> pipeline.Retriever:
-    section = config.get("retrieval", {})
+    section = _section(config, "retrieval")
     if pipe_config.retriever == "external":
         endpoint = section.get("external_endpoint")
         if not endpoint:
             raise ConfigError("external retriever needs retrieval.external_endpoint")
-        return pipeline.ExternalRetriever(endpoint=endpoint,
-                                          timeout=section.get("timeout", 30.0))
+        try:
+            return pipeline.ExternalRetriever(endpoint=endpoint,
+                                              **_given(section, "timeout"))
+        except ValueError as exc:
+            raise ConfigError(f"retrieval: {exc}") from exc
     index_path = section.get("index_path")
     corpus_path = section.get("corpus_path")
     try:
@@ -187,7 +202,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    pipe_section = dict(config.get("pipeline", {}))
+    pipe_section = dict(_section(config, "pipeline"))
     for key, value in (("max_hops", args.max_hops), ("top_k", args.top_k),
                        ("batch_size", args.batch_size),
                        ("concurrency", args.concurrency)):
@@ -201,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad pipeline configuration: {exc}") from exc
 
     library = _make_templates(config, args.templates)
-    llm = _make_llm(config.get("llm", {}), "llm")
+    llm = _make_llm(_section(config, "llm"), "llm")
     retriever = _make_retriever(config, pipe_config)
     questions = evaluation.load_dataset(args.dataset, format=args.format)
 
@@ -218,7 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     manifest = RunManifest.build(
         pipe_config,
-        templates_dir=args.templates or config.get("templates", {}).get("dir"),
+        templates_dir=args.templates or _section(config, "templates").get("dir"),
         dataset_path=str(args.dataset), dataset_format=args.format,
         started_at=started_at, trajectories=trajectories,
         llm_calls=recorder.calls, tokens=recorder.totals)
@@ -244,8 +259,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     library = None
     if args.judge:
         config = _load_config(args.config)
-        judge_llm = _make_llm(config.get("judge_llm", config.get("llm", {})),
-                              "judge_llm")
+        judge_llm = _make_llm(
+            _section(config, "judge_llm" if "judge_llm" in config else "llm"),
+            "judge_llm")
         library = _make_templates(config, None)
 
     records = []
@@ -280,18 +296,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    student = _make_llm(config.get("student_llm", {}), "student_llm")
-    teacher = _make_llm(config.get("teacher_llm", {}), "teacher_llm")
+    student = _make_llm(_section(config, "student_llm"), "student_llm")
+    teacher = _make_llm(_section(config, "teacher_llm"), "teacher_llm")
     library = _make_templates(config, args.templates)
     inputs = distill.load_synthesis_inputs(args.input)
 
-    synth_section = config.get("synthesis", {})
+    synth_section = _section(config, "synthesis")
     examples = distill.synthesize_dataset(
         inputs, student, teacher, library, seed=args.seed,
         max_noise_docs=(args.noise_docs if args.noise_docs is not None
                         else synth_section.get("noise_docs",
                                                distill.DEFAULT_NOISE_DOCS)),
-        concurrency=synth_section.get("concurrency", 1),
+        **_given(synth_section, "concurrency"),
         progress=lambda done, total: print(f"synthesized {done}/{total}",
                                            file=sys.stderr))
     written = distill.emit_corpus(examples, args.out,
@@ -325,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and persist a BM25 index cache")
     p.add_argument("--corpus", required=True, help="corpus JSONL (id, title, body)")
     p.add_argument("--out", required=True, help="index cache file to write")
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=bm25.DEFAULT_K1)
+    p.add_argument("--b", type=float, default=bm25.DEFAULT_B)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("run", help="answer a dataset of questions")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
@@ -46,6 +46,24 @@ class Termination(str, enum.Enum):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidRecord(message)
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float; a bool is neither here, so JSON ``true`` is not 1."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def require_int(value: Any, name: str, minimum: int) -> None:
+    """Raise ``InvalidRecord`` unless ``value`` is an int >= ``minimum``."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= minimum,
+             f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_positive(value: Any, name: str) -> None:
+    """Raise ``InvalidRecord`` unless ``value`` is a number > 0."""
+    _require(_is_number(value) and value > 0,
+             f"{name} must be a number > 0, got {value!r}")
 
 
 def _is_text(value: Any) -> bool:
@@ -328,8 +346,9 @@ class DecodingParams:
     max_output_tokens: int = 1024
 
     def __post_init__(self):
-        _require(self.temperature >= 0, "temperature must be >= 0")
-        _require(self.max_output_tokens > 0, "max_output_tokens must be > 0")
+        _require(_is_number(self.temperature) and self.temperature >= 0,
+                 f"temperature must be a number >= 0, got {self.temperature!r}")
+        require_int(self.max_output_tokens, "max_output_tokens", 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {"temperature": self.temperature,
@@ -337,8 +356,9 @@ class DecodingParams:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DecodingParams":
-        return cls(temperature=d.get("temperature", 0.0),
-                   max_output_tokens=d.get("max_output_tokens", 1024))
+        """Build from a config mapping; a field it omits keeps its default."""
+        _require(isinstance(d, Mapping), "decoding must be a JSON object")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def read_jsonl(path: str | Path,

@@ -1,8 +1,9 @@
 """Text-generation backends behind one ``complete()`` interface.
 
-Two backends ship: an OpenAI-compatible chat-completions HTTP client with
-bounded retries, and a deterministic scripted backend for tests and offline
-replays.  Both are safe to share between threads.
+Two backends ship: an OpenAI-compatible chat-completions HTTP client, which
+sends through ``transport.post_json`` and so retries as it does, and a
+deterministic scripted backend for tests and offline replays.  Both are safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -10,21 +11,20 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
-import requests
-
-from .core import DecodingParams, TokenCounts
+from .core import DecodingParams, TokenCounts, require_int, require_positive
 from .errors import ParseError, ScriptExhausted, TransportError
+from .transport import DEFAULT_MAX_ATTEMPTS, post_json
+
+if TYPE_CHECKING:
+    from requests import Response
 
 VALID_ROLES = ("system", "user", "assistant")
 
 DEFAULT_TIMEOUT = 120.0
-DEFAULT_MAX_ATTEMPTS = 3
-RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
 _T = TypeVar("_T")
 
@@ -127,29 +127,28 @@ class ScriptedClient:
 class OpenAIChatClient:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Retries 5xx/429/timeouts with exponential backoff.  It sets no limit of
-    its own on requests in flight: that is the number of threads calling it.
-    Each calling thread gets its own ``requests.Session``, so pooled
-    connections follow the threads whatever their number.
+    Requests go through ``transport.post_json``: 429/5xx replies and
+    connection errors are retried up to ``max_attempts`` attempts, and each
+    calling thread reuses its own pooled connection.  The client sets no
+    limit of its own on requests in flight: that is the number of threads
+    calling it.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
                  api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = DEFAULT_TIMEOUT,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 backoff_base: float = 0.5):
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+        for name, value in (("base_url", base_url), ("model", model),
+                            ("api_key_env", api_key_env)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        require_positive(timeout, "timeout")
+        require_int(max_attempts, "max_attempts", 1)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(api_key_env, "")
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
 
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion:
@@ -164,30 +163,12 @@ class OpenAIChatClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                resp = self._session().post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code in RETRYABLE_STATUS:
-                last_error = TransportError(
-                    f"HTTP {resp.status_code} from {self.base_url}")
-                continue
-            if resp.status_code != 200:
-                raise TransportError(
-                    f"HTTP {resp.status_code} from {self.base_url}: {resp.text[:200]}")
-            return self._parse_response(resp)
-        raise TransportError(
-            f"request failed after {self.max_attempts} attempts: {last_error}")
+        return self._parse_response(post_json(
+            f"{self.base_url}/chat/completions", payload, self.timeout,
+            headers, self.max_attempts))
 
     @staticmethod
-    def _parse_response(resp: requests.Response) -> Completion:
+    def _parse_response(resp: Response) -> Completion:
         usage = (0, 0)  # an error raised before usage is read reports none
         try:
             data = resp.json()
@@ -199,7 +180,8 @@ class OpenAIChatClient:
             if not isinstance(text, str):
                 raise TypeError(f"message content is {type(text).__name__}, "
                                 "not a string")
-        except (ValueError, AttributeError, LookupError, TypeError) as exc:
+        except (ValueError, AttributeError, LookupError, TypeError,
+                OverflowError) as exc:
             raise TransportError(f"unusable completion payload: {exc}",
                                  usage) from exc
         return Completion(text, *usage)

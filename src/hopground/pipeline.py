@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .core import (DecodingParams, Document, HopRecord, Question, Termination,
-                   TokenCounts, TokenUsage, Trajectory, read_jsonl, write_jsonl)
+                   TokenCounts, TokenUsage, Trajectory, read_jsonl,
+                   require_int, require_positive, write_jsonl)
 from .deduction import DeductionKind, deduce
 from .errors import DeductionParseError, EmptyQuery, LlmError, RetrievalError
 from .grounding import ground
@@ -23,7 +24,7 @@ from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
 from .retrieval import CorpusIndex
 from .retrieval import bm25 as _bm25
-from .retrieval.external import retrieve_external
+from .retrieval.external import DEFAULT_TIMEOUT, retrieve_external
 
 log = logging.getLogger(__name__)
 
@@ -44,16 +45,14 @@ class PipelineConfig:
     concurrency: int = 4
 
     def __post_init__(self):
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("max_hops", "top_k", "batch_size", "concurrency"):
+            require_int(getattr(self, name), name, 1)
         if self.retriever not in RETRIEVER_KINDS:
             raise ValueError(f"retriever must be one of {RETRIEVER_KINDS}")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        if not isinstance(self.decoding, DecodingParams):
+            raise ValueError("decoding must be DecodingParams")
+        if not isinstance(self.strict_citation, bool):
+            raise ValueError("strict_citation must be true or false")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -68,17 +67,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PipelineConfig":
-        """Build from a config mapping, ignoring unrelated keys."""
-        decoding = d.get("decoding", {})
-        return cls(
-            max_hops=d.get("max_hops", 5),
-            top_k=d.get("top_k", 10),
-            batch_size=d.get("batch_size", 3),
-            retriever=d.get("retriever", "bm25"),
-            decoding=DecodingParams.from_dict(decoding),
-            strict_citation=d.get("strict_citation", False),
-            concurrency=d.get("concurrency", 4),
-        )
+        """Build from a config mapping, ignoring unrelated keys; a field it
+        omits keeps its default."""
+        values = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        if "decoding" in values:
+            values["decoding"] = DecodingParams.from_dict(values["decoding"])
+        return cls(**values)
 
 
 class Retriever(Protocol):
@@ -96,7 +90,12 @@ class BM25Retriever:
 @dataclass(frozen=True)
 class ExternalRetriever:
     endpoint: str
-    timeout: float = 30.0
+    timeout: float = DEFAULT_TIMEOUT
+
+    def __post_init__(self):
+        if not isinstance(self.endpoint, str):
+            raise ValueError("external_endpoint must be a string")
+        require_positive(self.timeout, "timeout")
 
     def retrieve(self, query: str, top_k: int) -> list[Document]:
         return retrieve_external(self.endpoint, query, top_k, timeout=self.timeout)
@@ -206,6 +205,8 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
 
     Output order matches input order.  ``progress(done, total)`` fires on
     the calling thread after each completion, whatever order they come in.
+    An interrupt, or any exception out of ``progress``, lets the items in
+    flight finish, starts no other item, and propagates.
     """
     total = len(items)
     if concurrency == 1 or total <= 1:
@@ -218,9 +219,13 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         futures = [pool.submit(fn, item) for item in items]
-        for done, _ in enumerate(as_completed(futures), start=1):
-            if progress is not None:
-                progress(done, total)
+        try:
+            for done, _ in enumerate(as_completed(futures), start=1):
+                if progress is not None:
+                    progress(done, total)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
         return [f.result() for f in futures]
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .core import Document, HopRecord, Question
+from .core import Document, HopRecord, Question, require_int
 from .errors import EmptyBatch, MissingPlaceholder
 from .llm import ChatMessage
 
@@ -103,6 +103,8 @@ class TemplateLibrary:
         for name in TEMPLATE_NAMES:
             if name not in templates:
                 raise ValueError(f"missing template {name!r}")
+        require_int(num_examples, "num_examples", 0)
+        require_int(doc_char_budget, "doc_char_budget", 0)  # 0: no budget
         self.templates = dict(templates)
         self.deduction_examples = tuple(deduction_examples)
         self.num_examples = num_examples

@@ -62,40 +62,56 @@ FESTIVAL_FINAL = "March and April"
 
 
 class StubServer:
-    """Single-threaded HTTP stub fed by a queue of (status, payload) replies.
+    """HTTP stub fed by a queue of (status, payload, headers) replies.
 
     ``payload`` may be a dict (sent as JSON) or a raw string.  Requests are
-    recorded as parsed JSON bodies in ``requests``.
+    recorded as parsed JSON bodies in ``requests``, and the client address
+    each arrived from in ``peers``.  By default the server is single-threaded
+    and speaks HTTP/1.0, so every connection closes after its reply;
+    ``keep_alive=True`` makes it threaded and HTTP/1.1, so that a client can
+    send several requests over one connection.
     """
 
-    def __init__(self):
-        self.replies: list[tuple[int, object]] = []
+    def __init__(self, keep_alive: bool = False):
+        self.replies: list[tuple[int, object, dict]] = []
         self.requests: list[dict] = []
+        self.peers: list[tuple[str, int]] = []
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            if keep_alive:
+                protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
+                stub.peers.append(self.client_address)
                 try:
                     stub.requests.append(json.loads(raw))
                 except json.JSONDecodeError:
                     stub.requests.append({})
-                status, payload = (stub.replies.pop(0) if stub.replies
-                                   else (500, {"error": "no reply queued"}))
+                status, payload, headers = (
+                    stub.replies.pop(0) if stub.replies
+                    else (500, {"error": "no reply queued"}, {}))
                 body = (payload if isinstance(payload, str)
                         else json.dumps(payload)).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 
             def log_message(self, *args):
                 pass
 
-        self._server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        server_class = (http.server.ThreadingHTTPServer if keep_alive
+                        else http.server.HTTPServer)
+        self._server = server_class(("127.0.0.1", 0), Handler)
+        # a short poll interval lets close() return in ~10 ms, not 0.5 s
         self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01},
                                         daemon=True)
         self._thread.start()
 
@@ -103,8 +119,8 @@ class StubServer:
     def url(self) -> str:
         return f"http://127.0.0.1:{self._server.server_port}"
 
-    def queue(self, status: int, payload) -> None:
-        self.replies.append((status, payload))
+    def queue(self, status: int, payload, headers: dict | None = None) -> None:
+        self.replies.append((status, payload, headers or {}))
 
     def queue_completion(self, text: str, prompt_tokens: int = 7,
                          completion_tokens: int = 3) -> None:

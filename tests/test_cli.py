@@ -8,6 +8,7 @@ from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, InFlightStub, write_jsonl)
 
+OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 KEEP_TARGET = "<ref> Paris is the capital of France </ref> <revise> Paris </revise>"
 
 
@@ -151,6 +152,35 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "llm.max_concurrency" in err
         assert "pipeline.concurrency" in err
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ({"pipeline": {"max_hops": "3"}}, "max_hops"),
+        ({"pipeline": {"concurrency": True}}, "concurrency"),
+        ({"pipeline": {"decoding": {"max_output_tokens": 1.5}}},
+         "max_output_tokens"),
+        ({"pipeline": {"decoding": []}}, "decoding"),
+        ({"pipeline": 5}, "pipeline"),
+        ({"templates": []}, "templates"),
+        ({"templates": {"num_examples": "2"}}, "num_examples"),
+        ({"llm": {**OPENAI, "max_attempts": "3"}}, "max_attempts"),
+        ({"llm": {**OPENAI, "max_attempts": 0}}, "max_attempts"),
+        ({"llm": {**OPENAI, "timeout": "120"}}, "timeout"),
+        ({"pipeline": {"retriever": "external"},
+          "retrieval": {"external_endpoint": "http://127.0.0.1:9",
+                        "timeout": "30"}}, "timeout"),
+    ])
+    def test_wrong_typed_config_exits_one(self, festival_run, tmp_path,
+                                          capsys, override, key):
+        config = write_json(tmp_path / "typed.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            **override})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
     def test_missing_config_file(self, festival_run):

@@ -133,7 +133,6 @@ def stub():
 
 
 def make_client(stub, **kwargs):
-    kwargs.setdefault("backoff_base", 0.01)
     return OpenAIChatClient(base_url=stub.url, model="test-model",
                             api_key="sk-test", **kwargs)
 
@@ -195,7 +194,8 @@ class TestOpenAIChatClient:
         assert len(stub.requests) == 1
 
     @pytest.mark.parametrize("usage", ["many", {"prompt_tokens": "x"},
-                                       {"prompt_tokens": -1}])
+                                       {"prompt_tokens": -1},
+                                       {"prompt_tokens": float("inf")}])
     def test_unusable_usage_is_a_transport_error(self, stub, usage):
         stub.queue(200, {"choices": [{"message": {"content": "ok"}}],
                          "usage": usage})

@@ -1,10 +1,13 @@
+import threading
+import time
+
 import pytest
 
 from hopground.core import GroundingKind, Question, Termination, TokenCounts
 from hopground.llm import ScriptedClient
 from hopground.pipeline import (BM25Retriever, PipelineConfig, answer_dataset,
                                 answer_question, load_trajectories,
-                                write_trajectories)
+                                map_ordered, write_trajectories)
 from hopground.prompts import format_step
 from hopground.retrieval import build_index
 
@@ -192,6 +195,27 @@ class TestAnswerDataset:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestMapOrdered:
+    def test_interrupt_starts_no_queued_item(self):
+        ran = []
+        lock = threading.Lock()
+
+        def fn(item):
+            with lock:
+                ran.append(item)
+            if item >= 2:
+                time.sleep(0.2)  # still in flight when the interrupt lands
+            return item
+
+        def progress(done, total):
+            if done == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            map_ordered(fn, list(range(50)), 2, progress)
+        assert len(ran) <= 4
+
+
 class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
@@ -205,7 +229,9 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("bad", [
         {"max_hops": 0}, {"top_k": 0}, {"batch_size": 0},
-        {"retriever": "dense"}, {"concurrency": 0}])
+        {"retriever": "dense"}, {"concurrency": 0}, {"max_hops": "3"},
+        {"top_k": True}, {"concurrency": 2.0}, {"strict_citation": "yes"},
+        {"decoding": {"temperature": 0}}])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             PipelineConfig(**bad)

@@ -578,3 +578,60 @@ class TestExternalRetriever:
         stub.queue(502, {"error": "bad gateway"})
         with pytest.raises(TransportError):
             retrieve_external(stub.url, "q", top_k=5)
+
+    def test_unavailable_then_recovers(self, stub):
+        stub.queue(503, {"error": "down"})
+        stub.queue(200, _results(2))
+        docs = retrieve_external(stub.url, "q", top_k=5)
+        assert [d.id for d in docs] == ["r0", "r1"]
+        assert len(stub.requests) == 2
+
+    def test_transport_error_after_bounded_retries(self, stub):
+        for _ in range(3):
+            stub.queue(503, {"error": "down"})
+        with pytest.raises(TransportError):
+            retrieve_external(stub.url, "q", top_k=5)
+        assert len(stub.requests) == 3
+
+    def test_non_retryable_status_fails_fast(self, stub):
+        stub.queue(404, {"error": "no such endpoint"})
+        with pytest.raises(TransportError):
+            retrieve_external(stub.url, "q", top_k=5)
+        assert len(stub.requests) == 1
+
+    def test_one_connection_per_thread(self):
+        stub = StubServer(keep_alive=True)
+        try:
+            stub.queue(200, _results(1))
+            stub.queue(200, _results(1))
+            retrieve_external(stub.url, "first", top_k=5)
+            retrieve_external(stub.url, "second", top_k=5)
+        finally:
+            stub.close()
+        assert len(stub.peers) == 2
+        assert stub.peers[0] == stub.peers[1]
+
+    @pytest.mark.parametrize("result", [
+        {"id": "a", "title": "T", "body": None},
+        {"id": "a", "title": "T", "body": 5},
+        {"id": "a", "title": "T", "body": ["text"]},
+        {"id": "a", "title": "T"},
+        {"id": None, "title": "T", "body": "text"},
+        {"id": ["a"], "title": "T", "body": "text"},
+        {"id": "a", "title": {"t": 1}, "body": "text"},
+        "a bare string",
+    ])
+    def test_unusable_result_is_malformed(self, stub, result):
+        stub.queue(200, {"results": [result]})
+        with pytest.raises(MalformedResponse):
+            retrieve_external(stub.url, "q", top_k=5)
+
+    @pytest.mark.parametrize("result, expected", [
+        ({"id": "a", "body": "text"}, Document("a", "", "text", 1)),
+        ({"id": "a", "title": None, "body": "text"},
+         Document("a", "", "text", 1)),
+        ({"id": 7, "title": "T", "body": "text"}, Document("7", "T", "text", 1)),
+    ])
+    def test_optional_title_and_numeric_id(self, stub, result, expected):
+        stub.queue(200, {"results": [result]})
+        assert retrieve_external(stub.url, "q", top_k=5) == [expected]
