@@ -8,6 +8,11 @@ timings and the cache size.  Query time is split into scoring
 selection and the ranked copies), so the script measures any version of
 the package through its public API alone.
 
+Memory comes from one extra, untimed ``build_index`` and ``load_index``
+each under ``tracemalloc``, which numpy reports its arrays to:
+``build_peak_mb`` and ``load_peak_mb`` are the peak of what each call
+allocated, and ``index_mb`` is what the loaded index still holds.
+
     python benchmarks/bench_bm25.py --docs 20000 --queries 200 \
         --json benchmarks/BENCH_bm25.json --label change
 
@@ -24,6 +29,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -62,6 +68,18 @@ def _timed(fn, *args):
     started = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - started
+
+
+def _traced_mb(fn, *args):
+    """``fn(*args)`` under tracemalloc: the MB it allocated at its peak and
+    the MB its result still holds (MB = 2**20 bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, held / 2**20
 
 
 def _query_times(index, queries, top_k):
@@ -124,13 +142,17 @@ def main(argv=None) -> dict:
     corpus = synthetic_corpus(args.docs, args.seed)
     index, build_s = _timed(build_index, corpus)
     print(f"  build  {build_s:8.3f} s   ({len(index.terms)} terms)")
+    build_peak_mb, _ = _traced_mb(build_index, corpus)
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "index.cache")
         _, save_s = _timed(save_index, index, cache)
         cache_bytes = os.path.getsize(cache)
         reloaded, load_s = _timed(load_index, cache)
+        load_peak_mb, index_mb = _traced_mb(load_index, cache)
     print(f"  save   {save_s:8.3f} s   ({cache_bytes} bytes)")
     print(f"  load   {load_s:8.3f} s")
+    print(f"  memory {build_peak_mb:8.1f} MB build peak, {load_peak_mb:.1f} MB "
+          f"load peak, {index_mb:.1f} MB index")
 
     queries = synthetic_queries(args.queries, args.seed)
     rankings, score_s, query_s = _query_times(index, queries, args.top_k)
@@ -150,7 +172,8 @@ def main(argv=None) -> dict:
         "docs": args.docs, "queries": args.queries, "top_k": args.top_k,
         "seed": args.seed, "terms": len(index.terms),
         "build_s": build_s, "save_s": save_s, "load_s": load_s,
-        "cache_bytes": cache_bytes,
+        "cache_bytes": cache_bytes, "build_peak_mb": build_peak_mb,
+        "load_peak_mb": load_peak_mb, "index_mb": index_mb,
         "score_ms": per_query * score_s,
         "select_ms": per_query * (query_s - score_s),
         "query_ms": per_query * query_s,

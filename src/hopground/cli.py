@@ -13,15 +13,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import distill, evaluation, pipeline, retrieval
-from .core import Question, Termination, TokenCounts, Trajectory
-from .errors import (HopgroundError, LlmError, MalformedDataset, PromptError,
-                     RetrievalError)
+from .core import (Question, Termination, TokenCounts, Trajectory,
+                   require_int, require_keys)
+from .errors import (HopgroundError, InvalidRecord, LlmError,
+                     MalformedDataset, PromptError, RetrievalError)
 from .llm import LlmClient, OpenAIChatClient, RecordingClient, ScriptedClient
 from .prompts import TemplateLibrary
 from .retrieval import bm25
@@ -35,7 +36,24 @@ class ConfigError(HopgroundError):
     pass
 
 
+# "max_concurrency" is kept so that _make_llm can name its replacement
+_LLM_KEYS = frozenset({"backend", "script_path", "base_url", "model",
+                       "api_key_env", "timeout", "max_attempts",
+                       "max_concurrency"})
+# the keys each config section may set; the top level holds sections only
+CONFIG_KEYS: dict[str, frozenset[str]] = {
+    "pipeline": frozenset(f.name for f in fields(pipeline.PipelineConfig)),
+    "retrieval": frozenset({"index_path", "corpus_path", "external_endpoint",
+                            "timeout"}),
+    "templates": frozenset({"dir", "num_examples", "doc_char_budget"}),
+    "synthesis": frozenset({"noise_docs", "concurrency"}),
+    **dict.fromkeys(("llm", "judge_llm", "student_llm", "teacher_llm"),
+                    _LLM_KEYS),
+}
+
+
 def _load_config(path: str | None) -> dict[str, Any]:
+    """The config file as a dict; an unknown key in it is a ``ConfigError``."""
     if path is None:
         return {}
     try:
@@ -47,6 +65,13 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    try:
+        require_keys(config, CONFIG_KEYS)
+        for name, section in config.items():
+            if isinstance(section, dict):  # _section rejects any other type
+                require_keys(section, CONFIG_KEYS[name], f"{name}.")
+    except InvalidRecord as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     return config
 
 
@@ -193,8 +218,9 @@ class RunManifest:
 # --- subcommands ---
 
 def cmd_index(args: argparse.Namespace) -> int:
-    docs = retrieval.load_corpus(args.corpus)
-    index = retrieval.build_index(docs, k1=args.k1, b=args.b)
+    # no name holds the corpus, so its documents are freed before the save
+    index = retrieval.build_index(retrieval.load_corpus(args.corpus),
+                                  k1=args.k1, b=args.b)
     retrieval.save_index(index, args.out)
     print(f"indexed {len(index)} documents -> {args.out}")
     return EXIT_OK
@@ -296,12 +322,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    synth_section = _section(config, "synthesis")
+    try:
+        for key, minimum in (("noise_docs", 0), ("concurrency", 1)):
+            if key in synth_section:
+                require_int(synth_section[key], f"synthesis.{key}", minimum)
+    except InvalidRecord as exc:
+        raise ConfigError(str(exc)) from exc
     student = _make_llm(_section(config, "student_llm"), "student_llm")
     teacher = _make_llm(_section(config, "teacher_llm"), "teacher_llm")
     library = _make_templates(config, args.templates)
     inputs = distill.load_synthesis_inputs(args.input)
 
-    synth_section = _section(config, "synthesis")
     examples = distill.synthesize_dataset(
         inputs, student, teacher, library, seed=args.seed,
         max_noise_docs=(args.noise_docs if args.noise_docs is not None

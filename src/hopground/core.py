@@ -8,8 +8,10 @@ are exact (``from_dict(to_dict(x)) == x``).
 
 from __future__ import annotations
 
+import difflib
 import enum
 import json
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TypeVar
@@ -64,6 +66,18 @@ def require_positive(value: Any, name: str) -> None:
     """Raise ``InvalidRecord`` unless ``value`` is a number > 0."""
     _require(_is_number(value) and value > 0,
              f"{name} must be a number > 0, got {value!r}")
+
+
+def require_keys(mapping: Mapping[str, Any], allowed: Iterable[str],
+                 prefix: str = "") -> None:
+    """Raise ``InvalidRecord`` naming the first key of ``mapping`` that is
+    not in ``allowed``, with the nearest allowed key as a hint."""
+    allowed = sorted(allowed)
+    for key in mapping:
+        if key not in allowed:
+            close = difflib.get_close_matches(key, allowed, n=1)
+            hint = f"; did you mean {prefix}{close[0]}?" if close else ""
+            raise InvalidRecord(f"unknown config key {prefix}{key}{hint}")
 
 
 def _is_text(value: Any) -> bool:
@@ -356,9 +370,26 @@ class DecodingParams:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "DecodingParams":
-        """Build from a config mapping; a field it omits keeps its default."""
+        """Build from a config mapping; a field it omits keeps its default,
+        and a key that names no field raises ``InvalidRecord``."""
         _require(isinstance(d, Mapping), "decoding must be a JSON object")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        names = [f.name for f in fields(cls)]
+        require_keys(d, names, "decoding.")
+        return cls(**{name: d[name] for name in names if name in d})
+
+
+# a "\ud800"-style JSON escape can decode to a lone surrogate, a str that
+# UTF-8 cannot encode; only text holding such an escape is checked again
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def loads_utf8(text: str) -> Any:
+    """``json.loads``, raising ``ValueError`` for a string that holds a lone
+    surrogate, since no output file could then be written as UTF-8."""
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    return value
 
 
 def read_jsonl(path: str | Path,
@@ -366,9 +397,9 @@ def read_jsonl(path: str | Path,
     """``parse(record, line_no)`` for each non-blank line of a UTF-8 file.
 
     Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its line.  A
-    line that is not UTF-8 or not JSON, or that ``parse`` rejects with
-    ``KeyError``, ``TypeError`` or ``ValueError``, raises
-    ``MalformedDataset`` at its line.
+    line that is not UTF-8 or not JSON, that holds a string UTF-8 cannot
+    encode, or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
+    ``ValueError``, raises ``MalformedDataset`` at its line.
     """
     records = []
     with open(path, "rb") as f:
@@ -376,7 +407,7 @@ def read_jsonl(path: str | Path,
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    records.append(parse(json.loads(line), line_no))
+                    records.append(parse(loads_utf8(line), line_no))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
     return records

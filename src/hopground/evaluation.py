@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .core import DecodingParams, Question, read_jsonl
+from .core import DecodingParams, Question, loads_utf8, read_jsonl
 from .errors import (EmptyRecords, MalformedDataset, MissingGold,
                      UnparseableVerdict)
 from .llm import LlmClient, retry_parse
@@ -194,8 +194,8 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
     if not data.lstrip().startswith(b"["):
         return read_jsonl(path, to_question)
     try:
-        records = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        records = loads_utf8(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or a lone surrogate
         raise MalformedDataset(f"{path}: {exc}") from exc
     questions = []
     for i, record in enumerate(records, start=1):

@@ -16,7 +16,8 @@ from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .core import (DecodingParams, Document, HopRecord, Question, Termination,
                    TokenCounts, TokenUsage, Trajectory, read_jsonl,
-                   require_int, require_positive, write_jsonl)
+                   require_int, require_keys, require_positive,
+                   write_jsonl)
 from .deduction import DeductionKind, deduce
 from .errors import DeductionParseError, EmptyQuery, LlmError, RetrievalError
 from .grounding import ground
@@ -67,9 +68,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PipelineConfig":
-        """Build from a config mapping, ignoring unrelated keys; a field it
-        omits keeps its default."""
-        values = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        """Build from a config's ``pipeline`` section; a field it omits keeps
+        its default, and a key that names no field raises ``ValueError``."""
+        names = [f.name for f in fields(cls)]
+        require_keys(d, names, "pipeline.")
+        values = {name: d[name] for name in names if name in d}
         if "decoding" in values:
             values["decoding"] = DecodingParams.from_dict(values["decoding"])
         return cls(**values)

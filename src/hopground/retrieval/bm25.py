@@ -2,31 +2,38 @@
 
 The index is one flat CSR (compressed sparse row) layout, in memory and in
 its cache file.  Row ``t`` holds term ``terms[t]``: its postings are
-``doc_idx[offsets[t]:offsets[t + 1]]``, ascending document indices, with the
-matching term frequencies at the same positions of ``tfs``.
+``doc_idx[offsets[t]:offsets[t + 1]]``, ascending ``int32`` document
+indices, with the matching term frequencies at the same positions of
+``tfs``.  A term frequency is a count, so ``tfs`` uses the smallest
+unsigned integer type that holds the largest one (``uint8`` for any
+ordinary corpus); widening an integer to ``float64`` is exact, so scores do
+not depend on that type.
 
 Documents are indexed over ``title + body`` and stored sorted by id, which
-makes retrieval results independent of corpus input order.  Repeated query
-terms contribute once per occurrence.
+makes retrieval results independent of corpus input order.  They are kept as
+one UTF-8 byte blob, ``doc_text``, cut by ``int64`` ``doc_offsets`` into
+three fields per document (id, title, body); :meth:`CorpusIndex.document`
+decodes a :class:`Document` only for a ranked hit.  Repeated query terms
+contribute once per occurrence.
 
 Each posting's BM25 contribution is computed once, by the constructor, into
-``impact``, a ``float64`` array aligned with ``doc_idx``: 8 bytes per
-posting of memory, derived on load rather than stored in the cache.  A
+``impact``, a ``float64`` array aligned with ``doc_idx``, derived on load
+rather than stored in the cache.  A posting therefore costs 13 bytes of
+memory: 4 of ``doc_idx``, 1 of ``uint8`` ``tfs`` and 8 of ``impact``.  A
 query's scores are one ``np.bincount`` of its terms' postings weighted by
 their contributions.  ``bincount`` adds in input order, so every document
 sums its terms in query order and the scores are bit-identical to a
 per-term scatter-add of the BM25 formula.
 
-:func:`save_index` writes the layout as an uncompressed ``.npz``; documents
-and terms go in as UTF-8 byte blobs, so :func:`load_index` never
-deserializes Python objects and rejects any malformed file with
-``ValueError``.
+:func:`save_index` writes these arrays as they are into an uncompressed
+``.npz`` (cache format ``hopground-bm25-csr-v3``), so :func:`load_index`
+never deserializes Python objects and rejects any malformed file with
+``ValueError``.  Caches of earlier formats are rejected, not converted.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 import zipfile
@@ -44,6 +51,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
+_FIELDS = 3  # id, title, body: the doc_offsets entries per document
 
 
 def tokenize(text: str) -> list[str]:
@@ -53,6 +61,33 @@ def tokenize(text: str) -> list[str]:
 
 def _doc_text(doc: Document) -> str:
     return f"{doc.title} {doc.body}" if doc.title else doc.body
+
+
+def _check_documents(doc_text: np.ndarray,
+                     doc_offsets: np.ndarray) -> tuple[str, ...]:
+    """The document ids, decoding every field once; raise ``ValueError``
+    unless the blob holds one or more documents with UTF-8 fields, a
+    non-blank body and ids ascending without repeats."""
+    if doc_offsets.size < _FIELDS + 1 or (doc_offsets.size - 1) % _FIELDS:
+        raise ValueError("an index needs at least one document, with "
+                         f"{_FIELDS} offsets each")
+    if doc_offsets[0] != 0 or doc_offsets[-1] != doc_text.size:
+        raise ValueError("document offsets must run from 0 to the text size")
+    if not (np.diff(doc_offsets) >= 0).all():
+        raise ValueError("document offsets must ascend")
+    text = memoryview(doc_text)
+    bounds = doc_offsets.tolist()
+    ids = []
+    # a strict decode of each field also rejects a cut inside a character
+    for d in range(0, len(bounds) - 1, _FIELDS):
+        start, title, body, end = bounds[d:d + _FIELDS + 1]
+        ids.append(str(text[start:title], "utf-8"))
+        str(text[title:body], "utf-8")
+        if not str(text[body:end], "utf-8").strip():
+            raise ValueError(f"document {ids[-1]!r} has a blank body")
+    if any(a >= z for a, z in zip(ids, ids[1:])):
+        raise ValueError("document ids must be unique and sorted")
+    return tuple(ids)
 
 
 def _check_postings(n_docs: int, n_terms: int, offsets: np.ndarray,
@@ -85,27 +120,25 @@ class CorpusIndex:
     each posting's contribution.
     """
 
-    def __init__(self, documents: Sequence[Document], terms: Sequence[str],
-                 offsets: np.ndarray, doc_idx: np.ndarray, tfs: np.ndarray,
+    def __init__(self, doc_text: np.ndarray, doc_offsets: np.ndarray,
+                 terms: Sequence[str], offsets: np.ndarray,
+                 doc_idx: np.ndarray, tfs: np.ndarray,
                  doc_lengths: np.ndarray, k1: float, b: float):
         if not 0 < k1 < math.inf:
             raise ValueError("k1 must be a finite number > 0")
         if not 0 <= b <= 1:
             raise ValueError("b must be in [0, 1]")
-        if not documents:
-            raise ValueError("an index needs at least one document")
-        doc_ids = tuple(d.id for d in documents)
-        if any(a >= z for a, z in zip(doc_ids, doc_ids[1:])):
-            raise ValueError("document ids must be unique and sorted")
+        doc_ids = _check_documents(doc_text, doc_offsets)
         rows = {term: row for row, term in enumerate(terms)}
         if len(rows) != len(terms):
             raise ValueError("duplicate term")
-        _check_postings(len(documents), len(terms), offsets, doc_idx, tfs,
+        _check_postings(len(doc_ids), len(terms), offsets, doc_idx, tfs,
                         doc_lengths)
 
         self.k1 = k1
         self.b = b
-        self.documents: tuple[Document, ...] = tuple(documents)
+        self.doc_text = doc_text
+        self.doc_offsets = doc_offsets
         self.doc_ids: tuple[str, ...] = doc_ids
         self.terms: tuple[str, ...] = tuple(terms)
         self._rows = rows
@@ -119,7 +152,7 @@ class CorpusIndex:
         # normalization divisor only needs to be finite.
         divisor = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         self._denom = k1 * (1.0 - b + b * doc_lengths / divisor)
-        n_docs = len(self.documents)
+        n_docs = len(doc_ids)
         dfs = np.diff(offsets)
         self.idf = np.array(
             [math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
@@ -134,7 +167,15 @@ class CorpusIndex:
         self.impact /= posting_denom
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
+
+    def document(self, i: int, rank: int) -> Document:
+        """Document ``i`` in id order, decoded from the blob, at ``rank``."""
+        _, title, body, end = self.doc_offsets[
+            _FIELDS * i:_FIELDS * (i + 1) + 1].tolist()
+        text = memoryview(self.doc_text)
+        return Document(self.doc_ids[i], str(text[title:body], "utf-8"),
+                        str(text[body:end], "utf-8"), rank)
 
     def scores(self, query: str) -> np.ndarray:
         """BM25 score of every document for ``query`` (0 for no overlap)."""
@@ -156,7 +197,7 @@ class CorpusIndex:
                 tfs = self.tfs[span]
                 weights.append(self.idf[row] * qtf * tfs * (self.k1 + 1.0)
                                / (tfs + self._denom[doc_idx]))
-        n_docs = len(self.documents)
+        n_docs = len(self.doc_ids)
         if not rows:
             return np.zeros(n_docs, dtype=np.float64)
         # bincount adds weights in input order, so each document's score
@@ -167,7 +208,10 @@ class CorpusIndex:
 
 def build_index(corpus: Sequence[Document], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> CorpusIndex:
-    """Index a corpus; ids must be unique and the corpus non-empty."""
+    """Index a corpus; ids must be unique and the corpus non-empty.
+
+    The index keeps no reference to ``corpus`` or its documents.
+    """
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     seen: set[str] = set()
@@ -182,23 +226,47 @@ def build_index(corpus: Sequence[Document], k1: float = DEFAULT_K1,
     vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     token_ids = array("i")
     lengths = array("q")
+    doc_text = bytearray()
+    doc_offsets = array("q", [0])
     for doc in documents:
+        for field in (doc.id, doc.title, doc.body):
+            doc_text += field.encode("utf-8")
+            doc_offsets.append(len(doc_text))
         tokens = tokenize(_doc_text(doc))
         lengths.append(len(tokens))
         token_ids.extend(map(vocabulary.__getitem__, tokens))
-
-    # one sort of (term, doc) keys yields term-major postings, docs ascending
     n_docs = len(documents)
-    doc_of_token = np.repeat(np.arange(n_docs, dtype=np.int64),
-                             np.frombuffer(lengths, dtype=np.int64))
-    keys = np.frombuffer(token_ids, dtype=np.intc).astype(np.int64) * n_docs
-    keys, tfs = np.unique(keys + doc_of_token, return_counts=True)
-    term_of = keys // n_docs
-    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_of, minlength=len(vocabulary)), out=offsets[1:])
-    return CorpusIndex(documents, list(vocabulary), offsets,
-                       (keys - term_of * n_docs).astype(np.int32),
-                       tfs.astype(np.float64),
+
+    # one in-place sort of (term, doc) keys yields term-major postings with
+    # ascending documents; each run of equal keys is one posting
+    keys = np.frombuffer(token_ids, dtype=np.intc).astype(np.int64)
+    del token_ids
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=np.int32),
+                      np.frombuffer(lengths, dtype=np.int64))
+    keys.sort()
+    run_start = np.empty(keys.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    del run_start
+    postings = keys[starts]
+    n_tokens = keys.size
+    del keys
+    counts = np.empty_like(starts)  # run lengths, without a concatenated copy
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = n_tokens - starts[-1:]
+    del starts
+    tfs = counts.astype(np.min_scalar_type(counts.max(initial=1)))
+    del counts
+    offsets = np.searchsorted(
+        postings, np.arange(len(vocabulary) + 1, dtype=np.int64) * n_docs)
+    postings %= n_docs
+    doc_idx = postings.astype(np.int32)
+    del postings
+    return CorpusIndex(np.frombuffer(doc_text, dtype=np.uint8),
+                       np.frombuffer(doc_offsets, dtype=np.int64),
+                       list(vocabulary), offsets, doc_idx, tfs,
                        np.frombuffer(lengths, dtype=np.int64).astype(np.float64),
                        k1=k1, b=b)
 
@@ -225,15 +293,18 @@ def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
     # candidates are in ascending-id order; a stable sort on -score
     # therefore breaks ties by ascending id
     ranked = candidates[np.argsort(-candidate_scores, kind="stable")][:top_k]
-    return [index.documents[i].with_rank(rank)
-            for rank, i in enumerate(ranked, start=1)]
+    return [index.document(i, rank)
+            for rank, i in enumerate(ranked.tolist(), start=1)]
 
 
-_CACHE_MAGIC = "hopground-bm25-csr-v2"
+_CACHE_MAGIC = "hopground-bm25-csr-v3"
+_CACHE_MEMBERS = frozenset({"magic", "params", "doc_text", "doc_offsets",
+                            "terms", "offsets", "doc_idx", "tfs",
+                            "doc_lengths"})
+_TFS_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 _ZIP_MAGIC = b"PK\x03\x04"
-# RuntimeError covers zipfile's unsupported or encrypted members and json's
-# RecursionError on deeply nested documents; MemoryError a member header
-# that declares an array larger than memory
+# RuntimeError covers zipfile's unsupported or encrypted members;
+# MemoryError a member header that declares an array larger than memory
 _MALFORMED = (zipfile.BadZipFile, EOFError, KeyError, MemoryError, OSError,
               RuntimeError, ValueError)
 
@@ -244,11 +315,11 @@ def _blob(text: str) -> np.ndarray:
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write the index as an uncompressed ``.npz`` at exactly ``path``."""
-    documents = json.dumps([[d.id, d.title, d.body] for d in index.documents])
     arrays = {
         "magic": _blob(_CACHE_MAGIC),
         "params": np.array([index.k1, index.b], dtype=np.float64),
-        "documents": _blob(documents),
+        "doc_text": index.doc_text,
+        "doc_offsets": index.doc_offsets,
         "terms": _blob("\n".join(index.terms)),
         "offsets": index.offsets,
         "doc_idx": index.doc_idx,
@@ -259,26 +330,17 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         np.savez(f, **arrays)
 
 
-def _member(npz, name: str, dtype: type) -> np.ndarray:
+def _member(npz, name: str, *dtypes: type) -> np.ndarray:
     array_ = npz[name]
-    if array_.dtype != np.dtype(dtype) or array_.ndim != 1:
+    if array_.dtype not in [np.dtype(t) for t in dtypes] or array_.ndim != 1:
+        expected = " or ".join(str(np.dtype(t)) for t in dtypes)
         raise ValueError(f"member {name!r} is {array_.dtype}{array_.shape}, "
-                         f"expected a 1-d {np.dtype(dtype)} array")
+                         f"expected a 1-d {expected} array")
     return array_
 
 
 def _text(npz, name: str) -> str:
     return _member(npz, name, np.uint8).tobytes().decode("utf-8")
-
-
-def _documents(text: str) -> list[Document]:
-    rows = json.loads(text)
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == 3 for row in rows)):
-        raise ValueError("documents must be [id, title, body] triples")
-    # Document rejects a field that is not a string with InvalidRecord,
-    # a ValueError
-    return [Document(id=i, title=t, body=body) for i, t, body in rows]
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -297,14 +359,18 @@ def load_index(path: str | Path) -> CorpusIndex:
                 if _text(npz, "magic") != _CACHE_MAGIC:
                     raise ValueError("unsupported cache version; rebuild it "
                                      "with `hopground index`")
+                if set(npz.files) != _CACHE_MEMBERS:
+                    raise ValueError(f"members {sorted(npz.files)}, expected "
+                                     f"{sorted(_CACHE_MEMBERS)}")
                 k1, b = _member(npz, "params", np.float64).tolist()
                 terms = _text(npz, "terms")
                 return CorpusIndex(
-                    _documents(_text(npz, "documents")),
+                    _member(npz, "doc_text", np.uint8),
+                    _member(npz, "doc_offsets", np.int64),
                     terms.split("\n") if terms else [],
                     _member(npz, "offsets", np.int64),
                     _member(npz, "doc_idx", np.int32),
-                    _member(npz, "tfs", np.float64),
+                    _member(npz, "tfs", *_TFS_DTYPES),
                     _member(npz, "doc_lengths", np.float64), k1=k1, b=b)
         except _MALFORMED as exc:
             raise ValueError(f"{path}: malformed index cache: {exc}") from exc

@@ -7,14 +7,15 @@ import bench_bm25  # noqa: E402
 
 RECORD_KEYS = {"label", "command", "machine", "docs", "queries", "top_k",
                "seed", "terms", "build_s", "save_s", "load_s", "cache_bytes",
-               "score_ms", "select_ms", "query_ms"}
+               "build_peak_mb", "load_peak_mb", "index_mb", "score_ms",
+               "select_ms", "query_ms"}
 
 
 def test_bench_bm25_runs_on_a_tiny_corpus(capsys):
     bench_bm25.main(["--docs", "300", "--queries", "10"])
     out = capsys.readouterr().out
-    for layer in ("build", "save", "load", "bytes", "score", "select",
-                  "ms/query"):
+    for layer in ("build", "save", "load", "bytes", "build peak",
+                  "load peak", "MB index", "score", "select", "ms/query"):
         assert layer in out
 
 
@@ -33,5 +34,7 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
         assert record["docs"] == 300 and record["queries"] == 10
         assert record["command"].startswith("python benchmarks/bench_bm25.py")
         assert record["query_ms"] >= record["score_ms"] > 0
+        assert record["load_peak_mb"] >= record["index_mb"] > 0
+        assert record["build_peak_mb"] >= record["index_mb"]
         assert abs(record["score_ms"] + record["select_ms"]
                    - record["query_ms"]) < 1e-9

@@ -183,6 +183,31 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
+    @pytest.mark.parametrize("override, named, hint", [
+        ({"pipeline": {"max_hop": 2}}, "pipeline.max_hop",
+         "pipeline.max_hops"),
+        ({"pipline": {"max_hops": 2}}, "pipline", "pipeline"),
+        ({"llm": {**OPENAI, "modle": "m"}}, "llm.modle", "llm.model"),
+        ({"retrieval": {"corpus": "x.jsonl"}}, "retrieval.corpus",
+         "retrieval.corpus_path"),
+        ({"synthesis": {"noise": 3}}, "synthesis.noise",
+         "synthesis.noise_docs"),
+        ({"pipeline": {"decoding": {"max_tokens": 9}}},
+         "decoding.max_tokens", "decoding.max_output_tokens"),
+    ])
+    def test_unknown_config_key_exits_one(self, festival_run, tmp_path,
+                                          capsys, override, named, hint):
+        config = write_json(tmp_path / "typo.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            **override})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown config key {named}; did you mean {hint}?" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", "/nonexistent/config.json",
@@ -314,6 +339,36 @@ class TestEvalCommand:
         assert f"{files[bad_file]}" in err and "(line 1)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_file", ["corpus", "dataset",
+                                          "trajectories"])
+    def test_lone_surrogate_exits_two(self, festival_run, bad_file, capsys):
+        files = {"trajectories": self.run_festival(festival_run),
+                 "dataset": festival_run["dataset"],
+                 "corpus": festival_run["corpus"]}
+        path = files[bad_file]
+        records = [json.loads(line) for line in
+                   path.read_text(encoding="utf-8").splitlines()]
+        key = "final_answer" if bad_file == "trajectories" else "id"
+        records.append({**records[0], key: "bad\ud800"})
+        # ASCII-only JSON, as many writers emit it: the surrogate is an escape
+        path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                        encoding="utf-8")
+        capsys.readouterr()
+        command = {
+            "corpus": ["index", "--corpus", str(path),
+                       "--out", str(path.with_suffix(".cache"))],
+            "dataset": ["run", "--dataset", str(path),
+                        "--config", str(festival_run["config"]),
+                        "--out", str(path.parent / "surrogate-run")],
+            "trajectories": ["eval", "--trajectories", str(path),
+                             "--dataset", str(festival_run["dataset"])],
+        }[bad_file]
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert f"{path}" in err and f"(line {len(records)})" in err
+        assert "surrogates not allowed" in err
+        assert "Traceback" not in err
+
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
         questions = [{"id": f"q{i}", "question": f"Q{i}?", "answers": ["gold"]}
                      for i in range(10)]
@@ -408,6 +463,31 @@ class TestSynthCommand:
                          "--config", str(synth_files["config"])]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+    @pytest.mark.parametrize("synthesis, key", [
+        ({"concurrency": "2"}, "synthesis.concurrency"),
+        ({"concurrency": 0}, "synthesis.concurrency"),
+        ({"noise_docs": "3"}, "synthesis.noise_docs"),
+        ({"noise_docs": -1}, "synthesis.noise_docs"),
+    ])
+    def test_wrong_typed_synthesis_exits_one(self, synth_files, capsys,
+                                             synthesis, key):
+        # two inputs: a single input takes the serial path, with no threads
+        inputs = synth_files["input"]
+        inputs.write_text("".join(inputs.read_text(encoding="utf-8")
+                                  .splitlines(keepends=True)[:2]),
+                          encoding="utf-8")
+        config = json.loads(synth_files["config"].read_text(encoding="utf-8"))
+        config_path = write_json(synth_files["dir"] / "typed.json",
+                                 {**config, "synthesis": synthesis})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(inputs), "--out", str(out),
+                     "--seed", "7", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestStatsCommand:

@@ -236,10 +236,15 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(**bad)
 
-    def test_from_dict_ignores_unknown_keys(self):
-        cfg = PipelineConfig.from_dict({"max_hops": 2, "llm": {"x": 1}})
+    def test_from_dict_rejects_unknown_keys(self):
+        cfg = PipelineConfig.from_dict({"max_hops": 2})
         assert cfg.max_hops == 2
         assert cfg.top_k == 10
+        with pytest.raises(ValueError, match="pipeline.max_hop; did you "
+                                             "mean pipeline.max_hops"):
+            PipelineConfig.from_dict({"max_hop": 2})
+        with pytest.raises(ValueError, match="decoding.max_tokens"):
+            PipelineConfig.from_dict({"decoding": {"max_tokens": 9}})
 
     def test_round_trip(self):
         cfg = PipelineConfig(max_hops=3, strict_citation=True)

@@ -1,10 +1,11 @@
+import gc
 import io
-import json
 import math
 import os
 import pickle
 import random
 import re
+import weakref
 import zipfile
 
 import numpy as np
@@ -99,6 +100,29 @@ class TestBuildIndex:
             build_index(corpus, k1=0)
         with pytest.raises(ValueError):
             build_index(corpus, b=1.5)
+
+    def test_index_keeps_no_input_document(self):
+        docs = [Document(id=f"d{i}", title="t", body=f"body {i}")
+                for i in range(5)]
+        refs = [weakref.ref(doc) for doc in docs]
+        index = build_index(docs)
+        del docs
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
+        assert retrieve(index, "body 3", top_k=1) == [
+            Document(id="d3", title="t", body="body 3", rank=1)]
+
+    @pytest.mark.parametrize("count, dtype", [(9, np.uint8), (255, np.uint8),
+                                              (256, np.uint16)])
+    def test_tfs_take_the_smallest_unsigned_type(self, tmp_path, count, dtype):
+        docs = [Document(id="many", title="", body=" ".join(["oak"] * count)),
+                Document(id="few", title="", body="oak elm")]
+        index = build_index(docs)
+        assert index.tfs.dtype == dtype
+        assert int(index.tfs.max()) == count
+        _assert_scores_match_reference(index, ["oak", "oak oak elm"],
+                                       tmp_path / "index.bin")
+        assert load_index(tmp_path / "index.bin").tfs.dtype == dtype
 
     def test_tokenless_corpus_builds_and_retrieves_nothing(self):
         # bodies that tokenize to zero terms must not poison the index
@@ -233,7 +257,22 @@ EDGE_CORPORA = {
                            body="Antonín Dvořák wrote a symphony"),
                   Document(id="wu", title="物理",
                            body="物理 Nobel Prize physics")],
+    # astral (4-byte) characters and combining marks, in every field
+    "astral": [Document(id="🦀-crab", title="Cafe\u0301 🦀",
+                        body="crab 🦀 e\u0301te\u0301 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 naïve"),
+               Document(id="e\u0301", title="",
+                        body="\U0001F600 smile 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 river")],
 }
+
+
+def _all_documents(index):
+    """Every document of ``index`` in id order, ranked by that order."""
+    return [index.document(i, i + 1) for i in range(len(index))]
+
+
+def _ranked(docs):
+    return [d.with_rank(rank) for rank, d in
+            enumerate(sorted(docs, key=lambda d: d.id), start=1)]
 
 
 def _cache_members(index, tmp_path):
@@ -254,8 +293,13 @@ def _with(array, position, value):
     return changed
 
 
-def _documents(*rows):
-    return _blob(json.dumps([list(row) for row in rows]))
+def _doc_members(*rows):
+    """``doc_text`` and ``doc_offsets`` members holding ``rows`` of (id,
+    title, body) fields, each a str or raw bytes."""
+    fields = [f.encode("utf-8") if isinstance(f, str) else f
+              for row in rows for f in row]
+    return {"doc_text": np.frombuffer(b"".join(fields), dtype=np.uint8),
+            "doc_offsets": np.cumsum([0, *map(len, fields)], dtype=np.int64)}
 
 
 # each mutation turns the cache of SMALL_CORPUS into a malformed one
@@ -264,13 +308,15 @@ SMALL_CORPUS = [Document(id="d1", title="", body="alpha beta"),
                 Document(id="d3", title="", body="beta beta delta")]
 CACHE_MUTATIONS = {
     "missing member": lambda m: m.pop("tfs"),
+    "stray extra member": lambda m: m.update(extra=np.zeros(1)),
     "wrong magic": lambda m: m.update(magic=_blob("hopground-bm25-cache-v1")),
     "blob not uint8": lambda m: m.update(terms=m["terms"].astype(np.int16)),
     "object array": lambda m: m.update(
         terms=np.array(["alpha", "beta", "gamma", "delta"], dtype=object)),
     "offsets int32": lambda m: m.update(offsets=m["offsets"].astype(np.int32)),
     "doc_idx int64": lambda m: m.update(doc_idx=m["doc_idx"].astype(np.int64)),
-    "tfs float32": lambda m: m.update(tfs=m["tfs"].astype(np.float32)),
+    "tfs signed": lambda m: m.update(tfs=m["tfs"].astype(np.int16)),
+    "tfs float": lambda m: m.update(tfs=m["tfs"].astype(np.float64)),
     "lengths 2-d": lambda m: m.update(doc_lengths=m["doc_lengths"][None, :]),
     "lengths short": lambda m: m.update(doc_lengths=m["doc_lengths"][:-1]),
     "lengths disagree": lambda m: m.update(
@@ -285,28 +331,44 @@ CACHE_MUTATIONS = {
     "doc index past end": lambda m: m.update(doc_idx=_with(m["doc_idx"], 0, 3)),
     "doc indices descend": lambda m: m.update(
         doc_idx=_with(m["doc_idx"], slice(0, 2), m["doc_idx"][1::-1])),
-    "zero tf": lambda m: m.update(tfs=_with(m["tfs"], 0, 0.0)),
+    "zero tf": lambda m: m.update(tfs=_with(m["tfs"], 0, 0)),
     "duplicate term": lambda m: m.update(terms=_blob("alpha\nbeta\ngamma\nbeta")),
-    "unsorted doc ids": lambda m: m.update(documents=_documents(
+    "unsorted doc ids": lambda m: m.update(_doc_members(
         ("d2", "", "alpha gamma"), ("d1", "", "alpha beta"),
         ("d3", "", "beta beta delta"))),
-    "duplicate doc ids": lambda m: m.update(documents=_documents(
+    "duplicate doc ids": lambda m: m.update(_doc_members(
         ("d1", "", "alpha beta"), ("d1", "", "alpha gamma"),
         ("d3", "", "beta beta delta"))),
-    "no documents": lambda m: m.update(documents=_documents()),
-    "documents not triples": lambda m: m.update(documents=_blob('{"d1": 1}')),
-    "empty body": lambda m: m.update(documents=_documents(
+    "no documents": lambda m: m.update(_doc_members()),
+    "doc offsets not triples": lambda m: m.update(
+        doc_offsets=np.append(m["doc_offsets"], m["doc_offsets"][-1])),
+    "empty body": lambda m: m.update(_doc_members(
         ("d1", "", "alpha beta"), ("d2", "", " "), ("d3", "", "beta"))),
-    "documents not json": lambda m: m.update(documents=_blob("[[")),
-    "id not a string": lambda m: m.update(documents=_documents(
-        ("d1", "", "alpha beta"), (2, "", "alpha gamma"),
+    "doc offsets start at 1": lambda m: m.update(
+        doc_offsets=_with(m["doc_offsets"], 0, 1)),
+    "doc offsets descend": lambda m: m.update(
+        doc_offsets=_with(m["doc_offsets"], 1, m["doc_offsets"][2] + 1)),
+    "doc offsets end early": lambda m: m.update(
+        doc_offsets=_with(m["doc_offsets"], -1, m["doc_offsets"][-1] - 1)),
+    "doc offsets past the end": lambda m: m.update(
+        doc_offsets=_with(m["doc_offsets"], -1, m["doc_offsets"][-1] + 1)),
+    "id not utf-8": lambda m: m.update(_doc_members(
+        ("d1", "", "alpha beta"), (b"d\xff", "", "alpha gamma"),
         ("d3", "", "beta beta delta"))),
-    "title null": lambda m: m.update(documents=_documents(
-        ("d1", None, "alpha beta"), ("d2", "", "alpha gamma"),
+    "title not utf-8": lambda m: m.update(_doc_members(
+        ("d1", b"T\xfe", "alpha beta"), ("d2", "", "alpha gamma"),
         ("d3", "", "beta beta delta"))),
-    "body not a string": lambda m: m.update(documents=_documents(
-        ("d1", "", "alpha beta"), ("d2", "", ["alpha", "gamma"]),
+    "body not utf-8": lambda m: m.update(_doc_members(
+        ("d1", "", "alpha beta"), ("d2", "", b"alpha gamma\xed\xa0\x80"),
         ("d3", "", "beta beta delta"))),
+    # the blob is valid UTF-8, but the title/body cut falls inside "\u00e9"
+    "split multibyte character": lambda m: m.update(_doc_members(
+        ("d1", b"\xc3", b"\xa9 alpha beta"), ("d2", "", "alpha gamma"),
+        ("d3", "", "beta beta delta"))),
+    "doc text not uint8": lambda m: m.update(
+        doc_text=m["doc_text"].astype(np.int16)),
+    "doc offsets int32": lambda m: m.update(
+        doc_offsets=m["doc_offsets"].astype(np.int32)),
     "terms not utf-8": lambda m: m.update(
         terms=np.frombuffer(b"\xff", dtype=np.uint8)),
     "k1 zero": lambda m: m.update(params=np.array([0.0, 0.75])),
@@ -416,18 +478,19 @@ class TestIndexCache:
     @pytest.mark.parametrize("name, k1, b", [
         ("fixture", 1.2, 0.75), ("tokenless", 1.2, 0.75),
         ("one-document", 1.2, 0.75), ("non-ascii", 1.2, 0.75),
-        ("fixture", 0.9, 0.4)])
+        ("astral", 1.2, 0.75), ("fixture", 0.9, 0.4)])
     def test_save_then_load_preserves_retrieval(self, corpus, tmp_path,
                                                 name, k1, b):
-        index = build_index(EDGE_CORPORA.get(name, corpus), k1=k1, b=b)
+        docs = EDGE_CORPORA.get(name, corpus)
+        index = build_index(docs, k1=k1, b=b)
         cache = tmp_path / "index.bin"
         save_index(index, cache)
         assert os.listdir(tmp_path) == ["index.bin"]
         reloaded = load_index(cache)
         assert (reloaded.k1, reloaded.b) == (k1, b)
-        assert reloaded.documents == index.documents
+        assert _all_documents(reloaded) == _all_documents(index) == _ranked(docs)
         assert reloaded.terms == index.terms
-        for query in [*QUERIES, "Dvořák 物理 symphony"]:
+        for query in [*QUERIES, "Dvořák 物理 symphony", "🦀 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 smile"]:
             assert np.array_equal(index.scores(query), reloaded.scores(query))
             assert ([d.id for d in retrieve(index, query, 10)]
                     == [d.id for d in retrieve(reloaded, query, 10)])
@@ -459,11 +522,23 @@ class TestIndexCache:
                 npy = io.BytesIO()
                 np.save(npy, array)
                 header = npy.getvalue()
-                if name == "tfs":  # claims 2**60 float64s, holds 6
+                if name == "tfs":  # claims 2**60 entries, holds 6
                     header = re.sub(rb"'shape': \(\d+,\)",
                                     b"'shape': (1152921504606846976,)", header)
                 archive.writestr(f"{name}.npy", header)
         with pytest.raises(ValueError, match="malformed index cache"):
+            load_index(path)
+
+    def test_v2_cache_asks_for_a_rebuild(self, tmp_path):
+        members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+        for name in ("doc_text", "doc_offsets"):
+            del members[name]
+        members["magic"] = _blob("hopground-bm25-csr-v2")
+        members["documents"] = _blob('[["d1", "", "alpha beta"]]')
+        path = tmp_path / "v2.cache"
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        with pytest.raises(ValueError, match="rebuild it with `hopground index`"):
             load_index(path)
 
     def test_never_unpickles(self, tmp_path):
@@ -481,7 +556,7 @@ class TestIndexCache:
         members["documents"] = np.array([_Planted(marker)], dtype=object)
         zipped = tmp_path / "object.npz"
         np.savez(zipped, **members)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="members"):
             load_index(zipped)
         assert not marker.exists()  # ... but loading never runs it
 
