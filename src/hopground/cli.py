@@ -218,6 +218,10 @@ class RunManifest:
 # --- subcommands ---
 
 def cmd_index(args: argparse.Namespace) -> int:
+    try:
+        bm25.check_params(args.k1, args.b)
+    except ValueError as exc:  # its message starts with the parameter name
+        raise ConfigError(f"--{exc}") from exc
     # no name holds the corpus, so its documents are freed before the save
     index = retrieval.build_index(retrieval.load_corpus(args.corpus),
                                   k1=args.k1, b=args.b)
@@ -327,6 +331,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for key, minimum in (("noise_docs", 0), ("concurrency", 1)):
             if key in synth_section:
                 require_int(synth_section[key], f"synthesis.{key}", minimum)
+        if args.noise_docs is not None:
+            require_int(args.noise_docs, "--noise-docs", 0)
     except InvalidRecord as exc:
         raise ConfigError(str(exc)) from exc
     student = _make_llm(_section(config, "student_llm"), "student_llm")

@@ -9,6 +9,13 @@ unsigned integer type that holds the largest one (``uint8`` for any
 ordinary corpus); widening an integer to ``float64`` is exact, so scores do
 not depend on that type.
 
+Text is lowercased and split into runs of Unicode letters and digits
+(:func:`tokenize`).  ASCII text, nearly every document of an English
+corpus, goes through a 256-byte table that lowers ``A-Z``, keeps ``a-z``
+and ``0-9`` and turns every other byte into a space, then ``split``; for
+ASCII the regex's runs are exactly ``[A-Za-z0-9]+``, so both routes yield
+the same tokens.  Other text goes through the regex.
+
 Documents are indexed over ``title + body`` and stored sorted by id, which
 makes retrieval results independent of corpus input order.  They are kept as
 one UTF-8 byte blob, ``doc_text``, cut by ``int64`` ``doc_offsets`` into
@@ -51,12 +58,31 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
+# each byte -> itself lowercased if an ASCII letter or digit, else a space
+_ASCII_FOLD = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
+                    for b in bytes(range(256)).lower())
 _FIELDS = 3  # id, title, body: the doc_offsets entries per document
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs."""
+    """Lowercase and split on non-alphanumeric runs.
+
+    ASCII text goes through the byte table ``_ASCII_FOLD`` and ``split``,
+    which yields the regex's tokens: in ASCII, ``[^\\W_]+`` matches exactly
+    ``[A-Za-z0-9]+``.  Other text goes through the regex.
+    """
+    if text.isascii():  # O(1): CPython keeps the flag on the string
+        return text.encode().translate(_ASCII_FOLD).decode().split()
     return _TOKEN_RE.findall(text.lower())
+
+
+def check_params(k1: float, b: float) -> None:
+    """Raise ``ValueError``, its message starting with the parameter's
+    name, unless ``k1`` is finite and > 0 and ``b`` is in [0, 1]."""
+    if not 0 < k1 < math.inf:
+        raise ValueError(f"k1 must be a finite number > 0, got {k1!r}")
+    if not 0 <= b <= 1:
+        raise ValueError(f"b must be in [0, 1], got {b!r}")
 
 
 def _doc_text(doc: Document) -> str:
@@ -124,10 +150,7 @@ class CorpusIndex:
                  terms: Sequence[str], offsets: np.ndarray,
                  doc_idx: np.ndarray, tfs: np.ndarray,
                  doc_lengths: np.ndarray, k1: float, b: float):
-        if not 0 < k1 < math.inf:
-            raise ValueError("k1 must be a finite number > 0")
-        if not 0 <= b <= 1:
-            raise ValueError("b must be in [0, 1]")
+        check_params(k1, b)
         doc_ids = _check_documents(doc_text, doc_offsets)
         rows = {term: row for row, term in enumerate(terms)}
         if len(rows) != len(terms):
@@ -212,6 +235,7 @@ def build_index(corpus: Sequence[Document], k1: float = DEFAULT_K1,
 
     The index keeps no reference to ``corpus`` or its documents.
     """
+    check_params(k1, b)  # before the work, not after it
     if not corpus:
         raise EmptyCorpus("cannot index an empty corpus")
     seen: set[str] = set()

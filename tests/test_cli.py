@@ -61,6 +61,20 @@ class TestIndexCommand:
         assert main(["index", "--corpus", str(corpus),
                      "--out", str(tmp_path / "x.bin")]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k1", "-1"), ("--k1", "0"), ("--k1", "nan"), ("--k1", "inf"),
+        ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan"),
+    ])
+    def test_bad_bm25_parameter_exits_one(self, tmp_path, capsys, flag, value):
+        # a corpus that does not exist: the flags are checked before any read
+        out = tmp_path / "x.bin"
+        assert main(["index", "--corpus", str(tmp_path / "missing.jsonl"),
+                     "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_festival_fixture(self, festival_run):
@@ -486,6 +500,22 @@ class TestSynthCommand:
                      "--seed", "7", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_noise_docs_flag_exits_one(self, synth_files, capsys):
+        # two inputs of three noise documents each, on the threaded path;
+        # -1 would slice off each input's last noise document
+        inputs = synth_files["input"]
+        inputs.write_text("".join(inputs.read_text(encoding="utf-8")
+                                  .splitlines(keepends=True)[:2]),
+                          encoding="utf-8")
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(inputs), "--out", str(out),
+                     "--seed", "7", "--config", str(synth_files["config"]),
+                     "--noise-docs", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--noise-docs" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -53,6 +53,15 @@ def index(corpus):
     return build_index(corpus)
 
 
+# characters that send text down the regex path, each a trap for a tokenizer
+# that handles only ASCII: a lowercase that changes length (İ) or depends on
+# context (Σ), letters without ASCII case (ß), combining marks, superscript
+# and full-width digits, and Unicode spaces
+NON_ASCII = ["ß", "İ", "Σ", "\u0301", "\u0308", "²", "０", "９",
+             "\u00a0", "\u2028"]
+ASCII_CHARS = st.characters(min_codepoint=0, max_codepoint=127)
+
+
 class TestTokenize:
     def test_splits_on_non_alphanumeric_runs(self):
         assert tokenize("Hello, world! x2") == ["hello", "world", "x2"]
@@ -62,6 +71,28 @@ class TestTokenize:
 
     def test_unicode_text(self):
         assert tokenize("Dvořák's œuvre") == ["dvořák", "s", "œuvre"]
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("A_b-C\x00d\x7fE9", ["a", "b", "c", "d", "e9"]),
+        ("\x1c\x1f", []),  # whitespace to str.split, not to the regex
+        ("", []),
+    ])
+    def test_fixed_cases(self, text, tokens):
+        assert tokenize(text) == tokens == oracles.tokens_alnum(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(ASCII_CHARS, max_size=60))
+    def test_ascii_matches_oracle(self, text):
+        assert text.isascii()
+        assert tokenize(text) == oracles.tokens_alnum(text)
+
+    # "_" is a word character to \w but separates tokens
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([*NON_ASCII, "_", "Ab", "z9"]),
+                              ASCII_CHARS), max_size=30)
+           .map("".join).filter(lambda text: not text.isascii()))
+    def test_non_ascii_matches_oracle(self, text):
+        assert tokenize(text) == oracles.tokens_alnum(text)
 
 
 class TestBuildIndex:
@@ -80,8 +111,35 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpus):
             build_index([])
 
-    def test_postings_match_term_count_oracle(self, corpus, index):
-        by_id = {doc.id: doc for doc in corpus}
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_postings_match_term_count_oracle(self, data):
+        # ASCII-only and non-ASCII documents share terms, in any case, so
+        # one term's postings come from both tokenizer paths
+        ascii_words = ["river", "River", "NILE", "x2", "Paris", "a"]
+        words = st.sampled_from([*ascii_words, "straße", "İstanbul", "ΣΟΦΙΑ",
+                                 "cafe\u0301", "x²", "Ｘ２"])
+        separators = st.sampled_from([" ", "-", "_", ", ", "\u00a0", "\u2028"])
+
+        def draw_text(word_list):
+            return data.draw(st.lists(st.tuples(word_list, separators),
+                                      min_size=1, max_size=6).map(
+                lambda pairs: "".join(w + sep for w, sep in pairs)))
+
+        n_docs = data.draw(st.integers(2, 8), label="documents")
+        corpus = []
+        for d in range(n_docs):
+            ascii_only = d % 2 == 0
+            if ascii_only:
+                title = data.draw(st.sampled_from(["", "River"]))
+                body = draw_text(st.sampled_from(ascii_words))
+            else:
+                title = data.draw(st.sampled_from(["", "River", "Σ"]))
+                body = draw_text(words) + "ß"
+            corpus.append(Document(id=f"d{d:02d}", title=title, body=body))
+        corpus = data.draw(st.permutations(corpus), label="corpus")
+        index = build_index(corpus)
+
         expected: dict[str, dict[str, int]] = {}
         for doc in corpus:
             text = f"{doc.title} {doc.body}" if doc.title else doc.body
@@ -93,7 +151,7 @@ class TestBuildIndex:
             actual[term] = {index.doc_ids[i]: int(tf)
                             for i, tf in zip(index.doc_idx[span], index.tfs[span])}
         assert actual == expected
-        assert by_id.keys() == set(index.doc_ids)
+        assert {doc.id for doc in corpus} == set(index.doc_ids)
 
     def test_validates_parameters(self, corpus):
         with pytest.raises(ValueError):
