@@ -1,4 +1,5 @@
-"""Shared test fixtures: the two-hop replay script and stub HTTP servers."""
+"""Shared test fixtures: the two-hop replay script, stub HTTP servers and
+the input files of scripted CLI runs."""
 
 import http.server
 import json
@@ -187,3 +188,64 @@ def write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+def dataset_record(question: Question) -> dict:
+    """``question`` as one line of a generic-format dataset."""
+    return {"id": question.id, "question": question.text,
+            "answers": list(question.gold_answers)}
+
+
+def write_festival_files(directory, questions=(FESTIVAL_QUESTION,),
+                         script=FESTIVAL_SCRIPT) -> dict:
+    """Corpus, dataset, script and config for a scripted ``run`` over the
+    festival corpus; ``out`` is the output directory to pass to it."""
+    corpus = directory / "corpus.jsonl"
+    write_jsonl(corpus, [d.to_dict() for d in FESTIVAL_CORPUS])
+    dataset = directory / "dataset.jsonl"
+    write_jsonl(dataset, [dataset_record(q) for q in questions])
+    script_path = write_json(directory / "script.json", list(script))
+    config = write_json(directory / "config.json", {
+        "pipeline": {"concurrency": 1},
+        "llm": {"backend": "scripted", "script_path": str(script_path)},
+        "retrieval": {"corpus_path": str(corpus)},
+    })
+    return {"corpus": corpus, "dataset": dataset, "script": script_path,
+            "config": config, "out": directory / "out"}
+
+
+KEEP_TARGET = "<ref> Paris is the capital of France </ref> <revise> Paris </revise>"
+
+
+def write_synth_files(directory) -> dict:
+    """Inputs and config for a scripted ``synth`` of ten examples, of which
+    the teacher flubs numbers 3 and 7."""
+    inputs = []
+    for i in range(10):
+        inputs.append({
+            "id": f"s{i}", "question": f"What is the capital of France ({i})?",
+            "answer": "Paris",
+            "gold_doc": {"id": f"g{i}", "title": "France",
+                         "body": "Paris is the capital and largest city of France."},
+            "noise_docs": [{"id": f"n{i}-{j}", "title": "Noise",
+                            "body": f"Filler text {j}."} for j in range(3)],
+        })
+    input_path = directory / "inputs.jsonl"
+    write_jsonl(input_path, inputs)
+
+    student_script = write_json(directory / "student.json", ["Paris."] * 10)
+    teacher_replies = [KEEP_TARGET] * 10
+    teacher_replies[3] = "<ref> Empty </ref>"
+    teacher_replies[7] = "<ref> Paris is the capital of France </ref> no revision"
+    teacher_script = write_json(directory / "teacher.json", teacher_replies)
+
+    config = write_json(directory / "synth-config.json", {
+        "student_llm": {"backend": "scripted", "script_path": str(student_script)},
+        "teacher_llm": {"backend": "scripted", "script_path": str(teacher_script)},
+    })
+    return {"input": input_path, "config": config, "dir": directory}

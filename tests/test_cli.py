@@ -6,34 +6,16 @@ from hopground.cli import main
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
-                     FESTIVAL_SCRIPT, InFlightStub, write_jsonl)
+                     FESTIVAL_SCRIPT, InFlightStub, write_festival_files,
+                     write_json, write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
-KEEP_TARGET = "<ref> Paris is the capital of France </ref> <revise> Paris </revise>"
-
-
-def write_json(path, payload):
-    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-    return path
 
 
 @pytest.fixture()
 def festival_run(tmp_path):
     """All input files for a scripted festival-question run."""
-    corpus = tmp_path / "corpus.jsonl"
-    write_jsonl(corpus, [d.to_dict() for d in FESTIVAL_CORPUS])
-    dataset = tmp_path / "dataset.jsonl"
-    write_jsonl(dataset, [{"id": FESTIVAL_QUESTION.id,
-                           "question": FESTIVAL_QUESTION.text,
-                           "answers": list(FESTIVAL_QUESTION.gold_answers)}])
-    script = write_json(tmp_path / "script.json", FESTIVAL_SCRIPT)
-    config = write_json(tmp_path / "config.json", {
-        "pipeline": {"concurrency": 1},
-        "llm": {"backend": "scripted", "script_path": str(script)},
-        "retrieval": {"corpus_path": str(corpus)},
-    })
-    return {"corpus": corpus, "dataset": dataset, "script": script,
-            "config": config, "out": tmp_path / "out"}
+    return write_festival_files(tmp_path)
 
 
 class TestIndexCommand:
@@ -416,31 +398,7 @@ class TestEvalCommand:
 
 @pytest.fixture()
 def synth_files(tmp_path):
-    inputs = []
-    for i in range(10):
-        inputs.append({
-            "id": f"s{i}", "question": f"What is the capital of France ({i})?",
-            "answer": "Paris",
-            "gold_doc": {"id": f"g{i}", "title": "France",
-                         "body": "Paris is the capital and largest city of France."},
-            "noise_docs": [{"id": f"n{i}-{j}", "title": "Noise",
-                            "body": f"Filler text {j}."} for j in range(3)],
-        })
-    input_path = tmp_path / "inputs.jsonl"
-    write_jsonl(input_path, inputs)
-
-    student_script = write_json(tmp_path / "student.json", ["Paris."] * 10)
-    # teacher flubs examples 3 and 7
-    teacher_replies = [KEEP_TARGET] * 10
-    teacher_replies[3] = "<ref> Empty </ref>"
-    teacher_replies[7] = "<ref> Paris is the capital of France </ref> no revision"
-    teacher_script = write_json(tmp_path / "teacher.json", teacher_replies)
-
-    config = write_json(tmp_path / "synth-config.json", {
-        "student_llm": {"backend": "scripted", "script_path": str(student_script)},
-        "teacher_llm": {"backend": "scripted", "script_path": str(teacher_script)},
-    })
-    return {"input": input_path, "config": config, "dir": tmp_path}
+    return write_synth_files(tmp_path)
 
 
 class TestSynthCommand:
