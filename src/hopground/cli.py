@@ -3,7 +3,7 @@
 Configuration lives in one JSON file (see README for the schema); CLI flags
 override file values, which override defaults.  Exit codes: 0 = run
 completed (even with per-question failures), 1 = configuration or IO error,
-2 = malformed dataset/corpus input.
+2 = malformed or empty dataset/corpus input.
 """
 
 from __future__ import annotations
@@ -13,16 +13,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import distill, evaluation, pipeline, retrieval
 from .core import (Question, Termination, TokenCounts, Trajectory,
-                   require_int, require_keys)
-from .errors import (HopgroundError, InvalidRecord, LlmError,
-                     MalformedDataset, PromptError, RetrievalError)
+                   require_int, require_keys, write_json)
+from .errors import (EmptyList, EmptyRecords, HopgroundError, InvalidRecord,
+                     LlmError, MalformedDataset, PromptError, RetrievalError)
 from .llm import LlmClient, OpenAIChatClient, RecordingClient, ScriptedClient
 from .prompts import TemplateLibrary
 from .retrieval import bm25
@@ -158,61 +158,41 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def run_manifest(pipe_config: pipeline.PipelineConfig,
+                 templates_dir: str | None, dataset_path: str,
+                 dataset_format: str, started_at: str,
+                 trajectories: Sequence[Trajectory],
+                 llm_calls: int) -> dict[str, Any]:
     """Snapshot of one run: configuration, provenance, and totals.
 
-    Totals are sums over the emitted trajectories, except ``llm_calls`` and
-    token counts, which come from the run-wide call recorder so that failed
-    retries are included too.
+    Totals are sums over the trajectories, whose token totals count every
+    call, failed retries included.  Only ``llm_calls`` comes from the
+    run-wide call recorder.
     """
-
-    config: dict[str, Any]
-    dataset_path: str
-    dataset_format: str
-    started_at: str
-    finished_at: str
-    totals: dict[str, Any]
-
-    @classmethod
-    def build(cls, pipe_config: pipeline.PipelineConfig,
-              templates_dir: str | None, dataset_path: str,
-              dataset_format: str, started_at: str,
-              trajectories: Sequence[Trajectory],
-              llm_calls: int, tokens: TokenCounts) -> "RunManifest":
-        terminations = {t.value: 0 for t in Termination}
-        for traj in trajectories:
-            terminations[traj.termination.value] += 1
-        return cls(
-            config={
-                "pipeline": pipe_config.to_dict(),
-                "templates_dir": templates_dir,
-                "retriever": pipe_config.retriever,
-            },
-            dataset_path=dataset_path,
-            dataset_format=dataset_format,
-            started_at=started_at,
-            finished_at=_utc_now(),
-            totals={
-                "questions": len(trajectories),
-                "hops": sum(len(t.hops) for t in trajectories),
-                "llm_calls": llm_calls,
-                "prompt_tokens": tokens.prompt_tokens,
-                "completion_tokens": tokens.completion_tokens,
-                "terminations": terminations,
-                "failures": terminations[Termination.PARSE_FAILURE.value],
-            },
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "dataset_path": self.dataset_path,
-            "dataset_format": self.dataset_format,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "totals": self.totals,
-        }
+    terminations = {t.value: 0 for t in Termination}
+    for traj in trajectories:
+        terminations[traj.termination.value] += 1
+    tokens = sum((t.token_usage.total for t in trajectories), TokenCounts())
+    return {
+        "config": {
+            "pipeline": pipe_config.to_dict(),
+            "templates_dir": templates_dir,
+            "retriever": pipe_config.retriever,
+        },
+        "dataset_path": dataset_path,
+        "dataset_format": dataset_format,
+        "started_at": started_at,
+        "finished_at": _utc_now(),
+        "totals": {
+            "questions": len(trajectories),
+            "hops": sum(len(t.hops) for t in trajectories),
+            "llm_calls": llm_calls,
+            "prompt_tokens": tokens.prompt_tokens,
+            "completion_tokens": tokens.completion_tokens,
+            "terminations": terminations,
+            "failures": terminations[Termination.PARSE_FAILURE.value],
+        },
+    }
 
 
 # --- subcommands ---
@@ -261,15 +241,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                                            file=sys.stderr))
     pipeline.write_trajectories(trajectories, out_dir / "trajectories.jsonl")
 
-    manifest = RunManifest.build(
+    write_json(run_manifest(
         pipe_config,
         templates_dir=args.templates or _section(config, "templates").get("dir"),
         dataset_path=str(args.dataset), dataset_format=args.format,
         started_at=started_at, trajectories=trajectories,
-        llm_calls=recorder.calls, tokens=recorder.totals)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest.to_dict(), f, indent=2, ensure_ascii=False)
-        f.write("\n")
+        llm_calls=recorder.calls), out_dir / "manifest.json")
     print(f"wrote {len(trajectories)} trajectories -> {out_dir}")
     return EXIT_OK
 
@@ -315,7 +292,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_records_csv(records, out_dir / "records.csv")
-    evaluation.write_summary(summary, out_dir / "summary.json")
+    write_json(summary, out_dir / "summary.json")
 
     line = f"Acc {summary['acc']:.2f}  F1 {summary['f1']:.2f}"
     if summary["acc_judge"] is not None:
@@ -432,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedDataset, RetrievalError) as exc:
+    except (MalformedDataset, RetrievalError, EmptyRecords, EmptyList) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except (ConfigError, LlmError, OSError) as exc:

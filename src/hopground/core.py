@@ -80,6 +80,14 @@ def require_keys(mapping: Mapping[str, Any], allowed: Iterable[str],
             raise InvalidRecord(f"unknown config key {prefix}{key}{hint}")
 
 
+def scalar_text(value: Any, name: str) -> str:
+    """A JSON string or number as text; any other value (a bool, null, a
+    list or an object) raises ``TypeError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"{name} is {type(value).__name__}, not a string or number")
+    return str(value)
+
+
 def _is_text(value: Any) -> bool:
     """A string with at least one non-whitespace character."""
     return isinstance(value, str) and bool(value.strip())
@@ -411,6 +419,13 @@ def read_jsonl(path: str | Path,
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
     return records
+
+
+def write_json(value: Any, path: str | Path) -> None:
+    """Write ``value`` as UTF-8 JSON indented by 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(value, f, indent=2, ensure_ascii=False)
+        f.write("\n")
 
 
 def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .core import DecodingParams, HopRecord, Question
 from .errors import DeductionParseError, UnclosedFinish
-from .llm import Completion, LlmClient
+from .llm import LlmClient
 from .prompts import TemplateLibrary, render_deduction
 
 FINISH_MARKER = "###Finish["
@@ -88,12 +88,10 @@ def parse_deduction(text: str) -> DeductionResult:
 
 def deduce(llm: LlmClient, library: TemplateLibrary, question: Question,
            hops: Sequence[HopRecord],
-           params: DecodingParams = DecodingParams()) -> tuple[DeductionResult, Completion]:
+           params: DecodingParams = DecodingParams()) -> DeductionResult:
     """Run one deduction call and parse it.
 
-    Parse errors propagate; the pipeline owns the retry policy.  The raw
-    completion is returned alongside for token accounting.
+    Parse errors propagate; the pipeline owns the retry policy.
     """
     messages = render_deduction(library, question, hops)
-    completion = llm.complete(messages, params)
-    return parse_deduction(completion.text), completion
+    return parse_deduction(llm.complete(messages, params).text)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import (DecodingParams, Document, GroundingKind, Question,
-                   read_jsonl, write_jsonl)
+                   read_jsonl, scalar_text, write_jsonl)
 from .errors import EmptyList, LlmError, MalformedGrounding, MissingRevision
 from .evaluation import cover_em
 from .grounding import parse_grounding
@@ -248,8 +248,9 @@ def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:
     """Read synthesis inputs: JSONL of
     ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``."""
     return read_jsonl(path, lambda record, _: SynthesisInput(
-        question=Question(id=str(record["id"]), text=record["question"],
-                          gold_answers=(str(record["answer"]),)),
+        question=Question(id=scalar_text(record["id"], "id"),
+                          text=record["question"],
+                          gold_answers=(scalar_text(record["answer"], "answer"),)),
         gold_doc=Document.from_dict(record["gold_doc"]),
         noise_docs=tuple(Document.from_dict(d)
                          for d in record.get("noise_docs", []))))

@@ -10,7 +10,6 @@ over gold answers.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 import string
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .core import DecodingParams, Question, loads_utf8, read_jsonl
+from .core import (DecodingParams, Question, loads_utf8, read_jsonl,
+                   scalar_text)
 from .errors import (EmptyRecords, MalformedDataset, MissingGold,
                      UnparseableVerdict)
 from .llm import LlmClient, retry_parse
@@ -151,6 +151,8 @@ def aggregate(records: Sequence[EvalRecord]) -> dict[str, float | None]:
 def _gold_list(record: dict) -> list[str]:
     answer = record.get("answer")
     aliases = record.get("answer_aliases", [])
+    if not isinstance(aliases, list):
+        raise TypeError(f"answer_aliases is {type(aliases).__name__}, not a list")
     golds = []
     if isinstance(answer, str) and answer.strip():
         golds.append(answer)
@@ -177,7 +179,8 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
             if not isinstance(golds, list) or not golds:
                 raise KeyError("answers")
             return Question(id=str(record["id"]), text=record["question"],
-                            gold_answers=tuple(str(g) for g in golds))
+                            gold_answers=tuple(scalar_text(g, "answers item")
+                                               for g in golds))
         if format == "strategyqa":
             label = record["answer"]
             if not isinstance(label, bool):
@@ -215,9 +218,3 @@ def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
         for r in records:
             writer.writerow([r.question_id, r.acc, f"{r.f1:.4f}",
                              r.acc_judge if r.acc_judge is not None else ""])
-
-
-def write_summary(summary: dict[str, Any], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, ensure_ascii=False)
-        f.write("\n")

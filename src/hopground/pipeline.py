@@ -3,7 +3,9 @@
 Each hop deduces a sub-question with an immediate answer, retrieves
 documents for it, grounds the answer in them, and appends the
 (sub-question, revised answer) pair to the context for the next deduction.
-The loop ends on a finish signal, the hop cap, or an unrecoverable error.
+The loop ends on a finish signal, the hop cap, or the first error inside a
+hop.  A question's failure never raises: its trajectory keeps the completed
+hops and every token spent.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import (DecodingParams, Document, HopRecord, Question, Termination,
                    require_int, require_keys, require_positive,
                    write_jsonl)
 from .deduction import DeductionKind, deduce
-from .errors import DeductionParseError, EmptyQuery, LlmError, RetrievalError
+from .errors import EmptyQuery, HopgroundError
 from .grounding import ground
 from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
@@ -87,7 +89,11 @@ class BM25Retriever:
     index: CorpusIndex
 
     def retrieve(self, query: str, top_k: int) -> list[Document]:
-        return _bm25.retrieve(self.index, query, top_k)
+        """A query with no indexable term retrieves nothing."""
+        try:
+            return _bm25.retrieve(self.index, query, top_k)
+        except EmptyQuery:
+            return []
 
 
 @dataclass(frozen=True)
@@ -109,63 +115,52 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
     """Run the loop for one question and return its trajectory.
 
     Hops record completed steps only; a model that finishes on its first
-    deduction yields an empty hop list.  LLM or retrieval failures terminate
-    the trajectory with the parse-failure termination, preserving completed
-    hops, and never raise.
+    deduction yields an empty hop list.  Any error inside a hop ends the
+    trajectory with the parse-failure termination and never raises: the
+    completed hops, their tokens and the last revised answer are kept.
     """
     recorder = RecordingClient(llm)
     hops: list[HopRecord] = []
     per_hop: list[TokenCounts] = []
+    termination = Termination.MAX_HOPS_REACHED
+    final_answer = None
 
-    def fallback_answer() -> str:
-        return hops[-1].revised_answer if hops else ""
-
-    while True:
-        if len(hops) >= config.max_hops:
-            termination = Termination.MAX_HOPS_REACHED
-            final_answer = hops[-1].revised_answer
-            break
+    while len(hops) < config.max_hops:
         before = recorder.snapshot()
         try:
-            result, _ = retry_parse(lambda: deduce(
+            result = retry_parse(lambda: deduce(
                 recorder, library, question, hops, config.decoding))
-        except (DeductionParseError, LlmError) as exc:
-            log.warning("question %s: deduction failed at hop %d: %s",
-                        question.id, len(hops) + 1, exc)
-            termination = Termination.PARSE_FAILURE
-            final_answer = fallback_answer()
-            break
-        if result.kind is DeductionKind.FINISH:
-            termination = Termination.FINISH_SIGNAL
-            final_answer = result.final_answer
-            break
-        try:
-            try:
-                docs = retriever.retrieve(result.sub_question, config.top_k)
-            except EmptyQuery:
-                docs = []
+            if result.kind is DeductionKind.FINISH:
+                termination = Termination.FINISH_SIGNAL
+                final_answer = result.final_answer
+                break
+            docs = retriever.retrieve(result.sub_question, config.top_k)
             revised, outcome, consumed = ground(
                 recorder, library, question, result.sub_question,
                 result.immediate_answer, docs, config.batch_size,
                 params=config.decoding, strict_citation=config.strict_citation)
-        except (LlmError, RetrievalError) as exc:
-            log.warning("question %s: hop %d failed: %s",
-                        question.id, len(hops) + 1, exc)
+            hop = HopRecord(
+                index=len(hops) + 1,
+                sub_question=result.sub_question,
+                immediate_answer=result.immediate_answer,
+                retrieved=tuple(docs),
+                grounding=outcome,
+                revised_answer=revised,
+                batches_consumed=consumed,
+                deduction_raw=result.raw_text,
+            )
+        except Exception as exc:  # isolation: one bad question can't sink the run
+            # a typed error is expected input; any other is a bug: trace it
+            log.warning("question %s: hop %d failed: %s: %s", question.id,
+                        len(hops) + 1, type(exc).__name__, exc,
+                        exc_info=not isinstance(exc, HopgroundError))
             termination = Termination.PARSE_FAILURE
-            final_answer = fallback_answer()
             break
-        hops.append(HopRecord(
-            index=len(hops) + 1,
-            sub_question=result.sub_question,
-            immediate_answer=result.immediate_answer,
-            retrieved=tuple(docs),
-            grounding=outcome,
-            revised_answer=revised,
-            batches_consumed=consumed,
-            deduction_raw=result.raw_text,
-        ))
+        hops.append(hop)
         per_hop.append(recorder.snapshot() - before)
 
+    if final_answer is None:
+        final_answer = hops[-1].revised_answer if hops else ""
     return Trajectory(
         question=question,
         hops=tuple(hops),
@@ -175,12 +170,6 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
     )
 
 
-def _failure_trajectory(question: Question, exc: Exception) -> Trajectory:
-    log.error("question %s: unexpected failure: %s", question.id, exc)
-    return Trajectory(question=question, hops=(), final_answer="",
-                      termination=Termination.PARSE_FAILURE)
-
-
 def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
                    llm: LlmClient, retriever: Retriever,
                    library: TemplateLibrary,
@@ -188,17 +177,13 @@ def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
                    ) -> list[Trajectory]:
     """Answer every question; output order matches input order.
 
-    Per-question failures are captured in that question's trajectory and
-    never abort the batch.  ``progress(done, total)`` fires per completion.
+    A question that fails ends its own trajectory (see ``answer_question``)
+    and never aborts the batch.  ``progress(done, total)`` fires per
+    completion.
     """
-
-    def run_one(q: Question) -> Trajectory:
-        try:
-            return answer_question(q, config, llm, retriever, library)
-        except Exception as exc:  # isolation: one bad question can't sink the run
-            return _failure_trajectory(q, exc)
-
-    return map_ordered(run_one, questions, config.concurrency, progress)
+    return map_ordered(
+        lambda q: answer_question(q, config, llm, retriever, library),
+        questions, config.concurrency, progress)
 
 
 def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,

@@ -19,7 +19,16 @@ from .core import Document, HopRecord, Question, require_int
 from .errors import EmptyBatch, MissingPlaceholder
 from .llm import ChatMessage
 
-TEMPLATE_NAMES = ("deduction", "grounding", "judge", "synthesis_teacher")
+# each template's name and the placeholders its renderer binds
+TEMPLATE_BINDINGS: dict[str, frozenset[str]] = {
+    "deduction": frozenset({"question", "context", "examples", "next_index"}),
+    "grounding": frozenset({"question", "sub_question", "immediate_answer",
+                            "documents"}),
+    "judge": frozenset({"question", "prediction", "gold_answer"}),
+    "synthesis_teacher": frozenset({"question", "immediate_answer",
+                                    "documents"}),
+}
+TEMPLATE_NAMES = tuple(TEMPLATE_BINDINGS)
 
 DEFAULT_DOC_CHAR_BUDGET = 1500
 DEFAULT_NUM_EXAMPLES = 2
@@ -50,7 +59,11 @@ class PromptTemplate:
 
 
 def parse_template(name: str, text: str) -> PromptTemplate:
-    """Split template text into literal and placeholder segments."""
+    """Split template text into literal and placeholder segments.
+
+    Raises ``MissingPlaceholder`` for a placeholder that the template's
+    renderer never binds, so a bad template fails on load, not per prompt.
+    """
     if name not in TEMPLATE_NAMES:
         raise ValueError(f"unknown template name {name!r}")
     segments: list[tuple[str, str]] = []
@@ -64,6 +77,11 @@ def parse_template(name: str, text: str) -> PromptTemplate:
         pos = match.end()
     if pos < len(text):
         segments.append(("literal", text[pos:]))
+    unbound = names - TEMPLATE_BINDINGS[name]
+    if unbound:
+        raise MissingPlaceholder(
+            f"template {name!r} has placeholders that are never bound: "
+            f"{sorted(unbound)}; it may use {sorted(TEMPLATE_BINDINGS[name])}")
     return PromptTemplate(name=name, segments=tuple(segments),
                           placeholders=frozenset(names))
 

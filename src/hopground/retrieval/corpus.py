@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
-from ..core import Document, read_jsonl
+from ..core import Document, read_jsonl, scalar_text
+
+
+def parse_document(record: Any, rank: int | None = None) -> Document:
+    """A document from one JSON object: ``id`` and ``title`` may be strings
+    or numbers, a missing or null title reads as "", and ``body`` must be a
+    non-empty string.  Anything else raises ``TypeError`` or ``ValueError``.
+    """
+    if not isinstance(record, dict):
+        raise TypeError(f"document is {type(record).__name__}, not an object")
+    title = record.get("title")
+    return Document(id=scalar_text(record["id"], "id"),
+                    title="" if title is None else scalar_text(title, "title"),
+                    body=record["body"], rank=rank)
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Read documents from a JSONL file with fields id, title, body."""
-    return read_jsonl(path, lambda record, _: Document(
-        id=str(record["id"]), title=str(record.get("title", "")),
-        body=str(record["body"])))
+    return read_jsonl(path, lambda record, _: parse_document(record))

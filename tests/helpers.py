@@ -195,12 +195,6 @@ def write_json(path, payload):
     return path
 
 
-def dataset_record(question: Question) -> dict:
-    """``question`` as one line of a generic-format dataset."""
-    return {"id": question.id, "question": question.text,
-            "answers": list(question.gold_answers)}
-
-
 def write_festival_files(directory, questions=(FESTIVAL_QUESTION,),
                          script=FESTIVAL_SCRIPT) -> dict:
     """Corpus, dataset, script and config for a scripted ``run`` over the
@@ -208,7 +202,9 @@ def write_festival_files(directory, questions=(FESTIVAL_QUESTION,),
     corpus = directory / "corpus.jsonl"
     write_jsonl(corpus, [d.to_dict() for d in FESTIVAL_CORPUS])
     dataset = directory / "dataset.jsonl"
-    write_jsonl(dataset, [dataset_record(q) for q in questions])
+    write_jsonl(dataset, [{"id": q.id, "question": q.text,
+                           "answers": list(q.gold_answers)}
+                          for q in questions])
     script_path = write_json(directory / "script.json", list(script))
     config = write_json(directory / "config.json", {
         "pipeline": {"concurrency": 1},

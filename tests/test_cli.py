@@ -36,6 +36,16 @@ class TestIndexCommand:
         assert main(["index", "--corpus", str(empty),
                      "--out", str(tmp_path / "x.bin")]) == 2
 
+    def test_null_body_exits_two_with_its_line(self, tmp_path, capsys):
+        corpus = tmp_path / "nulls.jsonl"
+        write_jsonl(corpus, [{"id": "a", "title": "", "body": "x"},
+                             {"id": "d1", "title": None, "body": None}])
+        assert main(["index", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert "(line 2)" in err
+        assert "Traceback" not in err
+
     def test_duplicate_ids_exit_nonzero(self, tmp_path):
         corpus = tmp_path / "dup.jsonl"
         write_jsonl(corpus, [{"id": "a", "title": "", "body": "x"},
@@ -109,6 +119,26 @@ class TestRunCommand:
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", str(bad),
                      "--out", str(festival_run["out"])]) == 1
+
+    def test_unbound_template_placeholder_exits_one_before_any_llm_call(
+            self, festival_run, tmp_path, capsys):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "grounding.txt").write_text(
+            "{question} {documents} {notbound}", encoding="utf-8")
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["templates"] = {"dir": str(templates)}
+        # an empty script: any LLM call would end the question, not the run
+        config["llm"]["script_path"] = str(write_json(tmp_path / "none.json",
+                                                      []))
+        path = write_json(tmp_path / "templated.json", config)
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "'grounding'" in err and "'notbound'" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
 
     def test_requests_in_flight_follow_pipeline_concurrency(
             self, festival_run, tmp_path, monkeypatch):
@@ -307,6 +337,15 @@ class TestEvalCommand:
         assert code == 2
         assert FESTIVAL_QUESTION.id in capsys.readouterr().err
 
+    def test_empty_trajectories_exit_two(self, festival_run, tmp_path,
+                                         capsys):
+        trajectories = tmp_path / "empty.jsonl"
+        trajectories.write_text("", encoding="utf-8")
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_garbage_trajectories_exit_two(self, festival_run, tmp_path,
                                            capsys):
         trajectories = tmp_path / "garbage.jsonl"
@@ -490,6 +529,21 @@ class TestStatsCommand:
         assert stats["avg_gold_docs"] == 1.00
         assert set(stats) == {"count", "avg_instruction_len", "avg_target_len",
                               "avg_gold_docs", "avg_gold_doc_len"}
+
+    def test_no_kept_examples_exits_two(self, synth_files, capsys):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3", "--include-dropped",
+                     "--config", str(synth_files["config"])]) == 0
+        dropped = [line for line in out.read_text(encoding="utf-8").splitlines()
+                   if '"verdict":"drop"' in line]
+        assert len(dropped) == 2
+        out.write_text("".join(line + "\n" for line in dropped),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_blank_document_body_exits_two(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"

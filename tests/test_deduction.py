@@ -115,13 +115,13 @@ class TestStepRoundTrip:
 class TestDeduce:
     def test_step_through_scripted_llm(self, library):
         llm = ScriptedClient([STEP_TEXT])
-        result, completion = deduce(llm, library, QUESTION, [])
+        result = deduce(llm, library, QUESTION, [])
         assert result.kind is DeductionKind.STEP
-        assert completion.text == STEP_TEXT
+        assert result.raw_text == STEP_TEXT
 
     def test_finish_through_scripted_llm(self, library):
         llm = ScriptedClient(["###Finish[March and April]"])
-        result, _ = deduce(llm, library, QUESTION, [])
+        result = deduce(llm, library, QUESTION, [])
         assert result.final_answer == "March and April"
 
     def test_parse_error_propagates(self, library):

@@ -296,6 +296,19 @@ class TestLoadSynthesisInputs:
             load_synthesis_inputs(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("id", True), ("answer", None), ("answer", ["A"]),
+    ])
+    def test_id_and_answer_must_be_a_string_or_number(self, tmp_path, field,
+                                                      value):
+        record = {"id": "s1", "question": "Q?", "answer": "A",
+                  "gold_doc": {"id": "g", "title": "T", "body": "B"}}
+        path = tmp_path / "inputs.jsonl"
+        write_jsonl(path, [record, {**record, field: value}])
+        with pytest.raises(MalformedDataset, match=field) as err:
+            load_synthesis_inputs(path)
+        assert err.value.line == 2
+
     def test_requires_single_gold_answer(self):
         with pytest.raises(ValueError):
             SynthesisInput(

@@ -232,6 +232,21 @@ class TestLoadDataset:
         with pytest.raises(MalformedDataset):
             load_dataset(path, "generic")
 
+    @pytest.mark.parametrize("answers", [[None], ["x", True], [["x"]]])
+    def test_generic_answer_must_be_a_string_or_number(self, tmp_path,
+                                                       answers):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "Q?", "answers": ["x"]},
+                           {"id": "b", "question": "Q?", "answers": answers}])
+        with pytest.raises(MalformedDataset) as err:
+            load_dataset(path, "generic")
+        assert err.value.line == 2
+
+    def test_generic_numeric_answer_reads_as_text(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "Q?", "answers": [1969]}])
+        assert load_dataset(path, "generic")[0].gold_answers == ("1969",)
+
     def test_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "question": "Q?", "answers": ["x"]}\n'
@@ -264,6 +279,15 @@ class TestLoadDataset:
                             "answer_aliases": ["New York City"]}])
         questions = load_dataset(path, "musique")
         assert questions[0].gold_answers == ("NYC", "New York City")
+
+    @pytest.mark.parametrize("aliases", ["Lyon", None, {"a": "Lyon"}])
+    def test_non_list_aliases_are_malformed(self, tmp_path, aliases):
+        path = tmp_path / "musique.jsonl"
+        write_jsonl(path, [{"id": "m1", "question": "Q?", "answer": "Paris",
+                            "answer_aliases": aliases}])
+        with pytest.raises(MalformedDataset, match="answer_aliases") as err:
+            load_dataset(path, "musique")
+        assert err.value.line == 1
 
     def test_2wiki(self, tmp_path):
         path = tmp_path / "wiki.jsonl"

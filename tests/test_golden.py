@@ -71,6 +71,11 @@ def test_golden_run_covers_a_finish_and_a_failure():
         GOLDEN / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [(t["termination"], len(t["hops"])) for t in trajectories] == [
         ("finish_signal", 2), ("parse_failure", 1)]
+    totals = json.loads((GOLDEN / "manifest.json").read_text(
+        encoding="utf-8"))["totals"]
+    for key in ("prompt_tokens", "completion_tokens"):
+        assert totals[key] == sum(t["token_usage"]["total"][key]
+                                  for t in trajectories)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from hopground.core import GroundingKind, Question, Termination, TokenCounts
-from hopground.llm import ScriptedClient
+from hopground.llm import RecordingClient, ScriptedClient
 from hopground.pipeline import (BM25Retriever, PipelineConfig, answer_dataset,
                                 answer_question, load_trajectories,
                                 map_ordered, write_trajectories)
@@ -154,6 +154,34 @@ class TestAnswerQuestion:
         assert traj.hops[0].revised_answer == "An answer."
 
 
+    def test_unexpected_error_keeps_completed_hops_and_tokens(
+            self, library, retriever):
+        class FailsAtHopTwo:
+            calls = 0
+
+            def retrieve(self, query, top_k):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("index went away")
+                return retriever.retrieve(query, top_k)
+
+        recorder = RecordingClient(ScriptedClient(FESTIVAL_SCRIPT))
+        traj = answer_question(FESTIVAL_QUESTION, config(), recorder,
+                               FailsAtHopTwo(), library)
+        assert traj.termination is Termination.PARSE_FAILURE
+        assert len(traj.hops) == 1
+        assert traj.final_answer == FESTIVAL_HOP1_REVISED
+        assert len(traj.token_usage.per_hop) == 1
+        # the hop-2 deduction spent tokens before the retriever failed
+        assert recorder.calls == 3
+        assert traj.token_usage.total == recorder.totals
+
+
+class TestBM25Retriever:
+    def test_empty_query_retrieves_nothing(self, retriever):
+        assert retriever.retrieve("??? !!!", 5) == []
+
+
 class TestAnswerDataset:
     def questions(self, n):
         return [Question(id=f"q{i}", text=f"Question number {i}?")
@@ -175,6 +203,18 @@ class TestAnswerDataset:
             Termination.FINISH_SIGNAL, Termination.FINISH_SIGNAL,
             Termination.PARSE_FAILURE]
         assert trajs[2].final_answer == ""
+
+    def test_unexpected_error_is_isolated(self, library):
+        class Broken:
+            def retrieve(self, query, top_k):
+                raise RuntimeError("index went away")
+
+        llm = ScriptedClient([FESTIVAL_SCRIPT[0], "###Finish[two]"])
+        trajs = answer_dataset(self.questions(2), config(), llm, Broken(),
+                               library)
+        assert [t.termination for t in trajs] == [
+            Termination.PARSE_FAILURE, Termination.FINISH_SIGNAL]
+        assert trajs[0].token_usage.total.prompt_tokens > 0
 
     def test_progress_reported_per_completion(self, library, retriever):
         seen = []

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord, Question
 from hopground.errors import EmptyBatch, MissingPlaceholder
-from hopground.prompts import (TemplateLibrary, format_step, parse_template,
+from hopground.prompts import (TEMPLATE_BINDINGS, TEMPLATE_NAMES,
+                               TemplateLibrary, format_step, parse_template,
                                render_deduction, render_grounding,
                                render_judge, render_synthesis_teacher,
                                sanitize_markup)
@@ -62,6 +63,16 @@ class TestPromptTemplate:
     def test_rendered_output_has_no_placeholders(self, library):
         rendered = render_judge(library, "q", "p", "g")[0].content
         assert not re.search(r"\{[a-z_]+\}", rendered)
+
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_parse_rejects_a_placeholder_no_renderer_binds(self, name):
+        with pytest.raises(MissingPlaceholder,
+                           match=rf"'{name}'.*'notbound'"):
+            parse_template(name, "{question} and {notbound}")
+
+    def test_packaged_templates_use_only_bound_placeholders(self, library):
+        for name in TEMPLATE_NAMES:
+            assert library[name].placeholders <= TEMPLATE_BINDINGS[name]
 
     def test_values_with_braces_stay_literal(self):
         template = parse_template("judge", "say {question}")

@@ -23,7 +23,7 @@ from hopground.retrieval import (build_index, load_corpus, load_index,
 from hopground.retrieval import bm25
 
 import oracles
-from helpers import StubServer
+from helpers import StubServer, write_jsonl
 
 QUERIES = [
     "longest river in the world",
@@ -649,7 +649,41 @@ class TestIndexCache:
         _load_outcome(tmp_path / "corrupted.cache", bytes(data))
 
 
+# one document record each, read the same way from a corpus file and from
+# an external retrieval reply
+BAD_DOCUMENTS = [
+    {"id": "a", "title": "T", "body": None},
+    {"id": "a", "title": "T", "body": 5},
+    {"id": "a", "title": "T", "body": ["text"]},
+    {"id": "a", "title": "T"},
+    {"id": None, "title": "T", "body": "text"},
+    {"id": ["a"], "title": "T", "body": "text"},
+    {"id": "a", "title": {"t": 1}, "body": "text"},
+    {"id": "a", "title": True, "body": "text"},
+    "a bare string",
+]
+OPTIONAL_TITLE_DOCUMENTS = [
+    ({"id": "a", "body": "text"}, Document("a", "", "text")),
+    ({"id": "a", "title": None, "body": "text"}, Document("a", "", "text")),
+    ({"id": 7, "title": "T", "body": "text"}, Document("7", "T", "text")),
+]
+
+
 class TestLoadCorpus:
+    @pytest.mark.parametrize("record", BAD_DOCUMENTS)
+    def test_bad_document_reports_its_line(self, tmp_path, record):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "ok", "title": "", "body": "fine"}, record])
+        with pytest.raises(MalformedDataset) as err:
+            load_corpus(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("record, expected", OPTIONAL_TITLE_DOCUMENTS)
+    def test_optional_title_and_numeric_id(self, tmp_path, record, expected):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [record])
+        assert load_corpus(path) == [expected]
+
     def test_reports_line_numbers(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "body": "x"}\nnot json\n', encoding="utf-8")
@@ -744,27 +778,14 @@ class TestExternalRetriever:
         assert len(stub.peers) == 2
         assert stub.peers[0] == stub.peers[1]
 
-    @pytest.mark.parametrize("result", [
-        {"id": "a", "title": "T", "body": None},
-        {"id": "a", "title": "T", "body": 5},
-        {"id": "a", "title": "T", "body": ["text"]},
-        {"id": "a", "title": "T"},
-        {"id": None, "title": "T", "body": "text"},
-        {"id": ["a"], "title": "T", "body": "text"},
-        {"id": "a", "title": {"t": 1}, "body": "text"},
-        "a bare string",
-    ])
+    @pytest.mark.parametrize("result", BAD_DOCUMENTS)
     def test_unusable_result_is_malformed(self, stub, result):
         stub.queue(200, {"results": [result]})
         with pytest.raises(MalformedResponse):
             retrieve_external(stub.url, "q", top_k=5)
 
-    @pytest.mark.parametrize("result, expected", [
-        ({"id": "a", "body": "text"}, Document("a", "", "text", 1)),
-        ({"id": "a", "title": None, "body": "text"},
-         Document("a", "", "text", 1)),
-        ({"id": 7, "title": "T", "body": "text"}, Document("7", "T", "text", 1)),
-    ])
+    @pytest.mark.parametrize("result, expected", OPTIONAL_TITLE_DOCUMENTS)
     def test_optional_title_and_numeric_id(self, stub, result, expected):
         stub.queue(200, {"results": [result]})
-        assert retrieve_external(stub.url, "q", top_k=5) == [expected]
+        assert retrieve_external(stub.url, "q", top_k=5) == [
+            expected.with_rank(1)]
