@@ -21,8 +21,8 @@ from typing import Any, Mapping, Sequence
 from . import distill, evaluation, pipeline, retrieval
 from .core import (Question, Termination, TokenCounts, Trajectory,
                    require_int, require_keys, write_json)
-from .errors import (EmptyList, EmptyRecords, HopgroundError, InvalidRecord,
-                     LlmError, MalformedDataset, PromptError, RetrievalError)
+from .errors import (EmptyRecords, HopgroundError, InvalidRecord, LlmError,
+                     MalformedDataset, PromptError, RetrievalError)
 from .llm import LlmClient, OpenAIChatClient, RecordingClient, ScriptedClient
 from .prompts import TemplateLibrary
 from .retrieval import bm25
@@ -409,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedDataset, RetrievalError, EmptyRecords, EmptyList) as exc:
+    except (MalformedDataset, RetrievalError, EmptyRecords) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
     except (ConfigError, LlmError, OSError) as exc:

@@ -1,24 +1,29 @@
 """Domain types shared by every module, and the one JSONL reader/writer.
 
 All types are frozen dataclasses: immutable after construction and safe to
-share between threads.  Each type validates its invariants on construction
-and serializes to/from plain dicts with snake_case keys, so JSON round-trips
-are exact (``from_dict(to_dict(x)) == x``).
+share between threads.  Each type validates its invariants on construction.
+The records subclass ``Record``, whose JSON object is its field list, so
+JSON round-trips are exact (``from_dict(to_dict(x)) == x``).
 """
 
 from __future__ import annotations
 
+import collections.abc
 import difflib
 import enum
+import functools
 import json
+import operator
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import (Any, Callable, Iterable, Mapping, TypeVar, get_args,
+                    get_origin, get_type_hints)
 
 from .errors import InvalidRecord, MalformedDataset
 
 __all__ = [
+    "Record",
     "Question",
     "Document",
     "GroundingKind",
@@ -93,8 +98,68 @@ def _is_text(value: Any) -> bool:
     return isinstance(value, str) and bool(value.strip())
 
 
+class Record:
+    """Base of the frozen dataclasses that serialize to a JSON object.
+
+    The object's keys are the dataclass fields in declaration order.  Each
+    field converts by its annotation: a nested record to its dict, a tuple
+    to a list, an enum to its value and a mapping to a dict; any other value
+    is written as it is.  ``from_dict`` reverses this: a key it omits keeps
+    the field's default, a key that names no field is ignored, and a value
+    that is not a JSON object raises ``TypeError`` naming the class.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        d = {}
+        for name, encode, _ in _codec(type(self)):
+            value = getattr(self, name)
+            d[name] = value if encode is None else encode(value)
+        return d
+
+    @classmethod
+    def from_dict(cls: type[_T], d: Any) -> _T:
+        expect_type(d, dict, cls.__name__)
+        return cls(**{name: d[name] if decode is None else decode(d[name])
+                      for name, _, decode in _codec(cls) if name in d})
+
+
+def expect_type(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it is a JSON ``kind`` (list or dict), else a
+    ``TypeError`` naming ``name``."""
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise TypeError(f"{name} is {type(value).__name__}, not {noun}")
+    return value
+
+
+@functools.cache
+def _codec(cls: type) -> tuple[tuple[str, Any, Any], ...]:
+    """Each field's name, encoder and decoder, resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_converters(hints[f.name], f.name))
+                 for f in fields(cls))
+
+
+def _converters(hint: Any, name: str) -> tuple[Any, Any]:
+    """The (encode, decode) pair for one annotation; None keeps the value."""
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return hint.to_dict, hint.from_dict
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return operator.attrgetter("value"), hint
+    origin = get_origin(hint)
+    if origin is tuple:
+        encode, decode = _converters(get_args(hint)[0], f"{name} item")
+        if encode is None:
+            return list, lambda v: tuple(expect_type(v, list, name))
+        return (lambda v: [encode(x) for x in v],
+                lambda v: tuple(map(decode, expect_type(v, list, name))))
+    if origin is not None and issubclass(origin, collections.abc.Mapping):
+        return dict, lambda v: expect_type(v, dict, name)
+    return None, None
+
+
 @dataclass(frozen=True)
-class Question:
+class Question(Record):
     """One input question, optionally labeled with gold answers."""
 
     id: str
@@ -110,26 +175,9 @@ class Question:
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "gold_answers": list(self.gold_answers),
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Question":
-        return cls(
-            id=d["id"],
-            text=d["text"],
-            gold_answers=tuple(d.get("gold_answers", ())),
-            metadata=dict(d.get("metadata", {})),
-        )
-
 
 @dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A retrievable text unit; ``rank`` is set on retrieval results."""
 
     id: str
@@ -147,27 +195,18 @@ class Document:
     def with_rank(self, rank: int) -> "Document":
         return Document(self.id, self.title, self.body, rank)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "title": self.title, "body": self.body,
-                "rank": self.rank}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Document":
-        return cls(id=d["id"], title=d.get("title", ""), body=d["body"],
-                   rank=d.get("rank"))
-
 
 @dataclass(frozen=True)
-class GroundingOutcome:
+class GroundingOutcome(Record):
     """Parsed grounding output: a citation plus revision, or the Empty signal.
 
     ``raw_text`` keeps the unparsed model output verbatim for debugging.
     """
 
     kind: GroundingKind
-    raw_text: str
     citation: str | None = None
     revised_answer: str | None = None
+    raw_text: str = ""
 
     def __post_init__(self):
         _require(isinstance(self.raw_text, str), "raw_text must be a string")
@@ -185,26 +224,9 @@ class GroundingOutcome:
     def empty(cls, raw_text: str = "") -> "GroundingOutcome":
         return cls(kind=GroundingKind.EMPTY, raw_text=raw_text)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "citation": self.citation,
-            "revised_answer": self.revised_answer,
-            "raw_text": self.raw_text,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "GroundingOutcome":
-        return cls(
-            kind=GroundingKind(d["kind"]),
-            raw_text=d.get("raw_text", ""),
-            citation=d.get("citation"),
-            revised_answer=d.get("revised_answer"),
-        )
-
 
 @dataclass(frozen=True)
-class HopRecord:
+class HopRecord(Record):
     """One completed iteration: sub-question, immediate answer, grounding.
 
     ``deduction_raw`` preserves the verbatim deduction output that produced
@@ -237,34 +259,9 @@ class HopRecord:
                      "empty grounding must keep the immediate answer verbatim")
         object.__setattr__(self, "retrieved", tuple(self.retrieved))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "sub_question": self.sub_question,
-            "immediate_answer": self.immediate_answer,
-            "retrieved": [doc.to_dict() for doc in self.retrieved],
-            "grounding": self.grounding.to_dict(),
-            "revised_answer": self.revised_answer,
-            "batches_consumed": self.batches_consumed,
-            "deduction_raw": self.deduction_raw,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "HopRecord":
-        return cls(
-            index=d["index"],
-            sub_question=d["sub_question"],
-            immediate_answer=d["immediate_answer"],
-            retrieved=tuple(Document.from_dict(x) for x in d["retrieved"]),
-            grounding=GroundingOutcome.from_dict(d["grounding"]),
-            revised_answer=d["revised_answer"],
-            batches_consumed=d["batches_consumed"],
-            deduction_raw=d.get("deduction_raw", ""),
-        )
-
 
 @dataclass(frozen=True)
-class TokenCounts:
+class TokenCounts(Record):
     """Prompt/completion token totals for one or more LLM calls."""
 
     prompt_tokens: int = 0
@@ -282,17 +279,9 @@ class TokenCounts:
         return TokenCounts(self.prompt_tokens - other.prompt_tokens,
                            self.completion_tokens - other.completion_tokens)
 
-    def to_dict(self) -> dict[str, int]:
-        return {"prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TokenCounts":
-        return cls(d.get("prompt_tokens", 0), d.get("completion_tokens", 0))
-
 
 @dataclass(frozen=True)
-class TokenUsage:
+class TokenUsage(Record):
     """Per-hop and total token counts for one trajectory.
 
     ``total`` covers every LLM call made for the trajectory, including the
@@ -303,20 +292,9 @@ class TokenUsage:
     per_hop: tuple[TokenCounts, ...] = ()
     total: TokenCounts = TokenCounts()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"per_hop": [c.to_dict() for c in self.per_hop],
-                "total": self.total.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TokenUsage":
-        return cls(
-            per_hop=tuple(TokenCounts.from_dict(x) for x in d.get("per_hop", ())),
-            total=TokenCounts.from_dict(d.get("total", {})),
-        )
-
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """The full reasoning trace for one question.
 
     ``hops`` holds the completed step hops in order; a question the model
@@ -340,28 +318,9 @@ class Trajectory:
             _require(bool(self.final_answer.strip()),
                      "finish signal requires a non-empty final answer")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question": self.question.to_dict(),
-            "hops": [hop.to_dict() for hop in self.hops],
-            "final_answer": self.final_answer,
-            "termination": self.termination.value,
-            "token_usage": self.token_usage.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Trajectory":
-        return cls(
-            question=Question.from_dict(d["question"]),
-            hops=tuple(HopRecord.from_dict(x) for x in d["hops"]),
-            final_answer=d["final_answer"],
-            termination=Termination(d["termination"]),
-            token_usage=TokenUsage.from_dict(d.get("token_usage", {})),
-        )
-
 
 @dataclass(frozen=True)
-class DecodingParams:
+class DecodingParams(Record):
     """Generation parameters; temperature defaults to 0 for determinism."""
 
     temperature: float = 0.0
@@ -372,18 +331,12 @@ class DecodingParams:
                  f"temperature must be a number >= 0, got {self.temperature!r}")
         require_int(self.max_output_tokens, "max_output_tokens", 1)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"temperature": self.temperature,
-                "max_output_tokens": self.max_output_tokens}
-
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DecodingParams":
-        """Build from a config mapping; a field it omits keeps its default,
-        and a key that names no field raises ``InvalidRecord``."""
+    def from_dict(cls, d: Any) -> "DecodingParams":
+        """A key that names no field raises ``InvalidRecord``."""
         _require(isinstance(d, Mapping), "decoding must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        require_keys(d, names, "decoding.")
-        return cls(**{name: d[name] for name in names if name in d})
+        require_keys(d, (f.name for f in fields(cls)), "decoding.")
+        return super().from_dict(d)
 
 
 # a "\ud800"-style JSON escape can decode to a lone surrogate, a str that

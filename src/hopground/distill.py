@@ -15,13 +15,14 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import (DecodingParams, Document, GroundingKind, Question,
-                   read_jsonl, scalar_text, write_jsonl)
-from .errors import EmptyList, LlmError, MalformedGrounding, MissingRevision
+                   expect_type, read_jsonl, scalar_text, write_jsonl)
+from .errors import EmptyRecords, LlmError, MalformedGrounding, MissingRevision
 from .evaluation import cover_em
 from .grounding import parse_grounding
 from .llm import ChatMessage, LlmClient
 from .pipeline import map_ordered
 from .prompts import TemplateLibrary, render_synthesis_teacher
+from .retrieval.corpus import parse_document
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +93,8 @@ class TrainingExample:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TrainingExample":
+    def from_dict(cls, d: Any) -> "TrainingExample":
+        expect_type(d, dict, cls.__name__)
         verdict = (Verdict.kept() if d.get("verdict", "keep") == "keep"
                    else Verdict.drop(d.get("drop_reason") or "unknown"))
         return cls(
@@ -210,7 +212,7 @@ def synthesize_dataset(inputs: Sequence[SynthesisInput],
 def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:
     """Corpus statistics in whitespace tokens, averaged to two decimals."""
     if not examples:
-        raise EmptyList("no examples to describe")
+        raise EmptyRecords("no examples to describe")
     n = len(examples)
 
     def mean(values) -> float:
@@ -246,11 +248,11 @@ def load_training_corpus(path: str | Path) -> list[TrainingExample]:
 
 def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:
     """Read synthesis inputs: JSONL of
-    ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``."""
+    ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``, each
+    document read as a corpus line is (``corpus.parse_document``)."""
     return read_jsonl(path, lambda record, _: SynthesisInput(
         question=Question(id=scalar_text(record["id"], "id"),
                           text=record["question"],
                           gold_answers=(scalar_text(record["answer"], "answer"),)),
-        gold_doc=Document.from_dict(record["gold_doc"]),
-        noise_docs=tuple(Document.from_dict(d)
-                         for d in record.get("noise_docs", []))))
+        gold_doc=parse_document(record["gold_doc"]),
+        noise_docs=tuple(map(parse_document, record.get("noise_docs", [])))))

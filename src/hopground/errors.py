@@ -113,8 +113,4 @@ class MalformedDataset(HopgroundError):
 
 
 class EmptyRecords(HopgroundError):
-    """Aggregation called with no records."""
-
-
-class EmptyList(HopgroundError):
-    """Statistics called with no examples."""
+    """Aggregation or statistics called with no records."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from .core import (DecodingParams, Question, loads_utf8, read_jsonl,
-                   scalar_text)
+from .core import (DecodingParams, Question, expect_type, loads_utf8,
+                   read_jsonl, scalar_text)
 from .errors import (EmptyRecords, MalformedDataset, MissingGold,
                      UnparseableVerdict)
 from .llm import LlmClient, retry_parse
@@ -150,16 +150,27 @@ def aggregate(records: Sequence[EvalRecord]) -> dict[str, float | None]:
 
 def _gold_list(record: dict) -> list[str]:
     answer = record.get("answer")
-    aliases = record.get("answer_aliases", [])
-    if not isinstance(aliases, list):
-        raise TypeError(f"answer_aliases is {type(aliases).__name__}, not a list")
-    golds = []
-    if isinstance(answer, str) and answer.strip():
-        golds.append(answer)
-    golds.extend(a for a in aliases if isinstance(a, str) and a.strip())
+    aliases = expect_type(record.get("answer_aliases", []), list,
+                          "answer_aliases")
+    golds = [] if answer is None else [scalar_text(answer, "answer")]
+    golds.extend(scalar_text(a, "answer_aliases item") for a in aliases)
+    golds = [g for g in golds if g.strip()]
     if not golds:
         raise ValueError("record has no answer")
     return golds
+
+
+def _question_id(record: Any, format: str, line_no: int) -> str:
+    """A generic record's ``id``, or the first of a named format's id keys
+    that is present and not null, read as text; a named format falls back
+    to the line number."""
+    expect_type(record, dict, "record")
+    if format == "generic":
+        return scalar_text(record["id"], "id")
+    for key in ("qid", "id") if format == "strategyqa" else ("_id", "id"):
+        if record.get(key) is not None:
+            return scalar_text(record[key], key)
+    return str(line_no)
 
 
 def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
@@ -168,29 +179,33 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
     generic is JSONL ``{id, question, answers: [...]}``; the named formats
     accept the public release layouts (JSON array or JSONL) and map
     StrategyQA's boolean labels to yes/no.  Records without an id take
-    their line number (array position for a JSON array).
+    their line number (array position for a JSON array).  A repeated id
+    makes its line bad.
     """
     if format not in DATASET_FORMATS:
         raise ValueError(f"format must be one of {DATASET_FORMATS}")
+    seen: set[str] = set()
 
     def to_question(record: Any, line_no: int) -> Question:
+        qid = _question_id(record, format, line_no)
+        if qid in seen:
+            raise ValueError(f"repeated question id {qid!r}")
+        seen.add(qid)
         if format == "generic":
             golds = record["answers"]
             if not isinstance(golds, list) or not golds:
                 raise KeyError("answers")
-            return Question(id=str(record["id"]), text=record["question"],
+            return Question(id=qid, text=record["question"],
                             gold_answers=tuple(scalar_text(g, "answers item")
                                                for g in golds))
         if format == "strategyqa":
             label = record["answer"]
             if not isinstance(label, bool):
                 raise ValueError("strategyqa answer must be boolean")
-            return Question(id=str(record.get("qid") or record.get("id") or line_no),
-                            text=record["question"],
+            return Question(id=qid, text=record["question"],
                             gold_answers=("yes" if label else "no",))
         # hotpotqa / musique / 2wiki
-        return Question(id=str(record.get("_id") or record.get("id") or line_no),
-                        text=record["question"],
+        return Question(id=qid, text=record["question"],
                         gold_answers=tuple(_gold_list(record)))
 
     data = Path(path).read_bytes()

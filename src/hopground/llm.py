@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
 
-from .core import DecodingParams, TokenCounts, require_int, require_positive
+from .core import (DecodingParams, Record, TokenCounts, require_int,
+                   require_positive)
 from .errors import ParseError, ScriptExhausted, TransportError
 from .transport import DEFAULT_MAX_ATTEMPTS, post_json
 
@@ -30,16 +31,13 @@ _T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(Record):
     role: str
     content: str
 
     def __post_init__(self):
         if self.role not in VALID_ROLES:
             raise ValueError(f"role must be one of {VALID_ROLES}, got {self.role!r}")
-
-    def to_dict(self) -> dict[str, str]:
-        return {"role": self.role, "content": self.content}
 
 
 @dataclass(frozen=True)

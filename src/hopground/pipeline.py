@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
-from .core import (DecodingParams, Document, HopRecord, Question, Termination,
-                   TokenCounts, TokenUsage, Trajectory, read_jsonl,
-                   require_int, require_keys, require_positive,
+from .core import (DecodingParams, Document, HopRecord, Question, Record,
+                   Termination, TokenCounts, TokenUsage, Trajectory,
+                   read_jsonl, require_int, require_keys, require_positive,
                    write_jsonl)
 from .deduction import DeductionKind, deduce
 from .errors import EmptyQuery, HopgroundError
@@ -38,7 +38,7 @@ _R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     max_hops: int = 5
     top_k: int = 10
     batch_size: int = 3
@@ -57,27 +57,12 @@ class PipelineConfig:
         if not isinstance(self.strict_citation, bool):
             raise ValueError("strict_citation must be true or false")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "max_hops": self.max_hops,
-            "top_k": self.top_k,
-            "batch_size": self.batch_size,
-            "retriever": self.retriever,
-            "decoding": self.decoding.to_dict(),
-            "strict_citation": self.strict_citation,
-            "concurrency": self.concurrency,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PipelineConfig":
-        """Build from a config's ``pipeline`` section; a field it omits keeps
-        its default, and a key that names no field raises ``ValueError``."""
-        names = [f.name for f in fields(cls)]
-        require_keys(d, names, "pipeline.")
-        values = {name: d[name] for name in names if name in d}
-        if "decoding" in values:
-            values["decoding"] = DecodingParams.from_dict(values["decoding"])
-        return cls(**values)
+        """Build from a config's ``pipeline`` section; a key that names no
+        field raises ``InvalidRecord``."""
+        require_keys(d, (f.name for f in fields(cls)), "pipeline.")
+        return super().from_dict(d)
 
 
 class Retriever(Protocol):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..core import Document, read_jsonl, scalar_text
+from ..core import Document, expect_type, read_jsonl, scalar_text
 
 
 def parse_document(record: Any, rank: int | None = None) -> Document:
@@ -13,8 +13,7 @@ def parse_document(record: Any, rank: int | None = None) -> Document:
     or numbers, a missing or null title reads as "", and ``body`` must be a
     non-empty string.  Anything else raises ``TypeError`` or ``ValueError``.
     """
-    if not isinstance(record, dict):
-        raise TypeError(f"document is {type(record).__name__}, not an object")
+    expect_type(record, dict, "document")
     title = record.get("title")
     return Document(id=scalar_text(record["id"], "id"),
                     title="" if title is None else scalar_text(title, "title"),

@@ -184,6 +184,26 @@ class InFlightStub:
         self._thread.join(timeout=5)
 
 
+# one document record each, read the same way from a corpus file, from an
+# external retrieval reply and from a synthesis input
+BAD_DOCUMENTS = [
+    {"id": "a", "title": "T", "body": None},
+    {"id": "a", "title": "T", "body": 5},
+    {"id": "a", "title": "T", "body": ["text"]},
+    {"id": "a", "title": "T"},
+    {"id": None, "title": "T", "body": "text"},
+    {"id": ["a"], "title": "T", "body": "text"},
+    {"id": "a", "title": {"t": 1}, "body": "text"},
+    {"id": "a", "title": True, "body": "text"},
+    "a bare string",
+]
+OPTIONAL_TITLE_DOCUMENTS = [
+    ({"id": "a", "body": "text"}, Document("a", "", "text")),
+    ({"id": "a", "title": None, "body": "text"}, Document("a", "", "text")),
+    ({"id": 7, "title": "T", "body": "text"}, Document("7", "T", "text")),
+]
+
+
 def write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for record in records:

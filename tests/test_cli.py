@@ -374,6 +374,27 @@ class TestEvalCommand:
         assert f"{files[bad_file]}" in err and "(line 1)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value", [
+        (("token_usage",), None),
+        (("token_usage", "total"), 5),
+        (("token_usage", "per_hop", 0), None),
+    ], ids=["null usage", "numeric total", "null per-hop entry"])
+    def test_malformed_token_usage_exits_two(self, festival_run, capsys,
+                                             path, value):
+        trajectories = self.run_festival(festival_run)
+        record = json.loads(trajectories.read_text(encoding="utf-8"))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        write_jsonl(trajectories, [record])
+        capsys.readouterr()
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectories}" in err and "(line 1)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad_file", ["corpus", "dataset",
                                           "trajectories"])
     def test_lone_surrogate_exits_two(self, festival_run, bad_file, capsys):

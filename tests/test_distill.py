@@ -14,11 +14,11 @@ from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                load_synthesis_inputs, load_training_corpus,
                                place_gold, synthesize_dataset,
                                synthesize_example)
-from hopground.errors import EmptyList, MalformedDataset
+from hopground.errors import EmptyRecords, MalformedDataset
 from hopground.llm import Completion, ScriptedClient
 
 import oracles
-from helpers import write_jsonl
+from helpers import BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, write_jsonl
 
 GOLD_ANSWER = "Paris"
 GOLD_DOC = Document(id="gold", title="France",
@@ -245,7 +245,7 @@ class TestDatasetStats:
         assert dataset_stats(examples) == oracles.corpus_stats(examples)
 
     def test_empty_list(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(EmptyRecords):
             dataset_stats([])
 
 
@@ -275,6 +275,16 @@ class TestEmitCorpus:
         path = tmp_path / "corpus.jsonl"
         emit_corpus(examples, path)
         assert load_training_corpus(path) == examples
+
+    @pytest.mark.parametrize("line", ["5", '"text"', "[1]", "null"])
+    def test_non_object_line_is_malformed(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        emit_corpus([make_example(0)], path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        with pytest.raises(MalformedDataset, match="TrainingExample") as err:
+            load_training_corpus(path)
+        assert err.value.line == 2
 
 
 class TestLoadSynthesisInputs:
@@ -308,6 +318,35 @@ class TestLoadSynthesisInputs:
         with pytest.raises(MalformedDataset, match=field) as err:
             load_synthesis_inputs(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("slot", ["gold_doc", "noise_docs"])
+    @pytest.mark.parametrize("document", BAD_DOCUMENTS)
+    def test_bad_document_reports_its_line(self, tmp_path, slot, document):
+        record = {"id": "s1", "question": "Q?", "answer": "A",
+                  "gold_doc": {"id": "g", "title": "T", "body": "B"}}
+        bad = {**record, slot: [document] if slot == "noise_docs" else document}
+        path = tmp_path / "inputs.jsonl"
+        write_jsonl(path, [record, bad])
+        with pytest.raises(MalformedDataset) as err:
+            load_synthesis_inputs(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("document, expected", OPTIONAL_TITLE_DOCUMENTS)
+    def test_documents_read_as_corpus_lines(self, tmp_path, document,
+                                            expected):
+        path = tmp_path / "inputs.jsonl"
+        write_jsonl(path, [{"id": "s1", "question": "Q?", "answer": "A",
+                            "gold_doc": document, "noise_docs": [document]}])
+        [inp] = load_synthesis_inputs(path)
+        assert inp.gold_doc == expected
+        assert inp.noise_docs == (expected,)
+
+    def test_input_rank_is_dropped(self, tmp_path):
+        path = tmp_path / "inputs.jsonl"
+        write_jsonl(path, [{"id": "s1", "question": "Q?", "answer": "A",
+                            "gold_doc": {"id": "g", "title": "T", "body": "B",
+                                         "rank": 3}}])
+        assert load_synthesis_inputs(path)[0].gold_doc.rank is None
 
     def test_requires_single_gold_answer(self):
         with pytest.raises(ValueError):

@@ -289,6 +289,73 @@ class TestLoadDataset:
             load_dataset(path, "musique")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("record, golds", [
+        ({"answer": "A", "answer_aliases": [5, "B"]}, ("A", "5", "B")),
+        ({"answer": 1990}, ("1990",)),
+        ({"answer": 1990, "answer_aliases": ["nineteen ninety"]},
+         ("1990", "nineteen ninety")),
+        ({"answer": " ", "answer_aliases": ["", "B"]}, ("B",)),
+    ])
+    def test_numeric_answers_read_as_text(self, tmp_path, record, golds):
+        path = tmp_path / "musique.jsonl"
+        write_jsonl(path, [{"id": "m1", "question": "Q?", **record}])
+        assert load_dataset(path, "musique")[0].gold_answers == golds
+
+    @pytest.mark.parametrize("record", [
+        {"answer": True}, {"answer": "A", "answer_aliases": [None]},
+        {"answer": ["A"]}])
+    def test_non_scalar_answer_is_malformed(self, tmp_path, record):
+        path = tmp_path / "musique.jsonl"
+        write_jsonl(path, [{"id": "m1", "question": "Q?", **record}])
+        with pytest.raises(MalformedDataset, match="answer") as err:
+            load_dataset(path, "musique")
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("format, ids, expected", [
+        ("hotpotqa", {"_id": 0}, "0"),
+        ("hotpotqa", {"_id": None, "id": 7}, "7"),
+        ("hotpotqa", {"_id": None}, "1"),
+        ("musique", {"id": 2.5}, "2.5"),
+        ("strategyqa", {"qid": 0, "id": "x"}, "0"),
+        ("strategyqa", {"qid": None, "id": "x"}, "x"),
+        ("strategyqa", {}, "1"),
+    ])
+    def test_named_format_takes_first_non_null_id(self, tmp_path, format,
+                                                  ids, expected):
+        answer = True if format == "strategyqa" else "A"
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{**ids, "question": "Q?", "answer": answer}])
+        assert load_dataset(path, format)[0].id == expected
+
+    @pytest.mark.parametrize("format, record", [
+        ("generic", {"id": None, "answers": ["A"]}),
+        ("generic", {"id": True, "answers": ["A"]}),
+        ("hotpotqa", {"_id": ["h"], "answer": "A"}),
+        ("strategyqa", {"qid": {}, "answer": True}),
+        ("hotpotqa", "a bare string"),
+    ])
+    def test_non_scalar_id_is_malformed(self, tmp_path, format, record):
+        if isinstance(record, dict):
+            record = {**record, "question": "Q?"}
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [record])
+        with pytest.raises(MalformedDataset) as err:
+            load_dataset(path, format)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("format, records", [
+        ("generic", [{"id": "a", "answers": ["A"]}] * 2),
+        ("generic", [{"id": 7, "answers": ["A"]}, {"id": "7", "answers": ["A"]}]),
+        ("hotpotqa", [{"_id": "2", "answer": "A"}, {"answer": "A"}]),
+    ])
+    def test_repeated_id_is_malformed(self, tmp_path, format, records):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{**r, "question": "Q?"} for r in records])
+        with pytest.raises(MalformedDataset, match="repeated question id") \
+                as err:
+            load_dataset(path, format)
+        assert err.value.line == 2
+
     def test_2wiki(self, tmp_path):
         path = tmp_path / "wiki.jsonl"
         write_jsonl(path, [{"_id": "w1", "question": "Q?", "answer": "Ans"}])

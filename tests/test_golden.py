@@ -3,8 +3,9 @@
 The files under ``fixtures/golden`` are the outputs of the commands in
 ``produce``.  A change that keeps the program's behaviour must reproduce
 them byte for byte; ``manifest.json`` is compared with its two timestamps
-and its (temporary) dataset path masked.  After an intended change of the
-outputs, regenerate them with
+and its (temporary) dataset path masked.  Reading the trajectory and synth
+files back and writing them again must also give the same bytes.  After an
+intended change of the outputs, regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -18,6 +19,8 @@ import pytest
 
 from hopground.cli import main
 from hopground.core import Question
+from hopground.distill import emit_corpus, load_training_corpus
+from hopground.pipeline import load_trajectories, write_trajectories
 
 from helpers import (FESTIVAL_QUESTION, FESTIVAL_SCRIPT, write_festival_files,
                      write_synth_files)
@@ -64,6 +67,19 @@ def produce(work: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_outputs_match_golden_bytes(tmp_path, name):
     assert produce(tmp_path)[name] == (GOLDEN / name).read_bytes()
+
+
+def test_trajectories_load_and_write_back_byte_for_byte(tmp_path):
+    out = tmp_path / "trajectories.jsonl"
+    write_trajectories(load_trajectories(GOLDEN / "trajectories.jsonl"), out)
+    assert out.read_bytes() == (GOLDEN / "trajectories.jsonl").read_bytes()
+
+
+def test_synth_corpus_loads_and_emits_back_byte_for_byte(tmp_path):
+    out = tmp_path / "synth.jsonl"
+    emit_corpus(load_training_corpus(GOLDEN / "synth.jsonl"), out,
+                include_dropped=True)
+    assert out.read_bytes() == (GOLDEN / "synth.jsonl").read_bytes()
 
 
 def test_golden_run_covers_a_finish_and_a_failure():

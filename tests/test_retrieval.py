@@ -23,7 +23,8 @@ from hopground.retrieval import (build_index, load_corpus, load_index,
 from hopground.retrieval import bm25
 
 import oracles
-from helpers import StubServer, write_jsonl
+from helpers import (BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, StubServer,
+                     write_jsonl)
 
 QUERIES = [
     "longest river in the world",
@@ -647,26 +648,6 @@ class TestIndexCache:
         for position, value in flips:
             data[position % len(data)] = value
         _load_outcome(tmp_path / "corrupted.cache", bytes(data))
-
-
-# one document record each, read the same way from a corpus file and from
-# an external retrieval reply
-BAD_DOCUMENTS = [
-    {"id": "a", "title": "T", "body": None},
-    {"id": "a", "title": "T", "body": 5},
-    {"id": "a", "title": "T", "body": ["text"]},
-    {"id": "a", "title": "T"},
-    {"id": None, "title": "T", "body": "text"},
-    {"id": ["a"], "title": "T", "body": "text"},
-    {"id": "a", "title": {"t": 1}, "body": "text"},
-    {"id": "a", "title": True, "body": "text"},
-    "a bare string",
-]
-OPTIONAL_TITLE_DOCUMENTS = [
-    ({"id": "a", "body": "text"}, Document("a", "", "text")),
-    ({"id": "a", "title": None, "body": "text"}, Document("a", "", "text")),
-    ({"id": 7, "title": "T", "body": "text"}, Document("7", "T", "text")),
-]
 
 
 class TestLoadCorpus:
