@@ -11,147 +11,80 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence, TypeVar
 
 from . import distill, evaluation, pipeline, retrieval
-from .core import (Question, Termination, TokenCounts, Trajectory,
-                   require_int, require_keys, write_json)
-from .errors import (EmptyRecords, HopgroundError, InvalidRecord, LlmError,
-                     MalformedDataset, PromptError, RetrievalError)
-from .llm import LlmClient, OpenAIChatClient, RecordingClient, ScriptedClient
-from .prompts import TemplateLibrary
+from .core import (ConfigRecord, Question, Termination, TokenCounts,
+                   Trajectory, write_json)
+from .distill import SynthesisConfig
+from .errors import (ConfigError, EmptyRecords, InvalidRecord, LlmError,
+                     MalformedDataset, RetrievalError)
+from .llm import LlmConfig, RecordingClient
+from .pipeline import PipelineConfig, RetrievalConfig
+from .prompts import TemplatesConfig
 from .retrieval import bm25
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATASET = 2
 
-
-class ConfigError(HopgroundError):
-    pass
+_C = TypeVar("_C", bound=ConfigRecord)
 
 
-# "max_concurrency" is kept so that _make_llm can name its replacement
-_LLM_KEYS = frozenset({"backend", "script_path", "base_url", "model",
-                       "api_key_env", "timeout", "max_attempts",
-                       "max_concurrency"})
-# the keys each config section may set; the top level holds sections only
-CONFIG_KEYS: dict[str, frozenset[str]] = {
-    "pipeline": frozenset(f.name for f in fields(pipeline.PipelineConfig)),
-    "retrieval": frozenset({"index_path", "corpus_path", "external_endpoint",
-                            "timeout"}),
-    "templates": frozenset({"dir", "num_examples", "doc_char_budget"}),
-    "synthesis": frozenset({"noise_docs", "concurrency"}),
-    **dict.fromkeys(("llm", "judge_llm", "student_llm", "teacher_llm"),
-                    _LLM_KEYS),
-}
+@dataclass(frozen=True)
+class Config(ConfigRecord):
+    """A config file; an absent section takes its defaults, except that
+    ``eval --judge`` uses ``llm`` when ``judge_llm`` is absent."""
 
+    pipeline: PipelineConfig = PipelineConfig()
+    retrieval: RetrievalConfig = RetrievalConfig()
+    llm: LlmConfig = LlmConfig()
+    judge_llm: LlmConfig | None = None
+    student_llm: LlmConfig = LlmConfig()
+    teacher_llm: LlmConfig = LlmConfig()
+    templates: TemplatesConfig = TemplatesConfig()
+    synthesis: SynthesisConfig = SynthesisConfig()
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    """The config file as a dict; an unknown key in it is a ``ConfigError``."""
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            config = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    try:
-        require_keys(config, CONFIG_KEYS)
-        for name, section in config.items():
-            if isinstance(section, dict):  # _section rejects any other type
-                require_keys(section, CONFIG_KEYS[name], f"{name}.")
-    except InvalidRecord as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
-    return config
-
-
-def _section(config: Mapping[str, Any], name: str) -> dict[str, Any]:
-    """The config's ``name`` section, ``{}`` when absent; it must be an
-    object."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    return section
-
-
-def _given(section: Mapping[str, Any], *keys: str) -> dict[str, Any]:
-    """The ``keys`` that ``section`` sets, so that every other one keeps
-    the default of the function it is passed to."""
-    return {key: section[key] for key in keys if key in section}
-
-
-def _make_llm(section: Mapping[str, Any], role: str) -> LlmClient:
-    if "max_concurrency" in section:
-        raise ConfigError(
-            f"{role}.max_concurrency is no longer supported: requests in "
-            "flight are limited by pipeline.concurrency alone "
-            "(synthesis.concurrency for synth)")
-    backend = section.get("backend")
-    if backend == "scripted":
+    @classmethod
+    def load(cls, path: str | None) -> "Config":
+        """The config file at ``path``, every section type-checked; the
+        defaults when ``path`` is None."""
+        if path is None:
+            return cls()
         try:
-            return ScriptedClient.from_file(section["script_path"])
-        except (KeyError, OSError, ValueError) as exc:
-            raise ConfigError(f"{role}: bad scripted backend: {exc}") from exc
-    if backend == "openai":
-        base_url = os.environ.get("HOPGROUND_BASE_URL") or section.get("base_url")
-        model = section.get("model")
-        if not base_url or not model:
-            raise ConfigError(f"{role}: openai backend needs base_url and model")
-        try:
-            return OpenAIChatClient(
-                base_url=base_url, model=model,
-                **_given(section, "api_key_env", "timeout", "max_attempts"))
-        except ValueError as exc:
-            raise ConfigError(f"{role}: {exc}") from exc
-    raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")
+            with open(path, encoding="utf-8") as f:
+                return cls.from_dict(json.load(f))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except InvalidRecord as exc:
+            raise ConfigError(f"config {path}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _make_templates(config: Mapping[str, Any],
-                    templates_dir: str | None) -> TemplateLibrary:
-    section = _section(config, "templates")
-    directory = templates_dir or section.get("dir")
+def _with_flags(section: _C, **flags: Any) -> _C:
+    """``section`` with each flag that was given (not None) in place of its
+    field; a value out of range names its flag."""
     try:
-        return TemplateLibrary.load(
-            directory, **_given(section, "num_examples", "doc_char_budget"))
-    except (OSError, PromptError, ValueError) as exc:
-        raise ConfigError(f"cannot load templates: {exc}") from exc
+        return replace(section, **{key: value for key, value in flags.items()
+                                   if value is not None})
+    except InvalidRecord as exc:  # its message starts with the field name
+        key, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"--{key.replace('_', '-')} {rest}") from exc
 
 
-def _make_retriever(config: Mapping[str, Any],
-                    pipe_config: pipeline.PipelineConfig) -> pipeline.Retriever:
-    section = _section(config, "retrieval")
-    if pipe_config.retriever == "external":
-        endpoint = section.get("external_endpoint")
-        if not endpoint:
-            raise ConfigError("external retriever needs retrieval.external_endpoint")
-        try:
-            return pipeline.ExternalRetriever(endpoint=endpoint,
-                                              **_given(section, "timeout"))
-        except ValueError as exc:
-            raise ConfigError(f"retrieval: {exc}") from exc
-    index_path = section.get("index_path")
-    corpus_path = section.get("corpus_path")
-    try:
-        if index_path:
-            index = retrieval.load_index(index_path)
-        elif corpus_path:
-            index = retrieval.build_index(retrieval.load_corpus(corpus_path))
-        else:
-            raise ConfigError(
-                "bm25 retriever needs retrieval.index_path or retrieval.corpus_path")
-    except (OSError, RetrievalError, ValueError) as exc:
-        raise ConfigError(f"cannot prepare bm25 index: {exc}") from exc
-    return pipeline.BM25Retriever(index)
+def _require_serial(config: Config, roles: Sequence[str], key: str,
+                    concurrency: int) -> None:
+    """A scripted backend hands out its replies in call order, so it gives
+    each question the same replies only when one question runs at a time."""
+    for role in roles:
+        if getattr(config, role).backend == "scripted" and concurrency > 1:
+            raise ConfigError(f"{role}.backend scripted replies in call "
+                              f"order, so it needs {key} 1, got {concurrency}")
 
 
 def _utc_now() -> str:
@@ -211,23 +144,17 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    pipe_section = dict(_section(config, "pipeline"))
-    for key, value in (("max_hops", args.max_hops), ("top_k", args.top_k),
-                       ("batch_size", args.batch_size),
-                       ("concurrency", args.concurrency)):
-        if value is not None:
-            pipe_section[key] = value
-    if args.strict_citation:
-        pipe_section["strict_citation"] = True
-    try:
-        pipe_config = pipeline.PipelineConfig.from_dict(pipe_section)
-    except ValueError as exc:
-        raise ConfigError(f"bad pipeline configuration: {exc}") from exc
-
-    library = _make_templates(config, args.templates)
-    llm = _make_llm(_section(config, "llm"), "llm")
-    retriever = _make_retriever(config, pipe_config)
+    config = Config.load(args.config)
+    pipe_config = _with_flags(
+        config.pipeline, max_hops=args.max_hops, top_k=args.top_k,
+        batch_size=args.batch_size, concurrency=args.concurrency,
+        strict_citation=args.strict_citation or None)
+    _require_serial(config, ["llm"], "pipeline.concurrency",
+                    pipe_config.concurrency)
+    templates = _with_flags(config.templates, dir=args.templates)
+    library = templates.load()
+    llm = config.llm.client("llm")
+    retriever = config.retrieval.retriever(pipe_config.retriever)
     questions = evaluation.load_dataset(args.dataset, format=args.format)
 
     out_dir = Path(args.out)
@@ -242,8 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     pipeline.write_trajectories(trajectories, out_dir / "trajectories.jsonl")
 
     write_json(run_manifest(
-        pipe_config,
-        templates_dir=args.templates or _section(config, "templates").get("dir"),
+        pipe_config, templates_dir=templates.dir,
         dataset_path=str(args.dataset), dataset_format=args.format,
         started_at=started_at, trajectories=trajectories,
         llm_calls=recorder.calls), out_dir / "manifest.json")
@@ -265,11 +191,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     judge_llm = None
     library = None
     if args.judge:
-        config = _load_config(args.config)
-        judge_llm = _make_llm(
-            _section(config, "judge_llm" if "judge_llm" in config else "llm"),
-            "judge_llm")
-        library = _make_templates(config, None)
+        config = Config.load(args.config)
+        judge_llm = (config.judge_llm or config.llm).client("judge_llm")
+        library = config.templates.load()
 
     records = []
     for traj in trajectories:
@@ -282,10 +206,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 verdict = evaluation.judge(judge_llm, library, question.text,
                                            traj.final_answer,
                                            question.gold_answers[0])
-            record = evaluation.EvalRecord(
-                question_id=record.question_id, prediction=record.prediction,
-                gold_answers=record.gold_answers, acc=record.acc, f1=record.f1,
-                acc_judge=verdict)
+            record = replace(record, acc_judge=verdict)
         records.append(record)
 
     summary = evaluation.aggregate(records)
@@ -302,27 +223,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    synth_section = _section(config, "synthesis")
-    try:
-        for key, minimum in (("noise_docs", 0), ("concurrency", 1)):
-            if key in synth_section:
-                require_int(synth_section[key], f"synthesis.{key}", minimum)
-        if args.noise_docs is not None:
-            require_int(args.noise_docs, "--noise-docs", 0)
-    except InvalidRecord as exc:
-        raise ConfigError(str(exc)) from exc
-    student = _make_llm(_section(config, "student_llm"), "student_llm")
-    teacher = _make_llm(_section(config, "teacher_llm"), "teacher_llm")
-    library = _make_templates(config, args.templates)
+    config = Config.load(args.config)
+    synthesis = _with_flags(config.synthesis, noise_docs=args.noise_docs)
+    _require_serial(config, ["student_llm", "teacher_llm"],
+                    "synthesis.concurrency", synthesis.concurrency)
+    student = config.student_llm.client("student_llm")
+    teacher = config.teacher_llm.client("teacher_llm")
+    library = _with_flags(config.templates, dir=args.templates).load()
     inputs = distill.load_synthesis_inputs(args.input)
 
     examples = distill.synthesize_dataset(
         inputs, student, teacher, library, seed=args.seed,
-        max_noise_docs=(args.noise_docs if args.noise_docs is not None
-                        else synth_section.get("noise_docs",
-                                               distill.DEFAULT_NOISE_DOCS)),
-        **_given(synth_section, "concurrency"),
+        max_noise_docs=synthesis.noise_docs,
+        concurrency=synthesis.concurrency,
         progress=lambda done, total: print(f"synthesized {done}/{total}",
                                            file=sys.stderr))
     written = distill.emit_corpus(examples, args.out,

@@ -15,15 +15,17 @@ import functools
 import json
 import operator
 import re
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import (Any, Callable, Iterable, Mapping, TypeVar, get_args,
-                    get_origin, get_type_hints)
+from typing import (Annotated, Any, Callable, Iterable, Literal, Mapping,
+                    TypeVar, Union, get_args, get_origin, get_type_hints)
 
 from .errors import InvalidRecord, MalformedDataset
 
 __all__ = [
     "Record",
+    "ConfigRecord",
     "Question",
     "Document",
     "GroundingKind",
@@ -60,29 +62,37 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def require_int(value: Any, name: str, minimum: int) -> None:
-    """Raise ``InvalidRecord`` unless ``value`` is an int >= ``minimum``."""
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and value >= minimum,
-             f"{name} must be an integer >= {minimum}, got {value!r}")
+# config value types whose bound is part of the type
+Count = Annotated[int, ">=", 0]
+PositiveInt = Annotated[int, ">=", 1]
+NonNegative = Annotated[float, ">=", 0]
+Positive = Annotated[float, ">", 0]
+
+_NOUNS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string"}
 
 
-def require_positive(value: Any, name: str) -> None:
-    """Raise ``InvalidRecord`` unless ``value`` is a number > 0."""
-    _require(_is_number(value) and value > 0,
-             f"{name} must be a number > 0, got {value!r}")
-
-
-def require_keys(mapping: Mapping[str, Any], allowed: Iterable[str],
-                 prefix: str = "") -> None:
-    """Raise ``InvalidRecord`` naming the first key of ``mapping`` that is
-    not in ``allowed``, with the nearest allowed key as a hint."""
-    allowed = sorted(allowed)
-    for key in mapping:
-        if key not in allowed:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            hint = f"; did you mean {prefix}{close[0]}?" if close else ""
-            raise InvalidRecord(f"unknown config key {prefix}{key}{hint}")
+def _check_type(value: Any, hint: Any, name: str) -> None:
+    """Raise ``InvalidRecord`` naming ``name`` unless ``value`` has the type
+    ``hint``: a bool is no number, an int is a float, ``X | None`` admits
+    null, a ``Literal`` its values and an ``Annotated`` bound its range."""
+    if get_origin(hint) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return
+        hint = get_args(hint)[0]
+    if get_origin(hint) is Literal:
+        _require(value in get_args(hint),
+                 f"{name} must be one of {get_args(hint)}, got {value!r}")
+        return
+    kind, *bound = get_args(hint) if get_origin(hint) is Annotated else [hint]
+    ok = (_is_number(value) if kind is float else isinstance(value, kind)
+          and not (kind is int and isinstance(value, bool)))
+    noun = _NOUNS.get(kind, kind.__name__)
+    if bound:
+        op, low = bound
+        ok = ok and (value > low if op == ">" else value >= low)
+        noun += f" {op} {low}"
+    _require(ok, f"{name} must be {noun}, got {value!r}")
 
 
 def scalar_text(value: Any, name: str) -> str:
@@ -123,6 +133,43 @@ class Record:
                       for name, _, decode in _codec(cls) if name in d})
 
 
+class ConfigRecord(Record):
+    """A config file section: each field declares a key, its type and its
+    default.  Every value is checked against its field's annotation, and
+    ``from_dict`` also rejects a non-object and an unknown key.  A message
+    names a key as ``name.key``: ``name`` is the field that holds the
+    section in its parent, or the class's own ``section`` at the top."""
+
+    def __init_subclass__(cls, section: str = "", **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        cls.section = section
+
+    def __post_init__(self):
+        hints = get_type_hints(type(self), include_extras=True)
+        for f in fields(self):
+            _check_type(getattr(self, f.name), hints[f.name], f.name)
+
+    @classmethod
+    def from_dict(cls: type[_T], d: Any, name: str | None = None) -> _T:
+        name = cls.section if name is None else name
+        prefix = f"{name}." if name else ""
+        _require(isinstance(d, dict),
+                 f"{name or 'the config'} must be a JSON object")
+        allowed = sorted(f.name for f in fields(cls))
+        for key in d:
+            if key not in allowed:
+                close = difflib.get_close_matches(key, allowed, n=1)
+                hint = f"; did you mean {prefix}{close[0]}?" if close else ""
+                raise InvalidRecord(f"unknown config key {prefix}{key}{hint}")
+        # decoded first: a nested section's message names its own keys
+        values = {key: d[key] if decode is None else decode(d[key])
+                  for key, _, decode in _codec(cls) if key in d}
+        try:
+            return cls(**values)
+        except InvalidRecord as exc:  # its message starts with the key
+            raise InvalidRecord(f"{prefix}{exc}") from None
+
+
 def expect_type(value: Any, kind: type, name: str) -> Any:
     """``value`` if it is a JSON ``kind`` (list or dict), else a
     ``TypeError`` naming ``name``."""
@@ -142,18 +189,24 @@ def _codec(cls: type) -> tuple[tuple[str, Any, Any], ...]:
 
 def _converters(hint: Any, name: str) -> tuple[Any, Any]:
     """The (encode, decode) pair for one annotation; None keeps the value."""
+    if isinstance(hint, type) and issubclass(hint, ConfigRecord):
+        return hint.to_dict, functools.partial(hint.from_dict, name=name)
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.to_dict, hint.from_dict
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return operator.attrgetter("value"), hint
     origin = get_origin(hint)
+    if origin in (Union, types.UnionType):  # X | None: null stays None
+        encode, decode = _converters(get_args(hint)[0], name)
+        return (encode and (lambda v: v if v is None else encode(v)),
+                decode and (lambda v: v if v is None else decode(v)))
     if origin is tuple:
         encode, decode = _converters(get_args(hint)[0], f"{name} item")
         if encode is None:
             return list, lambda v: tuple(expect_type(v, list, name))
         return (lambda v: [encode(x) for x in v],
                 lambda v: tuple(map(decode, expect_type(v, list, name))))
-    if origin is not None and issubclass(origin, collections.abc.Mapping):
+    if origin in (dict, collections.abc.Mapping):
         return dict, lambda v: expect_type(v, dict, name)
     return None, None
 
@@ -320,23 +373,11 @@ class Trajectory(Record):
 
 
 @dataclass(frozen=True)
-class DecodingParams(Record):
+class DecodingParams(ConfigRecord, section="decoding"):
     """Generation parameters; temperature defaults to 0 for determinism."""
 
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-
-    def __post_init__(self):
-        _require(_is_number(self.temperature) and self.temperature >= 0,
-                 f"temperature must be a number >= 0, got {self.temperature!r}")
-        require_int(self.max_output_tokens, "max_output_tokens", 1)
-
-    @classmethod
-    def from_dict(cls, d: Any) -> "DecodingParams":
-        """A key that names no field raises ``InvalidRecord``."""
-        _require(isinstance(d, Mapping), "decoding must be a JSON object")
-        require_keys(d, (f.name for f in fields(cls)), "decoding.")
-        return super().from_dict(d)
+    temperature: NonNegative = 0.0
+    max_output_tokens: PositiveInt = 1024
 
 
 # a "\ud800"-style JSON escape can decode to a lone surrogate, a str that

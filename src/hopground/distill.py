@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import (DecodingParams, Document, GroundingKind, Question,
-                   expect_type, read_jsonl, scalar_text, write_jsonl)
+from .core import (ConfigRecord, Count, DecodingParams, Document,
+                   GroundingKind, PositiveInt, Question, expect_type,
+                   read_jsonl, scalar_text, write_jsonl)
 from .errors import EmptyRecords, LlmError, MalformedGrounding, MissingRevision
 from .evaluation import cover_em
 from .grounding import parse_grounding
@@ -32,6 +33,12 @@ DROP_MISALIGNED = "misaligned"
 DROP_LLM_ERROR = "llm_error"
 
 DEFAULT_NOISE_DOCS = 9  # gold + 9 mirrors top-10 retrieval at inference
+
+
+@dataclass(frozen=True)
+class SynthesisConfig(ConfigRecord, section="synthesis"):
+    noise_docs: Count = DEFAULT_NOISE_DOCS
+    concurrency: PositiveInt = 1
 
 
 @dataclass(frozen=True)

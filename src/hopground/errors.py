@@ -9,6 +9,10 @@ class InvalidRecord(HopgroundError, ValueError):
     """A domain object violates one of its invariants."""
 
 
+class ConfigError(HopgroundError):
+    """A config file, or what one of its sections configures, is unusable."""
+
+
 # --- LLM client ---
 
 class LlmError(HopgroundError):

@@ -13,11 +13,12 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Literal, Protocol, Sequence,
+                    TypeVar)
 
-from .core import (DecodingParams, Record, TokenCounts, require_int,
-                   require_positive)
-from .errors import ParseError, ScriptExhausted, TransportError
+from .core import (ConfigRecord, DecodingParams, Positive, PositiveInt,
+                   Record, TokenCounts)
+from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
 from .transport import DEFAULT_MAX_ATTEMPTS, post_json
 
 if TYPE_CHECKING:
@@ -136,12 +137,6 @@ class OpenAIChatClient:
                  api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = DEFAULT_TIMEOUT,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        for name, value in (("base_url", base_url), ("model", model),
-                            ("api_key_env", api_key_env)):
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
-        require_positive(timeout, "timeout")
-        require_int(max_attempts, "max_attempts", 1)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(api_key_env, "")
@@ -217,3 +212,41 @@ class RecordingClient:
     def snapshot(self) -> TokenCounts:
         with self._lock:
             return self.totals
+
+
+@dataclass(frozen=True)
+class LlmConfig(ConfigRecord, section="llm"):
+    """One model role's config section: ``llm`` (deducer and grounder),
+    ``judge_llm``, ``student_llm`` or ``teacher_llm``."""
+
+    backend: Literal["openai", "scripted"] | None = None
+    script_path: str | None = None
+    base_url: str | None = None
+    model: str | None = None
+    api_key_env: str = "OPENAI_API_KEY"
+    timeout: Positive = DEFAULT_TIMEOUT
+    max_attempts: PositiveInt = DEFAULT_MAX_ATTEMPTS
+    max_concurrency: object = None  # removed; declared to name its successor
+
+    def client(self, role: str) -> LlmClient:
+        """The client this section configures; ``role`` is its key."""
+        if self.max_concurrency is not None:
+            raise ConfigError(
+                f"{role}.max_concurrency is no longer supported: requests in "
+                "flight are limited by pipeline.concurrency alone "
+                "(synthesis.concurrency for synth)")
+        if self.backend == "scripted":
+            if self.script_path is None:
+                raise ConfigError(f"{role}: scripted backend needs script_path")
+            try:
+                return ScriptedClient.from_file(self.script_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{role}: bad scripted backend: {exc}") from exc
+        if self.backend == "openai":
+            base_url = os.environ.get("HOPGROUND_BASE_URL") or self.base_url
+            if not base_url or not self.model:
+                raise ConfigError(f"{role}: openai backend needs base_url and model")
+            return OpenAIChatClient(
+                base_url, self.model, api_key_env=self.api_key_env,
+                timeout=self.timeout, max_attempts=self.max_attempts)
+        raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")

@@ -12,57 +12,36 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Literal, Protocol, Sequence, TypeVar
 
-from .core import (DecodingParams, Document, HopRecord, Question, Record,
-                   Termination, TokenCounts, TokenUsage, Trajectory,
-                   read_jsonl, require_int, require_keys, require_positive,
-                   write_jsonl)
+from . import retrieval
+from .core import (ConfigRecord, DecodingParams, Document, HopRecord,
+                   Positive, PositiveInt, Question, Termination, TokenCounts,
+                   TokenUsage, Trajectory, read_jsonl, write_jsonl)
 from .deduction import DeductionKind, deduce
-from .errors import EmptyQuery, HopgroundError
+from .errors import ConfigError, EmptyQuery, HopgroundError, RetrievalError
 from .grounding import ground
 from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
-from .retrieval import CorpusIndex
-from .retrieval import bm25 as _bm25
 from .retrieval.external import DEFAULT_TIMEOUT, retrieve_external
 
 log = logging.getLogger(__name__)
-
-RETRIEVER_KINDS = ("bm25", "external")
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
-class PipelineConfig(Record):
-    max_hops: int = 5
-    top_k: int = 10
-    batch_size: int = 3
-    retriever: str = "bm25"
+class PipelineConfig(ConfigRecord, section="pipeline"):
+    max_hops: PositiveInt = 5
+    top_k: PositiveInt = 10
+    batch_size: PositiveInt = 3
+    retriever: Literal["bm25", "external"] = "bm25"
     decoding: DecodingParams = DecodingParams()
     strict_citation: bool = False
-    concurrency: int = 4
-
-    def __post_init__(self):
-        for name in ("max_hops", "top_k", "batch_size", "concurrency"):
-            require_int(getattr(self, name), name, 1)
-        if self.retriever not in RETRIEVER_KINDS:
-            raise ValueError(f"retriever must be one of {RETRIEVER_KINDS}")
-        if not isinstance(self.decoding, DecodingParams):
-            raise ValueError("decoding must be DecodingParams")
-        if not isinstance(self.strict_citation, bool):
-            raise ValueError("strict_citation must be true or false")
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PipelineConfig":
-        """Build from a config's ``pipeline`` section; a key that names no
-        field raises ``InvalidRecord``."""
-        require_keys(d, (f.name for f in fields(cls)), "pipeline.")
-        return super().from_dict(d)
+    concurrency: PositiveInt = 4
 
 
 class Retriever(Protocol):
@@ -71,12 +50,12 @@ class Retriever(Protocol):
 
 @dataclass(frozen=True)
 class BM25Retriever:
-    index: CorpusIndex
+    index: retrieval.CorpusIndex
 
     def retrieve(self, query: str, top_k: int) -> list[Document]:
         """A query with no indexable term retrieves nothing."""
         try:
-            return _bm25.retrieve(self.index, query, top_k)
+            return retrieval.bm25.retrieve(self.index, query, top_k)
         except EmptyQuery:
             return []
 
@@ -86,13 +65,37 @@ class ExternalRetriever:
     endpoint: str
     timeout: float = DEFAULT_TIMEOUT
 
-    def __post_init__(self):
-        if not isinstance(self.endpoint, str):
-            raise ValueError("external_endpoint must be a string")
-        require_positive(self.timeout, "timeout")
-
     def retrieve(self, query: str, top_k: int) -> list[Document]:
         return retrieve_external(self.endpoint, query, top_k, timeout=self.timeout)
+
+
+@dataclass(frozen=True)
+class RetrievalConfig(ConfigRecord, section="retrieval"):
+    index_path: str | None = None
+    corpus_path: str | None = None
+    external_endpoint: str | None = None
+    timeout: Positive = DEFAULT_TIMEOUT
+
+    def retriever(self, kind: str) -> Retriever:
+        """The ``kind`` retriever; a BM25 index is loaded from
+        ``index_path``, or else built from ``corpus_path``."""
+        if kind == "external":
+            if not self.external_endpoint:
+                raise ConfigError(
+                    "external retriever needs retrieval.external_endpoint")
+            return ExternalRetriever(self.external_endpoint, self.timeout)
+        try:
+            if self.index_path:
+                index = retrieval.load_index(self.index_path)
+            elif self.corpus_path:
+                index = retrieval.build_index(
+                    retrieval.load_corpus(self.corpus_path))
+            else:
+                raise ConfigError("bm25 retriever needs retrieval.index_path "
+                                  "or retrieval.corpus_path")
+        except (OSError, RetrievalError, ValueError) as exc:
+            raise ConfigError(f"cannot prepare bm25 index: {exc}") from exc
+        return BM25Retriever(index)
 
 
 def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
@@ -209,5 +212,15 @@ def write_trajectories(trajectories: Sequence[Trajectory],
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a trajectory file; a bad line raises ``MalformedDataset``."""
-    return read_jsonl(path, lambda record, _: Trajectory.from_dict(record))
+    """Read a trajectory file; a bad line, or one that repeats an earlier
+    line's question id, raises ``MalformedDataset``."""
+    seen: set[str] = set()
+
+    def parse(record: Any, _: int) -> Trajectory:
+        trajectory = Trajectory.from_dict(record)
+        if trajectory.question.id in seen:
+            raise ValueError(f"repeated question id {trajectory.question.id!r}")
+        seen.add(trajectory.question.id)
+        return trajectory
+
+    return read_jsonl(path, parse)

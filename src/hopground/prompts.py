@@ -15,8 +15,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .core import Document, HopRecord, Question, require_int
-from .errors import EmptyBatch, MissingPlaceholder
+from .core import ConfigRecord, Count, Document, HopRecord, Question
+from .errors import ConfigError, EmptyBatch, MissingPlaceholder, PromptError
 from .llm import ChatMessage
 
 # each template's name and the placeholders its renderer binds
@@ -121,8 +121,6 @@ class TemplateLibrary:
         for name in TEMPLATE_NAMES:
             if name not in templates:
                 raise ValueError(f"missing template {name!r}")
-        require_int(num_examples, "num_examples", 0)
-        require_int(doc_char_budget, "doc_char_budget", 0)  # 0: no budget
         self.templates = dict(templates)
         self.deduction_examples = tuple(deduction_examples)
         self.num_examples = num_examples
@@ -148,6 +146,20 @@ class TemplateLibrary:
         examples = [b for b in examples if b]
         return cls(templates, examples, num_examples=num_examples,
                    doc_char_budget=doc_char_budget)
+
+
+@dataclass(frozen=True)
+class TemplatesConfig(ConfigRecord, section="templates"):
+    dir: str | None = None
+    num_examples: Count = DEFAULT_NUM_EXAMPLES
+    doc_char_budget: Count = DEFAULT_DOC_CHAR_BUDGET  # 0: no budget
+
+    def load(self) -> TemplateLibrary:
+        try:
+            return TemplateLibrary.load(self.dir, self.num_examples,
+                                        self.doc_char_budget)
+        except (OSError, PromptError, ValueError) as exc:
+            raise ConfigError(f"cannot load templates: {exc}") from exc
 
 
 def render_deduction(library: TemplateLibrary, question: Question,

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from hopground.cli import main
+from hopground.cli import Config, main
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
@@ -10,6 +12,8 @@ from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      write_json, write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 @pytest.fixture()
@@ -195,6 +199,11 @@ class TestRunCommand:
         ({"pipeline": {"retriever": "external"},
           "retrieval": {"external_endpoint": "http://127.0.0.1:9",
                         "timeout": "30"}}, "timeout"),
+        ({"templates": {"dir": 5}}, "templates.dir"),
+        ({"retrieval": {"corpus_path": ["x"]}}, "retrieval.corpus_path"),
+        ({"retrieval": {"index_path": 5}}, "retrieval.index_path"),
+        ({"llm": {"backend": "scripted", "script_path": 7}},
+         "llm.script_path"),
     ])
     def test_wrong_typed_config_exits_one(self, festival_run, tmp_path,
                                           capsys, override, key):
@@ -233,6 +242,47 @@ class TestRunCommand:
         assert f"unknown config key {named}; did you mean {hint}?" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
+
+    def test_unused_section_is_type_checked(self, festival_run, tmp_path,
+                                            capsys):
+        config = write_json(tmp_path / "unused.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "synthesis": {"concurrency": "2"}})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "synthesis.concurrency" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("pipeline, flags", [
+        ({}, []),
+        ({"concurrency": 1}, ["--concurrency", "2"]),
+    ], ids=["default concurrency", "concurrency flag"])
+    def test_scripted_backend_needs_concurrency_one(
+            self, festival_run, tmp_path, capsys, pipeline, flags):
+        config = write_json(tmp_path / "wide.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "pipeline": pipeline})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"]), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "llm.backend" in err and "pipeline.concurrency" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
+    def test_config_that_is_not_utf8_exits_one(self, festival_run, tmp_path,
+                                               capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b'{"pipeline": {"retriever": "bm25\xe9"}}')
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "utf-8" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),
@@ -355,6 +405,19 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"{trajectories}" in err and "(line 1)" in err
         assert "Traceback" not in err
+
+    def test_repeated_question_id_exits_two(self, festival_run, tmp_path,
+                                            capsys):
+        golden = FIXTURES / "golden" / "trajectories.jsonl"
+        festival = golden.read_text(encoding="utf-8").splitlines()[0]
+        trajectories = tmp_path / "twice.jsonl"
+        trajectories.write_text(f"{festival}\n{festival}\n", encoding="utf-8")
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"repeated question id {FESTIVAL_QUESTION.id!r}" in err
+        assert "(line 2)" in err and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("bad_file", ["dataset", "trajectories"])
     def test_wrong_typed_question_exits_two(self, festival_run, bad_file,
@@ -521,6 +584,21 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_scripted_backend_needs_concurrency_one(self, synth_files,
+                                                    capsys):
+        config = json.loads(synth_files["config"].read_text(encoding="utf-8"))
+        config_path = write_json(synth_files["dir"] / "wide.json",
+                                 {**config, "synthesis": {"concurrency": 2}})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "student_llm.backend" in err
+        assert "synthesis.concurrency" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_noise_docs_flag_exits_one(self, synth_files, capsys):
         # two inputs of three noise documents each, on the threaded path;
         # -1 would slice off each input's last noise document
@@ -580,3 +658,23 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert "(line 2)" in err
         assert "Traceback" not in err
+
+
+def test_readme_config_block_names_every_key():
+    """README's Configuration example loads, and names every key of every
+    section record: a key added without its documentation fails here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1]
+    documented = json.loads(block.split("```", 1)[0])
+    named: dict[type, set[str]] = {}
+
+    def visit(record, section):
+        named.setdefault(type(record), set()).update(section)
+        for key, value in section.items():
+            if isinstance(value, dict):
+                visit(getattr(record, key), value)
+
+    visit(Config.from_dict(documented), documented)
+    # max_concurrency is declared only so that its message names its successor
+    assert named == {kind: {f.name for f in fields(kind)} - {"max_concurrency"}
+                     for kind in named}
