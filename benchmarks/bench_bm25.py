@@ -128,9 +128,10 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def write_record(path: str, record: dict) -> None:
-    """Add ``record`` to the ``runs`` of the JSON file at ``path``."""
-    key = ("label", "docs", "queries", "top_k", "seed")
+def write_record(path: str, record: dict,
+                 key=("label", "docs", "queries", "top_k", "seed")) -> None:
+    """Add ``record`` to the ``runs`` of the JSON file at ``path``, in place
+    of an earlier record with the same values of ``key``."""
     try:
         with open(path, encoding="utf-8") as f:
             runs = json.load(f)["runs"]

@@ -7,13 +7,13 @@ against cited evidence.  Also ships the evaluation harness and the
 grounding-distillation corpus synthesizer.
 """
 
+__version__ = "0.1.0"  # before the imports: transport reads it
+
 from .core import (DecodingParams, Document, GroundingKind, GroundingOutcome,
                    HopRecord, Question, Termination, TokenCounts, TokenUsage,
                    Trajectory)
 from .pipeline import (BM25Retriever, ExternalRetriever, PipelineConfig,
                        answer_dataset, answer_question)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BM25Retriever",

@@ -13,16 +13,12 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Literal, Protocol, Sequence,
-                    TypeVar)
+from typing import Callable, Literal, Protocol, Sequence, TypeVar
 
 from .core import (ConfigRecord, DecodingParams, Positive, PositiveInt,
                    Record, TokenCounts)
 from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
-from .transport import DEFAULT_MAX_ATTEMPTS, post_json
-
-if TYPE_CHECKING:
-    from requests import Response
+from .transport import DEFAULT_MAX_ATTEMPTS, check_url, post_json
 
 VALID_ROLES = ("system", "user", "assistant")
 
@@ -127,10 +123,11 @@ class OpenAIChatClient:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
     Requests go through ``transport.post_json``: 429/5xx replies and
-    connection errors are retried up to ``max_attempts`` attempts, and each
-    calling thread reuses its own pooled connection.  The client sets no
-    limit of its own on requests in flight: that is the number of threads
-    calling it.
+    connection errors are retried up to ``max_attempts`` attempts, a 3xx
+    reply is not followed, and each calling thread keeps one keep-alive
+    connection to the endpoint.  ``timeout`` bounds the connect and each
+    wait for reply bytes, not the whole call.  The client sets no limit of
+    its own on requests in flight: that is the number of threads calling it.
     """
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None,
@@ -152,19 +149,18 @@ class OpenAIChatClient:
             "temperature": params.temperature,
             "max_tokens": params.max_output_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = ({"Authorization": f"Bearer {self.api_key}"}
+                   if self.api_key else {})
 
         return self._parse_response(post_json(
             f"{self.base_url}/chat/completions", payload, self.timeout,
             headers, self.max_attempts))
 
     @staticmethod
-    def _parse_response(resp: Response) -> Completion:
+    def _parse_response(body: bytes) -> Completion:
         usage = (0, 0)  # an error raised before usage is read reports none
         try:
-            data = resp.json()
+            data = json.loads(body)
             reported = data.get("usage") or {}
             counts = TokenCounts(int(reported.get("prompt_tokens", 0)),
                                  int(reported.get("completion_tokens", 0)))
@@ -243,9 +239,15 @@ class LlmConfig(ConfigRecord, section="llm"):
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{role}: bad scripted backend: {exc}") from exc
         if self.backend == "openai":
-            base_url = os.environ.get("HOPGROUND_BASE_URL") or self.base_url
+            override = os.environ.get("HOPGROUND_BASE_URL")
+            base_url = override or self.base_url
             if not base_url or not self.model:
                 raise ConfigError(f"{role}: openai backend needs base_url and model")
+            try:
+                check_url(base_url)
+            except ValueError as exc:
+                key = "HOPGROUND_BASE_URL" if override else f"{role}.base_url"
+                raise ConfigError(f"{key} {exc}") from exc
             return OpenAIChatClient(
                 base_url, self.model, api_key_env=self.api_key_env,
                 timeout=self.timeout, max_attempts=self.max_attempts)

@@ -26,6 +26,7 @@ from .grounding import ground
 from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
 from .retrieval.external import DEFAULT_TIMEOUT, retrieve_external
+from .transport import check_url
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +84,11 @@ class RetrievalConfig(ConfigRecord, section="retrieval"):
             if not self.external_endpoint:
                 raise ConfigError(
                     "external retriever needs retrieval.external_endpoint")
+            try:
+                check_url(self.external_endpoint)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"retrieval.external_endpoint {exc}") from exc
             return ExternalRetriever(self.external_endpoint, self.timeout)
         try:
             if self.index_path:

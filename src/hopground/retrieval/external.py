@@ -10,6 +10,8 @@ client's do.
 
 from __future__ import annotations
 
+import json
+
 from ..core import Document
 from ..errors import MalformedResponse
 from ..transport import post_json
@@ -27,9 +29,9 @@ def retrieve_external(endpoint: str, query: str, top_k: int = 10,
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    resp = post_json(endpoint, {"query": query, "top_k": top_k}, timeout)
+    body = post_json(endpoint, {"query": query, "top_k": top_k}, timeout)
     try:
-        results = resp.json()["results"]
+        results = json.loads(body)["results"]
         return [parse_document(r, rank)
                 for rank, r in enumerate(results[:top_k], start=1)]
     except (ValueError, LookupError, TypeError, AttributeError) as exc:

@@ -3,6 +3,7 @@ the input files of scripted CLI runs."""
 
 import http.server
 import json
+import ssl
 import threading
 
 from hopground.core import Document, Question
@@ -66,26 +67,44 @@ class StubServer:
     """HTTP stub fed by a queue of (status, payload, headers) replies.
 
     ``payload`` may be a dict (sent as JSON) or a raw string.  Requests are
-    recorded as parsed JSON bodies in ``requests``, and the client address
-    each arrived from in ``peers``.  By default the server is single-threaded
-    and speaks HTTP/1.0, so every connection closes after its reply;
-    ``keep_alive=True`` makes it threaded and HTTP/1.1, so that a client can
-    send several requests over one connection.
+    recorded as parsed JSON bodies in ``requests``, their request targets in
+    ``targets``, their headers in ``headers`` and the client address each
+    arrived from in ``peers``.  A ``CONNECT`` is refused with 403, and its
+    target recorded in ``targets``.  By default the server is single-threaded and speaks HTTP/1.0, so every
+    connection closes after its reply; ``keep_alive=True`` makes it threaded
+    and HTTP/1.1, so that a client can send several requests over one
+    connection.  ``hang_up=True`` then closes each connection after its
+    reply without saying so, as a server whose idle timeout ran out does;
+    ``closed`` is set whenever the server has closed a connection.
+    ``certfile`` (a PEM file with the certificate and its key) makes it
+    speak https.
     """
 
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, hang_up: bool = False,
+                 certfile=None):
         self.replies: list[tuple[int, object, dict]] = []
         self.requests: list[dict] = []
+        self.targets: list[str] = []
+        self.headers: list[dict[str, str]] = []
         self.peers: list[tuple[str, int]] = []
+        self.closed = threading.Event()
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
             if keep_alive:
                 protocol_version = "HTTP/1.1"
 
+            def do_CONNECT(self):
+                stub.targets.append(self.path)
+                self.send_response(403)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
+                stub.targets.append(self.path)
+                stub.headers.append(dict(self.headers))
                 stub.peers.append(self.client_address)
                 try:
                     stub.requests.append(json.loads(raw))
@@ -103,13 +122,24 @@ class StubServer:
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
+                self.close_connection = self.close_connection or hang_up
 
             def log_message(self, *args):
                 pass
 
-        server_class = (http.server.ThreadingHTTPServer if keep_alive
-                        else http.server.HTTPServer)
-        self._server = server_class(("127.0.0.1", 0), Handler)
+        class Server(http.server.ThreadingHTTPServer if keep_alive
+                     else http.server.HTTPServer):
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                stub.closed.set()
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self._scheme = "https" if certfile else "http"
+        if certfile:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(certfile)
+            self._server.socket = context.wrap_socket(self._server.socket,
+                                                      server_side=True)
         # a short poll interval lets close() return in ~10 ms, not 0.5 s
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         kwargs={"poll_interval": 0.01},
@@ -118,7 +148,7 @@ class StubServer:
 
     @property
     def url(self) -> str:
-        return f"http://127.0.0.1:{self._server.server_port}"
+        return f"{self._scheme}://127.0.0.1:{self._server.server_port}"
 
     def queue(self, status: int, payload, headers: dict | None = None) -> None:
         self.replies.append((status, payload, headers or {}))

@@ -284,6 +284,48 @@ class TestRunCommand:
         assert str(config) in err and "utf-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("base_url, env, key", [
+        ("localhost:8000/v1", None, "llm.base_url"),
+        ("ftp://x", None, "llm.base_url"),
+        ("http://", None, "llm.base_url"),
+        ("http://127.0.0.1:9", "localhost:8000/v1", "HOPGROUND_BASE_URL"),
+    ])
+    def test_malformed_base_url_exits_one(self, festival_run, tmp_path,
+                                          capsys, monkeypatch, base_url, env,
+                                          key):
+        if env is None:
+            monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        else:
+            monkeypatch.setenv("HOPGROUND_BASE_URL", env)
+        config = write_json(tmp_path / "url.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "llm": {**OPENAI, "base_url": base_url}})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be an http:// or https:// URL with a host" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8893/search", "ftp://x",
+                                          "http://h:port/search"])
+    def test_malformed_external_endpoint_exits_one(self, festival_run,
+                                                   tmp_path, capsys,
+                                                   endpoint):
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["pipeline"]["retriever"] = "external"
+        config["retrieval"] = {"external_endpoint": endpoint}
+        path = write_json(tmp_path / "endpoint.json", config)
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert ("retrieval.external_endpoint must be an http:// or https:// "
+                f"URL with a host, got {endpoint!r}") in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", "/nonexistent/config.json",

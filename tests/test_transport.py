@@ -1,5 +1,11 @@
+import functools
 import json
+import os
+import re
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +20,7 @@ from hopground.retrieval import retrieve_external
 from helpers import StubServer
 
 USER = [ChatMessage(role="user", content="hello there")]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture()
@@ -49,8 +56,8 @@ class TestRetryAfter:
     def test_wait_is_longer_of_backoff_and_header(self, stub, sleeps, header,
                                                   wait):
         stub.queue(429, {"error": "slow down"}, {"Retry-After": header})
-        resp = transport.post_json(ok(stub).url, {}, timeout=5)
-        assert resp.json() == {"ok": True}
+        body = transport.post_json(ok(stub).url, {}, timeout=5)
+        assert json.loads(body) == {"ok": True}
         assert sleeps == [transport.BACKOFF_BASE if wait is None else wait]
 
     def test_backoff_doubles_without_header(self, stub, sleeps):
@@ -90,6 +97,156 @@ class TestConnectionFailures:
             with pytest.raises(TransportError, match="timed out"):
                 transport.post_json(url, {}, timeout=0.05)
         assert len(sleeps) == 2
+
+    def test_connection_closed_while_idle_is_replaced_for_free(self, sleeps):
+        stub = StubServer(keep_alive=True, hang_up=True)
+        try:
+            ok(ok(stub))
+            transport.post_json(stub.url, {}, timeout=5)
+            assert stub.closed.wait(timeout=5)
+            transport.post_json(stub.url, {}, timeout=5)
+        finally:
+            stub.close()
+        assert sleeps == []
+        assert len(stub.requests) == 2
+
+
+class TestFailsAtOnce:
+    @pytest.mark.parametrize("url", ["localhost:8000/v1", "ftp://x",
+                                     "http://", "http://h:port/v1"])
+    def test_malformed_url(self, sleeps, url):
+        with pytest.raises(TransportError,
+                           match="must be an http:// or https:// URL"):
+            transport.post_json(url, {}, timeout=5)
+        assert sleeps == []
+
+    def test_non_finite_payload(self, stub, sleeps):
+        with pytest.raises(TransportError, match="not JSON compliant"):
+            transport.post_json(stub.url, {"temperature": float("inf")},
+                                timeout=5)
+        assert stub.requests == [] and sleeps == []
+
+    def test_header_that_cannot_be_sent(self, stub, sleeps):
+        with pytest.raises(TransportError, match="cannot send"):
+            transport.post_json(stub.url, {}, timeout=5,
+                                headers={"Authorization": "Bearer k\r\n"})
+        assert stub.requests == [] and sleeps == []
+
+    def test_redirect_is_not_followed(self, stub, sleeps):
+        stub.queue(307, {"moved": True}, {"Location": f"{stub.url}/new"})
+        with pytest.raises(TransportError, match="HTTP 307"):
+            transport.post_json(ok(stub).url, {}, timeout=5)
+        assert stub.targets == ["/"] and sleeps == []
+
+
+def test_request_shape(stub):
+    transport.post_json(ok(stub).url + "/v1/search?k=1", {"query": "q"},
+                        timeout=5, headers={"Authorization": "Bearer k"})
+    assert stub.targets == ["/v1/search?k=1"]
+    assert stub.requests == [{"query": "q"}]
+    headers = stub.headers[0]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"].startswith("hopground/")
+    assert headers["Authorization"] == "Bearer k"
+
+
+@pytest.fixture()
+def no_proxies(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.mark.usefixtures("no_proxies")
+class TestProxies:
+    def test_http_request_goes_to_the_proxy_in_absolute_form(
+            self, stub, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", stub.url)
+        url = "http://upstream.test:8080/v1/chat/completions"
+        ok(stub)
+        body = transport.post_json(url, {"a": 1}, timeout=5)
+        assert json.loads(body) == {"ok": True}
+        assert stub.targets == [url]
+        assert stub.requests == [{"a": 1}]
+
+    def test_no_proxy_match_bypasses_the_proxy(self, stub, monkeypatch):
+        proxy = StubServer()
+        try:
+            monkeypatch.setenv("HTTP_PROXY", proxy.url)
+            monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+            transport.post_json(ok(stub).url + "/direct", {}, timeout=5)
+        finally:
+            proxy.close()
+        assert stub.targets == ["/direct"]
+        assert proxy.targets == []
+
+    @pytest.mark.parametrize("proxy", ["http://:3128", "proxy:abc",
+                                       "socks5://proxy:1080"])
+    def test_malformed_proxy_fails_at_once(self, sleeps, monkeypatch, proxy):
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        with pytest.raises(TransportError, match="bad proxy"):
+            transport.post_json("http://bad-proxy.test/v1", {}, timeout=5)
+        assert sleeps == []
+
+    def test_https_request_tunnels_through_connect(self, stub, monkeypatch):
+        monkeypatch.setenv("HTTPS_PROXY", stub.url)
+        with pytest.raises(TransportError, match="Tunnel connection failed"):
+            transport.post_json("https://secure.test:8443/v1", {}, timeout=5,
+                                max_attempts=1)
+        assert stub.targets == ["secure.test:8443"]
+        assert stub.requests == []
+
+
+@pytest.mark.usefixtures("no_proxies")
+class TestTls:
+    @pytest.fixture(autouse=True)
+    def fresh_context(self, monkeypatch):
+        # the context reads SSL_CERT_FILE once; each test builds its own
+        monkeypatch.setattr(transport, "_tls_context", functools.cache(
+            transport._tls_context.__wrapped__))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+
+    @pytest.fixture()
+    def tls_stub(self):
+        server = StubServer(certfile=str(FIXTURES / "localhost.pem"))
+        yield server
+        server.close()
+
+    def test_ssl_cert_file_names_the_trusted_store(self, tls_stub,
+                                                   monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(FIXTURES / "localhost.pem"))
+        url = ok(tls_stub).url.replace("127.0.0.1", "localhost")
+        assert json.loads(transport.post_json(url, {}, timeout=5)) == {
+            "ok": True}
+
+    @pytest.mark.parametrize("host, trusted, reason", [
+        ("127.0.0.1", True, r"not valid for '127\.0\.0\.1'"),
+        ("localhost", False, "self.signed certificate"),
+    ])
+    def test_unverified_server_is_refused(self, tls_stub, monkeypatch, host,
+                                          trusted, reason):
+        if trusted:
+            monkeypatch.setenv("SSL_CERT_FILE",
+                               str(FIXTURES / "localhost.pem"))
+        else:
+            monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        url = tls_stub.url.replace("127.0.0.1", host)
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"
+                           ) as err:
+            transport.post_json(url, {}, timeout=5, max_attempts=1)
+        assert re.search(reason, str(err.value))
+        assert tls_stub.requests == []
+
+
+def test_cli_import_loads_no_requests():
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hopground.cli; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # --- payload fuzz: each reply ends in a result or the client's typed error
