@@ -1,8 +1,8 @@
 """Domain types shared by every module, and the one JSONL reader/writer.
 
 All types are frozen dataclasses: immutable after construction and safe to
-share between threads.  Each type validates its invariants on construction.
-The records subclass ``Record``, whose JSON object is its field list, so
+share between threads.  The records subclass ``Record``, which checks each
+field against its annotation, and whose JSON object is its field list, so
 JSON round-trips are exact (``from_dict(to_dict(x)) == x``).
 """
 
@@ -57,42 +57,49 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidRecord(message)
 
 
-def _is_number(value: Any) -> bool:
-    """An int or a float; a bool is neither here, so JSON ``true`` is not 1."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# field types that carry a rule on top of their base type: an annotation's
+# metadata is the noun its messages use and the predicate a value must meet
+Count = Annotated[int, "an integer >= 0", lambda v: v >= 0]
+PositiveInt = Annotated[int, "an integer >= 1", lambda v: v >= 1]
+NonNegative = Annotated[float, "a number >= 0", lambda v: v >= 0]
+Positive = Annotated[float, "a number > 0", lambda v: v > 0]
+Text = Annotated[str, "a non-blank string", str.strip]
+
+# a bool is no number here, so JSON true is not 1; a class's own
+# __instancecheck__ is isinstance() with the class bound
+_PLAIN = {
+    bool: (bool.__instancecheck__, "true or false"),
+    int: (lambda v: type(v) is not bool and isinstance(v, int), "an integer"),
+    float: (lambda v: type(v) is not bool and isinstance(v, (int, float)),
+            "a number"),
+    str: (str.__instancecheck__, "a string"),
+}
 
 
-# config value types whose bound is part of the type
-Count = Annotated[int, ">=", 0]
-PositiveInt = Annotated[int, ">=", 1]
-NonNegative = Annotated[float, ">=", 0]
-Positive = Annotated[float, ">", 0]
-
-_NOUNS = {bool: "true or false", int: "an integer", float: "a number",
-          str: "a string"}
-
-
-def _check_type(value: Any, hint: Any, name: str) -> None:
-    """Raise ``InvalidRecord`` naming ``name`` unless ``value`` has the type
-    ``hint``: a bool is no number, an int is a float, ``X | None`` admits
-    null, a ``Literal`` its values and an ``Annotated`` bound its range."""
-    if get_origin(hint) in (Union, types.UnionType):  # X | None
-        if value is None:
-            return
-        hint = get_args(hint)[0]
-    if get_origin(hint) is Literal:
-        _require(value in get_args(hint),
-                 f"{name} must be one of {get_args(hint)}, got {value!r}")
-        return
-    kind, *bound = get_args(hint) if get_origin(hint) is Annotated else [hint]
-    ok = (_is_number(value) if kind is float else isinstance(value, kind)
-          and not (kind is int and isinstance(value, bool)))
-    noun = _NOUNS.get(kind, kind.__name__)
-    if bound:
-        op, low = bound
-        ok = ok and (value > low if op == ">" else value >= low)
-        noun += f" {op} {low}"
-    _require(ok, f"{name} must be {noun}, got {value!r}")
+def _checker(hint: Any) -> tuple[Callable[[Any], Any], str]:
+    """The predicate a value of type ``hint`` meets, and the noun a message
+    names it by.  An int is a float; ``X | None`` admits null, a ``Literal``
+    its values, ``tuple[X, ...]`` a list or tuple of X and ``Mapping[K, V]``
+    a mapping from K to V."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):  # X | None
+        ok, noun = _checker(args[0])
+        return (lambda v: v is None or ok(v)), noun
+    if origin is Literal:
+        return args.__contains__, f"one of {args}"
+    if origin is Annotated:
+        (ok, _), noun, rule = _checker(args[0]), *args[1:]
+        return (lambda v: ok(v) and rule(v)), noun
+    if origin is tuple:
+        ok, noun = _checker(args[0])
+        return ((lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))),
+                f"a list, each item {noun}")
+    if origin in (dict, collections.abc.Mapping):
+        (key_ok, _), (ok, noun) = map(_checker, args)
+        return ((lambda v: isinstance(v, collections.abc.Mapping)
+                 and all(key_ok(k) and ok(x) for k, x in v.items())),
+                f"an object, each value {noun}")
+    return _PLAIN.get(hint) or (hint.__instancecheck__, hint.__name__)
 
 
 def scalar_text(value: Any, name: str) -> str:
@@ -101,11 +108,6 @@ def scalar_text(value: Any, name: str) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"{name} is {type(value).__name__}, not a string or number")
     return str(value)
-
-
-def _is_text(value: Any) -> bool:
-    """A string with at least one non-whitespace character."""
-    return isinstance(value, str) and bool(value.strip())
 
 
 class Record:
@@ -117,7 +119,19 @@ class Record:
     is written as it is.  ``from_dict`` reverses this: a key it omits keeps
     the field's default, a key that names no field is ignored, and a value
     that is not a JSON object raises ``TypeError`` naming the class.
+
+    Construction checks each field against its annotation (``_checker``).
+    A subclass's ``__post_init__`` calls this one first, then coerces its
+    values and checks the rules that span fields.
     """
+
+    def __post_init__(self):
+        all_ok, checks = _checks(type(self))
+        if not all_ok(self):
+            for name, ok, noun in checks:  # name the first bad field
+                value = getattr(self, name)
+                if not ok(value):
+                    raise InvalidRecord(f"{name} must be {noun}, got {value!r}")
 
     def to_dict(self) -> dict[str, Any]:
         d = {}
@@ -135,19 +149,15 @@ class Record:
 
 class ConfigRecord(Record):
     """A config file section: each field declares a key, its type and its
-    default.  Every value is checked against its field's annotation, and
-    ``from_dict`` also rejects a non-object and an unknown key.  A message
-    names a key as ``name.key``: ``name`` is the field that holds the
-    section in its parent, or the class's own ``section`` at the top."""
+    default.  As in every record, each value is checked against its
+    field's annotation; ``from_dict`` also rejects a non-object and an
+    unknown key.  A message names a key as ``name.key``: ``name`` is the
+    field that holds the section in its parent, or the class's own
+    ``section`` at the top."""
 
     def __init_subclass__(cls, section: str = "", **kwargs: Any):
         super().__init_subclass__(**kwargs)
         cls.section = section
-
-    def __post_init__(self):
-        hints = get_type_hints(type(self), include_extras=True)
-        for f in fields(self):
-            _check_type(getattr(self, f.name), hints[f.name], f.name)
 
     @classmethod
     def from_dict(cls: type[_T], d: Any, name: str | None = None) -> _T:
@@ -187,6 +197,21 @@ def _codec(cls: type) -> tuple[tuple[str, Any, Any], ...]:
                  for f in fields(cls))
 
 
+@functools.cache
+def _checks(cls: type) -> tuple[Callable[[Any], Any], tuple[tuple, ...]]:
+    """A function true of a record whose fields all pass their checks, and
+    each field's name, predicate and noun; built once per class.  The
+    function is compiled, as ``dataclasses`` compiles ``__init__``, because
+    a loop over the fields made building a ``Document`` twice as slow."""
+    hints = get_type_hints(cls, include_extras=True)
+    checks = tuple((f.name, *_checker(hints[f.name])) for f in fields(cls))
+    scope = {f"ok{i}": ok for i, (_, ok, _) in enumerate(checks)}
+    test = " and ".join(f"ok{i}(record.{name})"
+                        for i, (name, _, _) in enumerate(checks))
+    exec(f"def all_ok(record): return {test or True}", scope)
+    return scope["all_ok"], checks
+
+
 def _converters(hint: Any, name: str) -> tuple[Any, Any]:
     """The (encode, decode) pair for one annotation; None keeps the value."""
     if isinstance(hint, type) and issubclass(hint, ConfigRecord):
@@ -216,15 +241,12 @@ class Question(Record):
     """One input question, optionally labeled with gold answers."""
 
     id: str
-    text: str
-    gold_answers: tuple[str, ...] = ()
+    text: Text
+    gold_answers: tuple[Text, ...] = ()
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _require(isinstance(self.id, str), "question id must be a string")
-        _require(_is_text(self.text), "question text must be a non-empty string")
-        _require(all(_is_text(a) for a in self.gold_answers),
-                 "gold answers must be non-empty strings")
+        super().__post_init__()
         object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -235,15 +257,8 @@ class Document(Record):
 
     id: str
     title: str
-    body: str
-    rank: int | None = None
-
-    def __post_init__(self):
-        _require(isinstance(self.id, str) and isinstance(self.title, str),
-                 "document id and title must be strings")
-        _require(_is_text(self.body), "document body must be a non-empty string")
-        _require(self.rank is None or self.rank >= 1,
-                 "document rank must be >= 1 when present")
+    body: Text
+    rank: PositiveInt | None = None
 
     def with_rank(self, rank: int) -> "Document":
         return Document(self.id, self.title, self.body, rank)
@@ -262,13 +277,10 @@ class GroundingOutcome(Record):
     raw_text: str = ""
 
     def __post_init__(self):
-        _require(isinstance(self.raw_text, str), "raw_text must be a string")
+        super().__post_init__()
         if self.kind is GroundingKind.CITED:
-            _require(isinstance(self.citation, str) and bool(self.citation),
-                     "cited outcome needs a citation string")
-            _require(isinstance(self.revised_answer, str)
-                     and bool(self.revised_answer),
-                     "cited outcome needs a revised answer string")
+            _require(bool(self.citation and self.revised_answer),
+                     "cited outcome needs a citation and a revised answer")
         else:
             _require(self.citation is None and self.revised_answer is None,
                      "empty outcome carries no citation or revision")
@@ -287,26 +299,17 @@ class HopRecord(Record):
     is byte-equal to ``immediate_answer``.
     """
 
-    index: int
-    sub_question: str
-    immediate_answer: str
+    index: PositiveInt
+    sub_question: Text
+    immediate_answer: Text
     retrieved: tuple[Document, ...]
     grounding: GroundingOutcome
-    revised_answer: str
-    batches_consumed: int
+    revised_answer: Text
+    batches_consumed: Count
     deduction_raw: str = ""
 
     def __post_init__(self):
-        _require(self.index >= 1, "hop index is 1-based")
-        _require(_is_text(self.sub_question),
-                 "sub_question must be a non-empty string")
-        _require(_is_text(self.immediate_answer),
-                 "immediate_answer must be a non-empty string")
-        _require(_is_text(self.revised_answer),
-                 "revised_answer must be a non-empty string")
-        _require(isinstance(self.deduction_raw, str),
-                 "deduction_raw must be a string")
-        _require(self.batches_consumed >= 0, "batches_consumed must be >= 0")
+        super().__post_init__()
         if self.grounding.kind is GroundingKind.EMPTY:
             _require(self.revised_answer == self.immediate_answer,
                      "empty grounding must keep the immediate answer verbatim")
@@ -317,12 +320,8 @@ class HopRecord(Record):
 class TokenCounts(Record):
     """Prompt/completion token totals for one or more LLM calls."""
 
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-    def __post_init__(self):
-        _require(self.prompt_tokens >= 0 and self.completion_tokens >= 0,
-                 "token counts must be >= 0")
+    prompt_tokens: Count = 0
+    completion_tokens: Count = 0
 
     def __add__(self, other: "TokenCounts") -> "TokenCounts":
         return TokenCounts(self.prompt_tokens + other.prompt_tokens,
@@ -362,11 +361,10 @@ class Trajectory(Record):
     token_usage: TokenUsage = TokenUsage()
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "hops", tuple(self.hops))
         for i, hop in enumerate(self.hops, start=1):
             _require(hop.index == i, "hop indices must run 1..n in order")
-        _require(isinstance(self.final_answer, str),
-                 "final answer must be a string")
         if self.termination is Termination.FINISH_SIGNAL:
             _require(bool(self.final_answer.strip()),
                      "finish signal requires a non-empty final answer")

@@ -15,9 +15,10 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import (ConfigRecord, Count, DecodingParams, Document,
-                   GroundingKind, PositiveInt, Question, expect_type,
+                   GroundingKind, PositiveInt, Question, Record, expect_type,
                    read_jsonl, scalar_text, write_jsonl)
-from .errors import EmptyRecords, LlmError, MalformedGrounding, MissingRevision
+from .errors import (EmptyRecords, InvalidRecord, LlmError, MalformedGrounding,
+                     MissingRevision)
 from .evaluation import cover_em
 from .grounding import parse_grounding
 from .llm import ChatMessage, LlmClient
@@ -74,7 +75,7 @@ class SynthesisInput:
 
 
 @dataclass(frozen=True)
-class TrainingExample:
+class TrainingExample(Record):
     """One synthesized pair: grounding instruction -> teacher trajectory."""
 
     instruction: str
@@ -82,21 +83,24 @@ class TrainingExample:
     immediate_answer: str
     target: str
     gold_doc_id: str
-    gold_position: int  # 1-based slot of the gold document
+    gold_position: PositiveInt  # 1-based slot of the gold document
     verdict: Verdict
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.gold_position > len(self.documents):
+            raise InvalidRecord(
+                f"gold_position {self.gold_position} is past the last of "
+                f"{len(self.documents)} documents")
+
     def to_dict(self, include_verdict: bool = False) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "instruction": self.instruction,
-            "documents": [doc.to_dict() for doc in self.documents],
-            "immediate_answer": self.immediate_answer,
-            "target": self.target,
-            "gold_doc_id": self.gold_doc_id,
-            "gold_position": self.gold_position,
-        }
+        """The record's JSON object, whose verdict is written only when
+        asked for, as ``verdict`` ("keep" or "drop") and ``drop_reason``."""
+        d = super().to_dict()
+        verdict = d.pop("verdict")
         if include_verdict:
-            d["verdict"] = "keep" if self.verdict.keep else "drop"
-            d["drop_reason"] = self.verdict.reason
+            d["verdict"] = "keep" if verdict.keep else "drop"
+            d["drop_reason"] = verdict.reason
         return d
 
     @classmethod
@@ -104,15 +108,7 @@ class TrainingExample:
         expect_type(d, dict, cls.__name__)
         verdict = (Verdict.kept() if d.get("verdict", "keep") == "keep"
                    else Verdict.drop(d.get("drop_reason") or "unknown"))
-        return cls(
-            instruction=d["instruction"],
-            documents=tuple(Document.from_dict(x) for x in d["documents"]),
-            immediate_answer=d["immediate_answer"],
-            target=d["target"],
-            gold_doc_id=d["gold_doc_id"],
-            gold_position=d["gold_position"],
-            verdict=verdict,
-        )
+        return super().from_dict({**d, "verdict": verdict})
 
 
 def apply_filters(target: str, gold_answer: str, gold_doc: Document) -> Verdict:

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, Protocol, Sequence, TypeVar
 
-from .core import (ConfigRecord, DecodingParams, Positive, PositiveInt,
-                   Record, TokenCounts)
+from .core import (ConfigRecord, Count, DecodingParams, Positive,
+                   PositiveInt, Record, TokenCounts)
 from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
 from .transport import DEFAULT_MAX_ATTEMPTS, check_url, post_json
-
-VALID_ROLES = ("system", "user", "assistant")
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -29,23 +27,15 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class ChatMessage(Record):
-    role: str
+    role: Literal["system", "user", "assistant"]
     content: str
-
-    def __post_init__(self):
-        if self.role not in VALID_ROLES:
-            raise ValueError(f"role must be one of {VALID_ROLES}, got {self.role!r}")
 
 
 @dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     text: str
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-    def __post_init__(self):
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be >= 0")
+    prompt_tokens: Count = 0
+    completion_tokens: Count = 0
 
     @property
     def counts(self) -> TokenCounts:

@@ -187,8 +187,10 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
 
     Output order matches input order.  ``progress(done, total)`` fires on
     the calling thread after each completion, whatever order they come in.
-    An interrupt, or any exception out of ``progress``, lets the items in
-    flight finish, starts no other item, and propagates.
+    On threads, an interrupt, or any exception out of ``progress``, lets the
+    items in flight finish, starts no other item, and propagates.  At
+    concurrency 1 the items run on the calling thread, so an interrupt stops
+    the item it lands in.
     """
     total = len(items)
     if concurrency == 1 or total <= 1:

@@ -47,6 +47,17 @@ MAX_RETRY_AFTER = 30.0  # longest wait a server's Retry-After can ask for
 _HEADERS = {"Content-Type": "application/json",
             "User-Agent": f"hopground/{__version__}"}
 
+
+class _Connections(dict):
+    """One thread's connections by origin, closed as the thread (or, for the
+    main thread, the interpreter) ends: none is left for the garbage
+    collector to close with a ``ResourceWarning``."""
+
+    def __del__(self):
+        for conn, _ in self.values():
+            conn.close()
+
+
 _local = threading.local()
 
 
@@ -109,7 +120,7 @@ def _connection(parts: urllib.parse.SplitResult,
                 timeout: float) -> tuple[http.client.HTTPConnection, str]:
     """This thread's connection to ``parts``' service, and its target
     prefix; a new one when there is none or the last one was closed."""
-    connections = _local.__dict__.setdefault("connections", {})
+    connections = _local.__dict__.setdefault("connections", _Connections())
     origin = (parts.scheme, parts.netloc)
     conn, prefix = connections.get(origin, (None, ""))
     if conn is None or conn.sock is None or _closed_while_idle(conn.sock):

@@ -167,21 +167,26 @@ class StubServer:
 
 
 class InFlightStub:
-    """Threaded chat-completions stub that holds every reply until ``width``
-    requests are in flight at once; ``most_in_flight`` is the peak seen."""
+    """Threaded keep-alive (HTTP/1.1) chat-completions stub that holds every
+    reply until ``width`` requests are in flight at once; ``most_in_flight``
+    is the peak seen, and ``peers`` the client address of each request."""
 
     def __init__(self, width: int):
         self.most_in_flight = 0
+        self.peers: list[tuple[str, int]] = []
         in_flight = 0
         lock = threading.Lock()
         barrier = threading.Barrier(width, timeout=5)
         stub = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 nonlocal in_flight
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 with lock:
+                    stub.peers.append(self.client_address)
                     in_flight += 1
                     stub.most_in_flight = max(stub.most_in_flight, in_flight)
                 try:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -167,6 +170,36 @@ class TestRunCommand:
         lines = (out / "trajectories.jsonl").read_text(
             encoding="utf-8").splitlines()
         assert [json.loads(x)["final_answer"] for x in lines] == ["x"] * 6
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_keep_alive_connections_are_closed(self, festival_run, tmp_path,
+                                               concurrency):
+        # -X dev shows the ResourceWarning of a socket left unclosed until
+        # its thread, or the interpreter, ends
+        dataset = tmp_path / "two.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"Question {i}?",
+                               "answers": ["x"]} for i in range(2)])
+        stub = InFlightStub(1)
+        try:
+            config = write_json(tmp_path / "stub.json", {
+                "llm": {"backend": "openai", "base_url": stub.url,
+                        "model": "stub", "api_key_env": "HOPGROUND_NO_KEY"},
+                "retrieval": {"corpus_path": str(festival_run["corpus"])},
+            })
+            env = {k: v for k, v in os.environ.items()
+                   if k != "HOPGROUND_BASE_URL"}
+            env["PYTHONPATH"] = str(ROOT / "src")
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "hopground", "run",
+                 "--dataset", str(dataset), "--config", str(config),
+                 "--out", str(tmp_path / "out"),
+                 "--concurrency", str(concurrency)],
+                env=env, capture_output=True, text=True, timeout=60)
+        finally:
+            stub.close()
+        assert result.returncode == 0, result.stderr
+        assert len(stub.peers) == 2
+        assert "ResourceWarning" not in result.stderr
 
     def test_llm_max_concurrency_is_rejected(self, festival_run, tmp_path,
                                              capsys):
@@ -500,6 +533,19 @@ class TestEvalCommand:
         assert f"{trajectories}" in err and "(line 1)" in err
         assert "Traceback" not in err
 
+    def test_boolean_hop_index_exits_two(self, festival_run, capsys):
+        trajectories = self.run_festival(festival_run)
+        record = json.loads(trajectories.read_text(encoding="utf-8"))
+        record["hops"][0]["index"] = True
+        write_jsonl(trajectories, [record])
+        capsys.readouterr()
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectories}" in err and "(line 1)" in err
+        assert "index must be an integer >= 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad_file", ["corpus", "dataset",
                                           "trajectories"])
     def test_lone_surrogate_exits_two(self, festival_run, bad_file, capsys):
@@ -699,6 +745,26 @@ class TestStatsCommand:
         assert main(["stats", "--corpus", str(out)]) == 2
         err = capsys.readouterr().err
         assert "(line 2)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("instruction", 5), ("target", ["t"]), ("gold_position", "x"),
+        ("gold_position", 99), ("gold_position", 0)])
+    def test_malformed_corpus_line_exits_two(self, synth_files, capsys, key,
+                                             value):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3",
+                     "--config", str(synth_files["config"])]) == 0
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        records[1][key] = value
+        write_jsonl(out, records)
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}" in err and "(line 2)" in err
+        assert key in err
         assert "Traceback" not in err
 
 

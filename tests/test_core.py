@@ -1,13 +1,19 @@
+import enum
 import json
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hopground.cli  # noqa: F401  (defines every config record)
 from hopground.core import (DecodingParams, Document, GroundingKind,
-                            GroundingOutcome, HopRecord, Question,
+                            GroundingOutcome, HopRecord, Question, Record,
                             Termination, TokenCounts, TokenUsage, Trajectory)
+from hopground.distill import TrainingExample, Verdict
 from hopground.errors import InvalidRecord
+from hopground.llm import ChatMessage, Completion
 
 text_st = st.text(min_size=1).filter(lambda s: s.strip())
 ids_st = st.text(
@@ -125,6 +131,13 @@ WRONG_TYPED_FIELDS = {
     "grounding revision": (("hops", 0, "grounding", "revised_answer"), ["x"]),
     "grounding raw text": (("hops", 0, "grounding", "raw_text"), 7),
     "final answer": (("final_answer",), 42),
+    "hop index": (("hops", 0, "index"), True),
+    "document rank": (("hops", 0, "retrieved", 0, "rank"), 2.5),
+    "batches consumed": (("hops", 0, "batches_consumed"), True),
+    "prompt tokens": (("token_usage", "total", "prompt_tokens"), 1.5),
+    "completion tokens": (("token_usage", "total", "completion_tokens"),
+                          False),
+    "metadata": (("question", "metadata"), {"a": 1}),
 }
 
 
@@ -142,6 +155,69 @@ def test_wrong_typed_field_is_invalid_record(path, value):
     parent[path[-1]] = value
     with pytest.raises(InvalidRecord):
         Trajectory.from_dict(record)
+
+
+def _records(cls=Record):
+    """Every record class, config sections included."""
+    for sub in cls.__subclasses__():
+        if is_dataclass(sub):
+            yield sub
+        yield from _records(sub)
+
+
+def _wrong_values(value):
+    """Values of another JSON type than ``value``'s, and numbers of the
+    wrong kind: a bool for a number, a fraction for an integer."""
+    if value is None:  # an optional field: any value but null is one type
+        return [5, []]
+    if isinstance(value, bool):
+        return [1, "true"]
+    if isinstance(value, int):
+        return [True, 1.5, "1"]
+    if isinstance(value, float):
+        return [True, "1.0"]
+    if isinstance(value, (tuple, list)):
+        return ["x", [5]]
+    if isinstance(value, dict):
+        return [[], {"k": 5}]
+    if isinstance(value, str) and not isinstance(value, enum.Enum):
+        return [5, ["x"]]
+    return [5, "x"]  # a nested record, an enum or a verdict
+
+
+_DOC = Document(id="d", title="T", body="b", rank=1)
+RECORD_SAMPLES = {  # a valid instance of each record with required fields
+    Question: Question(id="q", text="t?", gold_answers=("a",),
+                       metadata={"k": "v"}),
+    Document: _DOC,
+    GroundingOutcome: make_hop().grounding,
+    HopRecord: make_hop(),
+    TokenUsage: TokenUsage(per_hop=(TokenCounts(1, 2),),
+                           total=TokenCounts(1, 2)),
+    Trajectory: Trajectory(question=Question(id="q", text="t?"),
+                           hops=(make_hop(),), final_answer="Paris",
+                           termination=Termination.FINISH_SIGNAL),
+    ChatMessage: ChatMessage(role="user", content="hi"),
+    Completion: Completion(text="x", prompt_tokens=1, completion_tokens=2),
+    TrainingExample: TrainingExample(
+        instruction="i", documents=(_DOC,), immediate_answer="a",
+        target="t", gold_doc_id="d", gold_position=1, verdict=Verdict.kept()),
+}
+WRONG_FIELD_VALUES = [
+    pytest.param(sample, f.name, wrong,
+                 id=f"{cls.__name__}.{f.name}={wrong!r}")
+    for cls in _records()
+    for sample in [RECORD_SAMPLES.get(cls) or cls()]
+    for f in fields(cls)
+    if get_type_hints(cls)[f.name] is not object  # any value is an object
+    for wrong in _wrong_values(getattr(sample, f.name))
+]
+
+
+@pytest.mark.parametrize("sample, name, wrong", WRONG_FIELD_VALUES)
+def test_every_record_field_rejects_a_wrong_type(sample, name, wrong):
+    with pytest.raises(InvalidRecord, match=f"^{name} must be"):
+        replace(sample, **{name: wrong})
 
 
 class TestDecodingParams:
