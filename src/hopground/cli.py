@@ -192,7 +192,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     library = None
     if args.judge:
         config = Config.load(args.config)
-        judge_llm = (config.judge_llm or config.llm).client("judge_llm")
+        role = "llm" if config.judge_llm is None else "judge_llm"
+        judge_llm = getattr(config, role).client(role)
         library = config.templates.load()
 
     records = []

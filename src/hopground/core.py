@@ -1,9 +1,10 @@
 """Domain types shared by every module, and the one JSONL reader/writer.
 
 All types are frozen dataclasses: immutable after construction and safe to
-share between threads.  The records subclass ``Record``, which checks each
-field against its annotation, and whose JSON object is its field list, so
-JSON round-trips are exact (``from_dict(to_dict(x)) == x``).
+share between threads.  The records subclass ``Record``, which reads each
+field's annotation once into one table: from it a record checks and stores
+its fields and writes its JSON object as its field list, so JSON
+round-trips are exact (``from_dict(to_dict(x)) == x``).
 """
 
 from __future__ import annotations
@@ -76,30 +77,50 @@ _PLAIN = {
 }
 
 
-def _checker(hint: Any) -> tuple[Callable[[Any], Any], str]:
-    """The predicate a value of type ``hint`` meets, and the noun a message
-    names it by.  An int is a float; ``X | None`` admits null, a ``Literal``
-    its values, ``tuple[X, ...]`` a list or tuple of X and ``Mapping[K, V]``
-    a mapping from K to V."""
+def _none_or(f: Callable[[Any], Any] | None) -> Callable[[Any], Any] | None:
+    """``f`` for a value that is not None; None keeps None."""
+    return f and (lambda v: v if v is None else f(v))
+
+
+def _field(hint: Any, name: str) -> tuple:
+    """One annotation, read once: a field's encoder, decoder and store (each
+    None keeps the value as it is), the predicate a value meets and the noun
+    a message names it by.  An int is a float; ``X | None`` admits null, a
+    ``Literal`` its values, ``tuple[X, ...]`` a list or tuple of X, stored
+    as a tuple, and ``Mapping[K, V]`` a mapping from K to V, stored as a
+    dict.  ``name`` starts the messages of a nested config section."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, types.UnionType):  # X | None
-        ok, noun = _checker(args[0])
-        return (lambda v: v is None or ok(v)), noun
-    if origin is Literal:
-        return args.__contains__, f"one of {args}"
+    if origin in (Union, types.UnionType):  # X | None: null stays None
+        *convert, ok, noun = _field(args[0], name)
+        return (*map(_none_or, convert), (lambda v: v is None or ok(v)), noun)
     if origin is Annotated:
-        (ok, _), noun, rule = _checker(args[0]), *args[1:]
-        return (lambda v: ok(v) and rule(v)), noun
+        (*convert, ok, _), noun, rule = _field(args[0], name), *args[1:]
+        return (*convert, (lambda v: ok(v) and rule(v)), noun)
+    if origin is Literal:
+        return None, None, None, args.__contains__, f"one of {args}"
     if origin is tuple:
-        ok, noun = _checker(args[0])
-        return ((lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))),
+        encode, decode, _, ok, noun = _field(args[0], f"{name} item")
+        return ((lambda v: [encode(x) for x in v]) if encode else list,
+                (lambda v: tuple(map(decode, expect_type(v, list, name))))
+                if decode else (lambda v: tuple(expect_type(v, list, name))),
+                tuple,
+                lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
                 f"a list, each item {noun}")
     if origin in (dict, collections.abc.Mapping):
-        (key_ok, _), (ok, noun) = map(_checker, args)
-        return ((lambda v: isinstance(v, collections.abc.Mapping)
-                 and all(key_ok(k) and ok(x) for k, x in v.items())),
+        (*_, key_ok, _), (*_, ok, noun) = (_field(a, name) for a in args)
+        return (dict, lambda v: expect_type(v, dict, name), dict,
+                lambda v: (isinstance(v, collections.abc.Mapping)
+                           and all(key_ok(k) and ok(x) for k, x in v.items())),
                 f"an object, each value {noun}")
-    return _PLAIN.get(hint) or (hint.__instancecheck__, hint.__name__)
+    check = _PLAIN.get(hint) or (hint.__instancecheck__, hint.__name__)
+    if issubclass(hint, ConfigRecord):
+        decode = functools.partial(hint.from_dict, name=name)
+        return hint.to_dict, decode, None, *check
+    if issubclass(hint, Record):
+        return hint.to_dict, hint.from_dict, None, *check
+    if issubclass(hint, enum.Enum):
+        return operator.attrgetter("value"), hint, None, *check
+    return None, None, None, *check
 
 
 def scalar_text(value: Any, name: str) -> str:
@@ -113,21 +134,21 @@ def scalar_text(value: Any, name: str) -> str:
 class Record:
     """Base of the frozen dataclasses that serialize to a JSON object.
 
-    The object's keys are the dataclass fields in declaration order.  Each
-    field converts by its annotation: a nested record to its dict, a tuple
-    to a list, an enum to its value and a mapping to a dict; any other value
-    is written as it is.  ``from_dict`` reverses this: a key it omits keeps
-    the field's default, a key that names no field is ignored, and a value
-    that is not a JSON object raises ``TypeError`` naming the class.
-
-    Construction checks each field against its annotation (``_checker``).
-    A subclass's ``__post_init__`` calls this one first, then coerces its
-    values and checks the rules that span fields.
+    Each field's annotation is read once per class into one table
+    (``_table``).  Construction checks each field against it, then stores a
+    list given for a tuple field as a tuple and a mapping as a dict.  A
+    subclass's ``__post_init__`` calls this one first, then checks the
+    rules that span fields.  The JSON object's keys are the fields in
+    declaration order: a nested record converts to its dict, a tuple to a
+    list, an enum to its value and a mapping to a dict; any other value is
+    written as it is.  ``from_dict`` reverses this: a key it omits keeps the
+    field's default, a key that names no field is ignored, and a value that
+    is not a JSON object raises ``TypeError`` naming the class.
     """
 
     def __post_init__(self):
-        all_ok, checks = _checks(type(self))
-        if not all_ok(self):
+        check, checks, _ = _table(type(self))
+        if not check(self):
             for name, ok, noun in checks:  # name the first bad field
                 value = getattr(self, name)
                 if not ok(value):
@@ -135,16 +156,14 @@ class Record:
 
     def to_dict(self) -> dict[str, Any]:
         d = {}
-        for name, encode, _ in _codec(type(self)):
+        for name, encode, _ in _table(type(self))[2]:
             value = getattr(self, name)
             d[name] = value if encode is None else encode(value)
         return d
 
     @classmethod
     def from_dict(cls: type[_T], d: Any) -> _T:
-        expect_type(d, dict, cls.__name__)
-        return cls(**{name: d[name] if decode is None else decode(d[name])
-                      for name, _, decode in _codec(cls) if name in d})
+        return cls(**_decoded(cls, expect_type(d, dict, cls.__name__)))
 
 
 class ConfigRecord(Record):
@@ -171,9 +190,7 @@ class ConfigRecord(Record):
                 close = difflib.get_close_matches(key, allowed, n=1)
                 hint = f"; did you mean {prefix}{close[0]}?" if close else ""
                 raise InvalidRecord(f"unknown config key {prefix}{key}{hint}")
-        # decoded first: a nested section's message names its own keys
-        values = {key: d[key] if decode is None else decode(d[key])
-                  for key, _, decode in _codec(cls) if key in d}
+        values = _decoded(cls, d)  # first: a nested section names its keys
         try:
             return cls(**values)
         except InvalidRecord as exc:  # its message starts with the key
@@ -190,50 +207,34 @@ def expect_type(value: Any, kind: type, name: str) -> Any:
 
 
 @functools.cache
-def _codec(cls: type) -> tuple[tuple[str, Any, Any], ...]:
-    """Each field's name, encoder and decoder, resolved once per class."""
-    hints = get_type_hints(cls)
-    return tuple((f.name, *_converters(hints[f.name], f.name))
-                 for f in fields(cls))
-
-
-@functools.cache
-def _checks(cls: type) -> tuple[Callable[[Any], Any], tuple[tuple, ...]]:
-    """A function true of a record whose fields all pass their checks, and
-    each field's name, predicate and noun; built once per class.  The
-    function is compiled, as ``dataclasses`` compiles ``__init__``, because
-    a loop over the fields made building a ``Document`` twice as slow."""
+def _table(cls: type) -> tuple[Callable[[Any], bool], tuple, tuple]:
+    """A record class's fields from one ``get_type_hints`` call: a function
+    that checks every field and, if all pass, stores each; the (name,
+    predicate, noun) rows that name the first bad field; and the (name,
+    encoder, decoder) rows of the codec.  The function is compiled, as
+    ``dataclasses`` compiles ``__init__``, because a loop over the fields
+    made building a ``Document`` twice as slow."""
     hints = get_type_hints(cls, include_extras=True)
-    checks = tuple((f.name, *_checker(hints[f.name])) for f in fields(cls))
-    scope = {f"ok{i}": ok for i, (_, ok, _) in enumerate(checks)}
-    test = " and ".join(f"ok{i}(record.{name})"
-                        for i, (name, _, _) in enumerate(checks))
-    exec(f"def all_ok(record): return {test or True}", scope)
-    return scope["all_ok"], checks
+    rows = [(f.name, *_field(hints[f.name], f.name)) for f in fields(cls)]
+    scope, tests, stores = {"setattr": object.__setattr__}, [], []
+    for i, (name, _, _, store, ok, _) in enumerate(rows):
+        scope[f"ok{i}"], scope[f"store{i}"] = ok, store
+        tests.append(f"ok{i}(self.{name})")
+        if store:
+            stores.append(f"setattr(self, {name!r}, store{i}(self.{name}))")
+    body = [f"if not ({' and '.join(tests) or True}): return False", *stores,
+            "return True"]
+    exec("def check(self):\n    " + "\n    ".join(body), scope)
+    return (scope["check"],
+            tuple((name, ok, noun) for name, *_, ok, noun in rows),
+            tuple((name, encode, decode) for name, encode, decode, *_ in rows))
 
 
-def _converters(hint: Any, name: str) -> tuple[Any, Any]:
-    """The (encode, decode) pair for one annotation; None keeps the value."""
-    if isinstance(hint, type) and issubclass(hint, ConfigRecord):
-        return hint.to_dict, functools.partial(hint.from_dict, name=name)
-    if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.to_dict, hint.from_dict
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return operator.attrgetter("value"), hint
-    origin = get_origin(hint)
-    if origin in (Union, types.UnionType):  # X | None: null stays None
-        encode, decode = _converters(get_args(hint)[0], name)
-        return (encode and (lambda v: v if v is None else encode(v)),
-                decode and (lambda v: v if v is None else decode(v)))
-    if origin is tuple:
-        encode, decode = _converters(get_args(hint)[0], f"{name} item")
-        if encode is None:
-            return list, lambda v: tuple(expect_type(v, list, name))
-        return (lambda v: [encode(x) for x in v],
-                lambda v: tuple(map(decode, expect_type(v, list, name))))
-    if origin in (dict, collections.abc.Mapping):
-        return dict, lambda v: expect_type(v, dict, name)
-    return None, None
+def _decoded(cls: type, d: dict) -> dict[str, Any]:
+    """The keyword arguments of the record ``d`` encodes; a key ``d`` omits
+    is left to the field's default."""
+    return {name: d[name] if decode is None else decode(d[name])
+            for name, _, decode in _table(cls)[2] if name in d}
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,6 @@ class Question(Record):
     text: Text
     gold_answers: tuple[Text, ...] = ()
     metadata: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "gold_answers", tuple(self.gold_answers))
-        object.__setattr__(self, "metadata", dict(self.metadata))
 
 
 @dataclass(frozen=True)
@@ -313,7 +309,6 @@ class HopRecord(Record):
         if self.grounding.kind is GroundingKind.EMPTY:
             _require(self.revised_answer == self.immediate_answer,
                      "empty grounding must keep the immediate answer verbatim")
-        object.__setattr__(self, "retrieved", tuple(self.retrieved))
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,6 @@ class Trajectory(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "hops", tuple(self.hops))
         for i, hop in enumerate(self.hops, start=1):
             _require(hop.index == i, "hop indices must run 1..n in order")
         if self.termination is Termination.FINISH_SIGNAL:

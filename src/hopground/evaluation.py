@@ -206,7 +206,7 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
                             gold_answers=("yes" if label else "no",))
         # hotpotqa / musique / 2wiki
         return Question(id=qid, text=record["question"],
-                        gold_answers=tuple(_gold_list(record)))
+                        gold_answers=_gold_list(record))
 
     data = Path(path).read_bytes()
     if not data.lstrip().startswith(b"["):

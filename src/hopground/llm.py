@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Literal, Protocol, Sequence, TypeVar
 
 from .core import (ConfigRecord, Count, DecodingParams, Positive,
-                   PositiveInt, Record, TokenCounts)
+                   PositiveInt, Record, TokenCounts, loads_utf8)
 from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
 from .transport import DEFAULT_MAX_ATTEMPTS, check_url, post_json
 
@@ -84,7 +84,7 @@ class ScriptedClient:
     def from_file(cls, path: str | Path) -> "ScriptedClient":
         """Load a JSON array of response strings."""
         with open(path, encoding="utf-8") as f:
-            responses = json.load(f)
+            responses = loads_utf8(f.read())
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise ValueError(f"{path}: script file must be a JSON array of strings")
         return cls(responses)
@@ -159,6 +159,7 @@ class OpenAIChatClient:
             if not isinstance(text, str):
                 raise TypeError(f"message content is {type(text).__name__}, "
                                 "not a string")
+            text.encode("utf-8")  # a lone surrogate could not be written
         except (ValueError, AttributeError, LookupError, TypeError,
                 OverflowError) as exc:
             raise TransportError(f"unusable completion payload: {exc}",

@@ -137,7 +137,7 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
                 index=len(hops) + 1,
                 sub_question=result.sub_question,
                 immediate_answer=result.immediate_answer,
-                retrieved=tuple(docs),
+                retrieved=docs,
                 grounding=outcome,
                 revised_answer=revised,
                 batches_consumed=consumed,
@@ -157,10 +157,10 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
         final_answer = hops[-1].revised_answer if hops else ""
     return Trajectory(
         question=question,
-        hops=tuple(hops),
+        hops=hops,
         final_answer=final_answer,
         termination=termination,
-        token_usage=TokenUsage(per_hop=tuple(per_hop), total=recorder.snapshot()),
+        token_usage=TokenUsage(per_hop=per_hop, total=recorder.snapshot()),
     )
 
 

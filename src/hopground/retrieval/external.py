@@ -10,9 +10,7 @@ client's do.
 
 from __future__ import annotations
 
-import json
-
-from ..core import Document
+from ..core import Document, loads_utf8
 from ..errors import MalformedResponse
 from ..transport import post_json
 from .corpus import parse_document
@@ -31,7 +29,7 @@ def retrieve_external(endpoint: str, query: str, top_k: int = 10,
         raise ValueError("top_k must be >= 1")
     body = post_json(endpoint, {"query": query, "top_k": top_k}, timeout)
     try:
-        results = json.loads(body)["results"]
+        results = loads_utf8(body.decode("utf-8"))["results"]
         return [parse_document(r, rank)
                 for rank, r in enumerate(results[:top_k], start=1)]
     except (ValueError, LookupError, TypeError, AttributeError) as exc:

@@ -413,6 +413,63 @@ class TestRunCommand:
         finally:
             stub.close()
 
+    @pytest.mark.parametrize("source", ["chat", "retrieval"])
+    def test_lone_surrogate_in_a_reply_is_a_failed_question(
+            self, festival_run, tmp_path, monkeypatch, source):
+        # json.dumps writes ASCII: the surrogate arrives as a \ud800 escape
+        from helpers import StubServer
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        stub = StubServer()
+        try:
+            if source == "chat":
+                reply = {"message": {"content": "###Finish[x\ud800]"}}
+                stub.queue(200, {"choices": [reply], "usage": {
+                    "prompt_tokens": 7, "completion_tokens": 3}})
+                config["llm"] = {"backend": "openai", "base_url": stub.url,
+                                 "model": "m",
+                                 "api_key_env": "HOPGROUND_NO_KEY"}
+            else:
+                bad = {**FESTIVAL_CORPUS[0].to_dict(), "body": "bad\ud800"}
+                stub.queue(200, {"results": [bad]})
+                config["pipeline"]["retriever"] = "external"
+                config["retrieval"] = {"external_endpoint":
+                                       stub.url + "/search"}
+            path = write_json(tmp_path / "surrogate.json", config)
+            out = tmp_path / "surrogate-out"
+            assert main(["run", "--dataset", str(festival_run["dataset"]),
+                         "--config", str(path), "--out", str(out)]) == 0
+        finally:
+            stub.close()
+        trajectory = json.loads((out / "trajectories.jsonl")
+                                .read_text(encoding="utf-8"))
+        assert trajectory["termination"] == "parse_failure"
+        total = trajectory["token_usage"]["total"]
+        if source == "chat":  # the tokens the server reported are kept
+            assert total == {"prompt_tokens": 7, "completion_tokens": 3}
+        assert total["prompt_tokens"] > 0
+        manifest = json.loads((out / "manifest.json").read_text(
+            encoding="utf-8"))
+        assert manifest["totals"]["prompt_tokens"] == total["prompt_tokens"]
+        assert manifest["totals"]["llm_calls"] == 1
+
+    def test_lone_surrogate_in_the_script_exits_one(self, festival_run,
+                                                    tmp_path, capsys):
+        script = tmp_path / "surrogate-script.json"
+        # ASCII-only JSON: the surrogate is a \ud800 escape
+        script.write_text(json.dumps(["###Finish[x\ud800]"]), encoding="utf-8")
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["llm"]["script_path"] = str(script)
+        path = write_json(tmp_path / "surrogate.json", config)
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "llm: bad scripted backend" in err
+        assert "surrogates not allowed" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
     def test_per_question_failure_still_exits_zero(self, festival_run, tmp_path):
         dataset = tmp_path / "two.jsonl"
         write_jsonl(dataset, [
@@ -575,6 +632,20 @@ class TestEvalCommand:
         assert f"{path}" in err and f"(line {len(records)})" in err
         assert "surrogates not allowed" in err
         assert "Traceback" not in err
+
+    def test_judge_falling_back_to_llm_names_llm_keys(
+            self, festival_run, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        trajectories = self.run_festival(festival_run)
+        config = write_json(tmp_path / "judge.json",
+                            {"llm": {**OPENAI, "base_url": "localhost:8000/v1"}})
+        capsys.readouterr()
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"]), "--judge",
+                     "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "llm.base_url must be an http:// or https:// URL" in err
+        assert "judge_llm" not in err
 
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
         questions = [{"id": f"q{i}", "question": f"Q{i}?", "answers": ["gold"]}

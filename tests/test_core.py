@@ -1,7 +1,7 @@
 import enum
 import json
 from dataclasses import fields, is_dataclass, replace
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import pytest
 from hypothesis import given
@@ -218,6 +218,28 @@ WRONG_FIELD_VALUES = [
 def test_every_record_field_rejects_a_wrong_type(sample, name, wrong):
     with pytest.raises(InvalidRecord, match=f"^{name} must be"):
         replace(sample, **{name: wrong})
+
+
+def _hash_or_none(record):
+    try:
+        return hash(record)
+    except TypeError:  # a mapping field (a question's metadata) is a dict
+        return None
+
+
+@pytest.mark.parametrize("cls", _records(), ids=lambda cls: cls.__name__)
+def test_every_record_stores_lists_as_tuples_and_round_trips(cls):
+    sample = RECORD_SAMPLES.get(cls) or cls()
+    hints = get_type_hints(cls)
+    tuples = [f.name for f in fields(cls) if get_origin(hints[f.name]) is tuple]
+    record = replace(sample, **{name: list(getattr(sample, name))
+                                for name in tuples})
+    assert all(type(getattr(record, name)) is tuple for name in tuples)
+    assert record == sample
+    assert _hash_or_none(record) == _hash_or_none(sample)
+    options = {"include_verdict": True} if cls is TrainingExample else {}
+    payload = json.loads(json.dumps(record.to_dict(**options)))
+    assert cls.from_dict(payload) == record
 
 
 class TestDecodingParams:
