@@ -26,7 +26,6 @@ from .errors import (ConfigError, EmptyRecords, InvalidRecord, LlmError,
 from .llm import LlmConfig, RecordingClient
 from .pipeline import PipelineConfig, RetrievalConfig
 from .prompts import TemplatesConfig
-from .retrieval import bm25
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,10 +131,11 @@ def run_manifest(pipe_config: pipeline.PipelineConfig,
 
 def cmd_index(args: argparse.Namespace) -> int:
     try:
-        bm25.check_params(args.k1, args.b)
+        retrieval.bm25.check_params(args.k1, args.b)
     except ValueError as exc:  # its message starts with the parameter name
         raise ConfigError(f"--{exc}") from exc
-    # no name holds the corpus, so its documents are freed before the save
+    # the build parses the corpus file one document at a time and keeps
+    # none, so no document list is held at the build's peak
     index = retrieval.build_index(retrieval.load_corpus(args.corpus),
                                   k1=args.k1, b=args.b)
     retrieval.save_index(index, args.out)
@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and persist a BM25 index cache")
     p.add_argument("--corpus", required=True, help="corpus JSONL (id, title, body)")
     p.add_argument("--out", required=True, help="index cache file to write")
-    p.add_argument("--k1", type=float, default=bm25.DEFAULT_K1)
-    p.add_argument("--b", type=float, default=bm25.DEFAULT_B)
+    p.add_argument("--k1", type=float, default=retrieval.DEFAULT_K1)
+    p.add_argument("--b", type=float, default=retrieval.DEFAULT_B)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("run", help="answer a dataset of questions")

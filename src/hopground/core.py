@@ -19,8 +19,9 @@ import re
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import (Annotated, Any, Callable, Iterable, Literal, Mapping,
-                    TypeVar, Union, get_args, get_origin, get_type_hints)
+from typing import (Annotated, Any, Callable, Iterable, Iterator, Literal,
+                    Mapping, TypeVar, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .errors import InvalidRecord, MalformedDataset
 
@@ -82,13 +83,21 @@ def _none_or(f: Callable[[Any], Any] | None) -> Callable[[Any], Any] | None:
     return f and (lambda v: v if v is None else f(v))
 
 
+def _read_only(mapping: Mapping) -> types.MappingProxyType:
+    """A read-only view of a copy of ``mapping``.  It compares equal to a
+    dict with the same items but cannot be hashed, so a mapping field is
+    declared with ``hash=False``."""
+    return types.MappingProxyType(dict(mapping))
+
+
 def _field(hint: Any, name: str) -> tuple:
     """One annotation, read once: a field's encoder, decoder and store (each
     None keeps the value as it is), the predicate a value meets and the noun
     a message names it by.  An int is a float; ``X | None`` admits null, a
     ``Literal`` its values, ``tuple[X, ...]`` a list or tuple of X, stored
     as a tuple, and ``Mapping[K, V]`` a mapping from K to V, stored as a
-    dict.  ``name`` starts the messages of a nested config section."""
+    read-only copy.  ``name`` starts the messages of a nested config
+    section."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, types.UnionType):  # X | None: null stays None
         *convert, ok, noun = _field(args[0], name)
@@ -108,7 +117,7 @@ def _field(hint: Any, name: str) -> tuple:
                 f"a list, each item {noun}")
     if origin in (dict, collections.abc.Mapping):
         (*_, key_ok, _), (*_, ok, noun) = (_field(a, name) for a in args)
-        return (dict, lambda v: expect_type(v, dict, name), dict,
+        return (dict, lambda v: expect_type(v, dict, name), _read_only,
                 lambda v: (isinstance(v, collections.abc.Mapping)
                            and all(key_ok(k) and ok(x) for k, x in v.items())),
                 f"an object, each value {noun}")
@@ -136,14 +145,15 @@ class Record:
 
     Each field's annotation is read once per class into one table
     (``_table``).  Construction checks each field against it, then stores a
-    list given for a tuple field as a tuple and a mapping as a dict.  A
-    subclass's ``__post_init__`` calls this one first, then checks the
-    rules that span fields.  The JSON object's keys are the fields in
-    declaration order: a nested record converts to its dict, a tuple to a
-    list, an enum to its value and a mapping to a dict; any other value is
-    written as it is.  ``from_dict`` reverses this: a key it omits keeps the
-    field's default, a key that names no field is ignored, and a value that
-    is not a JSON object raises ``TypeError`` naming the class.
+    list given for a tuple field as a tuple and a mapping as a read-only
+    copy (``_read_only``).  A subclass's ``__post_init__`` calls this one
+    first, then checks the rules that span fields.  The JSON object's keys
+    are the fields in declaration order: a nested record converts to its
+    dict, a tuple to a list, an enum to its value and a mapping to a dict;
+    any other value is written as it is.  ``from_dict`` reverses this: a key
+    it omits keeps the field's default, a key that names no field is
+    ignored, and a value that is not a JSON object raises ``TypeError``
+    naming the class.
     """
 
     def __post_init__(self):
@@ -244,7 +254,7 @@ class Question(Record):
     id: str
     text: Text
     gold_answers: tuple[Text, ...] = ()
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    metadata: Mapping[str, str] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -387,24 +397,26 @@ def loads_utf8(text: str) -> Any:
 
 
 def read_jsonl(path: str | Path,
-               parse: Callable[[Any, int], _T]) -> list[_T]:
-    """``parse(record, line_no)`` for each non-blank line of a UTF-8 file.
+               parse: Callable[[Any, int], _T]) -> Iterator[_T]:
+    """Yield ``parse(record, line_no)`` for each non-blank line of a UTF-8
+    file, reading a line only when the next record is asked for.
 
     Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its line.  A
     line that is not UTF-8 or not JSON, that holds a string UTF-8 cannot
     encode, or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
-    ``ValueError``, raises ``MalformedDataset`` at its line.
+    ``ValueError``, raises ``MalformedDataset`` at its line, when it is
+    reached.  The file closes when the generator ends or is closed.
     """
-    records = []
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
-                if line.strip():
-                    records.append(parse(loads_utf8(line), line_no))
+                if not line.strip():
+                    continue
+                record = parse(loads_utf8(line), line_no)
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-    return records
+            yield record
 
 
 def write_json(value: Any, path: str | Path) -> None:

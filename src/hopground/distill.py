@@ -245,17 +245,17 @@ def emit_corpus(examples: Sequence[TrainingExample], path: str | Path,
 
 def load_training_corpus(path: str | Path) -> list[TrainingExample]:
     """Reload an emitted corpus file; a bad line raises ``MalformedDataset``."""
-    return read_jsonl(path,
-                      lambda record, _: TrainingExample.from_dict(record))
+    return list(read_jsonl(
+        path, lambda record, _: TrainingExample.from_dict(record)))
 
 
 def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:
     """Read synthesis inputs: JSONL of
     ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``, each
     document read as a corpus line is (``corpus.parse_document``)."""
-    return read_jsonl(path, lambda record, _: SynthesisInput(
+    return list(read_jsonl(path, lambda record, _: SynthesisInput(
         question=Question(id=scalar_text(record["id"], "id"),
                           text=record["question"],
                           gold_answers=(scalar_text(record["answer"], "answer"),)),
         gold_doc=parse_document(record["gold_doc"]),
-        noise_docs=tuple(map(parse_document, record.get("noise_docs", [])))))
+        noise_docs=tuple(map(parse_document, record.get("noise_docs", []))))))

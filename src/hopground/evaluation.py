@@ -210,7 +210,7 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
 
     data = Path(path).read_bytes()
     if not data.lstrip().startswith(b"["):
-        return read_jsonl(path, to_question)
+        return list(read_jsonl(path, to_question))
     try:
         records = loads_utf8(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or a lone surrogate

@@ -231,4 +231,4 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
         seen.add(trajectory.question.id)
         return trajectory
 
-    return read_jsonl(path, parse)
+    return list(read_jsonl(path, parse))

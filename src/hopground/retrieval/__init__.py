@@ -1,15 +1,21 @@
-"""Pluggable document retrieval: local BM25 index or an external service."""
+"""Pluggable document retrieval: local BM25 index or an external service.
 
-from .bm25 import (
-    CorpusIndex,
-    build_index,
-    load_index,
-    retrieve,
-    save_index,
-    tokenize,
-)
+The BM25 names are imported on first access (PEP 562), because ``bm25``
+loads numpy: a command that never touches a local index, such as ``run``
+against an external retriever, never loads it.  The BM25 parameter
+defaults live here, so that the CLI can show them without that import.
+"""
+
+import importlib
+
 from .corpus import load_corpus
 from .external import retrieve_external
+
+DEFAULT_K1 = 1.2
+DEFAULT_B = 0.75
+
+_BM25_NAMES = frozenset({"CorpusIndex", "build_index", "load_index",
+                         "retrieve", "save_index", "tokenize"})
 
 __all__ = [
     "CorpusIndex",
@@ -21,3 +27,10 @@ __all__ = [
     "save_index",
     "tokenize",
 ]
+
+
+def __getattr__(name: str):
+    if name == "bm25" or name in _BM25_NAMES:
+        bm25 = importlib.import_module(".bm25", __name__)
+        return bm25 if name == "bm25" else getattr(bm25, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,16 @@ three fields per document (id, title, body); :meth:`CorpusIndex.document`
 decodes a :class:`Document` only for a ranked hit.  Repeated query terms
 contribute once per occurrence.
 
+:func:`build_index` reads its documents once, as a stream (single-pass
+in-memory inversion): each document's fields go into one growing buffer and
+its token ids into one array as it arrives, so a caller that streams
+:func:`~hopground.retrieval.load_corpus` into it never holds a document
+list.  At the end, the documents are copied into id order and the terms are
+numbered as they first appear over the id-sorted documents, so every array,
+and the cache, is the same for any input order.  The arrays are consistent
+by construction; only :func:`load_index`, which reads a file from outside,
+checks them, and the :class:`CorpusIndex` constructor just derives from them.
+
 Each posting's BM25 contribution is computed once, by the constructor, into
 ``impact``, a ``float64`` array aligned with ``doc_idx``, derived on load
 rather than stored in the cache.  A posting therefore costs 13 bytes of
@@ -47,15 +57,13 @@ import zipfile
 from array import array
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core import Document
 from ..errors import DuplicateDocId, EmptyCorpus, EmptyQuery
-
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+from . import DEFAULT_B, DEFAULT_K1
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
 # each byte -> itself lowercased if an ASCII letter or digit, else a space
@@ -141,30 +149,23 @@ def _check_postings(n_docs: int, n_terms: int, offsets: np.ndarray,
 class CorpusIndex:
     """Immutable CSR inverted index; concurrent retrieval is safe.
 
-    Both :func:`build_index` and :func:`load_index` end here: the
-    constructor checks the layout and derives idf, length normalization and
-    each posting's contribution.
+    The constructor trusts its arrays and only derives idf, length
+    normalization and each posting's contribution from them:
+    :func:`build_index` makes them consistent by construction, and
+    :func:`load_index` checks a cache's arrays before it calls this.
     """
 
     def __init__(self, doc_text: np.ndarray, doc_offsets: np.ndarray,
-                 terms: Sequence[str], offsets: np.ndarray,
-                 doc_idx: np.ndarray, tfs: np.ndarray,
+                 doc_ids: tuple[str, ...], terms: Sequence[str],
+                 offsets: np.ndarray, doc_idx: np.ndarray, tfs: np.ndarray,
                  doc_lengths: np.ndarray, k1: float, b: float):
-        check_params(k1, b)
-        doc_ids = _check_documents(doc_text, doc_offsets)
-        rows = {term: row for row, term in enumerate(terms)}
-        if len(rows) != len(terms):
-            raise ValueError("duplicate term")
-        _check_postings(len(doc_ids), len(terms), offsets, doc_idx, tfs,
-                        doc_lengths)
-
         self.k1 = k1
         self.b = b
         self.doc_text = doc_text
         self.doc_offsets = doc_offsets
-        self.doc_ids: tuple[str, ...] = doc_ids
+        self.doc_ids = doc_ids
         self.terms: tuple[str, ...] = tuple(terms)
-        self._rows = rows
+        self._rows = {term: row for row, term in enumerate(self.terms)}
         self.offsets = offsets
         self.doc_idx = doc_idx
         self.tfs = tfs
@@ -229,70 +230,133 @@ class CorpusIndex:
                            minlength=n_docs)
 
 
-def build_index(corpus: Sequence[Document], k1: float = DEFAULT_K1,
+def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B) -> CorpusIndex:
     """Index a corpus; ids must be unique and the corpus non-empty.
 
-    The index keeps no reference to ``corpus`` or its documents.
+    ``corpus`` is read once, in order, so it may be a generator such as
+    :func:`load_corpus`: each document is encoded and tokenized as it
+    arrives and is not kept, and a repeated id raises ``DuplicateDocId``
+    at its first repeat.  The index is the same for any input order.
     """
     check_params(k1, b)  # before the work, not after it
-    if not corpus:
-        raise EmptyCorpus("cannot index an empty corpus")
-    seen: set[str] = set()
-    for doc in corpus:
-        if doc.id in seen:
-            raise DuplicateDocId(doc.id)
-        seen.add(doc.id)
-    # id-sorted storage keeps scoring and tie-breaks permutation-invariant
-    documents = sorted(corpus, key=lambda d: d.id)
-
-    # term ids in first-seen order, held as C ints rather than per-token objects
+    # term ids in first-seen input order, held as C ints rather than
+    # per-token objects; the fields of every document in one buffer
     vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     token_ids = array("i")
     lengths = array("q")
-    doc_text = bytearray()
-    doc_offsets = array("q", [0])
-    for doc in documents:
+    text = bytearray()
+    field_ends = array("q")
+    positions: dict[str, int] = {}  # id -> input position
+    for doc in corpus:
+        if doc.id in positions:
+            raise DuplicateDocId(doc.id)
+        positions[doc.id] = len(positions)
         for field in (doc.id, doc.title, doc.body):
-            doc_text += field.encode("utf-8")
-            doc_offsets.append(len(doc_text))
+            text += field.encode("utf-8")
+            field_ends.append(len(text))
         tokens = tokenize(_doc_text(doc))
         lengths.append(len(tokens))
         token_ids.extend(map(vocabulary.__getitem__, tokens))
-    n_docs = len(documents)
+    if not positions:
+        raise EmptyCorpus("cannot index an empty corpus")
+
+    # id-sorted storage keeps scoring and tie-breaks permutation-invariant:
+    # rank[d] is input document d's place in id order, order its inverse
+    doc_ids = sorted(positions)
+    order = np.fromiter(map(positions.__getitem__, doc_ids), dtype=np.intp,
+                        count=len(doc_ids))
+    del positions
+    n_docs = order.size
+    rank = np.empty(n_docs, dtype=np.int32)
+    rank[order] = np.arange(n_docs, dtype=np.int32)
+    doc_lengths = np.frombuffer(lengths, dtype=np.int64)
+    ids = np.frombuffer(token_ids, dtype=np.intc)
+
+    # terms numbered in the order they first appear over the id-sorted
+    # documents, as if the documents had arrived in id order
+    first = np.full(len(vocabulary), ids.size, dtype=np.int64)
+    np.minimum.at(first, ids, _sorted_positions(doc_lengths, order, rank))
+    by_first = np.argsort(first)
+    in_order = list(vocabulary)
+    terms = [in_order[t] for t in by_first.tolist()]
+    del vocabulary, in_order
+    renumber = np.empty(len(terms), dtype=np.int64)
+    renumber[by_first] = np.arange(len(terms))
 
     # one in-place sort of (term, doc) keys yields term-major postings with
-    # ascending documents; each run of equal keys is one posting
-    keys = np.frombuffer(token_ids, dtype=np.intc).astype(np.int64)
-    del token_ids
+    # ascending documents; each run of equal keys is one posting.  The
+    # temporaries are taken in turn, so the keys never sit beside both the
+    # postings and the run starts.
+    keys = renumber[ids]
+    del ids, token_ids
     keys *= n_docs
-    keys += np.repeat(np.arange(n_docs, dtype=np.int32),
-                      np.frombuffer(lengths, dtype=np.int64))
+    keys += np.repeat(rank, doc_lengths)
     keys.sort()
     run_start = np.empty(keys.size, dtype=bool)
     run_start[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    del run_start
-    postings = keys[starts]
+    postings = keys[run_start]
     n_tokens = keys.size
     del keys
+    offsets = np.searchsorted(
+        postings, np.arange(len(terms) + 1, dtype=np.int64) * n_docs)
+    postings %= n_docs
+    doc_idx = postings.astype(np.int32)
+    del postings
+    starts = np.flatnonzero(run_start)
+    del run_start
     counts = np.empty_like(starts)  # run lengths, without a concatenated copy
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1:] = n_tokens - starts[-1:]
     del starts
     tfs = counts.astype(np.min_scalar_type(counts.max(initial=1)))
     del counts
-    offsets = np.searchsorted(
-        postings, np.arange(len(vocabulary) + 1, dtype=np.int64) * n_docs)
-    postings %= n_docs
-    doc_idx = postings.astype(np.int32)
-    del postings
-    return CorpusIndex(np.frombuffer(doc_text, dtype=np.uint8),
-                       np.frombuffer(doc_offsets, dtype=np.int64),
-                       list(vocabulary), offsets, doc_idx, tfs,
-                       np.frombuffer(lengths, dtype=np.int64).astype(np.float64),
+    doc_text, doc_offsets = _permuted_documents(text, field_ends, order)
+    del text, field_ends
+    return CorpusIndex(doc_text, doc_offsets, tuple(doc_ids), terms, offsets,
+                       doc_idx, tfs, doc_lengths[order].astype(np.float64),
                        k1=k1, b=b)
+
+
+def _sorted_positions(lengths: np.ndarray, order: np.ndarray,
+                      rank: np.ndarray) -> np.ndarray:
+    """Each input token's position in the concatenation of the documents
+    in id order: its input position plus its document's shift.  It is
+    summed in place from unit steps with a jump where each non-empty
+    document starts, so it costs one ``int64`` per token, not two."""
+    in_starts = np.cumsum(lengths) - lengths
+    sorted_lengths = lengths[order]
+    shift = (np.cumsum(sorted_lengths) - sorted_lengths)[rank] - in_starts
+    nonempty = lengths > 0
+    steps = np.ones(int(lengths.sum()), dtype=np.int64)
+    steps[in_starts[nonempty]] += np.diff(shift[nonempty], prepend=1)
+    return np.cumsum(steps, out=steps)
+
+
+def _permuted_documents(text: bytearray, field_ends: array,
+                        order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``doc_text`` and ``doc_offsets`` of the documents taken in ``order``
+    from ``text``, where document ``d``'s fields end at ``field_ends[3d:
+    3d + 3]``: each document's bytes copied once into one array, a run of
+    documents that are adjacent in both orders in one slice."""
+    ends = np.frombuffer(field_ends, dtype=np.int64).reshape(-1, _FIELDS)
+    starts = np.zeros(len(ends), dtype=np.int64)
+    starts[1:] = ends[:-1, -1]
+    starts, ends = starts[order], ends[order]
+    sizes = ends[:, -1] - starts
+    to = np.cumsum(sizes) - sizes
+    doc_offsets = np.zeros(ends.size + 1, dtype=np.int64)
+    doc_offsets[1:] = (ends + (to - starts)[:, None]).ravel()
+    doc_text = np.empty(len(text), dtype=np.uint8)
+    source, target = memoryview(text), memoryview(doc_text)
+    lasts = np.flatnonzero(order[1:] != order[:-1] + 1)
+    firsts = np.concatenate(([0], lasts + 1))
+    lasts = np.append(lasts, order.size - 1)
+    for start, end, at in zip(starts[firsts].tolist(),
+                              ends[lasts, -1].tolist(), to[firsts].tolist()):
+        target[at:at + end - start] = source[start:end]
+    return doc_text, doc_offsets
 
 
 def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
@@ -387,14 +451,20 @@ def load_index(path: str | Path) -> CorpusIndex:
                     raise ValueError(f"members {sorted(npz.files)}, expected "
                                      f"{sorted(_CACHE_MEMBERS)}")
                 k1, b = _member(npz, "params", np.float64).tolist()
-                terms = _text(npz, "terms")
-                return CorpusIndex(
-                    _member(npz, "doc_text", np.uint8),
-                    _member(npz, "doc_offsets", np.int64),
-                    terms.split("\n") if terms else [],
-                    _member(npz, "offsets", np.int64),
-                    _member(npz, "doc_idx", np.int32),
-                    _member(npz, "tfs", *_TFS_DTYPES),
-                    _member(npz, "doc_lengths", np.float64), k1=k1, b=b)
+                text = _text(npz, "terms")
+                terms = text.split("\n") if text else []
+                doc_text = _member(npz, "doc_text", np.uint8)
+                doc_offsets = _member(npz, "doc_offsets", np.int64)
+                arrays = (_member(npz, "offsets", np.int64),
+                          _member(npz, "doc_idx", np.int32),
+                          _member(npz, "tfs", *_TFS_DTYPES),
+                          _member(npz, "doc_lengths", np.float64))
+                check_params(k1, b)
+                doc_ids = _check_documents(doc_text, doc_offsets)
+                if len(set(terms)) != len(terms):
+                    raise ValueError("duplicate term")
+                _check_postings(len(doc_ids), len(terms), *arrays)
+                return CorpusIndex(doc_text, doc_offsets, doc_ids, terms,
+                                   *arrays, k1=k1, b=b)
         except _MALFORMED as exc:
             raise ValueError(f"{path}: malformed index cache: {exc}") from exc

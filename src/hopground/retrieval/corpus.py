@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..core import Document, expect_type, read_jsonl, scalar_text
 
@@ -20,6 +20,11 @@ def parse_document(record: Any, rank: int | None = None) -> Document:
                     body=record["body"], rank=rank)
 
 
-def load_corpus(path: str | Path) -> list[Document]:
-    """Read documents from a JSONL file with fields id, title, body."""
+def load_corpus(path: str | Path) -> Iterator[Document]:
+    """Yield the documents of a JSONL file with fields id, title, body.
+
+    The file is read one line per document asked for, so a bad line raises
+    ``MalformedDataset`` (with its line number) only when the reader
+    reaches it, and a missing file raises ``OSError`` at the first document.
+    """
     return read_jsonl(path, lambda record, _: parse_document(record))

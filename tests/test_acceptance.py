@@ -155,7 +155,7 @@ def test_criterion_04_metrics_match_oracle():
 
 
 def test_criterion_05_bm25_matches_oracle(fixtures_dir):
-    corpus = load_corpus(fixtures_dir / "corpus20.jsonl")
+    corpus = list(load_corpus(fixtures_dir / "corpus20.jsonl"))
     index = build_index(corpus)
     for query in QUERIES:
         expected = oracles.bm25_rank(corpus, query, 10)

@@ -7,8 +7,8 @@ import bench_bm25  # noqa: E402
 
 RECORD_KEYS = {"label", "command", "machine", "docs", "queries", "top_k",
                "seed", "terms", "build_s", "save_s", "load_s", "cache_bytes",
-               "build_peak_mb", "load_peak_mb", "index_mb", "score_ms",
-               "select_ms", "query_ms"}
+               "build_peak_mb", "file_build_peak_mb", "load_peak_mb",
+               "index_mb", "score_ms", "select_ms", "query_ms"}
 
 
 def test_bench_bm25_runs_on_a_tiny_corpus(capsys):

@@ -46,7 +46,7 @@ EXPECTED_RANKINGS = {
 
 @pytest.fixture(scope="module")
 def corpus(fixtures_dir):
-    return load_corpus(fixtures_dir / "corpus20.jsonl")
+    return list(load_corpus(fixtures_dir / "corpus20.jsonl"))
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,86 @@ class TestBuildIndex:
         index = build_index([Document(id="a", title="", body="!!!"),
                              Document(id="b", title="", body="---")])
         assert retrieve(index, "anything", top_k=5) == []
+
+
+# a non-ASCII document and one with zero tokens among ASCII ones, in no
+# particular id order
+STREAMED = [
+    Document(id="m", title="Dvořák", body="Antonín Dvořák wrote a symphony"),
+    Document(id="b", title="", body="!!! ---"),
+    Document(id="z", title="River", body="the longest river, the Nile"),
+    Document(id="物", title="物理", body="物理 Nobel Prize physics river"),
+    Document(id="a", title="Café", body="naïve café by the river"),
+]
+
+
+def _member_bytes(index, path):
+    """The bytes of every member of ``index``'s saved cache: the whole file
+    but for the zip headers' timestamps."""
+    save_index(index, path)
+    with zipfile.ZipFile(path) as z:
+        return {name: z.read(name) for name in z.namelist()}
+
+
+class TestStreamingBuild:
+    @pytest.mark.parametrize("name", ["fixture", "streamed"])
+    def test_cache_does_not_depend_on_input_form_or_order(self, corpus,
+                                                          tmp_path, name):
+        docs = {"fixture": corpus, "streamed": STREAMED}[name]
+        shuffled = list(docs)
+        random.Random(3).shuffle(shuffled)
+        index = build_index(docs)
+        expected = _member_bytes(index, tmp_path / "list.cache")
+        for i, stream in enumerate([(d for d in docs), (d for d in shuffled),
+                                    reversed(docs)]):
+            assert _member_bytes(build_index(stream),
+                                 tmp_path / f"{i}.cache") == expected
+        # terms are numbered as they first appear over the id-sorted documents
+        by_id = sorted(docs, key=lambda d: d.id)
+        assert index.terms == tuple(dict.fromkeys(
+            t for d in by_id for t in tokenize(f"{d.title} {d.body}")))
+
+    def test_reads_a_generator_once_in_order(self):
+        read = []
+
+        def stream():
+            for doc in STREAMED:
+                read.append(doc.id)
+                yield doc
+
+        index = build_index(stream())
+        assert read == [d.id for d in STREAMED]
+        assert index.doc_ids == tuple(sorted(read))
+
+    def test_duplicate_names_the_first_repeat_in_input_order(self):
+        docs = [Document(id=i, title="", body="x") for i in "bcaacb"]
+        with pytest.raises(DuplicateDocId) as err:
+            build_index(iter(docs))
+        assert err.value.doc_id == "a"
+
+    def test_empty_generator(self):
+        with pytest.raises(EmptyCorpus):
+            build_index(d for d in [])
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 5])
+    def test_malformed_line_raises_when_reached(self, tmp_path, bad_line):
+        path = tmp_path / "corpus.jsonl"
+        lines = [f'{{"id": "d{i}", "body": "river {i}"}}' for i in range(5)]
+        lines[bad_line - 1] = '{"id": "bad"}'
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the file closes without a ResourceWarning, which fails the test
+        with pytest.raises(MalformedDataset) as err:
+            build_index(load_corpus(path))
+        assert err.value.line == bad_line
+        gc.collect()
+
+    def test_duplicate_before_a_malformed_line_is_a_duplicate(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "body": "x"}\n{"id": "a", "body": "y"}\n'
+                        "not json\n", encoding="utf-8")
+        with pytest.raises(DuplicateDocId):
+            build_index(load_corpus(path))
+        gc.collect()
 
 
 class TestRetrieve:
@@ -656,20 +736,20 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [{"id": "ok", "title": "", "body": "fine"}, record])
         with pytest.raises(MalformedDataset) as err:
-            load_corpus(path)
+            list(load_corpus(path))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("record, expected", OPTIONAL_TITLE_DOCUMENTS)
     def test_optional_title_and_numeric_id(self, tmp_path, record, expected):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record])
-        assert load_corpus(path) == [expected]
+        assert list(load_corpus(path)) == [expected]
 
     def test_reports_line_numbers(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "body": "x"}\nnot json\n', encoding="utf-8")
         with pytest.raises(MalformedDataset) as err:
-            load_corpus(path)
+            list(load_corpus(path))
         assert err.value.line == 2
 
     def test_invalid_utf8_reports_line_number(self, tmp_path):
@@ -677,14 +757,14 @@ class TestLoadCorpus:
         path.write_bytes(b'{"id": "a", "body": "x"}\n'
                          b'{"id": "b", "body": "caf\xe9"}\n')
         with pytest.raises(MalformedDataset) as err:
-            load_corpus(path)
+            list(load_corpus(path))
         assert err.value.line == 2
 
     def test_missing_body_is_malformed(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "title": "t"}\n', encoding="utf-8")
         with pytest.raises(MalformedDataset):
-            load_corpus(path)
+            list(load_corpus(path))
 
 
 @pytest.fixture()

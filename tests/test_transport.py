@@ -238,15 +238,66 @@ class TestTls:
         assert tls_stub.requests == []
 
 
-def test_cli_import_loads_no_requests():
-    src = str(Path(__file__).parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _python(code: str, *args: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter that
+    imports from ``src`` and ``tests``."""
+    here = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hopground.cli; print('requests' in sys.modules)"],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_cli_import_loads_no_requests():
+    assert _python("import sys, hopground.cli; "
+                   "print('requests' in sys.modules)").strip() == "False"
+
+
+def test_cli_import_loads_no_numpy():
+    assert _python("import sys, hopground.cli; "
+                   "print('numpy' in sys.modules)").strip() == "False"
+
+
+_NO_LOCAL_INDEX = """
+import json, sys
+from pathlib import Path
+from hopground.cli import main
+from helpers import (FESTIVAL_CORPUS, FESTIVAL_SCRIPT, StubServer, write_json,
+                     write_festival_files, write_synth_files)
+
+work = Path(sys.argv[1])
+files = write_festival_files(work)
+stub = StubServer()
+try:
+    for _ in range(2):
+        stub.queue(200, {"results": [d.to_dict() for d in FESTIVAL_CORPUS]})
+    config = write_json(work / "external.json", {
+        "pipeline": {"concurrency": 1, "retriever": "external"},
+        "llm": {"backend": "scripted", "script_path": str(files["script"])},
+        "retrieval": {"external_endpoint": stub.url + "/search"}})
+    codes = [main(["run", "--dataset", str(files["dataset"]),
+                   "--config", str(config), "--out", str(files["out"])])]
+finally:
+    stub.close()
+codes.append(main(["eval", "--dataset", str(files["dataset"]),
+                   "--trajectories",
+                   str(files["out"] / "trajectories.jsonl")]))
+synth = write_synth_files(work)
+codes.append(main(["synth", "--input", str(synth["input"]), "--seed", "7",
+                   "--out", str(work / "synth.jsonl"),
+                   "--config", str(synth["config"])]))
+codes.append(main(["stats", "--corpus", str(work / "synth.jsonl")]))
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_commands_without_a_local_index_load_no_numpy(tmp_path):
+    # run against an external retriever, eval, synth and stats
+    out = _python(_NO_LOCAL_INDEX, str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == [[0, 0, 0, 0], False]
 
 
 # --- payload fuzz: each reply ends in a result or the client's typed error
