@@ -33,6 +33,15 @@ and the cache, is the same for any input order.  The arrays are consistent
 by construction; only :func:`load_index`, which reads a file from outside,
 checks them, and the :class:`CorpusIndex` constructor just derives from them.
 
+Per-posting temporaries are made one chunk of ``_CHUNK`` postings at a
+time, never for the whole array.  The build adds the term to each token's
+key and turns the sorted keys into postings chunk by chunk, writing the run
+lengths over the keys it has read; :func:`load_index` checks the postings
+chunk by chunk (summing the document lengths in chunks of at least one
+posting per document); the constructor divides ``impact`` chunk by chunk.
+A load therefore peaks at about what the index holds, and the build's peak
+is the document blob and its id-order copy.
+
 Each posting's BM25 contribution is computed once, by the constructor, into
 ``impact``, a ``float64`` array aligned with ``doc_idx``, derived on load
 rather than stored in the cache.  A posting therefore costs 13 bytes of
@@ -57,7 +66,7 @@ import zipfile
 from array import array
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +79,11 @@ _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
 _ASCII_FOLD = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
                     for b in bytes(range(256)).lower())
 _FIELDS = 3  # id, title, body: the doc_offsets entries per document
+# postings (or keys) per temporary in the build, the load checks and the
+# constructor.  Small on purpose: freed temporaries of several MB can stay
+# resident in glibc's heap, and on a 100k-document corpus chunks of 2**20
+# peaked 19 MB higher than chunks of 2**16.
+_CHUNK = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -133,17 +147,41 @@ def _check_postings(n_docs: int, n_terms: int, offsets: np.ndarray,
         raise ValueError("term offsets must run from 0 to the posting count")
     if not (np.diff(offsets) > 0).all():
         raise ValueError("term offsets must be strictly increasing")
-    if tfs.shape != doc_idx.shape or not (tfs >= 1).all():
+    if tfs.shape != doc_idx.shape or tfs.min(initial=1) < 1:
         raise ValueError("every posting needs a term frequency >= 1")
     if doc_idx.size and not (doc_idx.min() >= 0 and doc_idx.max() < n_docs):
         raise ValueError("posting document index out of range")
-    steps = np.diff(doc_idx)
-    steps[offsets[1:-1] - 1] = 1  # a new term may restart at any document
-    if not (steps > 0).all():
-        raise ValueError("document indices must ascend within each term")
+    # each chunk compares its postings with their successors, the next
+    # chunk's first one included; a new term may restart at any document
+    for start, stop in _chunks(doc_idx.size - 1):
+        ascends = doc_idx[start + 1:stop + 1] > doc_idx[start:stop]
+        first, last = np.searchsorted(offsets, (start + 1, stop + 1))
+        ascends[offsets[first:last] - 1 - start] = True
+        if not ascends.all():
+            raise ValueError("document indices must ascend within each term")
     if (doc_lengths.shape != (n_docs,) or not np.array_equal(
-            np.bincount(doc_idx, weights=tfs, minlength=n_docs), doc_lengths)):
+            _summed_tfs(n_docs, doc_idx, tfs), doc_lengths)):
         raise ValueError("document lengths must equal their summed term frequencies")
+
+
+def _summed_tfs(n_docs: int, doc_idx: np.ndarray,
+                tfs: np.ndarray) -> np.ndarray:
+    """Each document's summed term frequencies, as ``float64``: one
+    ``bincount`` per chunk, added up.  The sums are integers, so they are
+    exact in any order.  A chunk's ``bincount`` costs ``n_docs``, so chunks
+    are at least that long and the whole sum stays linear."""
+    sums = np.zeros(n_docs)
+    for start, stop in _chunks(doc_idx.size, max(_CHUNK, n_docs)):
+        sums += np.bincount(doc_idx[start:stop], weights=tfs[start:stop],
+                            minlength=n_docs)
+    return sums
+
+
+def _chunks(n: int, size: int = 0) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of consecutive chunks of ``size`` (by default
+    ``_CHUNK``) covering ``range(n)``."""
+    size = size or _CHUNK
+    return ((start, min(start + size, n)) for start in range(0, n, size))
 
 
 class CorpusIndex:
@@ -182,13 +220,15 @@ class CorpusIndex:
             [math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
              for df in dfs.tolist()], dtype=np.float64)
         # idf * tf * (k1 + 1) / (tf + denom) per posting, in that order so
-        # it rounds as the per-term expression does; in place, one temporary
+        # it rounds as the per-term expression does; in place, dividing by
+        # one chunk of denominators at a time
         self.impact = np.repeat(self.idf, dfs)
         self.impact *= tfs
         self.impact *= k1 + 1.0
-        posting_denom = self._denom[doc_idx]
-        posting_denom += tfs
-        self.impact /= posting_denom
+        for start, stop in _chunks(doc_idx.size):
+            posting_denom = self._denom[doc_idx[start:stop]]
+            posting_denom += tfs[start:stop]
+            self.impact[start:stop] /= posting_denom
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -270,6 +310,9 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     n_docs = order.size
     rank = np.empty(n_docs, dtype=np.int32)
     rank[order] = np.arange(n_docs, dtype=np.int32)
+    # copied now, so that the input-order blob is gone before the keys exist
+    doc_text, doc_offsets = _permuted_documents(text, field_ends, order)
+    del text, field_ends
     doc_lengths = np.frombuffer(lengths, dtype=np.int64)
     ids = np.frombuffer(token_ids, dtype=np.intc)
 
@@ -281,42 +324,61 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     in_order = list(vocabulary)
     terms = [in_order[t] for t in by_first.tolist()]
     del vocabulary, in_order
-    renumber = np.empty(len(terms), dtype=np.int64)
-    renumber[by_first] = np.arange(len(terms))
+    term_keys = np.empty(len(terms), dtype=np.int64)
+    term_keys[by_first] = np.arange(len(terms)) * n_docs
 
     # one in-place sort of (term, doc) keys yields term-major postings with
-    # ascending documents; each run of equal keys is one posting.  The
-    # temporaries are taken in turn, so the keys never sit beside both the
-    # postings and the run starts.
-    keys = renumber[ids]
+    # ascending documents; each run of equal keys is one posting
+    keys = np.repeat(rank.astype(np.int64), doc_lengths)
+    for start, stop in _chunks(keys.size):
+        keys[start:stop] += term_keys[ids[start:stop]]
     del ids, token_ids
-    keys *= n_docs
-    keys += np.repeat(rank, doc_lengths)
     keys.sort()
-    run_start = np.empty(keys.size, dtype=bool)
-    run_start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    postings = keys[run_start]
-    n_tokens = keys.size
+    offsets, doc_idx, tfs = _postings(keys, n_docs, len(terms))
     del keys
-    offsets = np.searchsorted(
-        postings, np.arange(len(terms) + 1, dtype=np.int64) * n_docs)
-    postings %= n_docs
-    doc_idx = postings.astype(np.int32)
-    del postings
-    starts = np.flatnonzero(run_start)
-    del run_start
-    counts = np.empty_like(starts)  # run lengths, without a concatenated copy
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1:] = n_tokens - starts[-1:]
-    del starts
-    tfs = counts.astype(np.min_scalar_type(counts.max(initial=1)))
-    del counts
-    doc_text, doc_offsets = _permuted_documents(text, field_ends, order)
-    del text, field_ends
     return CorpusIndex(doc_text, doc_offsets, tuple(doc_ids), terms, offsets,
                        doc_idx, tfs, doc_lengths[order].astype(np.float64),
                        k1=k1, b=b)
+
+
+def _heads(values: np.ndarray, before: int) -> np.ndarray:
+    """The positions in ``values`` where a run of equal values starts,
+    ``before`` being the value that precedes ``values[0]``."""
+    head = np.empty(values.size, dtype=bool)
+    head[:1] = values[:1] != before
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _postings(keys: np.ndarray, n_docs: int,
+              n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``offsets``, ``doc_idx`` and ``tfs`` of sorted ``term * n_docs +
+    doc`` keys, each run of equal keys one posting, every term present.
+
+    The keys are read chunk by chunk, and each chunk's run lengths are
+    written over the front of ``keys``; a chunk holds at least as many
+    keys as runs, so the write position never passes the read position.
+    No temporary is larger than a chunk."""
+    n_postings = sum(_heads(keys[start:stop], keys[start - 1] if start else -1
+                            ).size for start, stop in _chunks(keys.size))
+    offsets = np.empty(n_terms + 1, dtype=np.int64)
+    offsets[-1] = n_postings
+    doc_idx = np.empty(n_postings, dtype=np.int32)
+    at, last_key, last_term = 0, -1, -1
+    for start, stop in _chunks(keys.size):
+        chunk = keys[start:stop]
+        heads = _heads(chunk, last_key)
+        term, doc_idx[at:at + heads.size] = np.divmod(chunk[heads], n_docs)
+        new_terms = _heads(term, last_term)
+        offsets[term[new_terms]] = at + new_terms
+        last_key, last_term = chunk[-1], term[-1] if term.size else last_term
+        if at:  # the keys before the first head extend the last run
+            keys[at - 1] += heads[0] if heads.size else chunk.size
+        keys[at:at + heads.size] = np.diff(heads, append=chunk.size)
+        at += heads.size
+    lengths = keys[:n_postings]
+    return offsets, doc_idx, lengths.astype(
+        np.min_scalar_type(lengths.max(initial=1)))
 
 
 def _sorted_positions(lengths: np.ndarray, order: np.ndarray,
@@ -402,7 +464,10 @@ def _blob(text: str) -> np.ndarray:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as an uncompressed ``.npz`` at exactly ``path``."""
+    """Write the index as an uncompressed ``.npz`` at exactly ``path``.
+
+    Two saves of one index write the same bytes: numpy stamps every member
+    with the zip format's fixed 1980-01-01 default, not the clock."""
     arrays = {
         "magic": _blob(_CACHE_MAGIC),
         "params": np.array([index.k1, index.b], dtype=np.float64),

@@ -5,6 +5,8 @@ import os
 import pickle
 import random
 import re
+import time
+import tracemalloc
 import weakref
 import zipfile
 
@@ -470,6 +472,10 @@ CACHE_MUTATIONS = {
     "doc index past end": lambda m: m.update(doc_idx=_with(m["doc_idx"], 0, 3)),
     "doc indices descend": lambda m: m.update(
         doc_idx=_with(m["doc_idx"], slice(0, 2), m["doc_idx"][1::-1])),
+    # "alpha" takes the postings d1, d2, d1: at chunks of two postings its
+    # descent runs from the last posting of a chunk to the next one's first
+    "doc indices descend across a chunk edge": lambda m: m.update(
+        offsets=_with(m["offsets"], 1, 3)),
     "zero tf": lambda m: m.update(tfs=_with(m["tfs"], 0, 0)),
     "duplicate term": lambda m: m.update(terms=_blob("alpha\nbeta\ngamma\nbeta")),
     "unsorted doc ids": lambda m: m.update(_doc_members(
@@ -728,6 +734,107 @@ class TestIndexCache:
         for position, value in flips:
             data[position % len(data)] = value
         _load_outcome(tmp_path / "corrupted.cache", bytes(data))
+
+    def test_saves_on_different_days_write_the_same_bytes(self, tmp_path,
+                                                          monkeypatch):
+        index = build_index(SMALL_CORPUS)
+        saved = []
+        for day in (1.7e9, 1.7e9 + 86400):
+            monkeypatch.setattr(time, "time", lambda day=day: day)
+            path = tmp_path / f"{day}.cache"
+            save_index(index, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+
+# runs of equal (term, doc) keys that span several chunks of one or two
+# keys: terms repeated within a document, and terms in many documents
+CHUNKED = [*STREAMED,
+           Document(id="r", title="Oak", body="oak oak oak oak oak elm elm"),
+           Document(id="s", title="", body="elm oak river river river")]
+
+
+def _index_bytes(index, path):
+    """The bytes of every member of ``index``'s saved cache and of its
+    ``impact``."""
+    return {**_member_bytes(index, path), "impact": index.impact.tobytes()}
+
+
+class TestChunks:
+    """The build, the load checks and the constructor make their
+    per-posting temporaries one chunk of ``bm25._CHUNK`` at a time; no
+    result may depend on where the chunks end."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_index_does_not_depend_on_the_chunk_size(self, corpus, tmp_path,
+                                                     monkeypatch, chunk):
+        docs = [*corpus, *CHUNKED]
+        expected = _index_bytes(build_index(docs), tmp_path / "default.cache")
+        monkeypatch.setattr(bm25, "_CHUNK", chunk)
+        assert _index_bytes(build_index(docs),
+                            tmp_path / "chunked.cache") == expected
+        assert (load_index(tmp_path / "chunked.cache").impact.tobytes()
+                == expected["impact"])
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.sampled_from(["oak", "elm", "fir", "-"]),
+                             max_size=8).map(lambda words: " ".join(words)
+                                             or "-"),
+                    min_size=1, max_size=8),
+           st.integers(1, 5))
+    def test_drawn_corpora_do_not_depend_on_the_chunk_size(
+            self, tmp_path, monkeypatch, bodies, chunk):
+        # few words, so keys repeat within and across documents; "-" alone
+        # makes a tokenless document
+        docs = [Document(id=f"d{i}", title="", body=body)
+                for i, body in enumerate(bodies)]
+        expected = _index_bytes(build_index(docs), tmp_path / "default.cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(bm25, "_CHUNK", chunk)
+            assert _index_bytes(build_index(docs),
+                                tmp_path / "chunked.cache") == expected
+            assert (load_index(tmp_path / "chunked.cache").impact.tobytes()
+                    == expected["impact"])
+
+    @pytest.mark.parametrize("mutation", CACHE_MUTATIONS.values(),
+                             ids=CACHE_MUTATIONS.keys())
+    def test_chunks_of_two_reject_every_malformed_cache_alike(
+            self, tmp_path, monkeypatch, mutation):
+        messages = []
+        for chunk in (bm25._CHUNK, 2):
+            monkeypatch.setattr(bm25, "_CHUNK", chunk)
+            members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+            mutation(members)
+            path = tmp_path / "mutated.npz"
+            np.savez(path, **members)
+            with pytest.raises(ValueError) as err:
+                load_index(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_load_peak_stays_near_what_the_index_holds(self, tmp_path,
+                                                       monkeypatch):
+        # 2000 documents of 20-80 Zipf-like words: about 94k postings, so
+        # a whole-array int32 temporary alone would add 18% to the peak
+        monkeypatch.setattr(bm25, "_CHUNK", 1024)
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(20, 80, 2000)
+        words = np.minimum(rng.exponential(300, lengths.sum()), 2999)
+        bodies = np.split(words.astype(int), np.cumsum(lengths)[:-1])
+        docs = [Document(id=f"d{d:04d}", title="",
+                         body=" ".join(f"w{w}" for w in body.tolist()))
+                for d, body in enumerate(bodies)]
+        path = tmp_path / "index.cache"
+        save_index(build_index(docs), path)
+        tracemalloc.start()
+        try:
+            index = load_index(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.doc_idx.size > 50 * bm25._CHUNK
+        assert peak <= 1.15 * held
 
 
 class TestLoadCorpus:
