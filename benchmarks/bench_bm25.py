@@ -2,11 +2,12 @@
 """Benchmark the BM25 index: build, cache save/load, and query time.
 
 Builds an index over a synthetic corpus, round-trips it through the cache
-file, checks the reloaded index ranks every query identically, and reports
-timings and the cache size.  Query time is split into scoring
-(``CorpusIndex.scores``) and selection (the rest of ``retrieve``: top-k
-selection and the ranked copies), so the script measures any version of
-the package through its public API alone.
+file, checks the reloaded index ranks every query identically, checks every
+ranking against an untimed full sort of the positive scores (a mismatch
+exits non-zero), and reports timings and the cache size.  Query time is
+split into scoring (``CorpusIndex.scores``) and selection (the rest of
+``retrieve``: top-k selection and the ranked copies), so the script
+measures any version of the package through its public API alone.
 
 Memory comes from one extra, untimed ``build_index`` and ``load_index``
 each under ``tracemalloc``, which numpy reports its arrays to:
@@ -122,6 +123,19 @@ def _query_times(index, queries, top_k):
     return rankings, score_s, query_s
 
 
+def _sorted_rankings(index, queries, top_k):
+    """Each query's top ``top_k`` ids from a full ``np.lexsort`` of its
+    positive scores, by descending score and then ascending index: a
+    reference for ``retrieve``'s selection that shares only scoring."""
+    rankings = []
+    for q in queries:
+        scores = index.scores(q)
+        positive = np.flatnonzero(scores > 0.0)
+        order = positive[np.lexsort((positive, -scores[positive]))]
+        rankings.append([index.doc_ids[i] for i in order[:top_k].tolist()])
+    return rankings
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as f:
@@ -197,6 +211,8 @@ def main(argv=None) -> dict:
     if rankings != [[d.id for d in retrieve(reloaded, q, args.top_k)]
                     for q in queries]:
         raise SystemExit("reloaded index ranks differently")
+    if rankings != _sorted_rankings(index, queries, args.top_k):
+        raise SystemExit("retrieve ranks differently from a full sort")
 
     record = {
         "label": args.label,

@@ -51,6 +51,14 @@ their contributions.  ``bincount`` adds in input order, so every document
 sums its terms in query order and the scores are bit-identical to a
 per-term scatter-add of the BM25 formula.
 
+:func:`retrieve` selects the top ``k`` above a sampled score floor: the
+``k``-th best score among every ``_SAMPLE_STRIDE``-th document, and at
+least the smallest positive float.  A sample's ``k``-th best never exceeds
+the whole vector's, so every document at or above the true cut, ties
+included, is kept, and only those few are partitioned and stably sorted.  A
+sample of fewer than ``k`` scoring documents gives the smallest positive
+float as the floor, which keeps every document that scores above zero.
+
 :func:`save_index` writes these arrays as they are into an uncompressed
 ``.npz`` (cache format ``hopground-bm25-csr-v3``), so :func:`load_index`
 never deserializes Python objects and rejects any malformed file with
@@ -84,6 +92,10 @@ _FIELDS = 3  # id, title, body: the doc_offsets entries per document
 # resident in glibc's heap, and on a 100k-document corpus chunks of 2**20
 # peaked 19 MB higher than chunks of 2**16.
 _CHUNK = 1 << 16
+# retrieve's score floor is the k-th best of every _SAMPLE_STRIDE-th
+# document, and never below _MIN_SCORE, so ``scores >= floor`` implies > 0
+_SAMPLE_STRIDE = 64
+_MIN_SCORE = np.nextafter(0.0, 1.0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -425,11 +437,24 @@ def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
     """Top ``top_k`` documents by descending score, ranks set from 1.
 
     Zero-score documents are excluded; ties break by ascending doc id.
+
+    Selection first takes a floor: the ``top_k``-th best score among every
+    ``_SAMPLE_STRIDE``-th document, raised to the smallest positive float.
+    A sample's k-th best never exceeds the whole vector's, so every
+    document at or above the true cut, ties included, scores at least the
+    floor, and only those are partitioned and sorted.  When the sample
+    holds fewer than ``top_k`` documents, or fewer positive scores, the
+    floor is the smallest positive float and every scoring document is a
+    candidate.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     scores = index.scores(query)
-    candidates = np.flatnonzero(scores > 0.0)
+    sample = scores[::_SAMPLE_STRIDE]
+    floor = _MIN_SCORE
+    if sample.size >= top_k:
+        floor = max(floor, np.partition(sample, -top_k)[-top_k])
+    candidates = np.flatnonzero(scores >= floor)
     if candidates.size == 0:
         return []
     candidate_scores = scores[candidates]

@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
 import bench_bm25  # noqa: E402
 
@@ -38,3 +40,13 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
         assert record["build_peak_mb"] >= record["index_mb"]
         assert abs(record["score_ms"] + record["select_ms"]
                    - record["query_ms"]) < 1e-9
+
+
+def test_a_wrong_ranking_fails_the_run(monkeypatch):
+    # the reloaded-index check goes through the same retrieve, so only the
+    # full-sort reference can see a selection that orders wrongly
+    retrieve = bench_bm25.retrieve
+    monkeypatch.setattr(bench_bm25, "retrieve",
+                        lambda *args: retrieve(*args)[::-1])
+    with pytest.raises(SystemExit, match="full sort"):
+        bench_bm25.main(["--docs", "300", "--queries", "10"])

@@ -357,27 +357,7 @@ class TestRetrieve:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_tied_cuts_match_oracle_at_every_top_k(self, data):
-        vocabulary = ["oak", "elm", "fir", "ash", "yew", "birch"][
-            :data.draw(st.integers(4, 6), label="vocabulary size")]
-        words = st.sampled_from(vocabulary)
-        # few distinct bodies shared by many documents: the k-th score is
-        # often tied, and ids are shuffled so tie order is not input order
-        bodies = data.draw(st.lists(
-            st.lists(words, min_size=1, max_size=5).map(" ".join),
-            min_size=1, max_size=4), label="bodies")
-        chosen = data.draw(st.lists(st.sampled_from(bodies), min_size=1,
-                                    max_size=12), label="documents")
-        ids = data.draw(st.permutations([f"d{i:02d}"
-                                         for i in range(len(chosen))]))
-        docs = [Document(id=i, title="", body=body)
-                for i, body in zip(ids, chosen)]
-        # distinct query terms keep the oracle's summation order identical
-        query = " ".join(data.draw(st.lists(words, min_size=1, max_size=3,
-                                            unique=True), label="query"))
-        index = build_index(docs)
-        for top_k in range(1, len(docs) + 2):
-            got = [d.id for d in retrieve(index, query, top_k)]
-            assert got == oracles.bm25_rank(docs, query, top_k), top_k
+        _assert_oracle_at_every_top_k(*_draw_tied_corpus(data))
 
     def test_repeated_query_terms_add_weight(self):
         docs = [Document(id="r", title="", body="river river bank"),
@@ -387,6 +367,86 @@ class TestRetrieve:
         doubled = index.scores("river river bank")
         r = index.doc_ids.index("r")
         assert doubled[r] > single[r]
+
+
+def _draw_tied_corpus(data):
+    """Up to 12 documents sharing a few drawn bodies, and a query."""
+    vocabulary = ["oak", "elm", "fir", "ash", "yew", "birch"][
+        :data.draw(st.integers(4, 6), label="vocabulary size")]
+    words = st.sampled_from(vocabulary)
+    # few distinct bodies shared by many documents: the k-th score is
+    # often tied, and ids are shuffled so tie order is not input order
+    bodies = data.draw(st.lists(
+        st.lists(words, min_size=1, max_size=5).map(" ".join),
+        min_size=1, max_size=4), label="bodies")
+    chosen = data.draw(st.lists(st.sampled_from(bodies), min_size=1,
+                                max_size=12), label="documents")
+    ids = data.draw(st.permutations([f"d{i:02d}"
+                                     for i in range(len(chosen))]))
+    docs = [Document(id=i, title="", body=body)
+            for i, body in zip(ids, chosen)]
+    # distinct query terms keep the oracle's summation order identical
+    query = " ".join(data.draw(st.lists(words, min_size=1, max_size=3,
+                                        unique=True), label="query"))
+    return docs, query
+
+
+def _assert_oracle_at_every_top_k(docs, query, top_ks=None):
+    """``retrieve`` ranks ``docs`` as the oracle does at each of ``top_ks``
+    (by default 1 to one more than the document count)."""
+    index = build_index(docs)
+    ranking = oracles.bm25_rank(docs, query, len(docs))
+    for top_k in top_ks or range(1, len(docs) + 2):
+        got = [d.id for d in retrieve(index, query, top_k)]
+        assert got == ranking[:top_k], top_k
+
+
+class TestScoreFloor:
+    """``retrieve`` partitions only the documents scoring at least a floor,
+    the ``top_k``-th best of every ``bm25._SAMPLE_STRIDE``-th document; no
+    ranking may depend on the stride or on where the sample falls."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.integers(1, 3))
+    def test_tied_cuts_match_oracle_at_every_stride(self, monkeypatch, data,
+                                                    stride):
+        # at most 12 documents: a small stride makes the sample reach
+        # top_k, so the floor is a drawn score and often a tied one
+        docs, query = _draw_tied_corpus(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(bm25, "_SAMPLE_STRIDE", stride)
+            _assert_oracle_at_every_top_k(docs, query)
+
+    def test_scores_tied_at_the_floor_all_survive(self):
+        # 1,200 documents over four bodies: each score is shared by about
+        # 300 documents, so the sample's k-th best is a score tied far
+        # beyond the cut, and documents scoring exactly the floor rank
+        rng = random.Random(11)
+        bodies = ["oak elm", "oak fir fir", "elm ash", "fir yew yew yew"]
+        ids = [f"d{i:04d}" for i in range(1200)]
+        rng.shuffle(ids)
+        docs = [Document(id=i, title="", body=rng.choice(bodies))
+                for i in ids]
+        query = "oak fir"
+        scores = build_index(docs).scores(query)
+        sample = np.sort(scores[::bm25._SAMPLE_STRIDE])
+        assert sample[-10] > 0  # the floor at top_k 10 is a positive score
+        _assert_oracle_at_every_top_k(docs, query, (1, 2, 10, 20, 400, 1200))
+
+    def test_too_few_sampled_scores_keep_every_positive_score(self):
+        # 1,000 documents, 14 matching: 4 of them sampled (every 64th id),
+        # 10 between samples, so the sample's 10th best is zero; at top_k
+        # 16 the whole sample of 16 ranks, and still only 14 documents score
+        matching = {64 * j for j in range(4)} | set(range(101, 200, 10))
+        docs = [Document(id=f"d{i:04d}", title="",
+                         body=f"oak {'elm ' * (i % 7)}" if i in matching
+                         else "birch ash")
+                for i in range(1000)]
+        scores = build_index(docs).scores("oak elm")
+        assert np.count_nonzero(scores[::bm25._SAMPLE_STRIDE]) == 4
+        _assert_oracle_at_every_top_k(docs, "oak elm",
+                                      (1, 4, 5, 10, 14, 16, 20))
 
 
 EDGE_CORPORA = {
