@@ -12,10 +12,12 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+import time
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from . import distill, evaluation, pipeline, retrieval
 from .core import (ConfigRecord, Question, Termination, TokenCounts,
@@ -90,21 +92,64 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+class Progress:
+    """The ``progress(done, total)`` callback of ``run``, ``synth`` and
+    ``eval --judge``: one stderr line per completion, such as
+    ``answered 37/200 (17.4/s, ETA 9 s)``.
+
+    The rate counts the completions after the first over the time since
+    the first, so the first line has none, and the last has no ETA.
+    """
+
+    def __init__(self, verb: str, clock: Callable[[], float] = time.monotonic):
+        self.verb = verb
+        self.clock = clock
+        self.first: float | None = None
+
+    def line(self, done: int, total: int) -> str:
+        now = self.clock()
+        if self.first is None:
+            self.first = now
+        head = f"{self.verb} {done}/{total}"
+        if done == 1 or now <= self.first:
+            return head
+        rate = (done - 1) / (now - self.first)
+        if done == total:
+            return f"{head} ({rate:.1f}/s)"
+        return f"{head} ({rate:.1f}/s, ETA {(total - done) / rate:.0f} s)"
+
+    def __call__(self, done: int, total: int) -> None:
+        print(self.line(done, total), file=sys.stderr)
+
+
+@dataclass
+class RunTotals:
+    """The manifest's totals, summed over trajectories as they pass."""
+
+    questions: int = 0
+    hops: int = 0
+    tokens: TokenCounts = TokenCounts()
+    terminations: dict[str, int] = field(
+        default_factory=lambda: {t.value: 0 for t in Termination})
+
+    def add(self, trajectory: Trajectory) -> Trajectory:
+        self.questions += 1
+        self.hops += len(trajectory.hops)
+        self.tokens += trajectory.token_usage.total
+        self.terminations[trajectory.termination.value] += 1
+        return trajectory
+
+
 def run_manifest(pipe_config: pipeline.PipelineConfig,
                  templates_dir: str | None, dataset_path: str,
                  dataset_format: str, started_at: str,
-                 trajectories: Sequence[Trajectory],
-                 llm_calls: int) -> dict[str, Any]:
+                 totals: RunTotals, llm_calls: int) -> dict[str, Any]:
     """Snapshot of one run: configuration, provenance, and totals.
 
     Totals are sums over the trajectories, whose token totals count every
     call, failed retries included.  Only ``llm_calls`` comes from the
     run-wide call recorder.
     """
-    terminations = {t.value: 0 for t in Termination}
-    for traj in trajectories:
-        terminations[traj.termination.value] += 1
-    tokens = sum((t.token_usage.total for t in trajectories), TokenCounts())
     return {
         "config": {
             "pipeline": pipe_config.to_dict(),
@@ -116,13 +161,13 @@ def run_manifest(pipe_config: pipeline.PipelineConfig,
         "started_at": started_at,
         "finished_at": _utc_now(),
         "totals": {
-            "questions": len(trajectories),
-            "hops": sum(len(t.hops) for t in trajectories),
+            "questions": totals.questions,
+            "hops": totals.hops,
             "llm_calls": llm_calls,
-            "prompt_tokens": tokens.prompt_tokens,
-            "completion_tokens": tokens.completion_tokens,
-            "terminations": terminations,
-            "failures": terminations[Termination.PARSE_FAILURE.value],
+            "prompt_tokens": totals.tokens.prompt_tokens,
+            "completion_tokens": totals.tokens.completion_tokens,
+            "terminations": totals.terminations,
+            "failures": totals.terminations[Termination.PARSE_FAILURE.value],
         },
     }
 
@@ -162,18 +207,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     started_at = _utc_now()
 
     recorder = RecordingClient(llm)
-    trajectories = pipeline.answer_dataset(
-        questions, pipe_config, recorder, retriever, library,
-        progress=lambda done, total: print(f"answered {done}/{total}",
-                                           file=sys.stderr))
-    pipeline.write_trajectories(trajectories, out_dir / "trajectories.jsonl")
+    totals = RunTotals()
+    stream = pipeline.answer_stream(questions, pipe_config, recorder,
+                                    retriever, library, Progress("answered"))
+    pipeline.write_trajectories(map(totals.add, stream),
+                                out_dir / "trajectories.jsonl")
 
     write_json(run_manifest(
         pipe_config, templates_dir=templates.dir,
         dataset_path=str(args.dataset), dataset_format=args.format,
-        started_at=started_at, trajectories=trajectories,
+        started_at=started_at, totals=totals,
         llm_calls=recorder.calls), out_dir / "manifest.json")
-    print(f"wrote {len(trajectories)} trajectories -> {out_dir}")
+    print(f"wrote {totals.questions} trajectories -> {out_dir}")
     return EXIT_OK
 
 
@@ -190,25 +235,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     judge_llm = None
     library = None
+    concurrency = 1
+    progress = None
     if args.judge:
         config = Config.load(args.config)
         role = "llm" if config.judge_llm is None else "judge_llm"
+        concurrency = config.pipeline.concurrency
+        _require_serial(config, [role], "pipeline.concurrency", concurrency)
         judge_llm = getattr(config, role).client(role)
         library = config.templates.load()
+        progress = Progress("judged")
 
-    records = []
-    for traj in trajectories:
+    def score(traj: Trajectory) -> evaluation.EvalRecord:
         question = by_id[traj.question.id]
         record = evaluation.score_prediction(question, traj.final_answer)
-        if judge_llm is not None:
-            if not traj.final_answer.strip():
-                verdict = "no"  # nothing to imply anything
-            else:
-                verdict = evaluation.judge(judge_llm, library, question.text,
-                                           traj.final_answer,
-                                           question.gold_answers[0])
-            record = replace(record, acc_judge=verdict)
-        records.append(record)
+        if judge_llm is None:
+            return record
+        if not traj.final_answer.strip():
+            verdict = "no"  # nothing to imply anything
+        else:
+            verdict = evaluation.judge(judge_llm, library, question.text,
+                                       traj.final_answer,
+                                       question.gold_answers[0])
+        return replace(record, acc_judge=verdict)
+
+    records = list(pipeline.map_ordered(score, trajectories, concurrency,
+                                        progress))
 
     summary = evaluation.aggregate(records)
     out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
@@ -233,21 +285,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     library = _with_flags(config.templates, dir=args.templates).load()
     inputs = distill.load_synthesis_inputs(args.input)
 
-    examples = distill.synthesize_dataset(
+    stream = distill.synthesize_stream(
         inputs, student, teacher, library, seed=args.seed,
         max_noise_docs=synthesis.noise_docs,
-        concurrency=synthesis.concurrency,
-        progress=lambda done, total: print(f"synthesized {done}/{total}",
-                                           file=sys.stderr))
-    written = distill.emit_corpus(examples, args.out,
-                                  include_dropped=args.include_dropped)
+        concurrency=synthesis.concurrency, progress=Progress("synthesized"))
+    reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
-    kept = sum(1 for e in examples if e.verdict.keep)
-    reasons: dict[str, int] = {}
-    for example in examples:
-        if not example.verdict.keep:
-            reasons[example.verdict.reason] = reasons.get(example.verdict.reason, 0) + 1
-    print(f"kept {kept}/{len(examples)} examples "
+    def count(example: distill.TrainingExample) -> distill.TrainingExample:
+        reasons[example.verdict.reason] += 1
+        return example
+
+    written = distill.emit_corpus(map(count, stream), args.out,
+                                  include_dropped=args.include_dropped)
+    kept = reasons.pop(None, 0)
+    print(f"kept {kept}/{len(inputs)} examples "
           f"(dropped: {json.dumps(reasons, sort_keys=True)}); "
           f"wrote {written} lines -> {args.out}")
     return EXIT_OK

@@ -12,7 +12,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (ConfigRecord, Count, DecodingParams, Document,
                    GroundingKind, PositiveInt, Question, Record, expect_type,
@@ -184,15 +184,16 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
     )
 
 
-def synthesize_dataset(inputs: Sequence[SynthesisInput],
-                       student_llm: LlmClient, teacher_llm: LlmClient,
-                       library: TemplateLibrary, seed: int,
-                       params: DecodingParams = DecodingParams(),
-                       max_noise_docs: int = DEFAULT_NOISE_DOCS,
-                       concurrency: int = 1,
-                       progress: Callable[[int, int], None] | None = None,
-                       ) -> list[TrainingExample]:
-    """Synthesize the whole corpus; output order matches input order.
+def synthesize_stream(inputs: Sequence[SynthesisInput],
+                      student_llm: LlmClient, teacher_llm: LlmClient,
+                      library: TemplateLibrary, seed: int,
+                      params: DecodingParams = DecodingParams(),
+                      max_noise_docs: int = DEFAULT_NOISE_DOCS,
+                      concurrency: int = 1,
+                      progress: Callable[[int, int], None] | None = None,
+                      ) -> Iterator[TrainingExample]:
+    """Synthesize the corpus, yielding examples in input order as
+    ``map_ordered`` does.
 
     ``progress(done, total)`` fires after each completed example.  Gold
     positions are drawn up front from one seeded RNG, so a fixed seed
@@ -210,6 +211,20 @@ def synthesize_dataset(inputs: Sequence[SynthesisInput],
 
     return map_ordered(run_one, list(zip(trimmed, positions)), concurrency,
                        progress)
+
+
+def synthesize_dataset(inputs: Sequence[SynthesisInput],
+                       student_llm: LlmClient, teacher_llm: LlmClient,
+                       library: TemplateLibrary, seed: int,
+                       params: DecodingParams = DecodingParams(),
+                       max_noise_docs: int = DEFAULT_NOISE_DOCS,
+                       concurrency: int = 1,
+                       progress: Callable[[int, int], None] | None = None,
+                       ) -> list[TrainingExample]:
+    """Every example of ``synthesize_stream``, as a list."""
+    return list(synthesize_stream(inputs, student_llm, teacher_llm, library,
+                                  seed, params, max_noise_docs, concurrency,
+                                  progress))
 
 
 def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:
@@ -231,9 +246,10 @@ def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:
     }
 
 
-def emit_corpus(examples: Sequence[TrainingExample], path: str | Path,
+def emit_corpus(examples: Iterable[TrainingExample], path: str | Path,
                 include_dropped: bool = False) -> int:
-    """Write the corpus JSONL; Keep examples only unless ``include_dropped``.
+    """Write the corpus JSONL, each line as soon as ``examples`` yields it;
+    Keep examples only unless ``include_dropped``.
 
     Returns the number of lines written.
     """

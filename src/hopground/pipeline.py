@@ -6,15 +6,25 @@ documents for it, grounds the answer in them, and appends the
 The loop ends on a finish signal, the hop cap, or the first error inside a
 hop.  A question's failure never raises: its trajectory keeps the completed
 hops and every token spent.
+
+A dataset runs through ``map_ordered``, the one loop of every command
+that goes over input records: it keeps at most ``concurrency`` items
+started and unfinished, and yields each result in input order as soon as
+every item before it has finished, so a writer can append each line as it
+comes and no command holds every result at once.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
+                                wait)
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Literal, Protocol, Sequence, TypeVar
+from typing import (Any, Callable, Iterable, Iterator, Literal, Protocol,
+                    Sequence, TypeVar)
 
 from . import retrieval
 from .core import (ConfigRecord, DecodingParams, Document, HopRecord,
@@ -164,12 +174,13 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
     )
 
 
-def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
-                   llm: LlmClient, retriever: Retriever,
-                   library: TemplateLibrary,
-                   progress: Callable[[int, int], None] | None = None,
-                   ) -> list[Trajectory]:
-    """Answer every question; output order matches input order.
+def answer_stream(questions: Sequence[Question], config: PipelineConfig,
+                  llm: LlmClient, retriever: Retriever,
+                  library: TemplateLibrary,
+                  progress: Callable[[int, int], None] | None = None,
+                  ) -> Iterator[Trajectory]:
+    """Answer every question, yielding trajectories in input order as
+    ``map_ordered`` does.
 
     A question that fails ends its own trajectory (see ``answer_question``)
     and never aborts the batch.  ``progress(done, total)`` fires per
@@ -180,42 +191,78 @@ def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
         questions, config.concurrency, progress)
 
 
+def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
+                   llm: LlmClient, retriever: Retriever,
+                   library: TemplateLibrary,
+                   progress: Callable[[int, int], None] | None = None,
+                   ) -> list[Trajectory]:
+    """Every trajectory of ``answer_stream``, as a list."""
+    return list(answer_stream(questions, config, llm, retriever, library,
+                              progress))
+
+
 def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
                 progress: Callable[[int, int], None] | None = None,
-                ) -> list[_R]:
-    """``[fn(x) for x in items]`` on up to ``concurrency`` threads.
+                ) -> Iterator[_R]:
+    """Yield ``fn(x) for x in items``, computed on up to ``concurrency``
+    threads, in input order.
 
-    Output order matches input order.  ``progress(done, total)`` fires on
-    the calling thread after each completion, whatever order they come in.
-    On threads, an interrupt, or any exception out of ``progress``, lets the
-    items in flight finish, starts no other item, and propagates.  At
-    concurrency 1 the items run on the calling thread, so an interrupt stops
-    the item it lands in.
+    The look-ahead is bounded: at most ``concurrency`` items are started and
+    unfinished at a time, and no item starts while the consumer holds a
+    result.  A result is yielded as soon as every item before it has
+    finished; only the results that finished after the oldest unfinished
+    item wait.  ``progress(done, total)`` fires on the calling thread after
+    each completion, whatever order they come in.  On threads, an
+    interrupt, or any exception out of ``fn`` or ``progress``, starts no
+    other item, lets the items in flight finish, yields the results of the
+    finished prefix and propagates.  At concurrency 1 the items run on the
+    calling thread, so an interrupt stops the item it lands in.
     """
     total = len(items)
     if concurrency == 1 or total <= 1:
-        results = []
-        for item in items:
-            results.append(fn(item))
+        for done, item in enumerate(items, start=1):
+            result = fn(item)
             if progress is not None:
-                progress(len(results), total)
-        return results
+                progress(done, total)
+            yield result
+        return
 
+    pending = iter(items)
+    window: deque[Future[_R]] = deque()  # started, not yet yielded
+    running: set[Future[_R]] = set()
+    done = 0
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(fn, item) for item in items]
         try:
-            for done, _ in enumerate(as_completed(futures), start=1):
-                if progress is not None:
-                    progress(done, total)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
+            while True:
+                # a freed slot takes its next item before results are handed
+                # over, so no thread idles while the consumer writes
+                for item in islice(pending, concurrency - len(running)):
+                    window.append(pool.submit(fn, item))
+                    running.add(window[-1])
+                while window and window[0].done():
+                    result = window[0].result()  # fn's error stops the prefix
+                    window.popleft()
+                    yield result
+                if not running:
+                    return
+                finished, running = wait(running, return_when=FIRST_COMPLETED)
+                for _ in finished:
+                    done += 1
+                    if progress is not None:
+                        progress(done, total)
+        except GeneratorExit:  # the consumer stopped: yield nothing more
             raise
-        return [f.result() for f in futures]
+        except BaseException:
+            wait(running)
+            while window and window[0].exception() is None:
+                yield window.popleft().result()
+            raise
 
 
-def write_trajectories(trajectories: Sequence[Trajectory],
+def write_trajectories(trajectories: Iterable[Trajectory],
                        path: str | Path) -> None:
-    """Write one serialized trajectory per line (UTF-8 JSONL)."""
+    """Write one serialized trajectory per line (UTF-8 JSONL), each as soon
+    as ``trajectories`` yields it."""
     write_jsonl((traj.to_dict() for traj in trajectories), path)
 
 

@@ -7,6 +7,7 @@ import ssl
 import threading
 
 from hopground.core import Document, Question
+from hopground.llm import Completion
 
 # Two-hop documentary-festival walkthrough: the deduction/grounding scripts
 # and the two wiki-style documents that support them.
@@ -217,6 +218,29 @@ class InFlightStub:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5)
+
+
+class KeyedClient:
+    """Chat stub whose reply depends on the prompt alone, not on call order:
+    ``reply(prompt)`` of the last message, so any number of threads get the
+    same replies.  With ``interrupt_after`` the call after that many raises
+    ``KeyboardInterrupt``, as a Ctrl-C landing in a model call does."""
+
+    def __init__(self, reply, interrupt_after=None):
+        self.reply = reply
+        self.interrupt_after = interrupt_after
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, messages, params):
+        with self._lock:
+            self.calls += 1
+            if self.calls - 1 == self.interrupt_after:
+                raise KeyboardInterrupt
+        prompt = messages[-1].content
+        text = self.reply(prompt)
+        return Completion(text=text, prompt_tokens=len(prompt.split()),
+                          completion_tokens=len(text.split()))
 
 
 # one document record each, read the same way from a corpus file, from an

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from hopground.cli import Config, main
+from hopground.cli import Config, Progress, main
+from hopground.llm import LlmConfig
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
-                     FESTIVAL_SCRIPT, InFlightStub, write_festival_files,
-                     write_json, write_jsonl, write_synth_files)
+                     FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
+                     write_festival_files, write_json, write_jsonl,
+                     write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 ROOT = Path(__file__).parent.parent
@@ -488,6 +491,59 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["totals"]["failures"] == 1
 
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_interrupt_leaves_a_prefix_of_the_full_run(
+            self, festival_run, tmp_path, monkeypatch, concurrency):
+        dataset = tmp_path / "twelve.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "answers": ["x"],
+                               "question": f"Which number is {i}?"}
+                              for i in range(12)])
+        config = write_json(tmp_path / "keyed.json", {
+            "llm": OPENAI,
+            "retrieval": {"corpus_path": str(festival_run["corpus"])},
+        })
+
+        def answer(prompt):
+            number = re.search(r"Which number is (\d+)\?", prompt)[1]
+            return f"###Finish[{number}]"
+
+        def run(out, client):
+            monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+            return main(["run", "--dataset", str(dataset), "--config",
+                         str(config), "--out", str(out),
+                         "--concurrency", str(concurrency)])
+
+        assert run(tmp_path / "full", KeyedClient(answer)) == 0
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path / "cut", KeyedClient(answer, interrupt_after=5))
+        full = (tmp_path / "full" / "trajectories.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        cut = (tmp_path / "cut" / "trajectories.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert cut == full[:len(cut)]
+        assert len(cut) < 12
+        if concurrency == 1:  # the sixth question is the one interrupted
+            assert len(cut) == 5
+        assert not (tmp_path / "cut" / "manifest.json").exists()
+
+
+def write_judge_files(directory, n):
+    """A dataset of ``n`` questions and a trajectory file answering each
+    with its gold answer."""
+    dataset = directory / "ds.jsonl"
+    write_jsonl(dataset, [{"id": f"q{i}", "question": f"Q{i}?",
+                           "answers": ["gold"]} for i in range(n)])
+    trajectories = directory / "trajs.jsonl"
+    write_jsonl(trajectories, [{
+        "question": {"id": f"q{i}", "text": f"Q{i}?", "gold_answers": ["gold"],
+                     "metadata": {}},
+        "hops": [], "final_answer": "gold",
+        "termination": "finish_signal",
+        "token_usage": {"per_hop": [], "total": {"prompt_tokens": 0,
+                                                 "completion_tokens": 0}},
+    } for i in range(n)])
+    return dataset, trajectories
+
 
 class TestEvalCommand:
     def run_festival(self, festival_run):
@@ -648,22 +704,11 @@ class TestEvalCommand:
         assert "judge_llm" not in err
 
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
-        questions = [{"id": f"q{i}", "question": f"Q{i}?", "answers": ["gold"]}
-                     for i in range(10)]
-        dataset = tmp_path / "ds.jsonl"
-        write_jsonl(dataset, questions)
-        trajectories = tmp_path / "trajs.jsonl"
-        write_jsonl(trajectories, [{
-            "question": {"id": f"q{i}", "text": f"Q{i}?", "gold_answers": ["gold"],
-                         "metadata": {}},
-            "hops": [], "final_answer": "gold",
-            "termination": "finish_signal",
-            "token_usage": {"per_hop": [], "total": {"prompt_tokens": 0,
-                                                     "completion_tokens": 0}},
-        } for i in range(10)])
+        dataset, trajectories = write_judge_files(tmp_path, 10)
         judge_script = write_json(tmp_path / "judge.json",
                                   ["Yes", "No"] * 5)
         config = write_json(tmp_path / "config.json", {
+            "pipeline": {"concurrency": 1},
             "judge_llm": {"backend": "scripted",
                           "script_path": str(judge_script)},
         })
@@ -676,6 +721,44 @@ class TestEvalCommand:
         summary = json.loads((tmp_path / "reports" / "summary.json")
                              .read_text(encoding="utf-8"))
         assert summary["acc_judge"] == 50.00
+
+    def test_judge_requests_in_flight_follow_pipeline_concurrency(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        dataset, trajectories = write_judge_files(tmp_path, 4)
+        stub = InFlightStub(4)
+        try:
+            config = write_json(tmp_path / "wide.json", {
+                "pipeline": {"concurrency": 4},
+                "judge_llm": {"backend": "openai", "base_url": stub.url,
+                              "model": "stub",
+                              "api_key_env": "HOPGROUND_NO_KEY"},
+            })
+            assert main(["eval", "--trajectories", str(trajectories),
+                         "--dataset", str(dataset), "--judge",
+                         "--config", str(config),
+                         "--out", str(tmp_path / "reports")]) == 0
+        finally:
+            stub.close()
+        assert stub.most_in_flight == 4
+        # the stub's reply is no verdict, so each is retried, then "no"
+        rows = (tmp_path / "reports" / "records.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert rows[1:] == [f"q{i},1,1.0000,no" for i in range(4)]
+
+    def test_scripted_judge_needs_concurrency_one(self, tmp_path, capsys):
+        dataset, trajectories = write_judge_files(tmp_path, 2)
+        script = write_json(tmp_path / "judge.json", ["Yes", "Yes"])
+        config = write_json(tmp_path / "config.json", {
+            "judge_llm": {"backend": "scripted", "script_path": str(script)},
+        })
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset), "--judge",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "reports")]) == 1
+        err = capsys.readouterr().err
+        assert "judge_llm.backend" in err and "pipeline.concurrency" in err
+        assert not (tmp_path / "reports").exists()
 
 
 @pytest.fixture()
@@ -718,6 +801,36 @@ class TestSynthCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_interrupt_leaves_a_prefix_of_the_full_corpus(
+            self, synth_files, monkeypatch, concurrency):
+        config = write_json(synth_files["dir"] / "keyed.json", {
+            "student_llm": OPENAI, "teacher_llm": OPENAI,
+            "synthesis": {"concurrency": concurrency},
+        })
+
+        def reply(prompt):
+            if "capital and largest" not in prompt:  # the student's prompt
+                return "Paris."
+            return "<ref> Empty </ref>" if "(3)" in prompt else KEEP_TARGET
+
+        def synth(name, client):
+            monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+            return main(["synth", "--input", str(synth_files["input"]),
+                         "--out", str(synth_files["dir"] / name),
+                         "--seed", "7", "--config", str(config),
+                         "--include-dropped"])
+
+        assert synth("full.jsonl", KeyedClient(reply)) == 0
+        with pytest.raises(KeyboardInterrupt):
+            synth("cut.jsonl", KeyedClient(reply, interrupt_after=7))
+        full, cut = ((synth_files["dir"] / name).read_text(
+            encoding="utf-8").splitlines() for name in ("full.jsonl",
+                                                        "cut.jsonl"))
+        assert cut == full[:len(cut)]
+        assert len(cut) < 10
+        if concurrency == 1:  # call 8, the fourth example's teacher, stops
+            assert len(cut) == 3
 
     @pytest.mark.parametrize("synthesis, key", [
         ({"concurrency": "2"}, "synthesis.concurrency"),
@@ -857,3 +970,26 @@ def test_readme_config_block_names_every_key():
     # max_concurrency is declared only so that its message names its successor
     assert named == {kind: {f.name for f in fields(kind)} - {"max_concurrency"}
                      for kind in named}
+
+
+class TestProgress:
+    def test_rate_and_eta_from_the_first_completion(self):
+        readings = iter([10.0, 12.0, 14.0, 18.0])
+        progress = Progress("answered", clock=lambda: next(readings))
+        assert [progress.line(done, 4) for done in range(1, 5)] == [
+            "answered 1/4",
+            "answered 2/4 (0.5/s, ETA 4 s)",
+            "answered 3/4 (0.5/s, ETA 2 s)",
+            "answered 4/4 (0.4/s)",
+        ]
+
+    def test_a_single_item_has_no_rate(self):
+        assert Progress("judged", clock=lambda: 3.0).line(1, 1) == "judged 1/1"
+
+    def test_lines_go_to_stderr_only(self, capsys):
+        readings = iter([0.0, 0.5])
+        progress = Progress("synthesized", clock=lambda: next(readings))
+        progress(1, 3)
+        progress(2, 3)
+        assert capsys.readouterr() == (
+            "", "synthesized 1/3\nsynthesized 2/3 (2.0/s, ETA 0 s)\n")

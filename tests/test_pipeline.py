@@ -252,8 +252,71 @@ class TestMapOrdered:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            map_ordered(fn, list(range(50)), 2, progress)
+            list(map_ordered(fn, list(range(50)), 2, progress))
         assert len(ran) <= 4
+
+    def test_no_item_starts_beyond_the_look_ahead(self):
+        gates = [threading.Event() for _ in range(8)]
+        started = []
+        unfinished = most_unfinished = 0
+        lock = threading.Lock()
+
+        def fn(item):
+            nonlocal unfinished, most_unfinished
+            with lock:
+                started.append(item)
+                unfinished += 1
+                most_unfinished = max(most_unfinished, unfinished)
+            assert gates[item].wait(timeout=5)
+            with lock:
+                unfinished -= 1
+            return item
+
+        stream = map_ordered(fn, list(range(8)), 3)
+        gates[0].set()
+        assert next(stream) == 0  # items 1 and 2 are still running
+        held = sorted(started)  # item 3 may have taken item 0's slot
+        time.sleep(0.05)  # room for a wrongly started item to show
+        assert sorted(started) == held
+        assert held in ([0, 1, 2], [0, 1, 2, 3])
+        for gate in gates:
+            gate.set()
+        assert list(stream) == list(range(1, 8))
+        assert most_unfinished <= 3
+
+    def test_interrupt_yields_the_items_in_flight(self):
+        gate = threading.Event()
+        started = []
+
+        def fn(item):
+            started.append(item)
+            if item != 1:
+                assert gate.wait(timeout=5)
+            return item
+
+        def progress(done, total):
+            gate.set()  # items 0 and 2 are in flight and now finish
+            raise KeyboardInterrupt
+
+        results = []
+        with pytest.raises(KeyboardInterrupt):
+            for result in map_ordered(fn, list(range(10)), 3, progress):
+                results.append(result)
+        assert results == [0, 1, 2]
+        assert sorted(started) == [0, 1, 2]
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_error_ends_the_stream_at_its_item(self, concurrency):
+        def fn(item):
+            if item == 2:
+                raise ValueError("bad item")
+            return item
+
+        results = []
+        with pytest.raises(ValueError, match="bad item"):
+            for result in map_ordered(fn, list(range(6)), concurrency):
+                results.append(result)
+        assert results == [0, 1]
 
 
 class TestPipelineConfig:
