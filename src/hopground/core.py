@@ -266,9 +266,6 @@ class Document(Record):
     body: Text
     rank: PositiveInt | None = None
 
-    def with_rank(self, rank: int) -> "Document":
-        return Document(self.id, self.title, self.body, rank)
-
 
 @dataclass(frozen=True)
 class GroundingOutcome(Record):

@@ -111,14 +111,13 @@ class TrainingExample(Record):
         return super().from_dict({**d, "verdict": verdict})
 
 
-def apply_filters(target: str, gold_answer: str, gold_doc: Document) -> Verdict:
+def apply_filters(target: str, gold_answer: str) -> Verdict:
     """Quality-filter one teacher output; first failing rule wins.
 
     The output is read by ``parse_grounding``, the parser inference uses.
     Rules, in order: no usable evidence span (missing ref tags, blank, or
     the Empty signal); no usable revision span; revised answer fails
-    cover-EM against the gold answer.  The gold document rides along for
-    signature stability; alignment is checked against the gold answer.
+    cover-EM against the gold answer.
     """
     try:
         outcome = parse_grounding(target)
@@ -145,9 +144,7 @@ def place_gold(gold_doc: Document, noise_docs: Sequence[Document],
 
 def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
                        teacher_llm: LlmClient, library: TemplateLibrary,
-                       gold_position: int,
-                       params: DecodingParams = DecodingParams(),
-                       ) -> TrainingExample:
+                       gold_position: int) -> TrainingExample:
     """Synthesize one training example.
 
     The student sees the bare question; the teacher sees the grounding
@@ -160,13 +157,15 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
     target = ""
     try:
         student_reply = student_llm.complete(
-            [ChatMessage(role="user", content=inp.question.text)], params)
+            [ChatMessage(role="user", content=inp.question.text)],
+            DecodingParams())
         immediate_answer = student_reply.text.strip()
         instruction = render_synthesis_teacher(
             library, inp.question.text, immediate_answer, documents)[0].content
         target = teacher_llm.complete(
-            [ChatMessage(role="user", content=instruction)], params).text
-        verdict = apply_filters(target, inp.gold_answer, inp.gold_doc)
+            [ChatMessage(role="user", content=instruction)],
+            DecodingParams()).text
+        verdict = apply_filters(target, inp.gold_answer)
     except LlmError as exc:
         log.warning("question %s: synthesis failed: %s", inp.question.id, exc)
         instruction = render_synthesis_teacher(
@@ -187,7 +186,6 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 def synthesize_stream(inputs: Sequence[SynthesisInput],
                       student_llm: LlmClient, teacher_llm: LlmClient,
                       library: TemplateLibrary, seed: int,
-                      params: DecodingParams = DecodingParams(),
                       max_noise_docs: int = DEFAULT_NOISE_DOCS,
                       concurrency: int = 1,
                       progress: Callable[[int, int], None] | None = None,
@@ -207,24 +205,10 @@ def synthesize_stream(inputs: Sequence[SynthesisInput],
     def run_one(pair: tuple[SynthesisInput, int]) -> TrainingExample:
         inp, position = pair
         return synthesize_example(inp, student_llm, teacher_llm, library,
-                                  position, params)
+                                  position)
 
     return map_ordered(run_one, list(zip(trimmed, positions)), concurrency,
                        progress)
-
-
-def synthesize_dataset(inputs: Sequence[SynthesisInput],
-                       student_llm: LlmClient, teacher_llm: LlmClient,
-                       library: TemplateLibrary, seed: int,
-                       params: DecodingParams = DecodingParams(),
-                       max_noise_docs: int = DEFAULT_NOISE_DOCS,
-                       concurrency: int = 1,
-                       progress: Callable[[int, int], None] | None = None,
-                       ) -> list[TrainingExample]:
-    """Every example of ``synthesize_stream``, as a list."""
-    return list(synthesize_stream(inputs, student_llm, teacher_llm, library,
-                                  seed, params, max_noise_docs, concurrency,
-                                  progress))
 
 
 def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:

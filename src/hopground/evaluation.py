@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from .core import (DecodingParams, Question, expect_type, loads_utf8,
                    read_jsonl, scalar_text)
-from .errors import (EmptyRecords, MalformedDataset, MissingGold,
+from .errors import (EmptyRecords, LlmError, MalformedDataset, MissingGold,
                      UnparseableVerdict)
 from .llm import LlmClient, retry_parse
 from .prompts import TemplateLibrary, render_judge
@@ -80,8 +80,6 @@ def token_f1(prediction: str, gold_answers: Sequence[str]) -> float:
 @dataclass(frozen=True)
 class EvalRecord:
     question_id: str
-    prediction: str
-    gold_answers: tuple[str, ...]
     acc: int
     f1: float
     acc_judge: str | None = None  # "yes" / "no" when judged
@@ -94,21 +92,24 @@ class EvalRecord:
 
 
 def judge(llm: LlmClient, library: TemplateLibrary, question: str,
-          prediction: str, gold_answer: str,
-          params: DecodingParams = DecodingParams()) -> str:
+          prediction: str, gold_answer: str) -> str | None:
     """Ask the judge model whether the prediction implies the gold answer.
 
     The reply's first token decides: yes-prefix -> "yes", no-prefix -> "no".
     Anything else is retried once and then recorded as "no" with a warning.
+    A call that fails (``LlmError``) is logged and judges nothing: None.
     """
     messages = render_judge(library, question, prediction, gold_answer)
     try:
-        return retry_parse(
-            lambda: _parse_verdict(llm.complete(messages, params).text))
+        return retry_parse(lambda: _parse_verdict(
+            llm.complete(messages, DecodingParams()).text))
     except UnparseableVerdict as exc:
         log.warning("judge verdict unparseable, recording no: %r",
                     exc.text[:80])
         return "no"
+    except LlmError as exc:
+        log.warning("judge call failed, leaving the record unjudged: %s", exc)
+        return None
 
 
 def _parse_verdict(text: str) -> str:
@@ -124,11 +125,9 @@ def _parse_verdict(text: str) -> str:
 
 def score_prediction(question: Question, prediction: str) -> EvalRecord:
     """Metric-only record for one prediction against its question's golds."""
-    golds = list(question.gold_answers)
+    golds = question.gold_answers
     return EvalRecord(
         question_id=question.id,
-        prediction=prediction,
-        gold_answers=tuple(golds),
         acc=cover_em(prediction, golds),
         f1=token_f1(prediction, golds),
     )

@@ -29,7 +29,6 @@ _ANSWER_TRIM = string.whitespace + "."
 class BatchPlan:
     """Contiguous, disjoint 1-based index windows covering 1..n_docs."""
 
-    batch_size: int
     windows: tuple[tuple[int, int], ...]  # inclusive (start, end) pairs
 
 
@@ -45,7 +44,7 @@ def plan_batches(n_docs: int, batch_size: int) -> BatchPlan:
         raise ValueError("batch_size must be >= 1")
     windows = tuple((start, min(start + batch_size - 1, n_docs))
                     for start in range(1, n_docs + 1, batch_size))
-    return BatchPlan(batch_size=batch_size, windows=windows)
+    return BatchPlan(windows)
 
 
 def first_tag_span(text: str, open_tag: str, close_tag: str) -> str | None:

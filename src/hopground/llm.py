@@ -213,15 +213,9 @@ class LlmConfig(ConfigRecord, section="llm"):
     api_key_env: str = "OPENAI_API_KEY"
     timeout: Positive = DEFAULT_TIMEOUT
     max_attempts: PositiveInt = DEFAULT_MAX_ATTEMPTS
-    max_concurrency: object = None  # removed; declared to name its successor
 
     def client(self, role: str) -> LlmClient:
         """The client this section configures; ``role`` is its key."""
-        if self.max_concurrency is not None:
-            raise ConfigError(
-                f"{role}.max_concurrency is no longer supported: requests in "
-                "flight are limited by pipeline.concurrency alone "
-                "(synthesis.concurrency for synth)")
         if self.backend == "scripted":
             if self.script_path is None:
                 raise ConfigError(f"{role}: scripted backend needs script_path")

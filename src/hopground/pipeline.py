@@ -208,15 +208,17 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
     threads, in input order.
 
     The look-ahead is bounded: at most ``concurrency`` items are started and
-    unfinished at a time, and no item starts while the consumer holds a
-    result.  A result is yielded as soon as every item before it has
-    finished; only the results that finished after the oldest unfinished
-    item wait.  ``progress(done, total)`` fires on the calling thread after
-    each completion, whatever order they come in.  On threads, an
-    interrupt, or any exception out of ``fn`` or ``progress``, starts no
-    other item, lets the items in flight finish, yields the results of the
-    finished prefix and propagates.  At concurrency 1 the items run on the
-    calling thread, so an interrupt stops the item it lands in.
+    unfinished at a time, at most ``4 * concurrency`` are started and not
+    yet yielded, and no item starts while the consumer holds a result.  A
+    result is yielded as soon as every item before it has finished, so a
+    stalled item holds back at most ``4 * concurrency - 1`` finished
+    results and starts nothing past them.  ``progress(done, total)`` fires
+    on the calling thread after each completion, whatever order they come
+    in.  On threads, an interrupt, or any exception out of ``fn`` or
+    ``progress``, starts no other item, lets the items in flight finish,
+    yields the results of the finished prefix and propagates.  At
+    concurrency 1 the items run on the calling thread, so an interrupt stops
+    the item it lands in.
     """
     total = len(items)
     if concurrency == 1 or total <= 1:
@@ -234,16 +236,19 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         try:
             while True:
-                # a freed slot takes its next item before results are handed
-                # over, so no thread idles while the consumer writes
-                for item in islice(pending, concurrency - len(running)):
+                # a freed slot takes its next item before each result is
+                # handed over, so no thread idles while the consumer writes
+                room = min(concurrency - len(running),
+                           4 * concurrency - len(window))
+                for item in islice(pending, room):
                     window.append(pool.submit(fn, item))
                     running.add(window[-1])
-                while window and window[0].done():
+                if window and window[0].done():
                     result = window[0].result()  # fn's error stops the prefix
                     window.popleft()
                     yield result
-                if not running:
+                    continue
+                if done == total:
                     return
                 finished, running = wait(running, return_when=FIRST_COMPLETED)
                 for _ in finished:

@@ -28,7 +28,7 @@ from hopground.retrieval import build_index, load_corpus, retrieve, tokenize
 import oracles
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, write_jsonl)
-from test_distill import FILTER_TABLE, GOLD_ANSWER, GOLD_DOC, make_example
+from test_distill import FILTER_TABLE, GOLD_ANSWER, make_example
 from test_evaluation import make_pairs
 from test_retrieval import QUERIES
 
@@ -173,7 +173,7 @@ def test_criterion_05_bm25_matches_oracle(fixtures_dir):
 def test_criterion_06_filter_fixture():
     assert len(FILTER_TABLE) == 12
     for target, reason in FILTER_TABLE:
-        verdict = apply_filters(target, GOLD_ANSWER, GOLD_DOC)
+        verdict = apply_filters(target, GOLD_ANSWER)
         if reason is None:
             assert verdict.keep, target
         else:

@@ -14,8 +14,8 @@ from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
-                     write_festival_files, write_json, write_jsonl,
-                     write_synth_files)
+                     StubServer, write_festival_files, write_json,
+                     write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 ROOT = Path(__file__).parent.parent
@@ -204,20 +204,22 @@ class TestRunCommand:
         assert len(stub.peers) == 2
         assert "ResourceWarning" not in result.stderr
 
+    @pytest.mark.parametrize("section", [
+        "llm", "judge_llm", "student_llm", "teacher_llm"])
     def test_llm_max_concurrency_is_rejected(self, festival_run, tmp_path,
-                                             capsys):
+                                             capsys, section):
         config = write_json(tmp_path / "capped.json", {
             "pipeline": {"concurrency": 16},
-            "llm": {"backend": "openai", "base_url": "http://127.0.0.1:9",
-                    "model": "m", "max_concurrency": 4},
+            section: {"backend": "openai", "base_url": "http://127.0.0.1:9",
+                      "model": "m", "max_concurrency": 4},
             "retrieval": {"corpus_path": str(festival_run["corpus"])},
         })
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", str(config),
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
-        assert "llm.max_concurrency" in err
-        assert "pipeline.concurrency" in err
+        assert f"unknown config key {section}.max_concurrency" in err
+        assert "did you mean" not in err
         assert not festival_run["out"].exists()
 
     @pytest.mark.parametrize("override, key", [
@@ -746,6 +748,37 @@ class TestEvalCommand:
             encoding="utf-8").splitlines()
         assert rows[1:] == [f"q{i},1,1.0000,no" for i in range(4)]
 
+    def test_failed_judge_call_leaves_its_record_unjudged(
+            self, tmp_path, caplog, monkeypatch):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        dataset, trajectories = write_judge_files(tmp_path, 3)
+        stub = StubServer()
+        stub.queue_completion("Yes")
+        stub.queue(500, {"error": "overloaded"})
+        stub.queue_completion("No")
+        try:
+            config = write_json(tmp_path / "config.json", {
+                "pipeline": {"concurrency": 1},
+                "judge_llm": {"backend": "openai", "base_url": stub.url,
+                              "model": "stub", "max_attempts": 1,
+                              "api_key_env": "HOPGROUND_NO_KEY"},
+            })
+            assert main(["eval", "--trajectories", str(trajectories),
+                         "--dataset", str(dataset), "--judge",
+                         "--config", str(config),
+                         "--out", str(tmp_path / "reports")]) == 0
+        finally:
+            stub.close()
+        assert len(stub.requests) == 3
+        assert "judge call failed" in caplog.text
+        rows = (tmp_path / "reports" / "records.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert rows[1:] == ["q0,1,1.0000,yes", "q1,1,1.0000,",
+                            "q2,1,1.0000,no"]
+        summary = json.loads((tmp_path / "reports" / "summary.json")
+                             .read_text(encoding="utf-8"))
+        assert summary == {"acc": 100.0, "f1": 100.0, "acc_judge": 50.0}
+
     def test_scripted_judge_needs_concurrency_one(self, tmp_path, capsys):
         dataset, trajectories = write_judge_files(tmp_path, 2)
         script = write_json(tmp_path / "judge.json", ["Yes", "Yes"])
@@ -967,9 +1000,7 @@ def test_readme_config_block_names_every_key():
                 visit(getattr(record, key), value)
 
     visit(Config.from_dict(documented), documented)
-    # max_concurrency is declared only so that its message names its successor
-    assert named == {kind: {f.name for f in fields(kind)} - {"max_concurrency"}
-                     for kind in named}
+    assert named == {kind: {f.name for f in fields(kind)} for kind in named}
 
 
 class TestProgress:

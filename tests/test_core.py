@@ -74,11 +74,6 @@ class TestDocument:
         with pytest.raises(InvalidRecord):
             Document(id="d", title="t", body="x", rank=0)
 
-    def test_with_rank(self):
-        doc = Document(id="d", title="", body="x")
-        assert doc.with_rank(3).rank == 3
-        assert doc.rank is None
-
 
 class TestGroundingOutcome:
     def test_empty_cannot_carry_citation(self):

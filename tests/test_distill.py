@@ -12,8 +12,8 @@ from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                SynthesisInput, TrainingExample, Verdict,
                                apply_filters, dataset_stats, emit_corpus,
                                load_synthesis_inputs, load_training_corpus,
-                               place_gold, synthesize_dataset,
-                               synthesize_example)
+                               place_gold, synthesize_example,
+                               synthesize_stream)
 from hopground.errors import EmptyRecords, MalformedDataset
 from hopground.llm import Completion, ScriptedClient
 
@@ -69,7 +69,7 @@ def make_input(i=0, n_noise=2):
 class TestApplyFilters:
     @pytest.mark.parametrize("target,reason", FILTER_TABLE)
     def test_twelve_case_table(self, target, reason):
-        verdict = apply_filters(target, GOLD_ANSWER, GOLD_DOC)
+        verdict = apply_filters(target, GOLD_ANSWER)
         if reason is KEEP:
             assert verdict.keep, target
         else:
@@ -78,18 +78,18 @@ class TestApplyFilters:
 
     def test_first_failing_rule_is_reported(self):
         # empty evidence outranks the (also missing) revision
-        verdict = apply_filters("plain text", GOLD_ANSWER, GOLD_DOC)
+        verdict = apply_filters("plain text", GOLD_ANSWER)
         assert verdict.reason == DROP_EMPTY_EVIDENCE
 
     def test_total_over_arbitrary_strings(self):
         for text in ("", "<ref>", "</revise>", "\x00\x01", "<ref></ref>"):
-            verdict = apply_filters(text, GOLD_ANSWER, GOLD_DOC)
+            verdict = apply_filters(text, GOLD_ANSWER)
             assert isinstance(verdict, Verdict)
 
     @settings(max_examples=1000)
     @given(st.lists(st.sampled_from(TAG_SOUP), max_size=14).map("".join))
     def test_matches_tag_rules_oracle(self, target):
-        verdict = apply_filters(target, GOLD_ANSWER, GOLD_DOC)
+        verdict = apply_filters(target, GOLD_ANSWER)
         expected = oracles.synthesis_drop_reason(target, GOLD_ANSWER)
         assert verdict == (Verdict.kept() if expected is None
                            else Verdict.drop(expected)), target
@@ -150,7 +150,7 @@ class TestSynthesizeExample:
         assert example.target == ""
 
 
-class TestSynthesizeDataset:
+class TestSynthesizeStream:
     def scripts(self, n):
         student = ScriptedClient(["Paris."] * n)
         teacher = ScriptedClient([FILTER_TABLE[0][0]] * n)
@@ -161,8 +161,8 @@ class TestSynthesizeDataset:
         runs = []
         for _ in range(2):
             student, teacher = self.scripts(len(inputs))
-            examples = synthesize_dataset(inputs, student, teacher, library,
-                                          seed=123)
+            examples = list(synthesize_stream(inputs, student, teacher,
+                                              library, seed=123))
             runs.append([e.gold_position for e in examples])
         assert runs[0] == runs[1]
 
@@ -171,22 +171,23 @@ class TestSynthesizeDataset:
         positions = []
         for seed in (1, 2):
             student, teacher = self.scripts(len(inputs))
-            examples = synthesize_dataset(inputs, student, teacher, library,
-                                          seed=seed)
+            examples = list(synthesize_stream(inputs, student, teacher,
+                                              library, seed=seed))
             positions.append([e.gold_position for e in examples])
         assert positions[0] != positions[1]
 
     def test_noise_docs_trimmed_to_maximum(self, library):
         inputs = [make_input(0, n_noise=15)]
         student, teacher = self.scripts(1)
-        examples = synthesize_dataset(inputs, student, teacher, library,
-                                      seed=0, max_noise_docs=9)
+        examples = list(synthesize_stream(inputs, student, teacher, library,
+                                          seed=0, max_noise_docs=9))
         assert len(examples[0].documents) == 10  # gold + 9 noise
 
     def test_output_order_matches_input(self, library):
         inputs = [make_input(i) for i in range(5)]
         student, teacher = self.scripts(5)
-        examples = synthesize_dataset(inputs, student, teacher, library, seed=9)
+        examples = list(synthesize_stream(inputs, student, teacher, library,
+                                          seed=9))
         assert [e.documents[0].id.startswith(("gold", "noise")) for e in examples]
         assert len(examples) == 5
 
@@ -203,9 +204,9 @@ class TestSynthesizeDataset:
         teacher = ScriptedClient([FILTER_TABLE[0][0]] * 6)
         inputs = [make_input(i) for i in range(6)]
         seen = []
-        examples = synthesize_dataset(
+        examples = list(synthesize_stream(
             inputs, EchoClient(), teacher, library, seed=9, concurrency=3,
-            progress=lambda done, total: seen.append((done, total)))
+            progress=lambda done, total: seen.append((done, total))))
         assert seen == [(done, 6) for done in range(1, 7)]
         assert [e.immediate_answer for e in examples] == [
             inp.question.text for inp in inputs]

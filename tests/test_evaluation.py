@@ -172,11 +172,14 @@ class TestJudge:
         llm = ScriptedClient(["maybe", "Yes."])
         assert judge(llm, library, "q", "p", "g") == "yes"
 
+    def test_failed_call_judges_nothing(self, library):
+        llm = ScriptedClient([])  # the call raises ScriptExhausted
+        assert judge(llm, library, "q", "p", "g") is None
+
 
 class TestAggregate:
     def record(self, qid, acc, f1, acc_judge=None):
-        return EvalRecord(question_id=qid, prediction="p",
-                          gold_answers=("g",), acc=acc, f1=f1,
+        return EvalRecord(question_id=qid, acc=acc, f1=f1,
                           acc_judge=acc_judge)
 
     def test_mean_to_percent(self):
@@ -387,8 +390,7 @@ class TestLoadDataset:
 
 class TestReports:
     def test_records_csv(self, tmp_path):
-        records = [EvalRecord(question_id="a", prediction="p",
-                              gold_answers=("g",), acc=1, f1=0.5,
+        records = [EvalRecord(question_id="a", acc=1, f1=0.5,
                               acc_judge="yes")]
         path = tmp_path / "records.csv"
         write_records_csv(records, path)

@@ -305,6 +305,30 @@ class TestMapOrdered:
         assert results == [0, 1, 2]
         assert sorted(started) == [0, 1, 2]
 
+    def test_a_held_item_bounds_the_results_waiting_behind_it(self):
+        held = threading.Event()
+        finished = []
+        lock = threading.Lock()
+
+        def fn(item):
+            if item == 0:
+                assert held.wait(timeout=5)
+            with lock:
+                finished.append(item)
+            return item
+
+        results = []
+        consumer = threading.Thread(target=lambda: results.extend(
+            map_ordered(fn, list(range(1000)), 2)))
+        consumer.start()
+        time.sleep(0.2)  # room for the items behind item 0 to run
+        with lock:
+            behind = len(finished)
+        held.set()
+        consumer.join(timeout=5)
+        assert behind <= 4 * 2 - 1
+        assert results == list(range(1000))
+
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_error_ends_the_stream_at_its_item(self, concurrency):
         def fn(item):

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import math
 import os
 import pickle
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 import weakref
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -472,7 +474,7 @@ def _all_documents(index):
 
 
 def _ranked(docs):
-    return [d.with_rank(rank) for rank, d in
+    return [replace(d, rank=rank) for rank, d in
             enumerate(sorted(docs, key=lambda d: d.id), start=1)]
 
 
@@ -593,7 +595,19 @@ class _Planted:
         return os.mkdir, (self.marker,)
 
 
+_NAMES = itertools.count()
+
+
+def _fresh(path):
+    """``path`` renamed to a name no earlier call gave.  A test that writes
+    a file per example writes each to a new name, since overwriting a file
+    costs tens of milliseconds on a file system mounted with ``discard``,
+    and writing a new one well under one."""
+    return path.with_name(f"{next(_NAMES)}-{path.name}")
+
+
 def _load_outcome(path, data):
+    path = _fresh(path)
     path.write_bytes(data)
     try:
         load_index(path)
@@ -675,7 +689,7 @@ class TestScores:
             [term for term, qtf in repeats for _ in range(qtf)]), label="query"))
         _assert_scores_match_reference(build_index(docs, k1=k1, b=b),
                                        [query, "pine zzz pine"],
-                                       tmp_path / "index.bin")
+                                       _fresh(tmp_path / "index.bin"))
 
 
 class TestIndexCache:
@@ -788,7 +802,7 @@ class TestIndexCache:
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
                     min_size=1, max_size=4))
     def test_corrupted_bytes_load_or_raise_value_error(self, tmp_path, flips):
-        valid = tmp_path / "valid.cache"
+        valid = _fresh(tmp_path / "valid.cache")
         save_index(build_index(SMALL_CORPUS), valid)
         data = bytearray(valid.read_bytes())
         for position, value in flips:
@@ -849,13 +863,13 @@ class TestChunks:
         # makes a tokenless document
         docs = [Document(id=f"d{i}", title="", body=body)
                 for i, body in enumerate(bodies)]
-        expected = _index_bytes(build_index(docs), tmp_path / "default.cache")
+        expected = _index_bytes(build_index(docs),
+                                _fresh(tmp_path / "default.cache"))
+        chunked = _fresh(tmp_path / "chunked.cache")
         with monkeypatch.context() as patch:
             patch.setattr(bm25, "_CHUNK", chunk)
-            assert _index_bytes(build_index(docs),
-                                tmp_path / "chunked.cache") == expected
-            assert (load_index(tmp_path / "chunked.cache").impact.tobytes()
-                    == expected["impact"])
+            assert _index_bytes(build_index(docs), chunked) == expected
+            assert load_index(chunked).impact.tobytes() == expected["impact"]
 
     @pytest.mark.parametrize("mutation", CACHE_MUTATIONS.values(),
                              ids=CACHE_MUTATIONS.keys())
@@ -1016,4 +1030,4 @@ class TestExternalRetriever:
     def test_optional_title_and_numeric_id(self, stub, result, expected):
         stub.queue(200, {"results": [result]})
         assert retrieve_external(stub.url, "q", top_k=5) == [
-            expected.with_rank(1)]
+            replace(expected, rank=1)]
