@@ -132,7 +132,8 @@ def _sorted_rankings(index, queries, top_k):
         scores = index.scores(q)
         positive = np.flatnonzero(scores > 0.0)
         order = positive[np.lexsort((positive, -scores[positive]))]
-        rankings.append([index.doc_ids[i] for i in order[:top_k].tolist()])
+        rankings.append([index.document(i, rank).id for rank, i in
+                         enumerate(order[:top_k].tolist(), start=1)])
     return rankings
 
 

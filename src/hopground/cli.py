@@ -97,23 +97,23 @@ class Progress:
     ``eval --judge``: one stderr line per completion, such as
     ``answered 37/200 (17.4/s, ETA 9 s)``.
 
-    The rate counts the completions after the first over the time since
-    the first, so the first line has none, and the last has no ETA.
+    The rate counts every completion over the time since the callback was
+    made, just before the stream starts, so completions that arrive
+    together (several can finish before the driver wakes) cannot inflate
+    it.  The last line has no ETA.
     """
 
     def __init__(self, verb: str, clock: Callable[[], float] = time.monotonic):
         self.verb = verb
         self.clock = clock
-        self.first: float | None = None
+        self.start = clock()
 
     def line(self, done: int, total: int) -> str:
         now = self.clock()
-        if self.first is None:
-            self.first = now
         head = f"{self.verb} {done}/{total}"
-        if done == 1 or now <= self.first:
+        if now <= self.start:
             return head
-        rate = (done - 1) / (now - self.first)
+        rate = done / (now - self.start)
         if done == total:
             return f"{head} ({rate:.1f}/s)"
         return f"{head} ({rate:.1f}/s, ETA {(total - done) / rate:.0f} s)"

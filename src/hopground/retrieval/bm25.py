@@ -16,22 +16,24 @@ and ``0-9`` and turns every other byte into a space, then ``split``; for
 ASCII the regex's runs are exactly ``[A-Za-z0-9]+``, so both routes yield
 the same tokens.  Other text goes through the regex.
 
-Documents are indexed over ``title + body`` and stored sorted by id, which
-makes retrieval results independent of corpus input order.  They are kept as
-one UTF-8 byte blob, ``doc_text``, cut by ``int64`` ``doc_offsets`` into
-three fields per document (id, title, body); :meth:`CorpusIndex.document`
-decodes a :class:`Document` only for a ranked hit.  Repeated query terms
-contribute once per occurrence.
+Documents are indexed over ``title + body`` and numbered by id, which
+makes retrieval results independent of corpus input order.  Their text is one
+UTF-8 byte blob, ``doc_text``, of three fields per document (id, title,
+body); document ``i`` in id order starts at ``doc_starts[i]`` and its fields
+end at the ``int64`` ``doc_ends[i]``; the index holds no list of ids.
+:meth:`CorpusIndex.document` decodes a :class:`Document` only for a ranked
+hit.  Repeated query terms contribute once per occurrence.
 
 :func:`build_index` reads its documents once, as a stream (single-pass
 in-memory inversion): each document's fields go into one growing buffer and
 its token ids into one array as it arrives, so a caller that streams
 :func:`~hopground.retrieval.load_corpus` into it never holds a document
-list.  At the end, the documents are copied into id order and the terms are
-numbered as they first appear over the id-sorted documents, so every array,
-and the cache, is the same for any input order.  The arrays are consistent
-by construction; only :func:`load_index`, which reads a file from outside,
-checks them, and the :class:`CorpusIndex` constructor just derives from them.
+list.  At the end, the blob stays in arrival order and only the bounds are
+put in id order, and the terms are numbered as they first appear over the
+id-sorted documents, so the postings, the rankings and the cache are the
+same for any input order.  The arrays are consistent by construction; only
+:func:`load_index`, which reads a file from outside, checks them, and the
+:class:`CorpusIndex` constructor just derives from them.
 
 Per-posting temporaries are made one chunk of ``_CHUNK`` postings at a
 time, never for the whole array.  The build adds the term to each token's
@@ -39,8 +41,8 @@ key and turns the sorted keys into postings chunk by chunk, writing the run
 lengths over the keys it has read; :func:`load_index` checks the postings
 chunk by chunk (summing the document lengths in chunks of at least one
 posting per document); the constructor divides ``impact`` chunk by chunk.
-A load therefore peaks at about what the index holds, and the build's peak
-is the document blob and its id-order copy.
+A load therefore peaks at about what the index holds, and the build never
+holds a second copy of the document text.
 
 Each posting's BM25 contribution is computed once, by the constructor, into
 ``impact``, a ``float64`` array aligned with ``doc_idx``, derived on load
@@ -59,10 +61,16 @@ included, is kept, and only those few are partitioned and stably sorted.  A
 sample of fewer than ``k`` scoring documents gives the smallest positive
 float as the floor, which keeps every document that scores above zero.
 
-:func:`save_index` writes these arrays as they are into an uncompressed
-``.npz`` (cache format ``hopground-bm25-csr-v3``), so :func:`load_index`
-never deserializes Python objects and rejects any malformed file with
-``ValueError``.  Caches of earlier formats are rejected, not converted.
+:func:`save_index` writes the cache (format ``hopground-bm25-csr-v3``)
+byte for byte as ``np.savez`` would write the id-order arrays into an
+uncompressed ``.npz``, with the documents in id order and cut by one
+``doc_offsets`` array.  It writes each member itself, a ``numpy.lib.format``
+header and then the array's own buffer, so it copies no array; ``doc_text``
+goes out as the blob's runs in id order.  A loaded index keeps the cache's
+id-order blob, and its bounds are views of ``doc_offsets``.
+:func:`load_index` never deserializes Python objects and rejects any
+malformed file with ``ValueError``.  Caches of earlier formats are rejected,
+not converted.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..core import Document
 from ..errors import DuplicateDocId, EmptyCorpus, EmptyQuery
@@ -86,7 +95,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
 # each byte -> itself lowercased if an ASCII letter or digit, else a space
 _ASCII_FOLD = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
                     for b in bytes(range(256)).lower())
-_FIELDS = 3  # id, title, body: the doc_offsets entries per document
+_FIELDS = 3  # id, title, body: the doc_ends (and doc_offsets) per document
 # postings (or keys) per temporary in the build, the load checks and the
 # constructor.  Small on purpose: freed temporaries of several MB can stay
 # resident in glibc's heap, and on a 100k-document corpus chunks of 2**20
@@ -123,11 +132,10 @@ def _doc_text(doc: Document) -> str:
     return f"{doc.title} {doc.body}" if doc.title else doc.body
 
 
-def _check_documents(doc_text: np.ndarray,
-                     doc_offsets: np.ndarray) -> tuple[str, ...]:
-    """The document ids, decoding every field once; raise ``ValueError``
-    unless the blob holds one or more documents with UTF-8 fields, a
-    non-blank body and ids ascending without repeats."""
+def _check_documents(doc_text: np.ndarray, doc_offsets: np.ndarray) -> None:
+    """Decode every field once; raise ``ValueError`` unless the blob holds
+    one or more documents with UTF-8 fields, a non-blank body and ids
+    ascending without repeats."""
     if doc_offsets.size < _FIELDS + 1 or (doc_offsets.size - 1) % _FIELDS:
         raise ValueError("an index needs at least one document, with "
                          f"{_FIELDS} offsets each")
@@ -137,17 +145,17 @@ def _check_documents(doc_text: np.ndarray,
         raise ValueError("document offsets must ascend")
     text = memoryview(doc_text)
     bounds = doc_offsets.tolist()
-    ids = []
+    previous = None
     # a strict decode of each field also rejects a cut inside a character
     for d in range(0, len(bounds) - 1, _FIELDS):
         start, title, body, end = bounds[d:d + _FIELDS + 1]
-        ids.append(str(text[start:title], "utf-8"))
+        doc_id = str(text[start:title], "utf-8")
         str(text[title:body], "utf-8")
         if not str(text[body:end], "utf-8").strip():
-            raise ValueError(f"document {ids[-1]!r} has a blank body")
-    if any(a >= z for a, z in zip(ids, ids[1:])):
-        raise ValueError("document ids must be unique and sorted")
-    return tuple(ids)
+            raise ValueError(f"document {doc_id!r} has a blank body")
+        if previous is not None and previous >= doc_id:
+            raise ValueError("document ids must be unique and sorted")
+        previous = doc_id
 
 
 def _check_postings(n_docs: int, n_terms: int, offsets: np.ndarray,
@@ -205,15 +213,15 @@ class CorpusIndex:
     :func:`load_index` checks a cache's arrays before it calls this.
     """
 
-    def __init__(self, doc_text: np.ndarray, doc_offsets: np.ndarray,
-                 doc_ids: tuple[str, ...], terms: Sequence[str],
+    def __init__(self, doc_text: np.ndarray, doc_starts: np.ndarray,
+                 doc_ends: np.ndarray, terms: Sequence[str],
                  offsets: np.ndarray, doc_idx: np.ndarray, tfs: np.ndarray,
                  doc_lengths: np.ndarray, k1: float, b: float):
         self.k1 = k1
         self.b = b
         self.doc_text = doc_text
-        self.doc_offsets = doc_offsets
-        self.doc_ids = doc_ids
+        self.doc_starts = doc_starts
+        self.doc_ends = doc_ends
         self.terms: tuple[str, ...] = tuple(terms)
         self._rows = {term: row for row, term in enumerate(self.terms)}
         self.offsets = offsets
@@ -226,7 +234,7 @@ class CorpusIndex:
         # normalization divisor only needs to be finite.
         divisor = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         self._denom = k1 * (1.0 - b + b * doc_lengths / divisor)
-        n_docs = len(doc_ids)
+        n_docs = len(doc_starts)
         dfs = np.diff(offsets)
         self.idf = np.array(
             [math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
@@ -243,14 +251,15 @@ class CorpusIndex:
             self.impact[start:stop] /= posting_denom
 
     def __len__(self) -> int:
-        return len(self.doc_ids)
+        return len(self.doc_starts)
 
     def document(self, i: int, rank: int) -> Document:
         """Document ``i`` in id order, decoded from the blob, at ``rank``."""
-        _, title, body, end = self.doc_offsets[
-            _FIELDS * i:_FIELDS * (i + 1) + 1].tolist()
+        start = int(self.doc_starts[i])
+        title, body, end = self.doc_ends[i].tolist()
         text = memoryview(self.doc_text)
-        return Document(self.doc_ids[i], str(text[title:body], "utf-8"),
+        return Document(str(text[start:title], "utf-8"),
+                        str(text[title:body], "utf-8"),
                         str(text[body:end], "utf-8"), rank)
 
     def scores(self, query: str) -> np.ndarray:
@@ -273,7 +282,7 @@ class CorpusIndex:
                 tfs = self.tfs[span]
                 weights.append(self.idf[row] * qtf * tfs * (self.k1 + 1.0)
                                / (tfs + self._denom[doc_idx]))
-        n_docs = len(self.doc_ids)
+        n_docs = len(self)
         if not rows:
             return np.zeros(n_docs, dtype=np.float64)
         # bincount adds weights in input order, so each document's score
@@ -289,7 +298,8 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     ``corpus`` is read once, in order, so it may be a generator such as
     :func:`load_corpus`: each document is encoded and tokenized as it
     arrives and is not kept, and a repeated id raises ``DuplicateDocId``
-    at its first repeat.  The index is the same for any input order.
+    at its first repeat.  The postings, the rankings and the saved cache
+    are the same for any input order; only the blob keeps the input order.
     """
     check_params(k1, b)  # before the work, not after it
     # term ids in first-seen input order, held as C ints rather than
@@ -313,18 +323,20 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     if not positions:
         raise EmptyCorpus("cannot index an empty corpus")
 
-    # id-sorted storage keeps scoring and tie-breaks permutation-invariant:
+    # numbering by id keeps scoring and tie-breaks permutation-invariant:
     # rank[d] is input document d's place in id order, order its inverse
-    doc_ids = sorted(positions)
-    order = np.fromiter(map(positions.__getitem__, doc_ids), dtype=np.intp,
-                        count=len(doc_ids))
+    order = np.fromiter(map(positions.__getitem__, sorted(positions)),
+                        dtype=np.intp, count=len(positions))
     del positions
     n_docs = order.size
     rank = np.empty(n_docs, dtype=np.int32)
     rank[order] = np.arange(n_docs, dtype=np.int32)
-    # copied now, so that the input-order blob is gone before the keys exist
-    doc_text, doc_offsets = _permuted_documents(text, field_ends, order)
-    del text, field_ends
+    # the blob stays in input order; only its bounds are put in id order
+    ends = np.frombuffer(field_ends, dtype=np.int64).reshape(n_docs, _FIELDS)
+    starts = np.zeros(n_docs, dtype=np.int64)
+    starts[1:] = ends[:-1, -1]
+    doc_starts, doc_ends = starts[order], ends[order]
+    del starts, ends, field_ends
     doc_lengths = np.frombuffer(lengths, dtype=np.int64)
     ids = np.frombuffer(token_ids, dtype=np.intc)
 
@@ -348,9 +360,9 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     keys.sort()
     offsets, doc_idx, tfs = _postings(keys, n_docs, len(terms))
     del keys
-    return CorpusIndex(doc_text, doc_offsets, tuple(doc_ids), terms, offsets,
-                       doc_idx, tfs, doc_lengths[order].astype(np.float64),
-                       k1=k1, b=b)
+    return CorpusIndex(np.frombuffer(text, dtype=np.uint8), doc_starts,
+                       doc_ends, terms, offsets, doc_idx, tfs,
+                       doc_lengths[order].astype(np.float64), k1=k1, b=b)
 
 
 def _heads(values: np.ndarray, before: int) -> np.ndarray:
@@ -406,31 +418,6 @@ def _sorted_positions(lengths: np.ndarray, order: np.ndarray,
     steps = np.ones(int(lengths.sum()), dtype=np.int64)
     steps[in_starts[nonempty]] += np.diff(shift[nonempty], prepend=1)
     return np.cumsum(steps, out=steps)
-
-
-def _permuted_documents(text: bytearray, field_ends: array,
-                        order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``doc_text`` and ``doc_offsets`` of the documents taken in ``order``
-    from ``text``, where document ``d``'s fields end at ``field_ends[3d:
-    3d + 3]``: each document's bytes copied once into one array, a run of
-    documents that are adjacent in both orders in one slice."""
-    ends = np.frombuffer(field_ends, dtype=np.int64).reshape(-1, _FIELDS)
-    starts = np.zeros(len(ends), dtype=np.int64)
-    starts[1:] = ends[:-1, -1]
-    starts, ends = starts[order], ends[order]
-    sizes = ends[:, -1] - starts
-    to = np.cumsum(sizes) - sizes
-    doc_offsets = np.zeros(ends.size + 1, dtype=np.int64)
-    doc_offsets[1:] = (ends + (to - starts)[:, None]).ravel()
-    doc_text = np.empty(len(text), dtype=np.uint8)
-    source, target = memoryview(text), memoryview(doc_text)
-    lasts = np.flatnonzero(order[1:] != order[:-1] + 1)
-    firsts = np.concatenate(([0], lasts + 1))
-    lasts = np.append(lasts, order.size - 1)
-    for start, end, at in zip(starts[firsts].tolist(),
-                              ends[lasts, -1].tolist(), to[firsts].tolist()):
-        target[at:at + end - start] = source[start:end]
-    return doc_text, doc_offsets
 
 
 def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
@@ -489,23 +476,59 @@ def _blob(text: str) -> np.ndarray:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write the index as an uncompressed ``.npz`` at exactly ``path``.
+    """Write the index as an uncompressed ``.npz`` at exactly ``path``: the
+    bytes ``np.savez`` writes of the id-order arrays, written from the
+    index's own buffers.
 
-    Two saves of one index write the same bytes: numpy stamps every member
+    Two saves of one index write the same bytes: every member is stamped
     with the zip format's fixed 1980-01-01 default, not the clock."""
-    arrays = {
+    doc_offsets, run_starts, run_ends = _id_order_layout(index.doc_starts,
+                                                         index.doc_ends)
+    members = {
         "magic": _blob(_CACHE_MAGIC),
         "params": np.array([index.k1, index.b], dtype=np.float64),
         "doc_text": index.doc_text,
-        "doc_offsets": index.doc_offsets,
+        "doc_offsets": doc_offsets,
         "terms": _blob("\n".join(index.terms)),
         "offsets": index.offsets,
         "doc_idx": index.doc_idx,
         "tfs": index.tfs,
         "doc_lengths": index.doc_lengths,
     }
-    with open(path, "wb") as f:  # a file object keeps numpy from adding .npz
-        np.savez(f, **arrays)
+    with open(path, "wb") as f, zipfile.ZipFile(f, "w") as archive:
+        for name, array in members.items():
+            # stored, not compressed, with zip64 extras, as np.savez writes
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(
+                    member, npy_format.header_data_from_array_1_0(array))
+                if name == "doc_text":
+                    _write_runs(member, memoryview(array), run_starts,
+                                run_ends)
+                else:
+                    member.write(array)
+
+
+def _id_order_layout(starts: np.ndarray, ends: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``doc_offsets`` of the documents bounded by ``starts`` and ``ends``
+    laid out one after another in that order, and the starts and ends of
+    the runs of the blob that make that layout: documents adjacent in both
+    the blob and the layout share one run."""
+    sizes = ends[:, -1] - starts
+    doc_offsets = np.zeros(ends.size + 1, dtype=np.int64)
+    np.add(ends, (np.cumsum(sizes) - sizes - starts)[:, None],
+           out=doc_offsets[1:].reshape(ends.shape))
+    breaks = np.flatnonzero(starts[1:] != ends[:-1, -1]) + 1
+    return (doc_offsets, starts[np.append(0, breaks)],
+            ends[np.append(breaks - 1, starts.size - 1), -1])
+
+
+def _write_runs(out, text: memoryview, starts: np.ndarray,
+                ends: np.ndarray) -> None:
+    """Write ``text[starts[r]:ends[r]]`` for every run ``r`` in turn."""
+    for lo, hi in _chunks(starts.size):
+        for start, end in zip(starts[lo:hi].tolist(), ends[lo:hi].tolist()):
+            out.write(text[start:end])
 
 
 def _member(npz, name: str, *dtypes: type) -> np.ndarray:
@@ -550,11 +573,12 @@ def load_index(path: str | Path) -> CorpusIndex:
                           _member(npz, "tfs", *_TFS_DTYPES),
                           _member(npz, "doc_lengths", np.float64))
                 check_params(k1, b)
-                doc_ids = _check_documents(doc_text, doc_offsets)
+                _check_documents(doc_text, doc_offsets)
                 if len(set(terms)) != len(terms):
                     raise ValueError("duplicate term")
-                _check_postings(len(doc_ids), len(terms), *arrays)
-                return CorpusIndex(doc_text, doc_offsets, doc_ids, terms,
-                                   *arrays, k1=k1, b=b)
+                doc_ends = doc_offsets[1:].reshape(-1, _FIELDS)
+                _check_postings(len(doc_ends), len(terms), *arrays)
+                return CorpusIndex(doc_text, doc_offsets[:-1:_FIELDS],
+                                   doc_ends, terms, *arrays, k1=k1, b=b)
         except _MALFORMED as exc:
             raise ValueError(f"{path}: malformed index cache: {exc}") from exc

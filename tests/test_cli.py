@@ -1004,23 +1004,33 @@ def test_readme_config_block_names_every_key():
 
 
 class TestProgress:
-    def test_rate_and_eta_from_the_first_completion(self):
-        readings = iter([10.0, 12.0, 14.0, 18.0])
+    def test_rate_and_eta_from_the_start(self):
+        readings = iter([10.0, 12.0, 14.0, 16.0, 20.0])
         progress = Progress("answered", clock=lambda: next(readings))
         assert [progress.line(done, 4) for done in range(1, 5)] == [
-            "answered 1/4",
+            "answered 1/4 (0.5/s, ETA 6 s)",
             "answered 2/4 (0.5/s, ETA 4 s)",
             "answered 3/4 (0.5/s, ETA 2 s)",
             "answered 4/4 (0.4/s)",
         ]
 
-    def test_a_single_item_has_no_rate(self):
+    def test_completions_a_microsecond_apart_keep_the_rate(self):
+        # two completions collected on one wake-up fire back to back
+        readings = iter([0.0, 0.1, 0.100001])
+        progress = Progress("answered", clock=lambda: next(readings))
+        assert [progress.line(done, 200) for done in (1, 2)] == [
+            "answered 1/200 (10.0/s, ETA 20 s)",
+            "answered 2/200 (20.0/s, ETA 10 s)",
+        ]
+
+    def test_no_elapsed_time_has_no_rate(self):
         assert Progress("judged", clock=lambda: 3.0).line(1, 1) == "judged 1/1"
 
     def test_lines_go_to_stderr_only(self, capsys):
-        readings = iter([0.0, 0.5])
+        readings = iter([0.0, 0.5, 1.0])
         progress = Progress("synthesized", clock=lambda: next(readings))
         progress(1, 3)
         progress(2, 3)
         assert capsys.readouterr() == (
-            "", "synthesized 1/3\nsynthesized 2/3 (2.0/s, ETA 0 s)\n")
+            "", "synthesized 1/3 (2.0/s, ETA 1 s)\n"
+            "synthesized 2/3 (2.0/s, ETA 0 s)\n")

@@ -58,6 +58,11 @@ def index(corpus):
     return build_index(corpus)
 
 
+def _doc_ids(index):
+    """Every document id of ``index``, in id order."""
+    return [doc.id for doc in _all_documents(index)]
+
+
 # characters that send text down the regex path, each a trap for a tokenizer
 # that handles only ASCII: a lowercase that changes length (İ) or depends on
 # context (Σ), letters without ASCII case (ß), combining marks, superscript
@@ -153,10 +158,10 @@ class TestBuildIndex:
         actual: dict[str, dict[str, int]] = {}
         for row, term in enumerate(index.terms):
             span = slice(index.offsets[row], index.offsets[row + 1])
-            actual[term] = {index.doc_ids[i]: int(tf)
+            actual[term] = {index.document(i, 1).id: int(tf)
                             for i, tf in zip(index.doc_idx[span], index.tfs[span])}
         assert actual == expected
-        assert {doc.id for doc in corpus} == set(index.doc_ids)
+        assert _doc_ids(index) == sorted(doc.id for doc in corpus)
 
     def test_validates_parameters(self, corpus):
         with pytest.raises(ValueError):
@@ -241,7 +246,15 @@ class TestStreamingBuild:
 
         index = build_index(stream())
         assert read == [d.id for d in STREAMED]
-        assert index.doc_ids == tuple(sorted(read))
+        assert _doc_ids(index) == sorted(read)
+
+    def test_blob_stays_in_input_order(self):
+        shuffled = list(STREAMED)
+        random.Random(5).shuffle(shuffled)
+        index = build_index(iter(shuffled))
+        assert index.doc_text.tobytes() == "".join(
+            d.id + d.title + d.body for d in shuffled).encode("utf-8")
+        assert _all_documents(index) == _ranked(STREAMED)
 
     def test_duplicate_names_the_first_repeat_in_input_order(self):
         docs = [Document(id=i, title="", body="x") for i in "bcaacb"]
@@ -307,7 +320,7 @@ class TestRetrieve:
     def test_scores_descend_with_rank(self, index):
         for query in QUERIES:
             scores = index.scores(query)
-            by_id = {doc_id: scores[i] for i, doc_id in enumerate(index.doc_ids)}
+            by_id = dict(zip(_doc_ids(index), scores))
             results = retrieve(index, query, top_k=10)
             for first, second in zip(results, results[1:]):
                 assert by_id[first.id] >= by_id[second.id]
@@ -367,7 +380,7 @@ class TestRetrieve:
         index = build_index(docs)
         single = index.scores("river bank")
         doubled = index.scores("river river bank")
-        r = index.doc_ids.index("r")
+        r = _doc_ids(index).index("r")
         assert doubled[r] > single[r]
 
 
@@ -621,7 +634,7 @@ def _scatter_add_scores(index, query):
     """Reference scores: one scatter-add per distinct query term of
     idf * qtf * tf * (k1 + 1) / (tf + denom), in first-occurrence order,
     with idf and length normalization derived here from the CSR arrays."""
-    n_docs = len(index.doc_ids)
+    n_docs = len(index)
     avg = float(index.doc_lengths.mean())
     denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
                         / (avg if avg > 0 else 1.0))
@@ -819,6 +832,43 @@ class TestIndexCache:
             save_index(index, path)
             saved.append(path.read_bytes())
         assert saved[0] == saved[1]
+
+
+def _savez_bytes(index, docs, path):
+    """What ``np.savez`` writes of ``index``'s cache members, with
+    ``doc_text`` and ``doc_offsets`` laid out in id order from ``docs``."""
+    rows = [(d.id, d.title, d.body) for d in sorted(docs, key=lambda d: d.id)]
+    members = {"magic": _blob("hopground-bm25-csr-v3"),
+               "params": np.array([index.k1, index.b]),
+               **_doc_members(*rows),
+               "terms": _blob("\n".join(index.terms)),
+               "offsets": index.offsets, "doc_idx": index.doc_idx,
+               "tfs": index.tfs, "doc_lengths": index.doc_lengths}
+    with open(path, "wb") as f:
+        np.savez(f, **members)
+    return path.read_bytes()
+
+
+class TestCacheWriter:
+    """``save_index`` writes each member itself, ``doc_text`` as runs of an
+    input-order blob; its bytes must be those of ``np.savez``."""
+
+    @pytest.mark.parametrize("case", ["list", "shuffled stream", "reloaded"])
+    def test_bytes_equal_np_savez(self, corpus, tmp_path, case):
+        shuffled = list(STREAMED)
+        random.Random(11).shuffle(shuffled)
+        if case == "list":
+            docs, index = corpus, build_index(corpus)
+        elif case == "shuffled stream":
+            docs, index = shuffled, build_index(d for d in shuffled)
+        else:
+            docs = [*shuffled, *corpus]
+            save_index(build_index(docs), tmp_path / "first")
+            index = load_index(tmp_path / "first")
+        path = tmp_path / "index.cache"
+        save_index(index, path)
+        assert path.read_bytes() == _savez_bytes(index, docs,
+                                                 tmp_path / "savez.npz")
 
 
 # runs of equal (term, doc) keys that span several chunks of one or two
