@@ -84,12 +84,6 @@ class EvalRecord:
     f1: float
     acc_judge: str | None = None  # "yes" / "no" when judged
 
-    def __post_init__(self):
-        if self.acc not in (0, 1):
-            raise ValueError("acc must be 0 or 1")
-        if not 0.0 <= self.f1 <= 1.0:
-            raise ValueError("f1 must be in [0, 1]")
-
 
 def judge(llm: LlmClient, library: TemplateLibrary, question: str,
           prediction: str, gold_answer: str) -> str | None:

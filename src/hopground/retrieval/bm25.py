@@ -7,7 +7,8 @@ indices, with the matching term frequencies at the same positions of
 ``tfs``.  A term frequency is a count, so ``tfs`` uses the smallest
 unsigned integer type that holds the largest one (``uint8`` for any
 ordinary corpus); widening an integer to ``float64`` is exact, so scores do
-not depend on that type.
+not depend on that type.  Scores never depend on a term's row, so a
+cache's rows may come in any order.
 
 Text is lowercased and split into runs of Unicode letters and digits
 (:func:`tokenize`).  ASCII text, nearly every document of an English
@@ -29,11 +30,11 @@ in-memory inversion): each document's fields go into one growing buffer and
 its token ids into one array as it arrives, so a caller that streams
 :func:`~hopground.retrieval.load_corpus` into it never holds a document
 list.  At the end, the blob stays in arrival order and only the bounds are
-put in id order, and the terms are numbered as they first appear over the
-id-sorted documents, so the postings, the rankings and the cache are the
-same for any input order.  The arrays are consistent by construction; only
-:func:`load_index`, which reads a file from outside, checks them, and the
-:class:`CorpusIndex` constructor just derives from them.
+put in id order, and the terms are numbered in sorted order, so the
+postings, the rankings and the cache are the same for any input order.  The
+arrays are consistent by construction; only :func:`load_index`, which reads
+a file from outside, checks them, and the :class:`CorpusIndex` constructor
+just derives from them.
 
 Per-posting temporaries are made one chunk of ``_CHUNK`` postings at a
 time, never for the whole array.  The build adds the term to each token's
@@ -340,16 +341,13 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     doc_lengths = np.frombuffer(lengths, dtype=np.int64)
     ids = np.frombuffer(token_ids, dtype=np.intc)
 
-    # terms numbered in the order they first appear over the id-sorted
-    # documents, as if the documents had arrived in id order
-    first = np.full(len(vocabulary), ids.size, dtype=np.int64)
-    np.minimum.at(first, ids, _sorted_positions(doc_lengths, order, rank))
-    by_first = np.argsort(first)
+    # terms numbered in sorted order, which no input order can change
     in_order = list(vocabulary)
-    terms = [in_order[t] for t in by_first.tolist()]
+    by_term = sorted(range(len(in_order)), key=in_order.__getitem__)
+    terms = [in_order[t] for t in by_term]
     del vocabulary, in_order
     term_keys = np.empty(len(terms), dtype=np.int64)
-    term_keys[by_first] = np.arange(len(terms)) * n_docs
+    term_keys[by_term] = np.arange(len(terms)) * n_docs
 
     # one in-place sort of (term, doc) keys yields term-major postings with
     # ascending documents; each run of equal keys is one posting
@@ -403,21 +401,6 @@ def _postings(keys: np.ndarray, n_docs: int,
     lengths = keys[:n_postings]
     return offsets, doc_idx, lengths.astype(
         np.min_scalar_type(lengths.max(initial=1)))
-
-
-def _sorted_positions(lengths: np.ndarray, order: np.ndarray,
-                      rank: np.ndarray) -> np.ndarray:
-    """Each input token's position in the concatenation of the documents
-    in id order: its input position plus its document's shift.  It is
-    summed in place from unit steps with a jump where each non-empty
-    document starts, so it costs one ``int64`` per token, not two."""
-    in_starts = np.cumsum(lengths) - lengths
-    sorted_lengths = lengths[order]
-    shift = (np.cumsum(sorted_lengths) - sorted_lengths)[rank] - in_starts
-    nonempty = lengths > 0
-    steps = np.ones(int(lengths.sum()), dtype=np.int64)
-    steps[in_starts[nonempty]] += np.diff(shift[nonempty], prepend=1)
-    return np.cumsum(steps, out=steps)
 
 
 def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:

@@ -985,6 +985,10 @@ class TestStatsCommand:
         assert "Traceback" not in err
 
 
+def test_no_config_file_loads_the_defaults():
+    assert Config.load(None) == Config() == Config.from_dict({})
+
+
 def test_readme_config_block_names_every_key():
     """README's Configuration example loads, and names every key of every
     section record: a key added without its documentation fails here."""

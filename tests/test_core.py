@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import hopground.cli  # noqa: F401  (defines every config record)
 from hopground.core import (DecodingParams, Document, GroundingKind,
                             GroundingOutcome, HopRecord, Question, Record,
-                            Termination, TokenCounts, TokenUsage, Trajectory)
+                            Termination, TokenCounts, TokenUsage, Trajectory,
+                            read_jsonl)
 from hopground.distill import TrainingExample, Verdict
 from hopground.errors import InvalidRecord
 from hopground.llm import ChatMessage, Completion
@@ -305,3 +306,10 @@ class TestRoundTrips:
     def test_decoding_params(self):
         self._assert_round_trip(DecodingParams(temperature=0.5,
                                                max_output_tokens=64))
+
+
+def test_read_jsonl_skips_blank_and_whitespace_only_lines(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n  \t \n{"n": 2}\n\r\n')
+    assert list(read_jsonl(path, lambda record, line_no: (record, line_no))
+                ) == [({"n": 1}, 1), ({"n": 2}, 4)]

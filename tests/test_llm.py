@@ -5,11 +5,11 @@ from collections import Counter
 import pytest
 
 from hopground.core import DecodingParams, Termination
-from hopground.errors import (MalformedGrounding, ScriptExhausted,
-                              TransportError)
+from hopground.errors import (ConfigError, MalformedGrounding,
+                              ScriptExhausted, TransportError)
 from hopground.grounding import parse_grounding
-from hopground.llm import (ChatMessage, Completion, OpenAIChatClient,
-                           ScriptedClient, retry_parse)
+from hopground.llm import (ChatMessage, Completion, LlmConfig,
+                           OpenAIChatClient, ScriptedClient, retry_parse)
 from hopground.pipeline import BM25Retriever, PipelineConfig, answer_dataset
 from hopground.retrieval import build_index
 
@@ -248,3 +248,21 @@ class TestOpenAIChatClient:
             FESTIVAL_HOP1_REVISED]
         assert trajectory.final_answer == FESTIVAL_HOP1_REVISED
         assert trajectory.token_usage.total.prompt_tokens == 19
+
+
+class TestLlmConfig:
+    @pytest.mark.parametrize("section, message", [
+        (LlmConfig(backend="scripted"), "judge_llm: scripted backend needs "
+                                        "script_path"),
+        (LlmConfig(backend="openai", model="m"), "judge_llm: openai backend "
+                                                 "needs base_url and model"),
+        (LlmConfig(backend="openai", base_url="http://127.0.0.1:9/v1"),
+         "judge_llm: openai backend needs base_url and model"),
+        (LlmConfig(), "judge_llm: backend must be 'openai' or 'scripted'"),
+    ])
+    def test_unusable_section_raises_config_error(self, monkeypatch, section,
+                                                  message):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        with pytest.raises(ConfigError) as err:
+            section.client("judge_llm")
+        assert str(err.value) == message

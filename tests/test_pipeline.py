@@ -4,8 +4,10 @@ import time
 import pytest
 
 from hopground.core import GroundingKind, Question, Termination, TokenCounts
+from hopground.errors import ConfigError
 from hopground.llm import RecordingClient, ScriptedClient
-from hopground.pipeline import (BM25Retriever, PipelineConfig, answer_dataset,
+from hopground.pipeline import (BM25Retriever, PipelineConfig,
+                                RetrievalConfig, answer_dataset,
                                 answer_question, load_trajectories,
                                 map_ordered, write_trajectories)
 from hopground.prompts import format_step
@@ -376,6 +378,18 @@ class TestPipelineConfig:
     def test_round_trip(self):
         cfg = PipelineConfig(max_hops=3, strict_citation=True)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestRetrievalConfig:
+    @pytest.mark.parametrize("kind, message", [
+        ("external", "external retriever needs retrieval.external_endpoint"),
+        ("bm25", "bm25 retriever needs retrieval.index_path or "
+                 "retrieval.corpus_path"),
+    ])
+    def test_missing_source_raises_config_error(self, kind, message):
+        with pytest.raises(ConfigError) as err:
+            RetrievalConfig().retriever(kind)
+        assert str(err.value) == message
 
 
 class TestTrajectoryFiles:

@@ -231,10 +231,9 @@ class TestStreamingBuild:
                                     reversed(docs)]):
             assert _member_bytes(build_index(stream),
                                  tmp_path / f"{i}.cache") == expected
-        # terms are numbered as they first appear over the id-sorted documents
-        by_id = sorted(docs, key=lambda d: d.id)
-        assert index.terms == tuple(dict.fromkeys(
-            t for d in by_id for t in tokenize(f"{d.title} {d.body}")))
+        # terms are numbered in sorted order
+        assert index.terms == tuple(sorted(
+            {t for d in docs for t in tokenize(f"{d.title} {d.body}")}))
 
     def test_reads_a_generator_once_in_order(self):
         read = []
@@ -773,6 +772,29 @@ class TestIndexCache:
         with pytest.raises(ValueError, match="rebuild it with `hopground index`"):
             load_index(path)
 
+    def test_terms_in_any_row_order_load_and_rank_alike(self, corpus,
+                                                        tmp_path):
+        # a v3 cache may hold its term rows in any order: earlier builds
+        # numbered terms by first appearance
+        index = build_index(corpus)
+        members = _cache_members(index, tmp_path)
+        rows = list(reversed(range(len(index.terms))))
+        spans = [slice(index.offsets[r], index.offsets[r + 1]) for r in rows]
+        members["terms"] = _blob("\n".join(index.terms[r] for r in rows))
+        members["offsets"] = np.cumsum(
+            [0, *(s.stop - s.start for s in spans)], dtype=np.int64)
+        members["doc_idx"] = np.concatenate([index.doc_idx[s] for s in spans])
+        members["tfs"] = np.concatenate([index.tfs[s] for s in spans])
+        path = tmp_path / "rows.cache"
+        with open(path, "wb") as f:
+            np.savez(f, **members)
+        reloaded = load_index(path)
+        assert reloaded.terms != index.terms
+        assert sorted(reloaded.terms) == list(index.terms)
+        for query in QUERIES:
+            assert np.array_equal(reloaded.scores(query), index.scores(query))
+            assert retrieve(reloaded, query, 10) == retrieve(index, query, 10)
+
     def test_never_unpickles(self, tmp_path):
         marker = tmp_path / "planted"
         payload = pickle.dumps(_Planted(marker))
@@ -1027,6 +1049,11 @@ class TestExternalRetriever:
         stub.queue(200, {"docs": []})
         with pytest.raises(MalformedResponse):
             retrieve_external(stub.url, "q", top_k=5)
+
+    def test_rejects_top_k_below_one_before_any_request(self, stub):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            retrieve_external(stub.url, "q", top_k=0)
+        assert stub.requests == []
 
     def test_truncates_to_top_k(self, stub):
         stub.queue(200, _results(15))
