@@ -1,7 +1,9 @@
-"""Byte-level pins of what ``run``, ``eval`` and ``synth`` write.
+"""Byte-level pins of what ``run``, ``eval`` and ``synth`` write, and of
+every prompt they send.
 
 The files under ``fixtures/golden`` are the outputs of the commands in
-``produce``.  A change that keeps the program's behaviour must reproduce
+``produce``; ``prompts.jsonl`` holds the messages of every model call the
+same run and synth send through the library API, and one judge prompt.  A change that keeps the program's behaviour must reproduce
 them byte for byte; ``manifest.json`` is compared with its two timestamps
 and its (temporary) dataset path masked.  Reading the trajectory and synth
 files back and writing them again must also give the same bytes.  After an
@@ -19,11 +21,18 @@ import pytest
 
 from hopground.cli import main
 from hopground.core import Question
-from hopground.distill import emit_corpus, load_training_corpus
-from hopground.pipeline import load_trajectories, write_trajectories
+from hopground.distill import (SynthesisConfig, emit_corpus,
+                               load_synthesis_inputs, load_training_corpus,
+                               synthesize_stream)
+from hopground.evaluation import judge
+from hopground.llm import ScriptedClient
+from hopground.pipeline import (BM25Retriever, PipelineConfig, answer_dataset,
+                                load_trajectories, write_trajectories)
+from hopground.prompts import TemplateLibrary
+from hopground.retrieval import build_index
 
-from helpers import (FESTIVAL_QUESTION, FESTIVAL_SCRIPT, write_festival_files,
-                     write_synth_files)
+from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
+                     FESTIVAL_SCRIPT, write_festival_files, write_synth_files)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -39,6 +48,7 @@ SCRIPT = FESTIVAL_SCRIPT + FESTIVAL_SCRIPT[:2]
 
 OUTPUTS = ("trajectories.jsonl", "manifest.json", "records.csv",
            "summary.json", "synth.jsonl")
+GOLDEN_FILES = (*OUTPUTS, "prompts.jsonl")
 
 _VOLATILE = re.compile(
     rb'("(?:started_at|finished_at|dataset_path)": )"(?:[^"\\]|\\.)*"')
@@ -61,10 +71,45 @@ def produce(work: Path) -> dict[str, bytes]:
     outputs = {name: (out / name).read_bytes() for name in OUTPUTS}
     outputs["manifest.json"] = _VOLATILE.sub(rb'\1"*"',
                                              outputs["manifest.json"])
+    outputs["prompts.jsonl"] = prompts(synth["dir"])
     return outputs
 
 
-@pytest.mark.parametrize("name", OUTPUTS)
+class _Logged:
+    """Passes each call to ``inner`` and logs its messages under ``source``,
+    a call that then fails included."""
+
+    def __init__(self, inner, source: str, log: list):
+        self._inner, self._source, self._log = inner, source, log
+
+    def complete(self, messages, params):
+        self._log.append({"source": self._source,
+                          "messages": [m.to_dict() for m in messages]})
+        return self._inner.complete(messages, params)
+
+
+def prompts(synth_dir: Path) -> bytes:
+    """The messages of every call the pinned run and synth send, and of one
+    judge call, as JSON lines in call order."""
+    library = TemplateLibrary.load()
+    log: list = []
+    answer_dataset([FESTIVAL_QUESTION, SECOND_QUESTION],
+                   PipelineConfig(concurrency=1),
+                   _Logged(ScriptedClient(SCRIPT), "run", log),
+                   BM25Retriever(build_index(FESTIVAL_CORPUS)), library)
+    list(synthesize_stream(
+        load_synthesis_inputs(synth_dir / "inputs.jsonl"),
+        ScriptedClient.from_file(synth_dir / "student.json"),
+        _Logged(ScriptedClient.from_file(synth_dir / "teacher.json"),
+                "synth_teacher", log),
+        library, seed=7, max_noise_docs=SynthesisConfig().noise_docs))
+    judge(_Logged(ScriptedClient(["Yes"]), "judge", log), library,
+          FESTIVAL_QUESTION.text, FESTIVAL_FINAL,
+          FESTIVAL_QUESTION.gold_answers[0])
+    return "".join(json.dumps(entry) + "\n" for entry in log).encode()
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
 def test_outputs_match_golden_bytes(tmp_path, name):
     assert produce(tmp_path)[name] == (GOLDEN / name).read_bytes()
 
@@ -80,6 +125,15 @@ def test_synth_corpus_loads_and_emits_back_byte_for_byte(tmp_path):
     emit_corpus(load_training_corpus(GOLDEN / "synth.jsonl"), out,
                 include_dropped=True)
     assert out.read_bytes() == (GOLDEN / "synth.jsonl").read_bytes()
+
+
+def test_golden_prompts_cover_every_renderer():
+    entries = [json.loads(line) for line in (
+        GOLDEN / "prompts.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [e["source"] for e in entries] == ["run"] * 8 + [
+        "synth_teacher"] * 10 + ["judge"]
+    assert all([m["role"] for m in e["messages"]] == ["user"]
+               for e in entries)
 
 
 def test_golden_run_covers_a_finish_and_a_failure():
@@ -99,4 +153,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in produce(Path(tmp)).items():
             (GOLDEN / name).write_bytes(data)
-    print(f"wrote {len(OUTPUTS)} golden files -> {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(GOLDEN_FILES)} golden files -> {GOLDEN}",
+          file=sys.stderr)
