@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from . import distill, evaluation, pipeline, retrieval
 from .core import (ConfigRecord, Question, Termination, TokenCounts,
-                   Trajectory, write_json)
+                   Trajectory, loads_utf8, write_json)
 from .distill import SynthesisConfig
 from .errors import (ConfigError, EmptyRecords, InvalidRecord, LlmError,
                      MalformedDataset, RetrievalError)
@@ -58,12 +58,12 @@ class Config(ConfigRecord):
             return cls()
         try:
             with open(path, encoding="utf-8") as f:
-                return cls.from_dict(json.load(f))
+                return cls.from_dict(loads_utf8(f.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except InvalidRecord as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except ValueError as exc:  # not UTF-8 JSON, too deep, or a lone surrogate
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 

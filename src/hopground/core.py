@@ -386,10 +386,14 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 def loads_utf8(text: str) -> Any:
     """``json.loads``, raising ``ValueError`` for a string that holds a lone
-    surrogate, since no output file could then be written as UTF-8."""
-    value = json.loads(text)
-    if _SURROGATE_ESCAPE.search(text):
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    surrogate, since no output file could then be written as UTF-8, and for
+    nesting too deep to read."""
+    try:
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
     return value
 
 

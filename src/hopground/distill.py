@@ -155,25 +155,25 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 
     immediate_answer = ""
     target = ""
+    teacher_messages = None
     try:
         student_reply = student_llm.complete(
             [ChatMessage(role="user", content=inp.question.text)],
             DecodingParams())
         immediate_answer = student_reply.text.strip()
-        instruction = render_synthesis_teacher(
-            library, inp.question.text, immediate_answer, documents)[0].content
-        target = teacher_llm.complete(
-            [ChatMessage(role="user", content=instruction)],
-            DecodingParams()).text
+        teacher_messages = render_synthesis_teacher(
+            library, inp.question.text, immediate_answer, documents)
+        target = teacher_llm.complete(teacher_messages, DecodingParams()).text
         verdict = apply_filters(target, inp.gold_answer)
     except LlmError as exc:
         log.warning("question %s: synthesis failed: %s", inp.question.id, exc)
-        instruction = render_synthesis_teacher(
-            library, inp.question.text, immediate_answer, documents)[0].content
+        if teacher_messages is None:  # the student failed: no answer to show
+            teacher_messages = render_synthesis_teacher(
+                library, inp.question.text, immediate_answer, documents)
         verdict = Verdict.drop(DROP_LLM_ERROR)
 
     return TrainingExample(
-        instruction=instruction,
+        instruction=teacher_messages[0].content,
         documents=documents,
         immediate_answer=immediate_answer,
         target=target,

@@ -66,7 +66,8 @@ class PromptError(HopgroundError):
 
 
 class MissingPlaceholder(PromptError):
-    """A required placeholder is unbound or bound to an empty value."""
+    """A template placeholder that its renderer never binds, or a judge
+    value that is empty."""
 
 
 class EmptyBatch(PromptError):

@@ -161,7 +161,7 @@ class OpenAIChatClient:
                                 "not a string")
             text.encode("utf-8")  # a lone surrogate could not be written
         except (ValueError, AttributeError, LookupError, TypeError,
-                OverflowError) as exc:
+                OverflowError, RecursionError) as exc:
             raise TransportError(f"unusable completion payload: {exc}",
                                  usage) from exc
         return Completion(text, *usage)

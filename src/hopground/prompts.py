@@ -1,6 +1,8 @@
 """Prompt construction from editable template files.
 
 Templates are plain text with ``{placeholder}`` slots (lowercase names).
+Text outside those slots, other braces such as ``{X}``, ``{}`` or ``{{``
+included, is sent verbatim, and a bound value is never scanned for slots.
 The packaged defaults under ``hopground/templates/`` are best-effort
 wordings; point ``TemplateLibrary.load`` at a directory to override any of
 them.  A trailing newline in a template file is stripped on load so prompts
@@ -38,52 +40,22 @@ _MARKUP_RE = re.compile(r"<(/?)(ref|revise)>", re.IGNORECASE)
 _EXAMPLE_SEPARATOR = "==="
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A parsed template: literal segments interleaved with placeholders."""
-
-    name: str
-    segments: tuple[tuple[str, str], ...]  # ("literal"|"placeholder", value)
-    placeholders: frozenset[str]
-
-    def render(self, **bindings: str) -> str:
-        """Substitute every placeholder; all of them must be bound."""
-        missing = self.placeholders - bindings.keys()
-        if missing:
-            raise MissingPlaceholder(
-                f"template {self.name!r} is missing {sorted(missing)}")
-        parts = []
-        for kind, value in self.segments:
-            parts.append(bindings[value] if kind == "placeholder" else value)
-        return "".join(parts)
-
-
-def parse_template(name: str, text: str) -> PromptTemplate:
-    """Split template text into literal and placeholder segments.
+def parse_template(name: str, text: str) -> tuple[str, ...]:
+    """Split template text at its placeholders: literals at even positions,
+    placeholder names at odd ones.
 
     Raises ``MissingPlaceholder`` for a placeholder that the template's
     renderer never binds, so a bad template fails on load, not per prompt.
     """
     if name not in TEMPLATE_NAMES:
         raise ValueError(f"unknown template name {name!r}")
-    segments: list[tuple[str, str]] = []
-    names: set[str] = set()
-    pos = 0
-    for match in _PLACEHOLDER_RE.finditer(text):
-        if match.start() > pos:
-            segments.append(("literal", text[pos:match.start()]))
-        segments.append(("placeholder", match.group(1)))
-        names.add(match.group(1))
-        pos = match.end()
-    if pos < len(text):
-        segments.append(("literal", text[pos:]))
-    unbound = names - TEMPLATE_BINDINGS[name]
+    parts = tuple(_PLACEHOLDER_RE.split(text))
+    unbound = set(parts[1::2]) - TEMPLATE_BINDINGS[name]
     if unbound:
         raise MissingPlaceholder(
             f"template {name!r} has placeholders that are never bound: "
             f"{sorted(unbound)}; it may use {sorted(TEMPLATE_BINDINGS[name])}")
-    return PromptTemplate(name=name, segments=tuple(segments),
-                          placeholders=frozenset(names))
+    return parts
 
 
 def sanitize_markup(text: str) -> str:
@@ -101,33 +73,21 @@ def format_step(index: int, sub_question: str, answer: str) -> str:
 
 
 def _read_template_text(directory: Path | None, filename: str) -> str:
-    if directory is not None:
-        candidate = directory / filename
-        if candidate.is_file():
-            text = candidate.read_text(encoding="utf-8")
-            return text[:-1] if text.endswith("\n") else text
-    text = (resources.files("hopground") / "templates" / filename).read_text(
-        encoding="utf-8")
-    return text[:-1] if text.endswith("\n") else text
+    path = directory / filename if directory is not None else None
+    if path is None or not path.is_file():
+        path = resources.files("hopground") / "templates" / filename
+    return path.read_text(encoding="utf-8").removesuffix("\n")
 
 
+@dataclass(frozen=True)
 class TemplateLibrary:
-    """All templates plus the deduction in-context examples."""
+    """Every template, split by ``parse_template``, plus the deduction
+    in-context examples."""
 
-    def __init__(self, templates: dict[str, PromptTemplate],
-                 deduction_examples: Sequence[str],
-                 num_examples: int = DEFAULT_NUM_EXAMPLES,
-                 doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET):
-        for name in TEMPLATE_NAMES:
-            if name not in templates:
-                raise ValueError(f"missing template {name!r}")
-        self.templates = dict(templates)
-        self.deduction_examples = tuple(deduction_examples)
-        self.num_examples = num_examples
-        self.doc_char_budget = doc_char_budget
-
-    def __getitem__(self, name: str) -> PromptTemplate:
-        return self.templates[name]
+    templates: dict[str, tuple[str, ...]]
+    deduction_examples: tuple[str, ...]
+    num_examples: int = DEFAULT_NUM_EXAMPLES
+    doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET
 
     @classmethod
     def load(cls, directory: str | Path | None = None,
@@ -143,9 +103,8 @@ class TemplateLibrary:
         examples_text = _read_template_text(base, "deduction_examples.txt")
         examples = [block.strip() for block in
                     re.split(rf"^{_EXAMPLE_SEPARATOR}\s*$", examples_text, flags=re.M)]
-        examples = [b for b in examples if b]
-        return cls(templates, examples, num_examples=num_examples,
-                   doc_char_budget=doc_char_budget)
+        return cls(templates, tuple(b for b in examples if b),
+                   num_examples=num_examples, doc_char_budget=doc_char_budget)
 
 
 @dataclass(frozen=True)
@@ -162,6 +121,14 @@ class TemplatesConfig(ConfigRecord, section="templates"):
             raise ConfigError(f"cannot load templates: {exc}") from exc
 
 
+def _render(library: TemplateLibrary, name: str,
+            bindings: dict[str, str]) -> list[ChatMessage]:
+    """Fill template ``name``'s placeholders; the prompt is one user message."""
+    parts = list(library.templates[name])
+    parts[1::2] = [bindings[slot] for slot in parts[1::2]]
+    return [ChatMessage(role="user", content="".join(parts))]
+
+
 def render_deduction(library: TemplateLibrary, question: Question,
                      hops: Sequence[HopRecord]) -> list[ChatMessage]:
     """Build the deduction prompt: instruction, examples, question, context.
@@ -173,51 +140,45 @@ def render_deduction(library: TemplateLibrary, question: Question,
         format_step(hop.index, hop.sub_question, hop.revised_answer)
         for hop in hops)
     examples = "\n\n".join(library.deduction_examples[:library.num_examples])
-    rendered = library["deduction"].render(
-        question=question.text,
-        context=context,
-        examples=examples,
-        next_index=str(len(hops) + 1),
-    )
-    return [ChatMessage(role="user", content=rendered)]
+    return _render(library, "deduction", {
+        "question": question.text, "context": context, "examples": examples,
+        "next_index": str(len(hops) + 1)})
 
 
-def _format_documents(batch: Sequence[Document], char_budget: int) -> str:
+def _render_documents(library: TemplateLibrary, name: str,
+                      batch: Sequence[Document],
+                      **bindings: str) -> list[ChatMessage]:
+    """A prompt over numbered documents, each body cut to the library's
+    character budget; every text in it is sanitized."""
+    if not batch:
+        raise EmptyBatch(f"{name} needs at least one document")
+    budget = library.doc_char_budget
     blocks = []
     for i, doc in enumerate(batch, start=1):
-        body = doc.body[:char_budget].rstrip() if char_budget else doc.body
+        body = doc.body[:budget].rstrip() if budget else doc.body
         header = f"[{i}] {sanitize_markup(doc.title)}".rstrip()
         blocks.append(f"{header}\n{sanitize_markup(body)}")
-    return "\n\n".join(blocks)
+    values = {slot: sanitize_markup(value) for slot, value in bindings.items()}
+    values["documents"] = "\n\n".join(blocks)
+    return _render(library, name, values)
 
 
 def render_grounding(library: TemplateLibrary, question: Question,
                      sub_question: str, immediate_answer: str,
                      batch: Sequence[Document]) -> list[ChatMessage]:
     """Build the grounding prompt over one batch of documents."""
-    if not batch:
-        raise EmptyBatch("grounding needs at least one document")
-    rendered = library["grounding"].render(
-        question=sanitize_markup(question.text),
-        sub_question=sanitize_markup(sub_question),
-        immediate_answer=sanitize_markup(immediate_answer),
-        documents=_format_documents(batch, library.doc_char_budget),
-    )
-    return [ChatMessage(role="user", content=rendered)]
+    return _render_documents(library, "grounding", batch,
+                             question=question.text, sub_question=sub_question,
+                             immediate_answer=immediate_answer)
 
 
 def render_synthesis_teacher(library: TemplateLibrary, question_text: str,
                              immediate_answer: str,
                              batch: Sequence[Document]) -> list[ChatMessage]:
     """Grounding prompt variant for single-hop synthesis inputs."""
-    if not batch:
-        raise EmptyBatch("synthesis needs at least one document")
-    rendered = library["synthesis_teacher"].render(
-        question=sanitize_markup(question_text),
-        immediate_answer=sanitize_markup(immediate_answer),
-        documents=_format_documents(batch, library.doc_char_budget),
-    )
-    return [ChatMessage(role="user", content=rendered)]
+    return _render_documents(library, "synthesis_teacher", batch,
+                             question=question_text,
+                             immediate_answer=immediate_answer)
 
 
 def render_judge(library: TemplateLibrary, question: str, prediction: str,
@@ -228,4 +189,4 @@ def render_judge(library: TemplateLibrary, question: str, prediction: str,
     for name, value in bindings.items():
         if not value.strip():
             raise MissingPlaceholder(f"judge {name} must be non-empty")
-    return [ChatMessage(role="user", content=library["judge"].render(**bindings))]
+    return _render(library, "judge", bindings)

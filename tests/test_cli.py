@@ -322,6 +322,22 @@ class TestRunCommand:
         assert str(config) in err and "utf-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "nested too deeply"),
+        ('{"templates": {"dir": "\\ud800"}}', "surrogates not allowed"),
+    ], ids=["deep nesting", "lone surrogate"])
+    def test_unreadable_config_exits_one_before_any_file(
+            self, festival_run, tmp_path, capsys, text, message):
+        config = tmp_path / "unreadable.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and message in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
     @pytest.mark.parametrize("base_url, env, key", [
         ("localhost:8000/v1", None, "llm.base_url"),
         ("ftp://x", None, "llm.base_url"),
@@ -393,6 +409,18 @@ class TestRunCommand:
                      "--config", str(festival_run["config"]),
                      "--out", str(festival_run["out"])]) == 2
 
+    def test_deeply_nested_dataset_line_exits_two(self, festival_run,
+                                                  tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text('{"id": ' + "[" * 100_000 + "\n", encoding="utf-8")
+        assert main(["run", "--dataset", str(deep),
+                     "--config", str(festival_run["config"]),
+                     "--out", str(festival_run["out"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{deep}" in err and "(line 1)" in err
+        assert "nested too deeply" in err and "Traceback" not in err
+        assert not festival_run["out"].exists()
+
     def test_external_retriever_end_to_end(self, festival_run, tmp_path):
         from helpers import StubServer
         stub = StubServer()
@@ -456,6 +484,29 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text(
             encoding="utf-8"))
         assert manifest["totals"]["prompt_tokens"] == total["prompt_tokens"]
+        assert manifest["totals"]["llm_calls"] == 1
+
+    def test_deeply_nested_chat_reply_is_a_failed_question(
+            self, festival_run, tmp_path, monkeypatch):
+        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["llm"] = {"backend": "openai", "base_url": "", "model": "m",
+                         "api_key_env": "HOPGROUND_NO_KEY"}
+        stub = StubServer()
+        try:
+            stub.queue(200, "[" * 100_000)
+            config["llm"]["base_url"] = stub.url
+            path = write_json(tmp_path / "deep.json", config)
+            out = tmp_path / "deep-out"
+            assert main(["run", "--dataset", str(festival_run["dataset"]),
+                         "--config", str(path), "--out", str(out)]) == 0
+        finally:
+            stub.close()
+        trajectory = json.loads((out / "trajectories.jsonl")
+                                .read_text(encoding="utf-8"))
+        assert trajectory["termination"] == "parse_failure"
+        manifest = json.loads((out / "manifest.json").read_text(
+            encoding="utf-8"))
         assert manifest["totals"]["llm_calls"] == 1
 
     def test_lone_surrogate_in_the_script_exits_one(self, festival_run,
@@ -778,6 +829,26 @@ class TestEvalCommand:
         summary = json.loads((tmp_path / "reports" / "summary.json")
                              .read_text(encoding="utf-8"))
         assert summary == {"acc": 100.0, "f1": 100.0, "acc_judge": 50.0}
+
+    def test_blank_final_answer_is_judged_no_without_a_call(self, tmp_path):
+        dataset, trajectories = write_judge_files(tmp_path, 2)
+        records = [json.loads(line) for line in
+                   trajectories.read_text(encoding="utf-8").splitlines()]
+        records[0].update(final_answer="  ", termination="parse_failure")
+        write_jsonl(trajectories, records)
+        # one reply, for q1: the blank answer is judged without a call
+        script = write_json(tmp_path / "judge.json", ["Yes"])
+        config = write_json(tmp_path / "config.json", {
+            "pipeline": {"concurrency": 1},
+            "judge_llm": {"backend": "scripted", "script_path": str(script)},
+        })
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset), "--judge",
+                     "--config", str(config),
+                     "--out", str(tmp_path / "reports")]) == 0
+        rows = (tmp_path / "reports" / "records.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert rows[1:] == ["q0,0,0.0000,no", "q1,1,1.0000,yes"]
 
     def test_scripted_judge_needs_concurrency_one(self, tmp_path, capsys):
         dataset, trajectories = write_judge_files(tmp_path, 2)

@@ -267,6 +267,27 @@ class TestLoadDataset:
         [question] = load_dataset(path, "generic")
         assert question.text == f"Q{separator}two?"
 
+    @pytest.mark.parametrize("name, data, format, message, line", [
+        ("nogold.jsonl", b'{"_id": "h1", "question": "Q?", "answer": " "}\n',
+         "hotpotqa", "record has no answer", 1),
+        ("empty.jsonl", b'{"id": "a", "question": "Q?", "answers": []}\n',
+         "generic", "'answers'", 1),
+        ("latin1.json", b'[{"_id": "h1", "question": "Caf\xe9?"}]',
+         "hotpotqa", "utf-8", None),
+        ("broken.json", b'[{"_id": "h1",', "hotpotqa", "Expecting", None),
+        ("second.json",
+         b'[{"_id": "h1", "question": "Q?", "answer": "A"}, {"_id": "h2"}]',
+         "hotpotqa", "question", 2),
+    ], ids=["no answer", "empty answers", "not utf-8", "not json",
+            "bad record"])
+    def test_unusable_dataset_is_malformed(self, tmp_path, name, data,
+                                           format, message, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(MalformedDataset, match=message) as err:
+            load_dataset(path, format)
+        assert err.value.line == line
+
     def test_hotpotqa_json_array(self, tmp_path):
         path = tmp_path / "hotpot.json"
         path.write_text(

@@ -2,10 +2,11 @@
 every prompt they send.
 
 The files under ``fixtures/golden`` are the outputs of the commands in
-``produce``; ``prompts.jsonl`` holds the messages of every model call the
-same run and synth send through the library API, and one judge prompt.  A change that keeps the program's behaviour must reproduce
-them byte for byte; ``manifest.json`` is compared with its two timestamps
-and its (temporary) dataset path masked.  Reading the trajectory and synth
+``produce``; ``prompts.jsonl`` holds the messages of every model call that
+the same run and synth send through the library API, and one judge prompt.
+A change that keeps the program's behaviour must reproduce them byte for
+byte; ``manifest.json`` is compared with its two timestamps and its
+(temporary) dataset path masked.  Reading the trajectory and synth
 files back and writing them again must also give the same bytes.  After an
 intended change of the outputs, regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -331,6 +331,24 @@ class TestMapOrdered:
         assert behind <= 4 * 2 - 1
         assert results == list(range(1000))
 
+    def test_closing_the_stream_early_starts_nothing_more(self):
+        started = []
+        lock = threading.Lock()
+
+        def fn(item):
+            with lock:
+                started.append(item)
+            return item
+
+        stream = map_ordered(fn, list(range(100)), 2)
+        assert next(stream) == 0
+        stream.close()  # the items in flight finish, and nothing is raised
+        with lock:
+            ran = sorted(started)
+        time.sleep(0.05)  # room for a wrongly started item to show
+        assert sorted(started) == ran
+        assert ran == list(range(len(ran))) and len(ran) <= 4 * 2
+
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_error_ends_the_stream_at_its_item(self, concurrency):
         def fn(item):

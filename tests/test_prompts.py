@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord, Question
 from hopground.errors import EmptyBatch, MissingPlaceholder
+from hopground.llm import ChatMessage
 from hopground.prompts import (TEMPLATE_BINDINGS, TEMPLATE_NAMES,
                                TemplateLibrary, format_step, parse_template,
                                render_deduction, render_grounding,
@@ -50,15 +51,8 @@ def docs(n, body="body of doc"):
 
 class TestPromptTemplate:
     def test_parse_splits_literals_and_placeholders(self):
-        template = parse_template("judge", "a {question} b {gold_answer}")
-        assert template.placeholders == {"question", "gold_answer"}
-        kinds = [kind for kind, _ in template.segments]
-        assert kinds == ["literal", "placeholder", "literal", "placeholder"]
-
-    def test_render_requires_all_placeholders(self):
-        template = parse_template("judge", "{question} vs {gold_answer}")
-        with pytest.raises(MissingPlaceholder):
-            template.render(question="only this one")
+        assert parse_template("judge", "a {question} b {gold_answer}") == (
+            "a ", "question", " b ", "gold_answer", "")
 
     def test_rendered_output_has_no_placeholders(self, library):
         rendered = render_judge(library, "q", "p", "g")[0].content
@@ -72,11 +66,55 @@ class TestPromptTemplate:
 
     def test_packaged_templates_use_only_bound_placeholders(self, library):
         for name in TEMPLATE_NAMES:
-            assert library[name].placeholders <= TEMPLATE_BINDINGS[name]
+            slots = set(library.templates[name][1::2])
+            assert slots and slots <= TEMPLATE_BINDINGS[name]
 
-    def test_values_with_braces_stay_literal(self):
-        template = parse_template("judge", "say {question}")
-        assert template.render(question="{not_a_slot}") == "say {not_a_slot}"
+    def test_values_with_braces_stay_literal(self, tmp_path):
+        (tmp_path / "judge.txt").write_text(
+            "{X} {} {{ }} {{question}} / {prediction} / {gold_answer} {",
+            encoding="utf-8")
+        library = TemplateLibrary.load(tmp_path)
+        content = render_judge(library, "{prediction}", "{}", "{{x}}")[0].content
+        assert content == "{X} {} {{ }} {{prediction}} / {} / {{x}} {"
+
+    def test_every_bound_placeholder_renders(self, tmp_path):
+        for name, slots in TEMPLATE_BINDINGS.items():
+            text = " | ".join(f"{slot}={{{slot}}}" for slot in sorted(slots))
+            (tmp_path / f"{name}.txt").write_text(f"{name}: {text}\n",
+                                                   encoding="utf-8")
+        library = TemplateLibrary.load(tmp_path)
+        documents = "[1] Title 1\nbody of doc 1\n\n[2] Title 2\nbody of doc 2"
+        examples = "\n\n".join(
+            library.deduction_examples[:library.num_examples])
+        hop = make_hop(1, "Which chapel?", "The Sistine Chapel.")
+
+        def expected(name, **values):
+            assert values.keys() == TEMPLATE_BINDINGS[name]
+            return f"{name}: " + " | ".join(
+                f"{slot}={values[slot]}" for slot in sorted(values))
+
+        rendered = {
+            "deduction": render_deduction(library, QUESTION, [hop]),
+            "grounding": render_grounding(library, QUESTION, "Who?", "Him.",
+                                          docs(2)),
+            "judge": render_judge(library, "Q?", "P", "G"),
+            "synthesis_teacher": render_synthesis_teacher(
+                library, "Who else?", "Her.", docs(2)),
+        }
+        assert rendered == {
+            "deduction": [ChatMessage(role="user", content=expected(
+                "deduction", question=QUESTION.text,
+                context="Question 1: Which chapel?\nAnswer 1: The Sistine Chapel.",
+                examples=examples, next_index="2"))],
+            "grounding": [ChatMessage(role="user", content=expected(
+                "grounding", question=QUESTION.text, sub_question="Who?",
+                immediate_answer="Him.", documents=documents))],
+            "judge": [ChatMessage(role="user", content=expected(
+                "judge", question="Q?", prediction="P", gold_answer="G"))],
+            "synthesis_teacher": [ChatMessage(role="user", content=expected(
+                "synthesis_teacher", question="Who else?",
+                immediate_answer="Her.", documents=documents))],
+        }
 
 
 class TestRenderDeduction:

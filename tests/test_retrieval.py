@@ -1045,6 +1045,11 @@ class TestExternalRetriever:
         with pytest.raises(MalformedResponse):
             retrieve_external(stub.url, "q", top_k=5)
 
+    def test_deeply_nested_reply(self, stub):
+        stub.queue(200, "[" * 100_000)
+        with pytest.raises(MalformedResponse, match="nested too deeply"):
+            retrieve_external(stub.url, "q", top_k=5)
+
     def test_missing_results_key(self, stub):
         stub.queue(200, {"docs": []})
         with pytest.raises(MalformedResponse):
@@ -1108,3 +1113,9 @@ class TestExternalRetriever:
         stub.queue(200, {"results": [result]})
         assert retrieve_external(stub.url, "q", top_k=5) == [
             replace(expected, rank=1)]
+
+
+def test_unknown_attribute_of_the_package_raises_attribute_error():
+    import hopground.retrieval
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hopground.retrieval.no_such_name
