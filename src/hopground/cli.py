@@ -14,14 +14,14 @@ import logging
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from . import distill, evaluation, pipeline, retrieval
-from .core import (ConfigRecord, Question, Termination, TokenCounts,
-                   Trajectory, loads_utf8, write_json)
+from .core import (ConfigRecord, Question, Termination, Trajectory,
+                   loads_utf8, write_json)
 from .distill import SynthesisConfig
 from .errors import (ConfigError, EmptyRecords, InvalidRecord, LlmError,
                      MalformedDataset, RetrievalError)
@@ -122,56 +122,6 @@ class Progress:
         print(self.line(done, total), file=sys.stderr)
 
 
-@dataclass
-class RunTotals:
-    """The manifest's totals, summed over trajectories as they pass."""
-
-    questions: int = 0
-    hops: int = 0
-    tokens: TokenCounts = TokenCounts()
-    terminations: dict[str, int] = field(
-        default_factory=lambda: {t.value: 0 for t in Termination})
-
-    def add(self, trajectory: Trajectory) -> Trajectory:
-        self.questions += 1
-        self.hops += len(trajectory.hops)
-        self.tokens += trajectory.token_usage.total
-        self.terminations[trajectory.termination.value] += 1
-        return trajectory
-
-
-def run_manifest(pipe_config: pipeline.PipelineConfig,
-                 templates_dir: str | None, dataset_path: str,
-                 dataset_format: str, started_at: str,
-                 totals: RunTotals, llm_calls: int) -> dict[str, Any]:
-    """Snapshot of one run: configuration, provenance, and totals.
-
-    Totals are sums over the trajectories, whose token totals count every
-    call, failed retries included.  Only ``llm_calls`` comes from the
-    run-wide call recorder.
-    """
-    return {
-        "config": {
-            "pipeline": pipe_config.to_dict(),
-            "templates_dir": templates_dir,
-            "retriever": pipe_config.retriever,
-        },
-        "dataset_path": dataset_path,
-        "dataset_format": dataset_format,
-        "started_at": started_at,
-        "finished_at": _utc_now(),
-        "totals": {
-            "questions": totals.questions,
-            "hops": totals.hops,
-            "llm_calls": llm_calls,
-            "prompt_tokens": totals.tokens.prompt_tokens,
-            "completion_tokens": totals.tokens.completion_tokens,
-            "terminations": totals.terminations,
-            "failures": totals.terminations[Termination.PARSE_FAILURE.value],
-        },
-    }
-
-
 # --- subcommands ---
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -198,27 +148,57 @@ def cmd_run(args: argparse.Namespace) -> int:
                     pipe_config.concurrency)
     templates = _with_flags(config.templates, dir=args.templates)
     library = templates.load()
-    llm = config.llm.client("llm")
+    # manifest.json in the order it is written, totals after the stream
+    manifest: dict[str, Any] = {
+        "config": {
+            "pipeline": pipe_config.to_dict(),
+            "templates_dir": templates.dir,
+            "retriever": pipe_config.retriever,
+        },
+        "dataset_path": str(args.dataset),
+        "dataset_format": args.format,
+    }
+    for flag, path in (("--dataset", args.dataset),
+                       ("--templates", args.templates or "")):
+        try:  # a path byte that is not UTF-8 arrives as a lone surrogate
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{flag} {path!r} is not UTF-8") from None
+    llm = RecordingClient(config.llm.client("llm"))
     retriever = config.retrieval.retriever(pipe_config.retriever)
     questions = evaluation.load_dataset(args.dataset, format=args.format)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started_at = _utc_now()
+    manifest["started_at"] = _utc_now()
 
-    recorder = RecordingClient(llm)
-    totals = RunTotals()
-    stream = pipeline.answer_stream(questions, pipe_config, recorder,
-                                    retriever, library, Progress("answered"))
-    pipeline.write_trajectories(map(totals.add, stream),
+    # sums over the trajectories; only llm_calls comes from the recorder
+    tally: Counter[str] = Counter()
+
+    def count(trajectory: Trajectory) -> Trajectory:
+        tally.update(hops=len(trajectory.hops),
+                     **trajectory.token_usage.total.to_dict())
+        tally[trajectory.termination.value] += 1
+        return trajectory
+
+    stream = pipeline.answer_stream(questions, pipe_config, llm, retriever,
+                                    library, Progress("answered"))
+    pipeline.write_trajectories(map(count, stream),
                                 out_dir / "trajectories.jsonl")
 
-    write_json(run_manifest(
-        pipe_config, templates_dir=templates.dir,
-        dataset_path=str(args.dataset), dataset_format=args.format,
-        started_at=started_at, totals=totals,
-        llm_calls=recorder.calls), out_dir / "manifest.json")
-    print(f"wrote {totals.questions} trajectories -> {out_dir}")
+    terminations = {t.value: tally[t.value] for t in Termination}
+    manifest["finished_at"] = _utc_now()
+    manifest["totals"] = {
+        "questions": sum(terminations.values()),
+        "hops": tally["hops"],
+        "llm_calls": llm.calls,
+        "prompt_tokens": tally["prompt_tokens"],
+        "completion_tokens": tally["completion_tokens"],
+        "terminations": terminations,
+        "failures": terminations[Termination.PARSE_FAILURE.value],
+    }
+    write_json(manifest, out_dir / "manifest.json")
+    print(f"wrote {manifest['totals']['questions']} trajectories -> {out_dir}")
     return EXIT_OK
 
 

@@ -157,12 +157,13 @@ class Record:
     """
 
     def __post_init__(self):
-        check, checks, _ = _table(type(self))
-        if not check(self):
-            for name, ok, noun in checks:  # name the first bad field
-                value = getattr(self, name)
-                if not ok(value):
-                    raise InvalidRecord(f"{name} must be {noun}, got {value!r}")
+        checks, stores, _ = _table(type(self))
+        for name, ok, noun in checks:  # the first bad field is named
+            value = getattr(self, name)
+            if not ok(value):
+                raise InvalidRecord(f"{name} must be {noun}, got {value!r}")
+        for name, store in stores:
+            object.__setattr__(self, name, store(getattr(self, name)))
 
     def to_dict(self) -> dict[str, Any]:
         d = {}
@@ -217,26 +218,15 @@ def expect_type(value: Any, kind: type, name: str) -> Any:
 
 
 @functools.cache
-def _table(cls: type) -> tuple[Callable[[Any], bool], tuple, tuple]:
-    """A record class's fields from one ``get_type_hints`` call: a function
-    that checks every field and, if all pass, stores each; the (name,
-    predicate, noun) rows that name the first bad field; and the (name,
-    encoder, decoder) rows of the codec.  The function is compiled, as
-    ``dataclasses`` compiles ``__init__``, because a loop over the fields
-    made building a ``Document`` twice as slow."""
+def _table(cls: type) -> tuple[tuple, tuple, tuple]:
+    """A record class's fields from one ``get_type_hints`` call: the (name,
+    predicate, noun) rows that check each field, the (name, store) rows of
+    the fields stored converted, and the (name, encoder, decoder) rows of
+    the codec."""
     hints = get_type_hints(cls, include_extras=True)
     rows = [(f.name, *_field(hints[f.name], f.name)) for f in fields(cls)]
-    scope, tests, stores = {"setattr": object.__setattr__}, [], []
-    for i, (name, _, _, store, ok, _) in enumerate(rows):
-        scope[f"ok{i}"], scope[f"store{i}"] = ok, store
-        tests.append(f"ok{i}(self.{name})")
-        if store:
-            stores.append(f"setattr(self, {name!r}, store{i}(self.{name}))")
-    body = [f"if not ({' and '.join(tests) or True}): return False", *stores,
-            "return True"]
-    exec("def check(self):\n    " + "\n    ".join(body), scope)
-    return (scope["check"],
-            tuple((name, ok, noun) for name, *_, ok, noun in rows),
+    return (tuple((name, ok, noun) for name, *_, ok, noun in rows),
+            tuple((name, store) for name, _, _, store, *_ in rows if store),
             tuple((name, encode, decode) for name, encode, decode, *_ in rows))
 
 
@@ -421,10 +411,11 @@ def read_jsonl(path: str | Path,
 
 
 def write_json(value: Any, path: str | Path) -> None:
-    """Write ``value`` as UTF-8 JSON indented by 2, ending in a newline."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(value, f, indent=2, ensure_ascii=False)
-        f.write("\n")
+    """Write ``value`` as UTF-8 JSON indented by 2, ending in a newline; a
+    value that cannot be encoded raises before the file is opened."""
+    data = json.dumps(value, indent=2, ensure_ascii=False).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(data + b"\n")
 
 
 def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:

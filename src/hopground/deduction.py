@@ -32,21 +32,14 @@ class DeductionKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DeductionResult:
-    """Either a (sub_question, immediate_answer) step or a final answer."""
+    """Either a (sub_question, immediate_answer) step or a final answer;
+    ``parse_deduction`` sets exactly its kind's fields, each non-empty."""
 
     kind: DeductionKind
     raw_text: str
     sub_question: str = ""
     immediate_answer: str = ""
     final_answer: str = ""
-
-    def __post_init__(self):
-        if self.kind is DeductionKind.STEP:
-            if not (self.sub_question and self.immediate_answer) or self.final_answer:
-                raise ValueError("step result carries exactly the step fields")
-        else:
-            if not self.final_answer or self.sub_question or self.immediate_answer:
-                raise ValueError("finish result carries exactly the final answer")
 
 
 def parse_deduction(text: str) -> DeductionResult:

@@ -201,11 +201,12 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
         return Question(id=qid, text=record["question"],
                         gold_answers=_gold_list(record))
 
-    data = Path(path).read_bytes()
-    if not data.lstrip().startswith(b"["):
+    with open(path, "rb") as f:  # the first byte that is not whitespace
+        first = next(filter(None, map(bytes.lstrip, f)), b"")[:1]
+    if first != b"[":
         return list(read_jsonl(path, to_question))
     try:
-        records = loads_utf8(data.decode("utf-8"))
+        records = loads_utf8(Path(path).read_bytes().decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or a lone surrogate
         raise MalformedDataset(f"{path}: {exc}") from exc
     questions = []

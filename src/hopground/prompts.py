@@ -114,6 +114,8 @@ class TemplatesConfig(ConfigRecord, section="templates"):
     doc_char_budget: Count = DEFAULT_DOC_CHAR_BUDGET  # 0: no budget
 
     def load(self) -> TemplateLibrary:
+        if self.dir is not None and not Path(self.dir).is_dir():
+            raise ConfigError(f"templates.dir {self.dir!r} is not a directory")
         try:
             return TemplateLibrary.load(self.dir, self.num_examples,
                                         self.doc_char_budget)

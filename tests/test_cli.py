@@ -545,6 +545,98 @@ class TestRunCommand:
         assert manifest["totals"]["failures"] == 1
 
     @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_manifest_totals_recount_from_the_trajectories(
+            self, festival_run, tmp_path, monkeypatch, concurrency):
+        dataset = tmp_path / "twelve.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "answers": [str(i)],
+                               "question": f"Which number is {i}?"}
+                              for i in range(12)])
+        config = write_json(tmp_path / "keyed.json", {
+            "llm": OPENAI,
+            "retrieval": {"corpus_path": str(festival_run["corpus"])},
+        })
+
+        def answer(prompt):
+            """Question i takes i % 3 hops; question 7 gets no usable
+            deduction, so it ends as parse_failure."""
+            if prompt.startswith("You verify"):
+                return "<ref> Empty </ref>"
+            i = int(re.search(r"Original question: Which number is (\d+)\?",
+                              prompt)[1])
+            step = int(re.search(r"Continue with Question (\d+)", prompt)[1])
+            if i == 7:
+                return "no structure"
+            if step <= i % 3:
+                return f"Question {step}: Which part {step} of {i}?\nAnswer {step}: {i}"
+            return f"###Finish[{i}]"
+
+        client = KeyedClient(answer)
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(dataset), "--config",
+                     str(config), "--out", str(out),
+                     "--concurrency", str(concurrency)]) == 0
+        trajectories = [json.loads(line) for line in (
+            out / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
+        totals = json.loads((out / "manifest.json").read_text(
+            encoding="utf-8"))["totals"]
+        terminations = {"finish_signal": 0, "max_hops_reached": 0,
+                        "parse_failure": 0}
+        for trajectory in trajectories:
+            terminations[trajectory["termination"]] += 1
+        assert totals == {
+            "questions": len(trajectories),
+            "hops": sum(len(t["hops"]) for t in trajectories),
+            "llm_calls": client.calls,
+            "prompt_tokens": sum(t["token_usage"]["total"]["prompt_tokens"]
+                                 for t in trajectories),
+            "completion_tokens": sum(
+                t["token_usage"]["total"]["completion_tokens"]
+                for t in trajectories),
+            "terminations": terminations,
+            "failures": terminations["parse_failure"],
+        }
+        assert totals["questions"] == 12 and totals["failures"] == 1
+        assert totals["hops"] == sum(i % 3 for i in range(12) if i != 7)
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--templates"])
+    def test_non_utf8_path_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys, flag):
+        # a path byte that is not UTF-8 reaches Python as a lone surrogate,
+        # which manifest.json, written as UTF-8, cannot hold
+        odd = os.fsdecode(os.fsencode(tmp_path) + b"/odd\xff")
+        args = ["--dataset", str(festival_run["dataset"])]
+        if flag == "--dataset":
+            os.rename(festival_run["dataset"], odd)
+            args = ["--dataset", odd]
+        else:
+            os.mkdir(odd)
+            args += ["--templates", odd]
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        assert main(["run", *args, "--config", str(festival_run["config"]),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and "is not UTF-8" in err
+        assert "Traceback" not in err
+        assert client.calls == 0
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_templates_dir_that_is_no_directory_exits_one(
+            self, festival_run, tmp_path, capsys, kind):
+        templates = tmp_path / "typo_dir"
+        if kind == "file":
+            templates.write_text("", encoding="utf-8")
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(festival_run["config"]),
+                     "--out", str(festival_run["out"]),
+                     "--templates", str(templates)]) == 1
+        err = capsys.readouterr().err
+        assert f"templates.dir {str(templates)!r} is not a directory" in err
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
     def test_interrupt_leaves_a_prefix_of_the_full_run(
             self, festival_run, tmp_path, monkeypatch, concurrency):
         dataset = tmp_path / "twelve.jsonl"
@@ -756,6 +848,24 @@ class TestEvalCommand:
         assert "llm.base_url must be an http:// or https:// URL" in err
         assert "judge_llm" not in err
 
+    def test_judge_templates_dir_that_is_no_directory_exits_one(
+            self, tmp_path, capsys):
+        dataset, trajectories = write_judge_files(tmp_path, 1)
+        judge_script = write_json(tmp_path / "judge.json", ["Yes"])
+        config = write_json(tmp_path / "config.json", {
+            "pipeline": {"concurrency": 1},
+            "judge_llm": {"backend": "scripted",
+                          "script_path": str(judge_script)},
+            "templates": {"dir": str(tmp_path / "typo_dir")},
+        })
+        reports = tmp_path / "reports"
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset), "--judge",
+                     "--config", str(config), "--out", str(reports)]) == 1
+        err = capsys.readouterr().err
+        assert "templates.dir" in err and "is not a directory" in err
+        assert not reports.exists()
+
     def test_judge_alternating_verdicts(self, tmp_path, capsys):
         dataset, trajectories = write_judge_files(tmp_path, 10)
         judge_script = write_json(tmp_path / "judge.json",
@@ -881,6 +991,17 @@ class TestSynthCommand:
         assert "kept 8/10" in stdout
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 8
+
+    def test_templates_dir_that_is_no_directory_exits_one(self, synth_files,
+                                                          capsys):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(synth_files["config"]),
+                     "--templates", str(synth_files["dir"] / "typo_dir")]) == 1
+        err = capsys.readouterr().err
+        assert "templates.dir" in err and "is not a directory" in err
+        assert not out.exists()
 
     def test_include_dropped(self, synth_files):
         out = synth_files["dir"] / "corpus-all.jsonl"

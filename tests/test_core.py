@@ -1,6 +1,7 @@
+import collections.abc
 import enum
 import json
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Mapping, get_origin, get_type_hints
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hopground.cli  # noqa: F401  (defines every config record)
-from hopground.core import (DecodingParams, Document, GroundingKind,
+from hopground.core import (Count, DecodingParams, Document, GroundingKind,
                             GroundingOutcome, HopRecord, Question, Record,
                             Termination, TokenCounts, TokenUsage, Trajectory,
-                            read_jsonl)
+                            read_jsonl, write_json)
 from hopground.distill import TrainingExample, Verdict
 from hopground.errors import InvalidRecord
 from hopground.llm import ChatMessage, Completion
@@ -120,6 +121,55 @@ class TestTrajectory:
                           final_answer="42",
                           termination=Termination.FINISH_SIGNAL)
         assert len(traj.hops) == 0
+
+
+class TestRecordChecks:
+    def test_two_wrong_fields_name_the_first_declared(self):
+        with pytest.raises(InvalidRecord, match="^id must be a string"):
+            Document(id=5, title=None, body="b")
+        with pytest.raises(InvalidRecord, match="^title must be a string"):
+            Document(id="d", title=None, body=" ", rank=0)
+
+    def test_fields_are_stored_converted_only_once_every_field_passes(self):
+        reads = []
+
+        class Items(list):
+            def __iter__(self):
+                reads.append("items read")
+                return super().__iter__()
+
+        class Table(collections.abc.Mapping):  # dict() copies it by keys()
+            def __init__(self, items):
+                self.items_ = dict(items)
+
+            def __getitem__(self, key):
+                return self.items_[key]
+
+            def __iter__(self):
+                return iter(self.items_)
+
+            def __len__(self):
+                return len(self.items_)
+
+            def keys(self):
+                reads.append("table copied")
+                return self.items_.keys()
+
+        @dataclass(frozen=True)
+        class Stored(Record):
+            items: tuple[str, ...]
+            table: Mapping[str, str]
+            count: Count
+
+        with pytest.raises(InvalidRecord, match="^count must be"):
+            Stored(Items(["a"]), Table({"k": "v"}), -1)
+        assert reads == ["items read"]  # checked, and neither copied
+        reads.clear()
+        record = Stored(Items(["a"]), Table({"k": "v"}), 1)
+        assert reads == ["items read", "items read", "table copied"]
+        assert type(record.items) is tuple and record.items == ("a",)
+        assert record.table == {"k": "v"} and not isinstance(record.table,
+                                                             Table)
 
 
 WRONG_TYPED_FIELDS = {
@@ -313,3 +363,13 @@ def test_read_jsonl_skips_blank_and_whitespace_only_lines(tmp_path):
     path.write_bytes(b'{"n": 1}\n\n  \t \n{"n": 2}\n\r\n')
     assert list(read_jsonl(path, lambda record, line_no: (record, line_no))
                 ) == [({"n": 1}, 1), ({"n": 2}, 4)]
+
+
+def test_write_json_of_an_unencodable_value_writes_nothing(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_bytes(b'{"kept": true}\n')
+    for path in (new, old):
+        with pytest.raises(UnicodeEncodeError):
+            write_json({"dataset_path": "ds\udcff.jsonl"}, path)
+    assert not new.exists()
+    assert old.read_bytes() == b'{"kept": true}\n'

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopground.core import DecodingParams, Question
-from hopground.deduction import (DeductionKind, DeductionResult, deduce,
-                                 parse_deduction)
+from hopground.deduction import DeductionKind, deduce, parse_deduction
 from hopground.errors import (DeductionParseError, ScriptExhausted,
                               UnclosedFinish)
 from hopground.llm import ScriptedClient
@@ -89,11 +88,14 @@ class TestParseDeduction:
     def test_totality(self, text):
         try:
             result = parse_deduction(text)
-            assert result.kind in (DeductionKind.STEP, DeductionKind.FINISH)
-        except UnclosedFinish:
-            pass
-        except DeductionParseError:
-            pass
+        except DeductionParseError:  # UnclosedFinish among them
+            return
+        step = (result.sub_question, result.immediate_answer)
+        if result.kind is DeductionKind.STEP:
+            assert all(step) and result.final_answer == ""
+        else:
+            assert result.kind is DeductionKind.FINISH
+            assert result.final_answer and step == ("", "")
 
 
 single_line = st.text(min_size=1, max_size=60).map(str.strip).filter(
@@ -145,13 +147,3 @@ class TestDeduce:
         deduce(spy, library, QUESTION, [], DecodingParams(temperature=0.0))
         assert spy.params.temperature == 0.0
 
-
-class TestDeductionResult:
-    def test_variants_are_exclusive(self):
-        with pytest.raises(ValueError):
-            DeductionResult(kind=DeductionKind.STEP, raw_text="",
-                            sub_question="q", immediate_answer="a",
-                            final_answer="also set")
-        with pytest.raises(ValueError):
-            DeductionResult(kind=DeductionKind.FINISH, raw_text="",
-                            final_answer="")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -379,6 +380,20 @@ class TestLoadDataset:
                 as err:
             load_dataset(path, format)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("lead", [b"", b"\n\n", b" \t\r\n" * 2000])
+    def test_leading_whitespace_keeps_the_layout(self, tmp_path, lead):
+        records = [{"_id": f"h{i}", "question": f"Q{i}?", "answer": "A"}
+                   for i in range(3)]
+        lines = tmp_path / "data.jsonl"
+        lines.write_bytes(lead + b"\n".join(json.dumps(r).encode()
+                                            for r in records))
+        array = tmp_path / "data.json"
+        array.write_bytes(lead + json.dumps(records, indent=1).encode())
+        expected = [Question(id=f"h{i}", text=f"Q{i}?", gold_answers=("A",))
+                    for i in range(3)]
+        assert load_dataset(lines, "hotpotqa") == expected
+        assert load_dataset(array, "hotpotqa") == expected
 
     def test_2wiki(self, tmp_path):
         path = tmp_path / "wiki.jsonl"
