@@ -1,9 +1,9 @@
 """Command-line entry points: index, run, eval, synth, stats.
 
-Configuration lives in one JSON file (see README for the schema); CLI flags
-override file values, which override defaults.  Exit codes: 0 = run
-completed (even with per-question failures), 1 = configuration or IO error,
-2 = malformed or empty dataset/corpus input.
+A setting with a config key comes from the JSON config file (see README
+for the schema) or its default, never from a flag or the environment.  Exit
+codes: 0 = run completed (even with per-question failures), 1 =
+configuration or IO error, 2 = malformed or empty dataset/corpus input.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from . import distill, evaluation, pipeline, retrieval
 from .core import (ConfigRecord, Question, Termination, Trajectory,
@@ -32,9 +32,6 @@ from .prompts import TemplatesConfig
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATASET = 2
-
-_C = TypeVar("_C", bound=ConfigRecord)
-
 
 @dataclass(frozen=True)
 class Config(ConfigRecord):
@@ -65,17 +62,6 @@ class Config(ConfigRecord):
             raise ConfigError(f"config {path}: {exc}") from exc
         except ValueError as exc:  # not UTF-8 JSON, too deep, or a lone surrogate
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _with_flags(section: _C, **flags: Any) -> _C:
-    """``section`` with each flag that was given (not None) in place of its
-    field; a value out of range names its flag."""
-    try:
-        return replace(section, **{key: value for key, value in flags.items()
-                                   if value is not None})
-    except InvalidRecord as exc:  # its message starts with the field name
-        key, rest = str(exc).split(" ", 1)
-        raise ConfigError(f"--{key.replace('_', '-')} {rest}") from exc
 
 
 def _require_serial(config: Config, roles: Sequence[str], key: str,
@@ -140,32 +126,25 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = Config.load(args.config)
-    pipe_config = _with_flags(
-        config.pipeline, max_hops=args.max_hops, top_k=args.top_k,
-        batch_size=args.batch_size, concurrency=args.concurrency,
-        strict_citation=args.strict_citation or None)
     _require_serial(config, ["llm"], "pipeline.concurrency",
-                    pipe_config.concurrency)
-    templates = _with_flags(config.templates, dir=args.templates)
-    library = templates.load()
+                    config.pipeline.concurrency)
+    library = config.templates.load()
     # manifest.json in the order it is written, totals after the stream
     manifest: dict[str, Any] = {
         "config": {
-            "pipeline": pipe_config.to_dict(),
-            "templates_dir": templates.dir,
-            "retriever": pipe_config.retriever,
+            "pipeline": config.pipeline.to_dict(),
+            "templates_dir": config.templates.dir,
+            "retriever": config.pipeline.retriever,
         },
         "dataset_path": str(args.dataset),
         "dataset_format": args.format,
     }
-    for flag, path in (("--dataset", args.dataset),
-                       ("--templates", args.templates or "")):
-        try:  # a path byte that is not UTF-8 arrives as a lone surrogate
-            path.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"{flag} {path!r} is not UTF-8") from None
+    try:  # a path byte that is not UTF-8 arrives as a lone surrogate
+        args.dataset.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"--dataset {args.dataset!r} is not UTF-8") from None
     llm = RecordingClient(config.llm.client("llm"))
-    retriever = config.retrieval.retriever(pipe_config.retriever)
+    retriever = config.retrieval.retriever(config.pipeline.retriever)
     questions = evaluation.load_dataset(args.dataset, format=args.format)
 
     out_dir = Path(args.out)
@@ -181,8 +160,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         tally[trajectory.termination.value] += 1
         return trajectory
 
-    stream = pipeline.answer_stream(questions, pipe_config, llm, retriever,
-                                    library, Progress("answered"))
+    stream = pipeline.answer_stream(questions, config.pipeline, llm,
+                                    retriever, library, Progress("answered"))
     pipeline.write_trajectories(map(count, stream),
                                 out_dir / "trajectories.jsonl")
 
@@ -231,12 +210,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         record = evaluation.score_prediction(question, traj.final_answer)
         if judge_llm is None:
             return record
-        if not traj.final_answer.strip():
-            verdict = "no"  # nothing to imply anything
-        else:
-            verdict = evaluation.judge(judge_llm, library, question.text,
-                                       traj.final_answer,
-                                       question.gold_answers[0])
+        verdict = evaluation.judge(judge_llm, library, question.text,
+                                   traj.final_answer, question.gold_answers[0])
         return replace(record, acc_judge=verdict)
 
     records = list(pipeline.map_ordered(score, trajectories, concurrency,
@@ -257,18 +232,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = Config.load(args.config)
-    synthesis = _with_flags(config.synthesis, noise_docs=args.noise_docs)
     _require_serial(config, ["student_llm", "teacher_llm"],
-                    "synthesis.concurrency", synthesis.concurrency)
+                    "synthesis.concurrency", config.synthesis.concurrency)
     student = config.student_llm.client("student_llm")
     teacher = config.teacher_llm.client("teacher_llm")
-    library = _with_flags(config.templates, dir=args.templates).load()
+    library = config.templates.load()
     inputs = distill.load_synthesis_inputs(args.input)
 
     stream = distill.synthesize_stream(
         inputs, student, teacher, library, seed=args.seed,
-        max_noise_docs=synthesis.noise_docs,
-        concurrency=synthesis.concurrency, progress=Progress("synthesized"))
+        max_noise_docs=config.synthesis.noise_docs,
+        concurrency=config.synthesis.concurrency,
+        progress=Progress("synthesized"))
     reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
     def count(example: distill.TrainingExample) -> distill.TrainingExample:
@@ -311,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=evaluation.DATASET_FORMATS)
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-hops", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--concurrency", type=int, default=None)
-    p.add_argument("--strict-citation", action="store_true")
-    p.add_argument("--templates", default=None, help="template directory override")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a trajectory file against a dataset")
@@ -336,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--include-dropped", action="store_true")
-    p.add_argument("--noise-docs", type=int, default=None)
-    p.add_argument("--templates", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("stats", help="describe an emitted training corpus")

@@ -106,7 +106,11 @@ class TrainingExample(Record):
     @classmethod
     def from_dict(cls, d: Any) -> "TrainingExample":
         expect_type(d, dict, cls.__name__)
-        verdict = (Verdict.kept() if d.get("verdict", "keep") == "keep"
+        label = d.get("verdict", "keep")
+        if label not in ("keep", "drop"):
+            raise InvalidRecord(
+                f"verdict must be 'keep' or 'drop', got {label!r}")
+        verdict = (Verdict.kept() if label == "keep"
                    else Verdict.drop(d.get("drop_reason") or "unknown"))
         return super().from_dict({**d, "verdict": verdict})
 

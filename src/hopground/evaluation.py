@@ -92,7 +92,10 @@ def judge(llm: LlmClient, library: TemplateLibrary, question: str,
     The reply's first token decides: yes-prefix -> "yes", no-prefix -> "no".
     Anything else is retried once and then recorded as "no" with a warning.
     A call that fails (``LlmError``) is logged and judges nothing: None.
+    A blank prediction implies nothing, so it is "no" without a call.
     """
+    if not prediction.strip():
+        return "no"
     messages = render_judge(library, question, prediction, gold_answer)
     try:
         return retry_parse(lambda: _parse_verdict(

@@ -120,13 +120,13 @@ class OpenAIChatClient:
     its own on requests in flight: that is the number of threads calling it.
     """
 
-    def __init__(self, base_url: str, model: str, api_key: str | None = None,
+    def __init__(self, base_url: str, model: str,
                  api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = DEFAULT_TIMEOUT,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(api_key_env, "")
+        self.api_key = os.environ.get(api_key_env, "")
         self.timeout = timeout
         self.max_attempts = max_attempts
 
@@ -224,16 +224,13 @@ class LlmConfig(ConfigRecord, section="llm"):
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{role}: bad scripted backend: {exc}") from exc
         if self.backend == "openai":
-            override = os.environ.get("HOPGROUND_BASE_URL")
-            base_url = override or self.base_url
-            if not base_url or not self.model:
+            if not self.base_url or not self.model:
                 raise ConfigError(f"{role}: openai backend needs base_url and model")
             try:
-                check_url(base_url)
+                check_url(self.base_url)
             except ValueError as exc:
-                key = "HOPGROUND_BASE_URL" if override else f"{role}.base_url"
-                raise ConfigError(f"{key} {exc}") from exc
+                raise ConfigError(f"{role}.base_url {exc}") from exc
             return OpenAIChatClient(
-                base_url, self.model, api_key_env=self.api_key_env,
+                self.base_url, self.model, api_key_env=self.api_key_env,
                 timeout=self.timeout, max_attempts=self.max_attempts)
         raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")

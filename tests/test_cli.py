@@ -18,6 +18,8 @@ from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
+# once overrode the base_url of every model role; no command reads it now
+RETIRED_BASE_URL_VAR = "HOPGROUND_BASE_URL"
 ROOT = Path(__file__).parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
@@ -101,10 +103,13 @@ class TestRunCommand:
         assert manifest["totals"]["failures"] == 0
         assert manifest["config"]["pipeline"]["max_hops"] == 5
 
-    def test_max_hops_override_lands_in_manifest(self, festival_run):
+    def test_max_hops_override_lands_in_manifest(self, festival_run,
+                                                 tmp_path):
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["pipeline"]["max_hops"] = 1
+        path = write_json(tmp_path / "one-hop.json", config)
         code = main(["run", "--dataset", str(festival_run["dataset"]),
-                     "--config", str(festival_run["config"]),
-                     "--out", str(festival_run["out"]), "--max-hops", "1"])
+                     "--config", str(path), "--out", str(festival_run["out"])])
         assert code == 0
         manifest = json.loads(
             (festival_run["out"] / "manifest.json").read_text(encoding="utf-8"))
@@ -151,8 +156,7 @@ class TestRunCommand:
         assert not festival_run["out"].exists()
 
     def test_requests_in_flight_follow_pipeline_concurrency(
-            self, festival_run, tmp_path, monkeypatch):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+            self, festival_run, tmp_path):
         dataset = tmp_path / "six.jsonl"
         write_jsonl(dataset, [{"id": f"q{i}", "question": f"Question {i}?",
                                "answers": ["x"]} for i in range(6)])
@@ -185,19 +189,17 @@ class TestRunCommand:
         stub = InFlightStub(1)
         try:
             config = write_json(tmp_path / "stub.json", {
+                "pipeline": {"concurrency": concurrency},
                 "llm": {"backend": "openai", "base_url": stub.url,
                         "model": "stub", "api_key_env": "HOPGROUND_NO_KEY"},
                 "retrieval": {"corpus_path": str(festival_run["corpus"])},
             })
-            env = {k: v for k, v in os.environ.items()
-                   if k != "HOPGROUND_BASE_URL"}
-            env["PYTHONPATH"] = str(ROOT / "src")
             result = subprocess.run(
                 [sys.executable, "-X", "dev", "-m", "hopground", "run",
                  "--dataset", str(dataset), "--config", str(config),
-                 "--out", str(tmp_path / "out"),
-                 "--concurrency", str(concurrency)],
-                env=env, capture_output=True, text=True, timeout=60)
+                 "--out", str(tmp_path / "out")],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                capture_output=True, text=True, timeout=60)
         finally:
             stub.close()
         assert result.returncode == 0, result.stderr
@@ -294,18 +296,16 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
-    @pytest.mark.parametrize("pipeline, flags", [
-        ({}, []),
-        ({"concurrency": 1}, ["--concurrency", "2"]),
-    ], ids=["default concurrency", "concurrency flag"])
+    @pytest.mark.parametrize("pipeline", [{}, {"concurrency": 2}],
+                             ids=["default concurrency", "concurrency 2"])
     def test_scripted_backend_needs_concurrency_one(
-            self, festival_run, tmp_path, capsys, pipeline, flags):
+            self, festival_run, tmp_path, capsys, pipeline):
         config = write_json(tmp_path / "wide.json", {
             **json.loads(festival_run["config"].read_text(encoding="utf-8")),
             "pipeline": pipeline})
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", str(config),
-                     "--out", str(festival_run["out"]), *flags]) == 1
+                     "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
         assert "llm.backend" in err and "pipeline.concurrency" in err
         assert "Traceback" not in err
@@ -342,15 +342,14 @@ class TestRunCommand:
         ("localhost:8000/v1", None, "llm.base_url"),
         ("ftp://x", None, "llm.base_url"),
         ("http://", None, "llm.base_url"),
-        ("http://127.0.0.1:9", "localhost:8000/v1", "HOPGROUND_BASE_URL"),
+        # a good URL in the retired variable does not stand in
+        ("localhost:8000/v1", "http://127.0.0.1:9", "llm.base_url"),
     ])
     def test_malformed_base_url_exits_one(self, festival_run, tmp_path,
                                           capsys, monkeypatch, base_url, env,
                                           key):
-        if env is None:
-            monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
-        else:
-            monkeypatch.setenv("HOPGROUND_BASE_URL", env)
+        if env is not None:
+            monkeypatch.setenv(RETIRED_BASE_URL_VAR, env)
         config = write_json(tmp_path / "url.json", {
             **json.loads(festival_run["config"].read_text(encoding="utf-8")),
             "llm": {**OPENAI, "base_url": base_url}})
@@ -448,10 +447,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("source", ["chat", "retrieval"])
     def test_lone_surrogate_in_a_reply_is_a_failed_question(
-            self, festival_run, tmp_path, monkeypatch, source):
+            self, festival_run, tmp_path, source):
         # json.dumps writes ASCII: the surrogate arrives as a \ud800 escape
         from helpers import StubServer
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
         config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
         stub = StubServer()
         try:
@@ -487,8 +485,7 @@ class TestRunCommand:
         assert manifest["totals"]["llm_calls"] == 1
 
     def test_deeply_nested_chat_reply_is_a_failed_question(
-            self, festival_run, tmp_path, monkeypatch):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+            self, festival_run, tmp_path):
         config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
         config["llm"] = {"backend": "openai", "base_url": "", "model": "m",
                          "api_key_env": "HOPGROUND_NO_KEY"}
@@ -552,6 +549,7 @@ class TestRunCommand:
                                "question": f"Which number is {i}?"}
                               for i in range(12)])
         config = write_json(tmp_path / "keyed.json", {
+            "pipeline": {"concurrency": concurrency},
             "llm": OPENAI,
             "retrieval": {"corpus_path": str(festival_run["corpus"])},
         })
@@ -574,8 +572,7 @@ class TestRunCommand:
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
         out = tmp_path / "out"
         assert main(["run", "--dataset", str(dataset), "--config",
-                     str(config), "--out", str(out),
-                     "--concurrency", str(concurrency)]) == 0
+                     str(config), "--out", str(out)]) == 0
         trajectories = [json.loads(line) for line in (
             out / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
         totals = json.loads((out / "manifest.json").read_text(
@@ -599,25 +596,19 @@ class TestRunCommand:
         assert totals["questions"] == 12 and totals["failures"] == 1
         assert totals["hops"] == sum(i % 3 for i in range(12) if i != 7)
 
-    @pytest.mark.parametrize("flag", ["--dataset", "--templates"])
-    def test_non_utf8_path_exits_one_before_any_call(
-            self, festival_run, tmp_path, monkeypatch, capsys, flag):
+    def test_non_utf8_dataset_path_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys):
         # a path byte that is not UTF-8 reaches Python as a lone surrogate,
         # which manifest.json, written as UTF-8, cannot hold
         odd = os.fsdecode(os.fsencode(tmp_path) + b"/odd\xff")
-        args = ["--dataset", str(festival_run["dataset"])]
-        if flag == "--dataset":
-            os.rename(festival_run["dataset"], odd)
-            args = ["--dataset", odd]
-        else:
-            os.mkdir(odd)
-            args += ["--templates", odd]
+        os.rename(festival_run["dataset"], odd)
         client = KeyedClient(lambda prompt: "###Finish[x]")
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
-        assert main(["run", *args, "--config", str(festival_run["config"]),
+        assert main(["run", "--dataset", odd,
+                     "--config", str(festival_run["config"]),
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
-        assert f"error: {flag} " in err and "is not UTF-8" in err
+        assert "error: --dataset " in err and "is not UTF-8" in err
         assert "Traceback" not in err
         assert client.calls == 0
         assert not festival_run["out"].exists()
@@ -628,13 +619,38 @@ class TestRunCommand:
         templates = tmp_path / "typo_dir"
         if kind == "file":
             templates.write_text("", encoding="utf-8")
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["templates"] = {"dir": str(templates)}
+        path = write_json(tmp_path / "typo.json", config)
         assert main(["run", "--dataset", str(festival_run["dataset"]),
-                     "--config", str(festival_run["config"]),
-                     "--out", str(festival_run["out"]),
-                     "--templates", str(templates)]) == 1
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
         assert f"templates.dir {str(templates)!r} is not a directory" in err
         assert not festival_run["out"].exists()
+
+    def test_environment_does_not_redirect_the_model(self, festival_run,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.setenv(RETIRED_BASE_URL_VAR, "http://127.0.0.1:9")
+        stub = StubServer()
+        stub.queue_completion("###Finish[x]")
+        try:
+            config = write_json(tmp_path / "stub.json", {
+                "pipeline": {"concurrency": 1},
+                "llm": {"backend": "openai", "base_url": stub.url,
+                        "model": "m", "max_attempts": 1,
+                        "api_key_env": "HOPGROUND_NO_KEY"},
+                "retrieval": {"corpus_path": str(festival_run["corpus"])},
+            })
+            out = tmp_path / "stub-out"
+            assert main(["run", "--dataset", str(festival_run["dataset"]),
+                         "--config", str(config), "--out", str(out)]) == 0
+        finally:
+            stub.close()
+        assert len(stub.requests) == 1
+        trajectory = json.loads((out / "trajectories.jsonl")
+                                .read_text(encoding="utf-8"))
+        assert trajectory["final_answer"] == "x"
 
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_interrupt_leaves_a_prefix_of_the_full_run(
@@ -644,6 +660,7 @@ class TestRunCommand:
                                "question": f"Which number is {i}?"}
                               for i in range(12)])
         config = write_json(tmp_path / "keyed.json", {
+            "pipeline": {"concurrency": concurrency},
             "llm": OPENAI,
             "retrieval": {"corpus_path": str(festival_run["corpus"])},
         })
@@ -655,8 +672,7 @@ class TestRunCommand:
         def run(out, client):
             monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
             return main(["run", "--dataset", str(dataset), "--config",
-                         str(config), "--out", str(out),
-                         "--concurrency", str(concurrency)])
+                         str(config), "--out", str(out)])
 
         assert run(tmp_path / "full", KeyedClient(answer)) == 0
         with pytest.raises(KeyboardInterrupt):
@@ -835,8 +851,7 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
     def test_judge_falling_back_to_llm_names_llm_keys(
-            self, festival_run, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+            self, festival_run, tmp_path, capsys):
         trajectories = self.run_festival(festival_run)
         config = write_json(tmp_path / "judge.json",
                             {"llm": {**OPENAI, "base_url": "localhost:8000/v1"}})
@@ -886,8 +901,7 @@ class TestEvalCommand:
         assert summary["acc_judge"] == 50.00
 
     def test_judge_requests_in_flight_follow_pipeline_concurrency(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+            self, tmp_path):
         dataset, trajectories = write_judge_files(tmp_path, 4)
         stub = InFlightStub(4)
         try:
@@ -910,8 +924,7 @@ class TestEvalCommand:
         assert rows[1:] == [f"q{i},1,1.0000,no" for i in range(4)]
 
     def test_failed_judge_call_leaves_its_record_unjudged(
-            self, tmp_path, caplog, monkeypatch):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+            self, tmp_path, caplog):
         dataset, trajectories = write_judge_files(tmp_path, 3)
         stub = StubServer()
         stub.queue_completion("Yes")
@@ -994,11 +1007,13 @@ class TestSynthCommand:
 
     def test_templates_dir_that_is_no_directory_exits_one(self, synth_files,
                                                           capsys):
+        config = json.loads(synth_files["config"].read_text(encoding="utf-8"))
+        config["templates"] = {"dir": str(synth_files["dir"] / "typo_dir")}
+        path = write_json(synth_files["dir"] / "typo.json", config)
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "7",
-                     "--config", str(synth_files["config"]),
-                     "--templates", str(synth_files["dir"] / "typo_dir")]) == 1
+                     "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "templates.dir" in err and "is not a directory" in err
         assert not out.exists()
@@ -1096,22 +1111,6 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_negative_noise_docs_flag_exits_one(self, synth_files, capsys):
-        # two inputs of three noise documents each, on the threaded path;
-        # -1 would slice off each input's last noise document
-        inputs = synth_files["input"]
-        inputs.write_text("".join(inputs.read_text(encoding="utf-8")
-                                  .splitlines(keepends=True)[:2]),
-                          encoding="utf-8")
-        out = synth_files["dir"] / "corpus.jsonl"
-        assert main(["synth", "--input", str(inputs), "--out", str(out),
-                     "--seed", "7", "--config", str(synth_files["config"]),
-                     "--noise-docs", "-1"]) == 1
-        err = capsys.readouterr().err
-        assert "--noise-docs" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
 
 class TestStatsCommand:
     def test_stats_on_emitted_corpus(self, synth_files, capsys):
@@ -1175,6 +1174,22 @@ class TestStatsCommand:
         assert f"{out}" in err and "(line 2)" in err
         assert key in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--max-hops"), ("run", "--top-k"), ("run", "--batch-size"),
+    ("run", "--concurrency"), ("run", "--strict-citation"),
+    ("run", "--templates"), ("synth", "--noise-docs"), ("synth", "--templates"),
+])
+def test_a_config_key_has_no_flag(tmp_path, capsys, command, flag):
+    # no input need exist: the parser stops before anything is read
+    inputs = {"run": ["--dataset", "ds.jsonl"],
+              "synth": ["--input", "inputs.jsonl", "--seed", "1"]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *inputs, "--config", str(tmp_path / "config.json"),
+              "--out", str(tmp_path / "out"), flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_no_config_file_loads_the_defaults():

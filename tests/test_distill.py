@@ -277,6 +277,15 @@ class TestEmitCorpus:
         emit_corpus(examples, path)
         assert load_training_corpus(path) == examples
 
+    @pytest.mark.parametrize("verdict", ["kept", "Keep", 1, None, True])
+    def test_unknown_verdict_is_malformed(self, tmp_path, verdict):
+        path = tmp_path / "corpus.jsonl"
+        record = make_example(0).to_dict(include_verdict=True)
+        write_jsonl(path, [record, {**record, "verdict": verdict}])
+        with pytest.raises(MalformedDataset, match="verdict must be") as err:
+            load_training_corpus(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("line", ["5", '"text"', "[1]", "null"])
     def test_non_object_line_is_malformed(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"

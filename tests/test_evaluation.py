@@ -177,6 +177,12 @@ class TestJudge:
         llm = ScriptedClient([])  # the call raises ScriptExhausted
         assert judge(llm, library, "q", "p", "g") is None
 
+    @pytest.mark.parametrize("prediction", ["", "  ", "\n\t"])
+    def test_blank_prediction_is_no_without_a_call(self, library, prediction):
+        llm = ScriptedClient([])  # any call would raise ScriptExhausted
+        assert judge(llm, library, "q", prediction, "g") == "no"
+        assert llm.calls == []
+
 
 class TestAggregate:
     def record(self, qid, acc, f1, acc_judge=None):

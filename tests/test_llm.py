@@ -125,8 +125,12 @@ class TestCompletion:
             Completion(text="x", prompt_tokens=-1)
 
 
+KEY_ENV = "HOPGROUND_TEST_KEY"  # the api_key_env of every test client
+
+
 @pytest.fixture()
-def stub():
+def stub(monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "sk-test")
     server = StubServer()
     yield server
     server.close()
@@ -134,7 +138,7 @@ def stub():
 
 def make_client(stub, **kwargs):
     return OpenAIChatClient(base_url=stub.url, model="test-model",
-                            api_key="sk-test", **kwargs)
+                            api_key_env=KEY_ENV, **kwargs)
 
 
 class TestOpenAIChatClient:
@@ -149,6 +153,13 @@ class TestOpenAIChatClient:
         assert body["temperature"] == 0  # deterministic decoding on the wire
         assert body["max_tokens"] == 64
         assert body["messages"] == [{"role": "user", "content": "hello there"}]
+        assert stub.headers[0]["Authorization"] == "Bearer sk-test"
+
+    def test_unset_key_sends_no_authorization(self, stub, monkeypatch):
+        monkeypatch.delenv(KEY_ENV)
+        stub.queue_completion("the reply")
+        make_client(stub).complete(USER, PARAMS)
+        assert "Authorization" not in stub.headers[0]
 
     def test_retries_then_succeeds(self, stub):
         stub.queue(500, {"error": "boom"})
@@ -209,11 +220,13 @@ class TestOpenAIChatClient:
             make_client(stub).complete(USER, PARAMS)
         assert err.value.usage == (5, 2)
 
-    def test_concurrent_calls_keep_every_connection(self):
+    def test_concurrent_calls_keep_every_connection(self, monkeypatch):
         # 12 requests held in flight at once, twice over: each thread sends
         # its second request over the connection its first one opened
+        monkeypatch.setenv(KEY_ENV, "k")
         stub = InFlightStub(12)
-        client = OpenAIChatClient(base_url=stub.url, model="m", api_key="k")
+        client = OpenAIChatClient(base_url=stub.url, model="m",
+                                  api_key_env=KEY_ENV)
         replies = []
 
         def call():
@@ -260,9 +273,7 @@ class TestLlmConfig:
          "judge_llm: openai backend needs base_url and model"),
         (LlmConfig(), "judge_llm: backend must be 'openai' or 'scripted'"),
     ])
-    def test_unusable_section_raises_config_error(self, monkeypatch, section,
-                                                  message):
-        monkeypatch.delenv("HOPGROUND_BASE_URL", raising=False)
+    def test_unusable_section_raises_config_error(self, section, message):
         with pytest.raises(ConfigError) as err:
             section.client("judge_llm")
         assert str(err.value) == message

@@ -344,9 +344,11 @@ def fuzz_stub():
 # or any text at all
 @FUZZ
 @given(body=CHAT_REPLIES.map(json.dumps) | st.text())
-def test_chat_reply_shapes(fuzz_stub, body):
+def test_chat_reply_shapes(fuzz_stub, monkeypatch, body):
+    monkeypatch.setenv("HOPGROUND_TEST_KEY", "k")
     fuzz_stub.queue(200, body)
-    client = OpenAIChatClient(base_url=fuzz_stub.url, model="m", api_key="k")
+    client = OpenAIChatClient(base_url=fuzz_stub.url, model="m",
+                              api_key_env="HOPGROUND_TEST_KEY")
     try:
         assert isinstance(client.complete(USER, DecodingParams()), Completion)
     except TransportError:
