@@ -110,8 +110,17 @@ class TrainingExample(Record):
         if label not in ("keep", "drop"):
             raise InvalidRecord(
                 f"verdict must be 'keep' or 'drop', got {label!r}")
-        verdict = (Verdict.kept() if label == "keep"
-                   else Verdict.drop(d.get("drop_reason") or "unknown"))
+        reason = d.get("drop_reason")
+        if label == "keep":
+            if reason is not None:
+                raise InvalidRecord("drop_reason must be null on a kept "
+                                    f"example, got {reason!r}")
+            verdict = Verdict.kept()
+        elif isinstance(reason, str) and reason.strip():
+            verdict = Verdict.drop(reason)
+        else:
+            raise InvalidRecord("drop_reason must be a non-blank string on a "
+                                f"dropped example, got {reason!r}")
         return super().from_dict({**d, "verdict": verdict})
 
 

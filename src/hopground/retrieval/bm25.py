@@ -37,22 +37,28 @@ a file from outside, checks them, and the :class:`CorpusIndex` constructor
 just derives from them.
 
 Per-posting temporaries are made one chunk of ``_CHUNK`` postings at a
-time, never for the whole array.  The build adds the term to each token's
-key and turns the sorted keys into postings chunk by chunk, writing the run
-lengths over the keys it has read; :func:`load_index` checks the postings
-chunk by chunk (summing the document lengths in chunks of at least one
-posting per document); the constructor divides ``impact`` chunk by chunk.
-A load therefore peaks at about what the index holds, and the build never
-holds a second copy of the document text.
+time, never for the whole array, and the build keeps its postings in one
+buffer.  Token ids are collected as ``int64``, and each chunk of them is
+overwritten with its (term, doc) keys; the keys are sorted in place, and
+chunk by chunk each run of equal keys becomes one posting, written over
+the front of the keys as ``doc | run_length << 32``.  The run lengths are
+then read out into ``tfs``, the documents packed as ``int32`` over the
+front of the buffer, and the buffer shrunk to hold just them: that is
+``doc_idx``.  :func:`load_index` reads each cache member straight into its
+array and checks the postings chunk by chunk (summing the document
+lengths in chunks of at least one posting per document).  A load
+therefore peaks at about what the index holds, and the build never holds
+a second copy of the document text or of the postings.
 
-Each posting's BM25 contribution is computed once, by the constructor, into
-``impact``, a ``float64`` array aligned with ``doc_idx``, derived on load
-rather than stored in the cache.  A posting therefore costs 13 bytes of
-memory: 4 of ``doc_idx``, 1 of ``uint8`` ``tfs`` and 8 of ``impact``.  A
-query's scores are one ``np.bincount`` of its terms' postings weighted by
-their contributions.  ``bincount`` adds in input order, so every document
-sums its terms in query order and the scores are bit-identical to a
-per-term scatter-add of the BM25 formula.
+A posting's BM25 contribution is computed the first time a query uses its
+term, by :meth:`CorpusIndex.contributions`, and kept for later queries; it
+is derived rather than stored in the cache.  A posting therefore costs 5
+bytes of memory, 4 of ``doc_idx`` and 1 of ``uint8`` ``tfs``, plus 8 of
+``float64`` contribution once its term has been queried.  A query's scores
+are one ``np.bincount`` of its terms' postings weighted by their
+contributions.  ``bincount`` adds in input order, so every document sums
+its terms in query order and the scores are bit-identical to a per-term
+scatter-add of the BM25 formula.
 
 :func:`retrieve` selects the top ``k`` above a sampled score floor: the
 ``k``-th best score among every ``_SAMPLE_STRIDE``-th document, and at
@@ -97,10 +103,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
 _ASCII_FOLD = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
                     for b in bytes(range(256)).lower())
 _FIELDS = 3  # id, title, body: the doc_ends (and doc_offsets) per document
-# postings (or keys) per temporary in the build, the load checks and the
-# constructor.  Small on purpose: freed temporaries of several MB can stay
-# resident in glibc's heap, and on a 100k-document corpus chunks of 2**20
-# peaked 19 MB higher than chunks of 2**16.
+# postings (or keys) per temporary in the build and the load checks.  Small
+# on purpose: freed temporaries of several MB can stay resident in glibc's
+# heap, and on a 100k-document corpus chunks of 2**20 peaked 19 MB higher
+# than chunks of 2**16.
 _CHUNK = 1 << 16
 # retrieve's score floor is the k-th best of every _SAMPLE_STRIDE-th
 # document, and never below _MIN_SCORE, so ``scores >= floor`` implies > 0
@@ -206,12 +212,14 @@ def _chunks(n: int, size: int = 0) -> Iterator[tuple[int, int]]:
 
 
 class CorpusIndex:
-    """Immutable CSR inverted index; concurrent retrieval is safe.
+    """CSR inverted index; concurrent retrieval is safe.
 
-    The constructor trusts its arrays and only derives idf, length
-    normalization and each posting's contribution from them:
-    :func:`build_index` makes them consistent by construction, and
-    :func:`load_index` checks a cache's arrays before it calls this.
+    The constructor trusts its arrays and only derives idf and length
+    normalization from them: :func:`build_index` makes them consistent by
+    construction, and :func:`load_index` checks a cache's arrays before it
+    calls this.  The arrays are never changed; the only state that changes
+    is the memo of each queried term's contributions, which
+    :meth:`contributions` fills on a term's first use.
     """
 
     def __init__(self, doc_text: np.ndarray, doc_starts: np.ndarray,
@@ -240,16 +248,7 @@ class CorpusIndex:
         self.idf = np.array(
             [math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
              for df in dfs.tolist()], dtype=np.float64)
-        # idf * tf * (k1 + 1) / (tf + denom) per posting, in that order so
-        # it rounds as the per-term expression does; in place, dividing by
-        # one chunk of denominators at a time
-        self.impact = np.repeat(self.idf, dfs)
-        self.impact *= tfs
-        self.impact *= k1 + 1.0
-        for start, stop in _chunks(doc_idx.size):
-            posting_denom = self._denom[doc_idx[start:stop]]
-            posting_denom += tfs[start:stop]
-            self.impact[start:stop] /= posting_denom
+        self._contributions: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.doc_starts)
@@ -262,6 +261,22 @@ class CorpusIndex:
         return Document(str(text[start:title], "utf-8"),
                         str(text[title:body], "utf-8"),
                         str(text[body:end], "utf-8"), rank)
+
+    def contributions(self, row: int) -> np.ndarray:
+        """The BM25 contribution of each posting of row ``row``, computed on
+        its first use and kept: ``idf * tf * (k1 + 1) / (denom + tf)``, in
+        that order, so it rounds as the per-term expression does.  Threads
+        that race on one row compute identical arrays, so either may be
+        kept."""
+        weights = self._contributions.get(row)
+        if weights is None:
+            span = slice(self.offsets[row], self.offsets[row + 1])
+            tfs = self.tfs[span]
+            weights = self.idf[row] * tfs
+            weights *= self.k1 + 1.0
+            weights /= self._denom[self.doc_idx[span]] + tfs
+            self._contributions[row] = weights
+        return weights
 
     def scores(self, query: str) -> np.ndarray:
         """BM25 score of every document for ``query`` (0 for no overlap)."""
@@ -277,9 +292,9 @@ class CorpusIndex:
             doc_idx = self.doc_idx[span]
             rows.append(doc_idx)
             if qtf == 1:
-                weights.append(self.impact[span])
+                weights.append(self.contributions(row))
             else:
-                # idf * qtf * ... rounds differently from qtf * impact
+                # idf * qtf * ... rounds differently from qtf * contributions
                 tfs = self.tfs[span]
                 weights.append(self.idf[row] * qtf * tfs * (self.k1 + 1.0)
                                / (tfs + self._denom[doc_idx]))
@@ -303,10 +318,11 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     are the same for any input order; only the blob keeps the input order.
     """
     check_params(k1, b)  # before the work, not after it
-    # term ids in first-seen input order, held as C ints rather than
-    # per-token objects; the fields of every document in one buffer
+    # term ids in first-seen input order, held as C integers wide enough to
+    # be overwritten by their (term, doc) keys; the fields of every
+    # document in one buffer
     vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    token_ids = array("i")
+    token_ids = array("q")
     lengths = array("q")
     text = bytearray()
     field_ends = array("q")
@@ -339,7 +355,6 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     doc_starts, doc_ends = starts[order], ends[order]
     del starts, ends, field_ends
     doc_lengths = np.frombuffer(lengths, dtype=np.int64)
-    ids = np.frombuffer(token_ids, dtype=np.intc)
 
     # terms numbered in sorted order, which no input order can change
     in_order = list(vocabulary)
@@ -349,15 +364,29 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     term_keys = np.empty(len(terms), dtype=np.int64)
     term_keys[by_term] = np.arange(len(terms)) * n_docs
 
-    # one in-place sort of (term, doc) keys yields term-major postings with
-    # ascending documents; each run of equal keys is one posting
-    keys = np.repeat(rank.astype(np.int64), doc_lengths)
+    # each chunk of token ids is overwritten with its (term, doc) keys: the
+    # input documents first to last that hold the chunk's tokens repeat
+    # their rank once per token in the chunk.  One in-place sort then
+    # yields term-major postings with ascending documents, each run of
+    # equal keys one posting
+    keys = np.frombuffer(token_ids, dtype=np.int64)
+    token_ends = np.cumsum(doc_lengths)
+    token_starts = token_ends - doc_lengths
     for start, stop in _chunks(keys.size):
-        keys[start:stop] += term_keys[ids[start:stop]]
-    del ids, token_ids
+        first, last = np.searchsorted(token_ends, (start, stop - 1),
+                                      side="right").tolist()
+        in_chunk = (np.minimum(token_ends[first:last + 1], stop)
+                    - np.maximum(token_starts[first:last + 1], start))
+        np.add(term_keys[keys[start:stop]],
+               np.repeat(rank[first:last + 1], in_chunk), out=keys[start:stop])
+    del token_ends, token_starts
     keys.sort()
-    offsets, doc_idx, tfs = _postings(keys, n_docs, len(terms))
+    offsets, tfs = _postings(keys, n_docs, len(terms))
+    # doc_idx is left at the front of the buffer, which shrinks to it once
+    # no view of it remains
     del keys
+    del token_ids[(tfs.size + 1) // 2:]
+    doc_idx = np.frombuffer(token_ids, dtype=np.int32, count=tfs.size)
     return CorpusIndex(np.frombuffer(text, dtype=np.uint8), doc_starts,
                        doc_ends, terms, offsets, doc_idx, tfs,
                        doc_lengths[order].astype(np.float64), k1=k1, b=b)
@@ -373,34 +402,43 @@ def _heads(values: np.ndarray, before: int) -> np.ndarray:
 
 
 def _postings(keys: np.ndarray, n_docs: int,
-              n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``offsets``, ``doc_idx`` and ``tfs`` of sorted ``term * n_docs +
-    doc`` keys, each run of equal keys one posting, every term present.
+              n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """``offsets`` and ``tfs`` of sorted ``term * n_docs + doc`` keys, each
+    run of equal keys one posting, every term present; the postings'
+    ``int32`` documents are left over the front of ``keys``.
 
-    The keys are read chunk by chunk, and each chunk's run lengths are
-    written over the front of ``keys``; a chunk holds at least as many
-    keys as runs, so the write position never passes the read position.
-    No temporary is larger than a chunk."""
+    The keys are read chunk by chunk, and each chunk's postings are written
+    over the front of ``keys`` as ``doc | run_length << 32``; a chunk holds
+    at least as many keys as runs, so the write position never passes the
+    read position.  Then, chunk by chunk, the run lengths are read out into
+    ``tfs`` and the documents packed as ``int32`` over the front: ``int32``
+    position ``i`` overlaps posting ``i // 2``, which has been read by
+    then.  No temporary is larger than a chunk."""
     n_postings = sum(_heads(keys[start:stop], keys[start - 1] if start else -1
                             ).size for start, stop in _chunks(keys.size))
     offsets = np.empty(n_terms + 1, dtype=np.int64)
     offsets[-1] = n_postings
-    doc_idx = np.empty(n_postings, dtype=np.int32)
     at, last_key, last_term = 0, -1, -1
     for start, stop in _chunks(keys.size):
         chunk = keys[start:stop]
         heads = _heads(chunk, last_key)
-        term, doc_idx[at:at + heads.size] = np.divmod(chunk[heads], n_docs)
+        term, doc = np.divmod(chunk[heads], n_docs)
         new_terms = _heads(term, last_term)
         offsets[term[new_terms]] = at + new_terms
         last_key, last_term = chunk[-1], term[-1] if term.size else last_term
         if at:  # the keys before the first head extend the last run
-            keys[at - 1] += heads[0] if heads.size else chunk.size
-        keys[at:at + heads.size] = np.diff(heads, append=chunk.size)
+            keys[at - 1] += (heads[0] if heads.size else chunk.size) << 32
+        keys[at:at + heads.size] = np.diff(heads, append=chunk.size) << 32 | doc
         at += heads.size
-    lengths = keys[:n_postings]
-    return offsets, doc_idx, lengths.astype(
-        np.min_scalar_type(lengths.max(initial=1)))
+    postings = keys[:n_postings]
+    tfs = np.empty(n_postings, dtype=np.min_scalar_type(max(
+        (int((postings[start:stop] >> 32).max())
+         for start, stop in _chunks(n_postings)), default=1)))
+    doc_idx = keys.view(np.int32)
+    for start, stop in _chunks(n_postings):
+        tfs[start:stop] = postings[start:stop] >> 32
+        doc_idx[start:stop] = postings[start:stop] & 0xFFFFFFFF
+    return offsets, tfs
 
 
 def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
@@ -448,6 +486,7 @@ _CACHE_MEMBERS = frozenset({"magic", "params", "doc_text", "doc_offsets",
                             "doc_lengths"})
 _TFS_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 _ZIP_MAGIC = b"PK\x03\x04"
+_READ = 1 << 16  # bytes per read of a cache member's data
 # RuntimeError covers zipfile's unsupported or encrypted members;
 # MemoryError a member header that declares an array larger than memory
 _MALFORMED = (zipfile.BadZipFile, EOFError, KeyError, MemoryError, OSError,
@@ -514,17 +553,35 @@ def _write_runs(out, text: memoryview, starts: np.ndarray,
             out.write(text[start:end])
 
 
-def _member(npz, name: str, *dtypes: type) -> np.ndarray:
-    array_ = npz[name]
-    if array_.dtype not in [np.dtype(t) for t in dtypes] or array_.ndim != 1:
-        expected = " or ".join(str(np.dtype(t)) for t in dtypes)
-        raise ValueError(f"member {name!r} is {array_.dtype}{array_.shape}, "
-                         f"expected a 1-d {expected} array")
+def _member(archive: zipfile.ZipFile, name: str, *dtypes: type) -> np.ndarray:
+    """Member ``name``, which must be a 1-d array of one of ``dtypes``.
+
+    The ``.npy`` header is checked before the array is allocated, and the
+    data is read straight into the array, ``_READ`` bytes at a time:
+    ``np.load`` reads a member in 256 KiB pieces and holds two at once,
+    which on a small index is a large part of the load's peak."""
+    with archive.open(f"{name}.npy") as member:
+        version = npy_format.read_magic(member)
+        if version != (1, 0):
+            raise ValueError(f"member {name!r} has .npy format {version}, "
+                             "expected (1, 0)")
+        shape, _, dtype = npy_format.read_array_header_1_0(member)
+        if dtype not in [np.dtype(t) for t in dtypes] or len(shape) != 1:
+            expected = " or ".join(str(np.dtype(t)) for t in dtypes)
+            raise ValueError(f"member {name!r} is {dtype}{shape}, "
+                             f"expected a 1-d {expected} array")
+        array_ = np.empty(shape, dtype=dtype)
+        data = memoryview(array_).cast("B")
+        for start, stop in _chunks(data.nbytes, _READ):
+            piece = member.read(stop - start)
+            if len(piece) != stop - start:
+                raise ValueError(f"member {name!r} ends inside its data")
+            data[start:stop] = piece
     return array_
 
 
-def _text(npz, name: str) -> str:
-    return _member(npz, name, np.uint8).tobytes().decode("utf-8")
+def _text(archive: zipfile.ZipFile, name: str) -> str:
+    return _member(archive, name, np.uint8).tobytes().decode("utf-8")
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -539,22 +596,23 @@ def load_index(path: str | Path) -> CorpusIndex:
                              "`hopground index`")
         f.seek(0)
         try:
-            with np.load(f, allow_pickle=False) as npz:
-                if _text(npz, "magic") != _CACHE_MAGIC:
+            with zipfile.ZipFile(f) as archive:
+                if _text(archive, "magic") != _CACHE_MAGIC:
                     raise ValueError("unsupported cache version; rebuild it "
                                      "with `hopground index`")
-                if set(npz.files) != _CACHE_MEMBERS:
-                    raise ValueError(f"members {sorted(npz.files)}, expected "
+                names = [n.removesuffix(".npy") for n in archive.namelist()]
+                if set(names) != _CACHE_MEMBERS:
+                    raise ValueError(f"members {sorted(names)}, expected "
                                      f"{sorted(_CACHE_MEMBERS)}")
-                k1, b = _member(npz, "params", np.float64).tolist()
-                text = _text(npz, "terms")
+                k1, b = _member(archive, "params", np.float64).tolist()
+                text = _text(archive, "terms")
                 terms = text.split("\n") if text else []
-                doc_text = _member(npz, "doc_text", np.uint8)
-                doc_offsets = _member(npz, "doc_offsets", np.int64)
-                arrays = (_member(npz, "offsets", np.int64),
-                          _member(npz, "doc_idx", np.int32),
-                          _member(npz, "tfs", *_TFS_DTYPES),
-                          _member(npz, "doc_lengths", np.float64))
+                doc_text = _member(archive, "doc_text", np.uint8)
+                doc_offsets = _member(archive, "doc_offsets", np.int64)
+                arrays = (_member(archive, "offsets", np.int64),
+                          _member(archive, "doc_idx", np.int32),
+                          _member(archive, "tfs", *_TFS_DTYPES),
+                          _member(archive, "doc_lengths", np.float64))
                 check_params(k1, b)
                 _check_documents(doc_text, doc_offsets)
                 if len(set(terms)) != len(terms):

@@ -10,14 +10,16 @@ import bench_bm25  # noqa: E402
 RECORD_KEYS = {"label", "command", "machine", "docs", "queries", "top_k",
                "seed", "terms", "build_s", "save_s", "load_s", "cache_bytes",
                "build_peak_mb", "file_build_peak_mb", "load_peak_mb",
-               "index_mb", "score_ms", "select_ms", "query_ms"}
+               "index_mb", "queried_mb", "score_ms", "select_ms",
+               "query_ms", "warm_query_ms"}
 
 
 def test_bench_bm25_runs_on_a_tiny_corpus(capsys):
     bench_bm25.main(["--docs", "300", "--queries", "10"])
     out = capsys.readouterr().out
     for layer in ("build", "save", "load", "bytes", "build peak",
-                  "load peak", "MB index", "score", "select", "ms/query"):
+                  "load peak", "MB index", "queried index", "score", "select",
+                  "warm", "ms/query"):
         assert layer in out
 
 
@@ -37,6 +39,8 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
         assert record["command"].startswith("python benchmarks/bench_bm25.py")
         assert record["query_ms"] >= record["score_ms"] > 0
         assert record["load_peak_mb"] >= record["index_mb"] > 0
+        assert record["queried_mb"] >= record["index_mb"]
+        assert record["warm_query_ms"] > 0
         assert record["build_peak_mb"] >= record["index_mb"]
         assert abs(record["score_ms"] + record["select_ms"]
                    - record["query_ms"]) < 1e-9

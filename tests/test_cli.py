@@ -1175,6 +1175,26 @@ class TestStatsCommand:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verdict, reason", [
+        ("drop", 5), ("drop", ["x"]), ("drop", ""), ("drop", "  "),
+        ("drop", None), ("keep", "misaligned")])
+    def test_bad_drop_reason_exits_two(self, synth_files, capsys, verdict,
+                                       reason):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3",
+                     "--config", str(synth_files["config"])]) == 0
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        records[1].update(verdict=verdict, drop_reason=reason)
+        write_jsonl(out, records)
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}" in err and "(line 2)" in err
+        assert "drop_reason" in err
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("command, flag", [
     ("run", "--max-hops"), ("run", "--top-k"), ("run", "--batch-size"),

@@ -6,6 +6,8 @@ import os
 import pickle
 import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.lib import format as npy_format
 
 from hopground.core import Document
 from hopground.errors import (DuplicateDocId, EmptyCorpus, EmptyQuery,
@@ -704,6 +707,81 @@ class TestScores:
                                        _fresh(tmp_path / "index.bin"))
 
 
+def _eager_contributions(index):
+    """Every posting's contribution in one pass, derived here from the CSR
+    arrays: ``idf * tf * (k1 + 1) / (denom + tf)``, in that order."""
+    n_docs = len(index)
+    dfs = np.diff(index.offsets)
+    idf = np.array([math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+                    for df in dfs.tolist()])
+    avg = float(index.doc_lengths.mean())
+    denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
+                        / (avg if avg > 0 else 1.0))
+    return (np.repeat(idf, dfs) * index.tfs * (index.k1 + 1.0)
+            / (denom[index.doc_idx] + index.tfs))
+
+
+class TestContributions:
+    """Each row's contributions are computed on its first use and kept."""
+
+    @pytest.mark.parametrize("name, k1, b", [
+        ("fixture", 1.2, 0.75), ("fixture", 0.9, 0.4), ("fixture", 2.0, 0.0),
+        ("chunked", 1.2, 1.0), ("non-ascii", 1.2, 0.75),
+        ("one-document", 1.2, 0.75)])
+    def test_every_row_equals_the_eager_oracle(self, corpus, tmp_path, name,
+                                               k1, b):
+        docs = {**EDGE_CORPORA, "chunked": CHUNKED}.get(name, corpus)
+        index = build_index(docs, k1=k1, b=b)
+        save_index(index, tmp_path / "index.cache")
+        for candidate in (index, load_index(tmp_path / "index.cache")):
+            oracle = _eager_contributions(candidate)
+            offsets = candidate.offsets.tolist()
+            for row in range(len(candidate.terms)):
+                assert (candidate.contributions(row).tobytes()
+                        == oracle[offsets[row]:offsets[row + 1]].tobytes())
+
+    def test_only_queried_rows_are_kept(self, corpus, tmp_path):
+        save_index(build_index(corpus), tmp_path / "index.cache")
+        query = "longest river in the world zyzzyva"
+        for index in (build_index(corpus), load_index(tmp_path / "index.cache")):
+            assert index._contributions == {}
+            index.scores(query)
+            assert set(index._contributions) == {
+                index.terms.index(term) for term in tokenize(query)
+                if term in index.terms}
+
+    def test_threads_racing_on_an_unseen_term_get_the_serial_scores(self):
+        # every document holds every term, so each first use is a long one
+        docs = [Document(id=f"d{d:04d}", title="",
+                         body=" ".join(["oak"] * (1 + d % 5) + ["elm", "fir"]))
+                for d in range(5000)]
+        serial = build_index(docs)
+        index = build_index(docs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for query in ("oak", "elm", "fir"):
+                expected = serial.scores(query).tobytes()
+                barrier = threading.Barrier(8, timeout=10)
+                results = [b""] * 8
+
+                def worker(i):
+                    barrier.wait()
+                    results[i] = index.scores(query).tobytes()
+
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(index._contributions) == 3
+
+
 class TestIndexCache:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, k1, b", [
@@ -757,6 +835,22 @@ class TestIndexCache:
                     header = re.sub(rb"'shape': \(\d+,\)",
                                     b"'shape': (1152921504606846976,)", header)
                 archive.writestr(f"{name}.npy", header)
+        with pytest.raises(ValueError, match="malformed index cache"):
+            load_index(path)
+
+    @pytest.mark.parametrize("member", ["raw bytes", "npy format 2.0"])
+    def test_rejects_a_member_that_is_not_npy_1_0(self, tmp_path, member):
+        members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
+        path = tmp_path / "odd-member.cache"
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, array in members.items():
+                npy = io.BytesIO()
+                version = (2, 0) if member == "npy format 2.0" else None
+                npy_format.write_array(npy, array, version=version)
+                data = npy.getvalue()
+                if name == "tfs" and member == "raw bytes":
+                    data = array.tobytes()
+                archive.writestr(f"{name}.npy", data)
         with pytest.raises(ValueError, match="malformed index cache"):
             load_index(path)
 
@@ -900,16 +994,23 @@ CHUNKED = [*STREAMED,
            Document(id="s", title="", body="elm oak river river river")]
 
 
+def _contribution_bytes(index):
+    """The bytes of every row's contributions, in row order."""
+    return b"".join(index.contributions(row).tobytes()
+                    for row in range(len(index.terms)))
+
+
 def _index_bytes(index, path):
     """The bytes of every member of ``index``'s saved cache and of its
-    ``impact``."""
-    return {**_member_bytes(index, path), "impact": index.impact.tobytes()}
+    contributions."""
+    return {**_member_bytes(index, path),
+            "contributions": _contribution_bytes(index)}
 
 
 class TestChunks:
-    """The build, the load checks and the constructor make their
-    per-posting temporaries one chunk of ``bm25._CHUNK`` at a time; no
-    result may depend on where the chunks end."""
+    """The build and the load checks make their per-posting temporaries one
+    chunk of ``bm25._CHUNK`` at a time; no result may depend on where the
+    chunks end."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_index_does_not_depend_on_the_chunk_size(self, corpus, tmp_path,
@@ -919,8 +1020,29 @@ class TestChunks:
         monkeypatch.setattr(bm25, "_CHUNK", chunk)
         assert _index_bytes(build_index(docs),
                             tmp_path / "chunked.cache") == expected
-        assert (load_index(tmp_path / "chunked.cache").impact.tobytes()
-                == expected["impact"])
+        assert (_contribution_bytes(load_index(tmp_path / "chunked.cache"))
+                == expected["contributions"])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    def test_long_runs_survive_the_postings_pass(self, tmp_path, monkeypatch,
+                                                 chunk):
+        # term frequencies past uint8 and uint16, packed into the high half
+        # of a key and read back out into a uint32 tfs
+        docs = [Document(id="a", title="", body="oak " * 70_000 + "elm"),
+                Document(id="b", title="", body="elm " * 300 + "oak fir"),
+                Document(id="c", title="", body="fir oak")]
+        if chunk:
+            monkeypatch.setattr(bm25, "_CHUNK", chunk)
+        index = build_index(docs)
+        assert index.terms == ("elm", "fir", "oak")
+        assert index.offsets.tolist() == [0, 2, 4, 7]
+        assert index.doc_idx.tolist() == [0, 1, 1, 2, 0, 1, 2]
+        assert index.tfs.dtype == np.uint32
+        assert index.tfs.tolist() == [1, 300, 1, 1, 70_000, 1, 1]
+        save_index(index, tmp_path / "index.cache")
+        reloaded = load_index(tmp_path / "index.cache")
+        assert reloaded.tfs.tolist() == index.tfs.tolist()
+        assert _contribution_bytes(reloaded) == _contribution_bytes(index)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -941,7 +1063,8 @@ class TestChunks:
         with monkeypatch.context() as patch:
             patch.setattr(bm25, "_CHUNK", chunk)
             assert _index_bytes(build_index(docs), chunked) == expected
-            assert load_index(chunked).impact.tobytes() == expected["impact"]
+            assert (_contribution_bytes(load_index(chunked))
+                    == expected["contributions"])
 
     @pytest.mark.parametrize("mutation", CACHE_MUTATIONS.values(),
                              ids=CACHE_MUTATIONS.keys())
