@@ -249,12 +249,23 @@ class Question(Record):
 
 @dataclass(frozen=True)
 class Document(Record):
-    """A retrievable text unit; ``rank`` is set on retrieval results."""
+    """A retrievable text unit; ``rank`` is set on retrieval results.
+
+    ``body`` is None only on a retrieved document that a trajectory stores
+    outside the grounding windows the model read (see ``HopRecord``).  Code
+    that needs a body checks for one with ``require_body``.
+    """
 
     id: str
     title: str
-    body: Text
+    body: Text | None
     rank: PositiveInt | None = None
+
+    def require_body(self) -> "Document":
+        """This document, if it holds its body; else ``InvalidRecord``."""
+        _require(self.body is not None,
+                 "body must be a non-blank string, got None")
+        return self
 
 
 @dataclass(frozen=True)
@@ -287,6 +298,9 @@ class GroundingOutcome(Record):
 class HopRecord(Record):
     """One completed iteration: sub-question, immediate answer, grounding.
 
+    ``retrieved`` is the hop's whole ranked list.  Only the documents of the
+    windows the model read, the first ``batches_consumed`` times the run's
+    batch size, keep their bodies; the rest are stored with a null body.
     ``deduction_raw`` preserves the verbatim deduction output that produced
     this hop.  When every grounding window came back Empty, ``revised_answer``
     is byte-equal to ``immediate_answer``.

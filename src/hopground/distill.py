@@ -88,6 +88,8 @@ class TrainingExample(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        for doc in self.documents:
+            doc.require_body()
         if self.gold_position > len(self.documents):
             raise InvalidRecord(
                 f"gold_position {self.gold_position} is past the last of "

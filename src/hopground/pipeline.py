@@ -20,7 +20,7 @@ import logging
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
                                 wait)
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, Literal, Protocol,
@@ -114,12 +114,20 @@ class RetrievalConfig(ConfigRecord, section="retrieval"):
         return BM25Retriever(index)
 
 
+def _read_bodies(docs: Sequence[Document], read: int) -> list[Document]:
+    """``docs`` with the bodies of the first ``read`` only: a document past
+    the windows the model read is stored by its id, title and rank."""
+    return [*docs[:read], *(replace(d, body=None) for d in docs[read:])]
+
+
 def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
                     retriever: Retriever, library: TemplateLibrary) -> Trajectory:
     """Run the loop for one question and return its trajectory.
 
     Hops record completed steps only; a model that finishes on its first
-    deduction yields an empty hop list.  Any error inside a hop ends the
+    deduction yields an empty hop list.  A hop stores the bodies of the
+    documents in the grounding windows the model read, and the rest of its
+    retrieved list without them.  Any error inside a hop ends the
     trajectory with the parse-failure termination and never raises: the
     completed hops, their tokens and the last revised answer are kept.
     """
@@ -147,7 +155,7 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
                 index=len(hops) + 1,
                 sub_question=result.sub_question,
                 immediate_answer=result.immediate_answer,
-                retrieved=docs,
+                retrieved=_read_bodies(docs, consumed * config.batch_size),
                 grounding=outcome,
                 revised_answer=revised,
                 batches_consumed=consumed,

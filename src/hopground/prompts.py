@@ -151,13 +151,15 @@ def _render_documents(library: TemplateLibrary, name: str,
                       batch: Sequence[Document],
                       **bindings: str) -> list[ChatMessage]:
     """A prompt over numbered documents, each body cut to the library's
-    character budget; every text in it is sanitized."""
+    character budget; every text in it is sanitized.  A document stored
+    without its body raises ``InvalidRecord``."""
     if not batch:
         raise EmptyBatch(f"{name} needs at least one document")
     budget = library.doc_char_budget
     blocks = []
     for i, doc in enumerate(batch, start=1):
-        body = doc.body[:budget].rstrip() if budget else doc.body
+        body = doc.require_body().body
+        body = body[:budget].rstrip() if budget else body
         header = f"[{i}] {sanitize_markup(doc.title)}".rstrip()
         blocks.append(f"{header}\n{sanitize_markup(body)}")
     values = {slot: sanitize_markup(value) for slot, value in bindings.items()}

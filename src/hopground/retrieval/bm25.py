@@ -108,6 +108,9 @@ _FIELDS = 3  # id, title, body: the doc_ends (and doc_offsets) per document
 # heap, and on a 100k-document corpus chunks of 2**20 peaked 19 MB higher
 # than chunks of 2**16.
 _CHUNK = 1 << 16
+# documents whose bounds the load's document check holds as Python ints at
+# once: a few hundred KB, where the whole list took 12 MB at 100k documents
+_DOC_BLOCK = 1 << 12
 # retrieve's score floor is the k-th best of every _SAMPLE_STRIDE-th
 # document, and never below _MIN_SCORE, so ``scores >= floor`` implies > 0
 _SAMPLE_STRIDE = 64
@@ -148,21 +151,24 @@ def _check_documents(doc_text: np.ndarray, doc_offsets: np.ndarray) -> None:
                          f"{_FIELDS} offsets each")
     if doc_offsets[0] != 0 or doc_offsets[-1] != doc_text.size:
         raise ValueError("document offsets must run from 0 to the text size")
-    if not (np.diff(doc_offsets) >= 0).all():
+    if not (doc_offsets[1:] >= doc_offsets[:-1]).all():
         raise ValueError("document offsets must ascend")
     text = memoryview(doc_text)
-    bounds = doc_offsets.tolist()
     previous = None
-    # a strict decode of each field also rejects a cut inside a character
-    for d in range(0, len(bounds) - 1, _FIELDS):
-        start, title, body, end = bounds[d:d + _FIELDS + 1]
-        doc_id = str(text[start:title], "utf-8")
-        str(text[title:body], "utf-8")
-        if not str(text[body:end], "utf-8").strip():
-            raise ValueError(f"document {doc_id!r} has a blank body")
-        if previous is not None and previous >= doc_id:
-            raise ValueError("document ids must be unique and sorted")
-        previous = doc_id
+    # a strict decode of each field also rejects a cut inside a character.
+    # The bounds become Python ints one block of documents at a time, each
+    # block with the next one's first bound; ``previous`` spans the blocks.
+    for lo, hi in _chunks(doc_offsets.size // _FIELDS, _DOC_BLOCK):
+        bounds = doc_offsets[lo * _FIELDS:hi * _FIELDS + 1].tolist()
+        for d in range(0, len(bounds) - 1, _FIELDS):
+            start, title, body, end = bounds[d:d + _FIELDS + 1]
+            doc_id = str(text[start:title], "utf-8")
+            str(text[title:body], "utf-8")
+            if not str(text[body:end], "utf-8").strip():
+                raise ValueError(f"document {doc_id!r} has a blank body")
+            if previous is not None and previous >= doc_id:
+                raise ValueError("document ids must be unique and sorted")
+            previous = doc_id
 
 
 def _check_postings(n_docs: int, n_terms: int, offsets: np.ndarray,
@@ -314,7 +320,8 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     ``corpus`` is read once, in order, so it may be a generator such as
     :func:`load_corpus`: each document is encoded and tokenized as it
     arrives and is not kept, and a repeated id raises ``DuplicateDocId``
-    at its first repeat.  The postings, the rankings and the saved cache
+    at its first repeat, and one stored without its body raises
+    ``InvalidRecord``.  The postings, the rankings and the saved cache
     are the same for any input order; only the blob keeps the input order.
     """
     check_params(k1, b)  # before the work, not after it
@@ -328,6 +335,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     field_ends = array("q")
     positions: dict[str, int] = {}  # id -> input position
     for doc in corpus:
+        doc.require_body()
         if doc.id in positions:
             raise DuplicateDocId(doc.id)
         positions[doc.id] = len(positions)

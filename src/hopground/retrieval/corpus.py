@@ -17,7 +17,7 @@ def parse_document(record: Any, rank: int | None = None) -> Document:
     title = record.get("title")
     return Document(id=scalar_text(record["id"], "id"),
                     title="" if title is None else scalar_text(title, "title"),
-                    body=record["body"], rank=rank)
+                    body=record["body"], rank=rank).require_body()
 
 
 def load_corpus(path: str | Path) -> Iterator[Document]:

@@ -12,8 +12,14 @@ A ``RETRYABLE_STATUS`` reply, a connection error or a timeout is retried, up
 to ``max_attempts`` attempts in all, after an exponential backoff; a
 ``Retry-After`` header in delay-seconds (RFC 9110 §10.2.3) lengthens that
 wait, up to ``MAX_RETRY_AFTER``.  Any other status but 200 fails at once,
-3xx included: redirects are not followed.  ``timeout`` bounds the connect
-and each wait for reply bytes, not the whole attempt.
+3xx included: redirects are not followed.
+
+``timeout`` bounds each attempt from its start.  The connect, the send and
+each read of the reply body may take only the time left of it, and the body
+is read one ``read1`` at a time, so a reply that trickles in fails as a
+(retryable) timeout once the time is up.  The status line and the headers
+are bounded per read only: each read of them may take the time left when
+they began.
 
 Proxies come from the environment (``HTTP_PROXY``, ``HTTPS_PROXY`` and
 ``NO_PROXY``, read by ``urllib.request``): an http request goes to the
@@ -43,6 +49,7 @@ DEFAULT_MAX_ATTEMPTS = 3
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled after each
 MAX_RETRY_AFTER = 30.0  # longest wait a server's Retry-After can ask for
+_READ_SIZE = 1 << 16  # most bytes of a reply body one read takes
 
 _HEADERS = {"Content-Type": "application/json",
             "User-Agent": f"hopground/{__version__}"}
@@ -127,9 +134,30 @@ def _connection(parts: urllib.parse.SplitResult,
         if conn is not None:
             conn.close()
         conn, prefix = connections[origin] = _open(parts, timeout)
-    else:
-        conn.sock.settimeout(timeout)
     return conn, prefix
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``; ``TimeoutError`` once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _read_body(resp: http.client.HTTPResponse, sock: socket.socket,
+               deadline: float) -> bytes:
+    """The reply's body, each read given only the time left before
+    ``deadline``, so a byte that arrives does not restart the wait.  The
+    reply is closed however the read ends."""
+    chunks = []
+    with resp:
+        while resp.length != 0 and not resp.isclosed():
+            sock.settimeout(_time_left(deadline))
+            chunks.append(resp.read1(_READ_SIZE))
+        if resp.length:  # the server closed before the declared length
+            raise http.client.IncompleteRead(b"".join(chunks), resp.length)
+    return b"".join(chunks)
 
 
 def _retry_after(resp: http.client.HTTPResponse) -> float:
@@ -167,14 +195,21 @@ def post_json(url: str, payload: Any, timeout: float,
         if attempt:
             time.sleep(max(BACKOFF_BASE * (2 ** (attempt - 1)), retry_after))
         retry_after = 0.0
+        deadline = time.monotonic() + timeout
         try:
             conn, prefix = _connection(parts, timeout)
         except ValueError as exc:
             raise TransportError(f"bad proxy for {url}: {exc}") from exc
         try:
+            if conn.sock is None:
+                conn.connect()
+            sock = conn.sock  # kept: a reply that closes the connection
+            # takes conn.sock away before its body is read
+            sock.settimeout(_time_left(deadline))
             conn.request("POST", prefix + path, body, sent)
+            sock.settimeout(_time_left(deadline))
             resp = conn.getresponse()
-            reply = resp.read()
+            reply = _read_body(resp, sock, deadline)
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             last_error = exc

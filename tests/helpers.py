@@ -220,6 +220,63 @@ class InFlightStub:
         self._thread.join(timeout=5)
 
 
+class TrickleStub:
+    """Loopback HTTP stub that answers every request 200 with ``body``, sent
+    ``piece`` bytes at a time, ``interval`` seconds apart, as a server that
+    stalls mid-reply does; then it closes the connection.  ``chunked=True``
+    sends one chunk per piece, and ``length`` declares a Content-Length
+    other than the body's.  ``requests`` counts the requests."""
+
+    def __init__(self, body: bytes, interval: float, piece: int = 1,
+                 chunked: bool = False, length: int | None = None):
+        self.requests = 0
+        # the pieces wait on an event, not on time.sleep, which tests patch
+        stopped = self._stopped = threading.Event()
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                stub.requests += 1
+                self.send_response(200)
+                if chunked:
+                    self.send_header("Transfer-Encoding", "chunked")
+                else:
+                    self.send_header("Content-Length", str(
+                        len(body) if length is None else length))
+                self.send_header("Connection", "close")
+                self.end_headers()
+                try:
+                    for i in range(0, len(body), piece):
+                        part = body[i:i + piece]
+                        self.wfile.write(b"%x\r\n%s\r\n" % (len(part), part)
+                                         if chunked else part)
+                        stopped.wait(interval)
+                    if chunked:
+                        self.wfile.write(b"0\r\n\r\n")
+                except OSError:
+                    pass  # the client gave up and closed the connection
+                self.close_connection = True
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
+                                                       Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01},
+                                        daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+
+    def close(self) -> None:
+        self._stopped.set()
+        self._server.shutdown()
+        self._server.server_close()
+
+
 class KeyedClient:
     """Chat stub whose reply depends on the prompt alone, not on call order:
     ``reply(prompt)`` of the last message, so any number of threads get the

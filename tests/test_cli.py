@@ -1155,6 +1155,21 @@ class TestStatsCommand:
         assert "(line 2)" in err
         assert "Traceback" not in err
 
+    def test_null_document_body_exits_two(self, synth_files, capsys):
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3",
+                     "--config", str(synth_files["config"])]) == 0
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        records[1]["documents"][2]["body"] = None
+        write_jsonl(out, records)
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "(line 2)" in err and "body must be" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [
         ("instruction", 5), ("target", ["t"]), ("gold_position", "x"),
         ("gold_position", 99), ("gold_position", 0)])

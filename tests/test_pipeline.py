@@ -1,9 +1,11 @@
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from hopground.core import GroundingKind, Question, Termination, TokenCounts
+from hopground.core import (Document, GroundingKind, Question, Termination,
+                            TokenCounts, Trajectory)
 from hopground.errors import ConfigError
 from hopground.llm import RecordingClient, ScriptedClient
 from hopground.pipeline import (BM25Retriever, PipelineConfig,
@@ -16,6 +18,7 @@ from hopground.retrieval import build_index
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_HOP1_REVISED,
                      FESTIVAL_HOP2_REVISED, FESTIVAL_QUESTION, FESTIVAL_SCRIPT)
 
+QUESTION = Question(id="q1", text="What is the capital of France?")
 EMPTY = "<ref> Empty </ref>"
 CITED = "<ref> some evidence </ref> <revise> revised text </revise>"
 STEP = "Question 1: What is the capital of France?\nAnswer 1: Paris is the capital."
@@ -177,6 +180,73 @@ class TestAnswerQuestion:
         # the hop-2 deduction spent tokens before the retriever failed
         assert recorder.calls == 3
         assert traj.token_usage.total == recorder.totals
+
+
+TEN_DOCS = [Document(id=f"d{r}", title=f"Doc {r}", body=f"text of doc {r}",
+                     rank=r) for r in range(1, 11)]
+
+
+class TenDocs:
+    def retrieve(self, query, top_k):
+        return TEN_DOCS[:top_k]
+
+
+class TestStoredBodies:
+    """A hop keeps the bodies of the windows the model read: ten documents
+    at batch size 3 make the windows 1-3, 4-6, 7-9 and 10."""
+
+    def run(self, library, groundings, **kwargs):
+        llm = ScriptedClient([STEP, *groundings, "###Finish[x]"])
+        traj = answer_question(QUESTION, config(batch_size=3, **kwargs), llm,
+                               TenDocs(), library)
+        assert llm.remaining == 0
+        return traj
+
+    @staticmethod
+    def kept(traj):
+        [hop] = traj.hops
+        assert [(d.id, d.title, d.rank) for d in hop.retrieved] == [
+            (d.id, d.title, d.rank) for d in TEN_DOCS]
+        assert all(d.body in (None, TEN_DOCS[d.rank - 1].body)
+                   for d in hop.retrieved)
+        return [d.rank for d in hop.retrieved if d.body is not None]
+
+    def test_cited_in_window_one_keeps_ranks_one_to_three(self, library):
+        assert self.kept(self.run(library, [CITED])) == [1, 2, 3]
+
+    def test_cited_in_window_two_keeps_ranks_one_to_six(self, library):
+        assert self.kept(self.run(library, [EMPTY, CITED])) == [*range(1, 7)]
+
+    def test_every_window_empty_keeps_all_ten(self, library):
+        traj = self.run(library, [EMPTY] * 4)
+        assert traj.hops[0].batches_consumed == 4
+        assert self.kept(traj) == [*range(1, 11)]
+
+    def test_malformed_window_read_as_empty_counts_as_read(self, library):
+        traj = self.run(library, ["garbage", "garbage again", CITED])
+        assert traj.hops[0].batches_consumed == 2
+        assert self.kept(traj) == [*range(1, 7)]
+
+    def test_strict_downgrade_keeps_every_window_it_consumed(self, library):
+        quoted = "<ref> text of doc 5 </ref> <revise> five </revise>"
+        traj = self.run(library, [CITED, quoted], strict_citation=True)
+        assert traj.hops[0].grounding.citation == "text of doc 5"
+        assert self.kept(traj) == [*range(1, 7)]
+
+    def test_null_bodies_round_trip_exactly(self, library, tmp_path):
+        traj = self.run(library, [CITED])
+        assert Trajectory.from_dict(traj.to_dict()) == traj
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_trajectories([traj], first)
+        assert first.read_text(encoding="utf-8").count('"body":null') == 7
+        write_trajectories(load_trajectories(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_file_holding_every_body_still_loads(self, library, tmp_path):
+        traj = self.run(library, [CITED])
+        whole = replace(traj, hops=[replace(traj.hops[0], retrieved=TEN_DOCS)])
+        write_trajectories([whole], tmp_path / "whole.jsonl")
+        assert load_trajectories(tmp_path / "whole.jsonl") == [whole]
 
 
 class TestBM25Retriever:

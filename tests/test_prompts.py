@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord, Question
-from hopground.errors import EmptyBatch, MissingPlaceholder
+from hopground.errors import EmptyBatch, InvalidRecord, MissingPlaceholder
 from hopground.llm import ChatMessage
 from hopground.prompts import (TEMPLATE_BINDINGS, TEMPLATE_NAMES,
                                TemplateLibrary, format_step, parse_template,
@@ -164,6 +164,11 @@ class TestRenderGrounding:
     def test_empty_batch_rejected(self, library):
         with pytest.raises(EmptyBatch):
             render_grounding(library, QUESTION, "s", "a", [])
+
+    def test_document_without_its_body_rejected(self, library):
+        batch = [*docs(1), Document(id="u", title="Unread", body=None, rank=2)]
+        with pytest.raises(InvalidRecord, match="body must be"):
+            render_grounding(library, QUESTION, "s", "a", batch)
 
     @settings(max_examples=40)
     @given(batch_size=st.integers(1, 8))

@@ -22,8 +22,8 @@ from numpy.lib import format as npy_format
 
 from hopground.core import Document
 from hopground.errors import (DuplicateDocId, EmptyCorpus, EmptyQuery,
-                              MalformedDataset, MalformedResponse,
-                              TransportError)
+                              InvalidRecord, MalformedDataset,
+                              MalformedResponse, TransportError)
 from hopground.retrieval import (build_index, load_corpus, load_index,
                                  retrieve, retrieve_external, save_index,
                                  tokenize)
@@ -123,6 +123,12 @@ class TestBuildIndex:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             build_index([])
+
+    def test_document_without_its_body(self):
+        docs = [Document(id="1", title="", body="a"),
+                Document(id="2", title="none", body=None, rank=4)]
+        with pytest.raises(InvalidRecord, match="body must be"):
+            build_index(docs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1070,9 +1076,12 @@ class TestChunks:
                              ids=CACHE_MUTATIONS.keys())
     def test_chunks_of_two_reject_every_malformed_cache_alike(
             self, tmp_path, monkeypatch, mutation):
+        # the document check goes one document at a time with the second,
+        # so ids are compared across every block edge
         messages = []
-        for chunk in (bm25._CHUNK, 2):
+        for chunk, block in ((bm25._CHUNK, bm25._DOC_BLOCK), (2, 1)):
             monkeypatch.setattr(bm25, "_CHUNK", chunk)
+            monkeypatch.setattr(bm25, "_DOC_BLOCK", block)
             members = _cache_members(build_index(SMALL_CORPUS), tmp_path)
             mutation(members)
             path = tmp_path / "mutated.npz"

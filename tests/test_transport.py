@@ -5,6 +5,7 @@ import re
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hopground.errors import MalformedResponse, TransportError
 from hopground.llm import ChatMessage, Completion, OpenAIChatClient
 from hopground.retrieval import retrieve_external
 
-from helpers import StubServer
+from helpers import StubServer, TrickleStub
 
 USER = [ChatMessage(role="user", content="hello there")]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -109,6 +110,45 @@ class TestConnectionFailures:
             stub.close()
         assert sleeps == []
         assert len(stub.requests) == 2
+
+
+class TestTimeoutBoundsTheAttempt:
+    def test_reply_that_trickles_in_fails_within_the_timeout(self):
+        stub = TrickleStub(b"x" * 20, interval=0.3)  # 6 s to send it all
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                transport.post_json(stub.url, {}, timeout=0.5, max_attempts=1)
+            assert time.monotonic() - start < 1.0
+        finally:
+            stub.close()
+
+    def test_late_attempt_is_retried(self, sleeps):
+        stub = TrickleStub(b"x" * 20, interval=0.3)
+        try:
+            with pytest.raises(TransportError, match="after 2 attempts"):
+                transport.post_json(stub.url, {}, timeout=0.2, max_attempts=2)
+        finally:
+            stub.close()
+        assert stub.requests == 2
+        assert sleeps == [transport.BACKOFF_BASE]
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_body_in_pieces_within_the_timeout_is_read_whole(self, chunked):
+        body = json.dumps({"ok": True, "pad": "y" * 40}).encode()
+        stub = TrickleStub(body, interval=0.005, piece=7, chunked=chunked)
+        try:
+            assert transport.post_json(stub.url, {}, timeout=5) == body
+        finally:
+            stub.close()
+
+    def test_body_shorter_than_its_length_fails(self, sleeps):
+        stub = TrickleStub(b"x" * 20, interval=0, piece=20, length=30)
+        try:
+            with pytest.raises(TransportError, match="after 1 attempts"):
+                transport.post_json(stub.url, {}, timeout=5, max_attempts=1)
+        finally:
+            stub.close()
 
 
 class TestFailsAtOnce:
