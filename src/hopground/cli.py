@@ -241,9 +241,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     stream = distill.synthesize_stream(
         inputs, student, teacher, library, seed=args.seed,
-        max_noise_docs=config.synthesis.noise_docs,
-        concurrency=config.synthesis.concurrency,
-        progress=Progress("synthesized"))
+        config=config.synthesis, progress=Progress("synthesized"))
     reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
     def count(example: distill.TrainingExample) -> distill.TrainingExample:

@@ -33,12 +33,10 @@ DROP_MISSING_REVISION = "missing_revision"
 DROP_MISALIGNED = "misaligned"
 DROP_LLM_ERROR = "llm_error"
 
-DEFAULT_NOISE_DOCS = 9  # gold + 9 mirrors top-10 retrieval at inference
-
 
 @dataclass(frozen=True)
 class SynthesisConfig(ConfigRecord, section="synthesis"):
-    noise_docs: Count = DEFAULT_NOISE_DOCS
+    noise_docs: Count = 9  # gold + 9 mirrors top-10 retrieval at inference
     concurrency: PositiveInt = 1
 
 
@@ -201,19 +199,19 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 def synthesize_stream(inputs: Sequence[SynthesisInput],
                       student_llm: LlmClient, teacher_llm: LlmClient,
                       library: TemplateLibrary, seed: int,
-                      max_noise_docs: int = DEFAULT_NOISE_DOCS,
-                      concurrency: int = 1,
+                      config: SynthesisConfig = SynthesisConfig(),
                       progress: Callable[[int, int], None] | None = None,
                       ) -> Iterator[TrainingExample]:
     """Synthesize the corpus, yielding examples in input order as
     ``map_ordered`` does.
 
+    Each input keeps its first ``config.noise_docs`` noise documents.
     ``progress(done, total)`` fires after each completed example.  Gold
     positions are drawn up front from one seeded RNG, so a fixed seed
     reproduces the corpus exactly (given scripted or temperature-0 models).
     """
     rng = random.Random(seed)
-    trimmed = [replace(inp, noise_docs=inp.noise_docs[:max_noise_docs])
+    trimmed = [replace(inp, noise_docs=inp.noise_docs[:config.noise_docs])
                for inp in inputs]
     positions = [rng.randint(1, len(inp.noise_docs) + 1) for inp in trimmed]
 
@@ -222,8 +220,8 @@ def synthesize_stream(inputs: Sequence[SynthesisInput],
         return synthesize_example(inp, student_llm, teacher_llm, library,
                                   position)
 
-    return map_ordered(run_one, list(zip(trimmed, positions)), concurrency,
-                       progress)
+    return map_ordered(run_one, list(zip(trimmed, positions)),
+                       config.concurrency, progress)
 
 
 def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:

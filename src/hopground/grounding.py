@@ -8,7 +8,6 @@ Empty (or there are no documents), the immediate answer is kept verbatim.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (DecodingParams, Document, GroundingKind, GroundingOutcome,
@@ -23,28 +22,6 @@ REF_OPEN, REF_CLOSE = "<ref>", "</ref>"
 REVISE_OPEN, REVISE_CLOSE = "<revise>", "</revise>"
 
 _ANSWER_TRIM = string.whitespace + "."
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """Contiguous, disjoint 1-based index windows covering 1..n_docs."""
-
-    windows: tuple[tuple[int, int], ...]  # inclusive (start, end) pairs
-
-
-def plan_batches(n_docs: int, batch_size: int) -> BatchPlan:
-    """Partition 1..n_docs into rank-order windows of ``batch_size``.
-
-    Every window but the last has exactly ``batch_size`` documents;
-    ``n_docs == 0`` yields an empty plan.
-    """
-    if n_docs < 0:
-        raise ValueError("n_docs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    windows = tuple((start, min(start + batch_size - 1, n_docs))
-                    for start in range(1, n_docs + 1, batch_size))
-    return BatchPlan(windows)
 
 
 def first_tag_span(text: str, open_tag: str, close_tag: str) -> str | None:
@@ -114,11 +91,10 @@ def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
     increment it).  When no window cites, the immediate answer is returned
     byte-for-byte unchanged.
     """
-    plan = plan_batches(len(docs), batch_size)
     consumed = 0
     outcome = GroundingOutcome.empty()
-    for start, end in plan.windows:
-        batch = docs[start - 1:end]
+    for start in range(0, len(docs), batch_size):
+        batch = docs[start:start + batch_size]
         messages = render_grounding(library, question, sub_question,
                                     immediate_answer, batch)
         try:

@@ -116,10 +116,10 @@ class OpenAIChatClient:
     connection errors are retried up to ``max_attempts`` attempts, a 3xx
     reply is not followed, and each calling thread keeps one keep-alive
     connection to the endpoint.  ``timeout`` bounds each attempt from its
-    start: its connect, send and reply body, which may trickle in no longer
-    than the time left (the status line and headers are bounded per read
-    only); a retry gets a new ``timeout``.  The client sets no limit of its
-    own on requests in flight: that is the number of threads calling it.
+    start: its connect, send and reply, which may trickle in no longer than
+    the time left; a retry gets a new ``timeout``.  The client sets no limit
+    of its own on requests in flight: that is the number of threads calling
+    it.
     """
 
     def __init__(self, base_url: str, model: str,

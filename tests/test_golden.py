@@ -103,7 +103,7 @@ def prompts(synth_dir: Path) -> bytes:
         ScriptedClient.from_file(synth_dir / "student.json"),
         _Logged(ScriptedClient.from_file(synth_dir / "teacher.json"),
                 "synth_teacher", log),
-        library, seed=7, max_noise_docs=SynthesisConfig().noise_docs))
+        library, seed=7, config=SynthesisConfig()))
     judge(_Logged(ScriptedClient(["Yes"]), "judge", log), library,
           FESTIVAL_QUESTION.text, FESTIVAL_FINAL,
           FESTIVAL_QUESTION.gold_answers[0])

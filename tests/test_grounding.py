@@ -8,10 +8,8 @@ from hopground.core import Document, GroundingKind, GroundingOutcome, Question
 from hopground.errors import (MalformedGrounding, MissingRevision,
                               ScriptExhausted)
 from hopground.grounding import (citation_in_documents, first_tag_span,
-                                 ground, parse_grounding, plan_batches)
+                                 ground, parse_grounding)
 from hopground.llm import ScriptedClient
-
-import oracles
 
 QUESTION = Question(id="q", text="In what month is the festival held?")
 
@@ -28,37 +26,6 @@ def sentinel_docs(n):
     return [Document(id=f"doc{i:02d}", title=f"Doc {i}",
                      body=f"content SENTINEL{i:02d} text")
             for i in range(1, n + 1)]
-
-
-class TestPlanBatches:
-    def test_ten_docs_batch_three(self):
-        plan = plan_batches(10, 3)
-        assert plan.windows == ((1, 3), (4, 6), (7, 9), (10, 10))
-
-    def test_exact_fit(self):
-        assert plan_batches(3, 3).windows == ((1, 3),)
-
-    def test_empty(self):
-        assert plan_batches(0, 3).windows == ()
-
-    @given(n_docs=st.integers(0, 200), batch_size=st.integers(1, 20))
-    def test_matches_enumeration_oracle(self, n_docs, batch_size):
-        plan = plan_batches(n_docs, batch_size)
-        assert list(plan.windows) == oracles.batch_windows(n_docs, batch_size)
-
-    @given(n_docs=st.integers(0, 200), batch_size=st.integers(1, 20))
-    def test_windows_partition_in_order(self, n_docs, batch_size):
-        windows = plan_batches(n_docs, batch_size).windows
-        covered = [i for start, end in windows for i in range(start, end + 1)]
-        assert covered == list(range(1, n_docs + 1))
-        for start, end in windows[:-1]:
-            assert end - start + 1 == batch_size
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            plan_batches(-1, 3)
-        with pytest.raises(ValueError):
-            plan_batches(5, 0)
 
 
 class TestParseGrounding:
@@ -160,6 +127,11 @@ class TestGround:
         assert revised == immediate  # byte equality, no trimming
         assert outcome.kind is GroundingKind.EMPTY
         assert consumed == 4
+        # every window in rank order, the short last one included
+        windows = [[i for i in range(1, 11)
+                    if f"SENTINEL{i:02d}" in call[0].content]
+                   for call in llm.calls]
+        assert windows == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10]]
 
     def test_no_documents_makes_no_calls(self, library):
         llm = ScriptedClient([])

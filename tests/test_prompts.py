@@ -84,8 +84,7 @@ class TestPromptTemplate:
                                                    encoding="utf-8")
         library = TemplateLibrary.load(tmp_path)
         documents = "[1] Title 1\nbody of doc 1\n\n[2] Title 2\nbody of doc 2"
-        examples = "\n\n".join(
-            library.deduction_examples[:library.num_examples])
+        examples = "\n\n".join(library.deduction_examples)
         hop = make_hop(1, "Which chapel?", "The Sistine Chapel.")
 
         def expected(name, **values):
@@ -137,13 +136,17 @@ class TestRenderDeduction:
         messages = render_deduction(library, QUESTION, [])
         assert [m.role for m in messages] == ["user"]
 
-    def test_num_examples_selects_prefix(self):
-        one = TemplateLibrary.load(num_examples=1)
-        two = TemplateLibrary.load(num_examples=2)
-        content_one = render_deduction(one, QUESTION, [])[0].content
-        content_two = render_deduction(two, QUESTION, [])[0].content
-        assert len(content_two) > len(content_one)
-        assert one.deduction_examples[0] in content_one
+    def test_examples_file_is_sent_whole(self, library, tmp_path):
+        block = ("Original question: Q?\n\nQuestion 1: A?\nAnswer 1: B.\n"
+                 "###Finish[B]")
+        (tmp_path / "deduction_examples.txt").write_text(f"{block}\n",
+                                                         encoding="utf-8")
+        one = TemplateLibrary.load(tmp_path)
+        assert one.deduction_examples == (block,)
+        packaged = render_deduction(library, QUESTION, [])[0].content
+        joined = "\n\n".join(library.deduction_examples)
+        assert render_deduction(one, QUESTION, [])[0].content == \
+            packaged.replace(joined, block)
 
 
 class TestRenderGrounding:

@@ -123,6 +123,23 @@ class TestTimeoutBoundsTheAttempt:
         finally:
             stub.close()
 
+    def test_headers_that_trickle_in_fail_within_the_timeout(self):
+        stub = TrickleStub(b"{}", interval=0.3, head=True)  # 11 s of headers
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out"):
+                transport.post_json(stub.url, {}, timeout=0.5, max_attempts=1)
+            assert time.monotonic() - start < 1.0
+        finally:
+            stub.close()
+
+    def test_headers_in_pieces_within_the_timeout_are_read(self):
+        stub = TrickleStub(b"{}", interval=0.001, piece=3, head=True)
+        try:
+            assert transport.post_json(stub.url, {}, timeout=5) == b"{}"
+        finally:
+            stub.close()
+
     def test_late_attempt_is_retried(self, sleeps):
         stub = TrickleStub(b"x" * 20, interval=0.3)
         try:
