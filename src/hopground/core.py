@@ -14,8 +14,10 @@ import difflib
 import enum
 import functools
 import json
+import math
 import operator
 import re
+import threading
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -63,17 +65,22 @@ def _require(condition: bool, message: str) -> None:
 # metadata is the noun its messages use and the predicate a value must meet
 Count = Annotated[int, "an integer >= 0", lambda v: v >= 0]
 PositiveInt = Annotated[int, "an integer >= 1", lambda v: v >= 1]
-NonNegative = Annotated[float, "a number >= 0", lambda v: v >= 0]
-Positive = Annotated[float, "a number > 0", lambda v: v > 0]
+NonNegative = Annotated[float, "a finite number >= 0", lambda v: v >= 0]
+# a timeout; one above TIMEOUT_MAX overflows the platform's clock in settimeout
+Positive = Annotated[float,
+                     f"a number > 0 and <= {int(threading.TIMEOUT_MAX)}",
+                     lambda v: 0 < v <= threading.TIMEOUT_MAX]
 Text = Annotated[str, "a non-blank string", str.strip]
 
-# a bool is no number here, so JSON true is not 1; a class's own
+# a bool is no number here, so JSON true is not 1, and a float must be
+# finite, so JSON 1e400, read as inf, is not one (an int is always finite,
+# and math.isfinite overflows on a huge one); a class's own
 # __instancecheck__ is isinstance() with the class bound
 _PLAIN = {
     bool: (bool.__instancecheck__, "true or false"),
     int: (lambda v: type(v) is not bool and isinstance(v, int), "an integer"),
-    float: (lambda v: type(v) is not bool and isinstance(v, (int, float)),
-            "a number"),
+    float: (lambda v: type(v) is not bool and isinstance(v, int)
+            or isinstance(v, float) and math.isfinite(v), "a finite number"),
     str: (str.__instancecheck__, "a string"),
 }
 

@@ -51,10 +51,6 @@ class DuplicateDocId(RetrievalError):
         self.doc_id = doc_id
 
 
-class EmptyQuery(RetrievalError):
-    """The query tokenizes to zero terms."""
-
-
 class MalformedResponse(RetrievalError):
     """External retrieval service returned an unusable payload."""
 

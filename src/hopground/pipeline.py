@@ -31,7 +31,7 @@ from .core import (ConfigRecord, DecodingParams, Document, HopRecord,
                    Positive, PositiveInt, Question, Termination, TokenCounts,
                    TokenUsage, Trajectory, read_jsonl, write_jsonl)
 from .deduction import DeductionKind, deduce
-from .errors import ConfigError, EmptyQuery, HopgroundError, RetrievalError
+from .errors import ConfigError, HopgroundError, RetrievalError
 from .grounding import ground
 from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
@@ -61,14 +61,13 @@ class Retriever(Protocol):
 
 @dataclass(frozen=True)
 class BM25Retriever:
+    """A local BM25 index; a query with no indexable term matches no
+    document and retrieves nothing (see ``bm25.retrieve``)."""
+
     index: retrieval.CorpusIndex
 
     def retrieve(self, query: str, top_k: int) -> list[Document]:
-        """A query with no indexable term retrieves nothing."""
-        try:
-            return retrieval.bm25.retrieve(self.index, query, top_k)
-        except EmptyQuery:
-            return []
+        return retrieval.bm25.retrieve(self.index, query, top_k)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> Iterator[_R]:
     """Yield ``fn(x) for x in items``, computed on up to ``concurrency``
-    threads, in input order.
+    threads, in input order.  The pool is never wider than the work: a
+    ``concurrency`` above ``len(items)`` starts one thread per item.
 
     The look-ahead is bounded: at most ``concurrency`` items are started and
     unfinished at a time, at most ``4 * concurrency`` are started and not
@@ -229,7 +229,8 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
     the item it lands in.
     """
     total = len(items)
-    if concurrency == 1 or total <= 1:
+    concurrency = min(concurrency, total)
+    if concurrency <= 1:
         for done, item in enumerate(items, start=1):
             result = fn(item)
             if progress is not None:

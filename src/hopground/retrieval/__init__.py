@@ -14,9 +14,6 @@ from .external import retrieve_external
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
-_BM25_NAMES = frozenset({"CorpusIndex", "build_index", "load_index",
-                         "retrieve", "save_index", "tokenize"})
-
 __all__ = [
     "CorpusIndex",
     "build_index",
@@ -30,7 +27,7 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name == "bm25" or name in _BM25_NAMES:
+    if name == "bm25" or name in __all__:
         bm25 = importlib.import_module(".bm25", __name__)
         return bm25 if name == "bm25" else getattr(bm25, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

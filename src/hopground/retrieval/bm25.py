@@ -95,7 +95,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from ..core import Document
-from ..errors import DuplicateDocId, EmptyCorpus, EmptyQuery
+from ..errors import DuplicateDocId, EmptyCorpus
 from . import DEFAULT_B, DEFAULT_K1
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
@@ -285,12 +285,10 @@ class CorpusIndex:
         return weights
 
     def scores(self, query: str) -> np.ndarray:
-        """BM25 score of every document for ``query`` (0 for no overlap)."""
-        terms = tokenize(query)
-        if not terms:
-            raise EmptyQuery(f"query tokenizes to zero terms: {query!r}")
+        """BM25 score of every document for ``query``: 0 for no overlap, so
+        all zeros for a query with no term in the vocabulary, or none."""
         rows, weights = [], []
-        for term, qtf in Counter(terms).items():
+        for term, qtf in Counter(tokenize(query)).items():
             row = self._rows.get(term)
             if row is None:
                 continue
@@ -422,10 +420,7 @@ def _postings(keys: np.ndarray, n_docs: int,
     ``tfs`` and the documents packed as ``int32`` over the front: ``int32``
     position ``i`` overlaps posting ``i // 2``, which has been read by
     then.  No temporary is larger than a chunk."""
-    n_postings = sum(_heads(keys[start:stop], keys[start - 1] if start else -1
-                            ).size for start, stop in _chunks(keys.size))
     offsets = np.empty(n_terms + 1, dtype=np.int64)
-    offsets[-1] = n_postings
     at, last_key, last_term = 0, -1, -1
     for start, stop in _chunks(keys.size):
         chunk = keys[start:stop]
@@ -438,6 +433,7 @@ def _postings(keys: np.ndarray, n_docs: int,
             keys[at - 1] += (heads[0] if heads.size else chunk.size) << 32
         keys[at:at + heads.size] = np.diff(heads, append=chunk.size) << 32 | doc
         at += heads.size
+    offsets[-1] = n_postings = at
     postings = keys[:n_postings]
     tfs = np.empty(n_postings, dtype=np.min_scalar_type(max(
         (int((postings[start:stop] >> 32).max())
@@ -452,7 +448,9 @@ def _postings(keys: np.ndarray, n_docs: int,
 def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
     """Top ``top_k`` documents by descending score, ranks set from 1.
 
-    Zero-score documents are excluded; ties break by ascending doc id.
+    Zero-score documents are excluded, so a query that matches no
+    document, or that has no term at all, yields ``[]``; ties break by
+    ascending doc id.
 
     Selection first takes a floor: the ``top_k``-th best score among every
     ``_SAMPLE_STRIDE``-th document, raised to the smallest positive float.
@@ -471,8 +469,6 @@ def retrieve(index: CorpusIndex, query: str, top_k: int = 10) -> list[Document]:
     if sample.size >= top_k:
         floor = max(floor, np.partition(sample, -top_k)[-top_k])
     candidates = np.flatnonzero(scores >= floor)
-    if candidates.size == 0:
-        return []
     candidate_scores = scores[candidates]
     if candidates.size > top_k:
         # keep every candidate scoring at least the k-th best score: all

@@ -1,15 +1,21 @@
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopground.cli import Config, Progress, main
+from hopground.core import loads_utf8
+from hopground.errors import InvalidRecord
 from hopground.llm import LlmConfig
+from hopground.pipeline import map_ordered
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
@@ -255,6 +261,32 @@ class TestRunCommand:
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+
+    @pytest.mark.parametrize("key, text, named", [
+        ("llm.timeout", "1e12", "llm.timeout"),
+        ("retrieval.timeout", "Infinity", "retrieval.timeout"),
+        ("pipeline.decoding.temperature", "1e400", "decoding.temperature"),
+    ])
+    def test_unusable_number_exits_one(self, festival_run, tmp_path, capsys,
+                                       key, text, named):
+        # JSON reads 1e400 and Infinity as inf; a timeout past the
+        # platform's TIMEOUT_MAX overflows settimeout
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        *sections, name = key.split(".")
+        section = config
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = "@"
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(config).replace('"@"', text),
+                        encoding="utf-8")
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{named} must be a" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
@@ -664,6 +696,27 @@ class TestRunCommand:
         trajectory = json.loads((out / "trajectories.jsonl")
                                 .read_text(encoding="utf-8"))
         assert trajectory["final_answer"] == "x"
+
+    def test_concurrency_above_the_question_count(self, festival_run,
+                                                   tmp_path, monkeypatch):
+        dataset = tmp_path / "two.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "answers": [str(i)],
+                               "question": f"Which number is {i}?"}
+                              for i in range(2)])
+        config = write_json(tmp_path / "wide.json", {
+            "pipeline": {"concurrency": 10**20},
+            "llm": OPENAI,
+            "retrieval": {"corpus_path": str(festival_run["corpus"])},
+        })
+        client = KeyedClient(lambda prompt: "###Finish[{}]".format(
+            re.search(r"Which number is (\d+)\?", prompt)[1]))
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(dataset), "--config",
+                     str(config), "--out", str(out)]) == 0
+        trajectories = [json.loads(line) for line in (
+            out / "trajectories.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [t["final_answer"] for t in trajectories] == ["0", "1"]
 
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_interrupt_leaves_a_prefix_of_the_full_run(
@@ -1293,3 +1346,35 @@ class TestProgress:
         assert capsys.readouterr() == (
             "", "synthesized 1/3 (2.0/s, ETA 1 s)\n"
             "synthesized 2/3 (2.0/s, ETA 0 s)\n")
+
+
+# every number a config can hold that the code must use as it is: the
+# timeouts, a float passed to the socket, the temperature, sent as JSON,
+# and the concurrency, the width of map_ordered's pool
+NUMBER_KEYS = [("llm", "timeout"), ("retrieval", "timeout"),
+               ("pipeline", "decoding", "temperature"),
+               ("pipeline", "concurrency")]
+number_text = st.one_of(
+    st.integers(-2, 2**70).map(str),
+    st.floats().map(json.dumps),  # inf and nan as Infinity and NaN
+    st.sampled_from(["1e300", "1e400", "-1e400", "Infinity", "NaN",
+                     "9223372036", "9223372037", "1e12"]))
+
+
+class TestConfigNumbers:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(NUMBER_KEYS), number_text)
+    def test_a_number_that_loads_is_usable(self, key, text):
+        for name in reversed(key):
+            text = f'{{"{name}": {text}}}'
+        try:
+            config = Config.from_dict(loads_utf8(text))
+        except InvalidRecord:
+            return
+        for timeout in (config.llm.timeout, config.retrieval.timeout):
+            with socket.socket() as sock:
+                sock.settimeout(timeout)
+        json.dumps({"temperature": config.pipeline.decoding.temperature},
+                   allow_nan=False)
+        assert list(map_ordered(str, [1, 2, 3],
+                                config.pipeline.concurrency)) == ["1", "2", "3"]

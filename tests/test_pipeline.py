@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hopground import pipeline
 from hopground.core import (Document, GroundingKind, Question, Termination,
                             TokenCounts, Trajectory)
 from hopground.errors import ConfigError
@@ -418,6 +419,28 @@ class TestMapOrdered:
         time.sleep(0.05)  # room for a wrongly started item to show
         assert sorted(started) == ran
         assert ran == list(range(len(ran))) and len(ran) <= 4 * 2
+
+    def test_pool_is_never_wider_than_the_work(self, monkeypatch):
+        widths = []
+
+        class Pool(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+        barrier = threading.Barrier(3, timeout=5)  # all three at once
+        threads = set()
+
+        def fn(item):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return item * 10
+
+        assert list(map_ordered(fn, [1, 2, 3], 2**64)) == [10, 20, 30]
+        assert widths == [3] and len(threads) == 3
+        assert list(map_ordered(fn, [], 2**64)) == []
+        assert widths == [3]  # no item starts no pool
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_error_ends_the_stream_at_its_item(self, concurrency):

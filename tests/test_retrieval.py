@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from numpy.lib import format as npy_format
 
 from hopground.core import Document
-from hopground.errors import (DuplicateDocId, EmptyCorpus, EmptyQuery,
-                              InvalidRecord, MalformedDataset,
-                              MalformedResponse, TransportError)
+from hopground.errors import (DuplicateDocId, EmptyCorpus, InvalidRecord,
+                              MalformedDataset, MalformedResponse,
+                              TransportError)
 from hopground.retrieval import (build_index, load_corpus, load_index,
                                  retrieve, retrieve_external, save_index,
                                  tokenize)
@@ -359,8 +359,9 @@ class TestRetrieve:
         assert runs[0] == runs[1] == runs[2]
 
     def test_empty_query(self, index):
-        with pytest.raises(EmptyQuery):
-            retrieve(index, "!!! ---", top_k=5)
+        # no term at all is the zero-overlap case: nothing scores
+        assert retrieve(index, "!!! ---", top_k=5) == []
+        assert np.array_equal(index.scores("!!! ---"), np.zeros(len(index)))
 
     def test_rejects_bad_top_k(self, index):
         with pytest.raises(ValueError):
