@@ -258,9 +258,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    examples = [e for e in distill.load_training_corpus(args.corpus)
-                if e.verdict.keep]
-    stats = distill.dataset_stats(examples)
+    stats = distill.dataset_stats(
+        e for e in distill.load_training_corpus(args.corpus) if e.verdict.keep)
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK
 

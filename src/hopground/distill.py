@@ -74,7 +74,12 @@ class SynthesisInput:
 
 @dataclass(frozen=True)
 class TrainingExample(Record):
-    """One synthesized pair: grounding instruction -> teacher trajectory."""
+    """One synthesized pair: grounding instruction -> teacher trajectory.
+
+    Only the gold document (at ``gold_position``) needs its body: every
+    body is rendered into ``instruction``, so the others may be null, as
+    ``synthesize_example`` writes them.
+    """
 
     instruction: str
     documents: tuple[Document, ...]
@@ -86,12 +91,11 @@ class TrainingExample(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        for doc in self.documents:
-            doc.require_body()
         if self.gold_position > len(self.documents):
             raise InvalidRecord(
                 f"gold_position {self.gold_position} is past the last of "
                 f"{len(self.documents)} documents")
+        self.documents[self.gold_position - 1].require_body()
 
     def to_dict(self, include_verdict: bool = False) -> dict[str, Any]:
         """The record's JSON object, whose verdict is written only when
@@ -162,7 +166,8 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 
     The student sees the bare question; the teacher sees the grounding
     instruction over the shuffled document list.  LLM failures yield a
-    Drop(llm_error) example rather than raising.
+    Drop(llm_error) example rather than raising.  The example keeps the
+    body of the gold document only: the instruction holds every body.
     """
     documents = place_gold(inp.gold_doc, inp.noise_docs, gold_position)
 
@@ -187,7 +192,8 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 
     return TrainingExample(
         instruction=teacher_messages[0].content,
-        documents=documents,
+        documents=tuple(d if i == gold_position else replace(d, body=None)
+                        for i, d in enumerate(documents, start=1)),
         immediate_answer=immediate_answer,
         target=target,
         gold_doc_id=inp.gold_doc.id,
@@ -224,22 +230,27 @@ def synthesize_stream(inputs: Sequence[SynthesisInput],
                        config.concurrency, progress)
 
 
-def dataset_stats(examples: Sequence[TrainingExample]) -> dict[str, float]:
-    """Corpus statistics in whitespace tokens, averaged to two decimals."""
-    if not examples:
+def dataset_stats(examples: Iterable[TrainingExample]) -> dict[str, float]:
+    """Corpus statistics in whitespace tokens, averaged to two decimals.
+
+    ``examples`` is read once, keeping only integer running sums, so a
+    streamed corpus is described in constant memory.
+    """
+    n = instruction = target = gold_docs = gold_doc_len = 0
+    for e in examples:
+        n += 1
+        instruction += len(e.instruction.split())
+        target += len(e.target.split())
+        gold_docs += 1 if e.gold_doc_id else 0
+        gold_doc_len += len(e.documents[e.gold_position - 1].body.split())
+    if not n:
         raise EmptyRecords("no examples to describe")
-    n = len(examples)
-
-    def mean(values) -> float:
-        return round(sum(values) / n, 2)
-
     return {
         "count": n,
-        "avg_instruction_len": mean(len(e.instruction.split()) for e in examples),
-        "avg_target_len": mean(len(e.target.split()) for e in examples),
-        "avg_gold_docs": mean(1 if e.gold_doc_id else 0 for e in examples),
-        "avg_gold_doc_len": mean(
-            len(e.documents[e.gold_position - 1].body.split()) for e in examples),
+        "avg_instruction_len": round(instruction / n, 2),
+        "avg_target_len": round(target / n, 2),
+        "avg_gold_docs": round(gold_docs / n, 2),
+        "avg_gold_doc_len": round(gold_doc_len / n, 2),
     }
 
 
@@ -256,10 +267,10 @@ def emit_corpus(examples: Iterable[TrainingExample], path: str | Path,
         path)
 
 
-def load_training_corpus(path: str | Path) -> list[TrainingExample]:
-    """Reload an emitted corpus file; a bad line raises ``MalformedDataset``."""
-    return list(read_jsonl(
-        path, lambda record, _: TrainingExample.from_dict(record)))
+def load_training_corpus(path: str | Path) -> Iterator[TrainingExample]:
+    """Yield the examples of an emitted corpus file, one line per example
+    asked for; a bad line raises ``MalformedDataset`` when it is reached."""
+    return read_jsonl(path, lambda record, _: TrainingExample.from_dict(record))
 
 
 def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:

@@ -250,10 +250,12 @@ class CorpusIndex:
         divisor = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
         self._denom = k1 * (1.0 - b + b * doc_lengths / divisor)
         n_docs = len(doc_starts)
-        dfs = np.diff(offsets)
+        # math.log once per distinct df: many terms share a df, and numpy's
+        # log may differ from math.log in the last bit
+        dfs, term_df = np.unique(np.diff(offsets), return_inverse=True)
         self.idf = np.array(
             [math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
-             for df in dfs.tolist()], dtype=np.float64)
+             for df in dfs.tolist()], dtype=np.float64)[term_df]
         self._contributions: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:

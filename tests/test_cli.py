@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hopground.cli import Config, Progress, main
 from hopground.core import loads_utf8
+from hopground.distill import load_training_corpus
 from hopground.errors import InvalidRecord
 from hopground.llm import LlmConfig
 from hopground.pipeline import map_ordered
@@ -1059,6 +1060,14 @@ def synth_files(tmp_path):
     return write_synth_files(tmp_path)
 
 
+def _input_bodies(path):
+    """Each document body of a synthesis inputs file, by document id."""
+    return {doc["id"]: doc["body"]
+            for inp in map(json.loads, path.read_text(
+                encoding="utf-8").splitlines())
+            for doc in [inp["gold_doc"], *inp["noise_docs"]]}
+
+
 class TestSynthCommand:
     def test_keeps_and_drops_with_reasons(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"
@@ -1096,6 +1105,27 @@ class TestSynthCommand:
         assert len(records) == 10
         reasons = [r["drop_reason"] for r in records if r["verdict"] == "drop"]
         assert sorted(reasons) == ["empty_evidence", "missing_revision"]
+
+    def test_each_line_keeps_only_the_gold_body(self, synth_files):
+        out = synth_files["dir"] / "corpus-all.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(synth_files["config"]),
+                     "--include-dropped"]) == 0
+        bodies = _input_bodies(synth_files["input"])
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 10
+        for record in records:
+            documents = record["documents"]
+            gold = documents[record["gold_position"] - 1]
+            assert gold["id"] == record["gold_doc_id"]
+            assert gold["body"] == bodies[gold["id"]]
+            nulled = [d for d in documents if d is not gold]
+            assert len(nulled) == 3
+            for doc in nulled:
+                assert doc["body"] is None
+                assert bodies[doc["id"]] in record["instruction"]
 
     def test_same_seed_is_byte_identical(self, synth_files):
         outputs = []
@@ -1221,6 +1251,30 @@ class TestStatsCommand:
         assert "(line 2)" in err
         assert "Traceback" not in err
 
+    def test_corpus_with_every_body_present_loads_alike(self, synth_files,
+                                                        capsys):
+        # a line as written before only the gold document kept its body
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "3",
+                     "--config", str(synth_files["config"])]) == 0
+        bodies = _input_bodies(synth_files["input"])
+        records = [json.loads(line) for line in
+                   out.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            for doc in record["documents"]:
+                doc["body"] = bodies[doc["id"]]
+        full = synth_files["dir"] / "full.jsonl"
+        write_jsonl(full, records)
+        assert [[d.body for d in e.documents] for e in
+                load_training_corpus(full)] == [
+            [bodies[d["id"]] for d in r["documents"]] for r in records]
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(out)]) == 0
+        nulled_stats = capsys.readouterr().out
+        assert main(["stats", "--corpus", str(full)]) == 0
+        assert capsys.readouterr().out == nulled_stats
+
     def test_null_document_body_exits_two(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
@@ -1228,7 +1282,8 @@ class TestStatsCommand:
                      "--config", str(synth_files["config"])]) == 0
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
-        records[1]["documents"][2]["body"] = None
+        gold = records[1]["gold_position"] - 1
+        records[1]["documents"][gold]["body"] = None
         write_jsonl(out, records)
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 2

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                load_synthesis_inputs, load_training_corpus,
                                place_gold, synthesize_example,
                                synthesize_stream)
-from hopground.errors import EmptyRecords, MalformedDataset
+from hopground.errors import EmptyRecords, InvalidRecord, MalformedDataset
 from hopground.llm import Completion, ScriptedClient
 
 import oracles
@@ -142,6 +143,27 @@ class TestSynthesizeExample:
                                      gold_position=1)
         assert example.verdict == Verdict.drop(DROP_MISSING_REVISION)
 
+    @pytest.mark.parametrize("student_replies, teacher_replies", [
+        (["Paris."], [FILTER_TABLE[0][0]]),   # kept
+        (["Paris."], ["<ref> Empty </ref>"]),  # dropped by a filter
+        (["Paris."], []),                     # the teacher fails
+        ([], []),                             # the student fails
+    ])
+    def test_only_the_gold_document_keeps_its_body(self, library,
+                                                   student_replies,
+                                                   teacher_replies):
+        inp = make_input(n_noise=4)
+        example = synthesize_example(inp, ScriptedClient(student_replies),
+                                     ScriptedClient(teacher_replies),
+                                     library, gold_position=3)
+        assert [d.id for d in example.documents] == [
+            d.id for d in place_gold(inp.gold_doc, inp.noise_docs, 3)]
+        assert [d.body for d in example.documents] == [
+            None, None, GOLD_DOC.body, None, None]
+        # each nulled body is in the instruction the teacher was sent
+        for doc in inp.noise_docs:
+            assert f"{doc.title}\n{doc.body}" in example.instruction
+
     def test_llm_error_recorded_as_drop(self, library):
         student = ScriptedClient([])  # exhausted immediately
         teacher = ScriptedClient([])
@@ -252,6 +274,27 @@ class TestDatasetStats:
         with pytest.raises(EmptyRecords):
             dataset_stats([])
 
+    def test_reads_a_one_shot_iterator(self):
+        examples = [make_example(i, target_tokens=3 + i) for i in range(9)]
+        assert (dataset_stats(e for e in examples)
+                == oracles.corpus_stats(examples))
+        with pytest.raises(EmptyRecords):
+            dataset_stats(iter(()))
+
+
+class TestTrainingExampleBodies:
+    def test_only_the_gold_body_is_required(self):
+        example = make_example(0)
+        gold = example.gold_position - 1
+        other = 1 - gold
+        documents = list(example.documents)
+        documents[other] = replace(documents[other], body=None)
+        assert replace(example, documents=tuple(documents)).documents[
+            other].body is None
+        documents[gold] = replace(documents[gold], body=None)
+        with pytest.raises(InvalidRecord, match="body must be"):
+            replace(example, documents=tuple(documents))
+
 
 class TestEmitCorpus:
     def test_keep_only_by_default(self, tmp_path):
@@ -278,7 +321,7 @@ class TestEmitCorpus:
         examples = [make_example(i) for i in range(4)]
         path = tmp_path / "corpus.jsonl"
         emit_corpus(examples, path)
-        assert load_training_corpus(path) == examples
+        assert list(load_training_corpus(path)) == examples
 
     @pytest.mark.parametrize("verdict", ["kept", "Keep", 1, None, True])
     def test_unknown_verdict_is_malformed(self, tmp_path, verdict):
@@ -286,7 +329,7 @@ class TestEmitCorpus:
         record = make_example(0).to_dict(include_verdict=True)
         write_jsonl(path, [record, {**record, "verdict": verdict}])
         with pytest.raises(MalformedDataset, match="verdict must be") as err:
-            load_training_corpus(path)
+            list(load_training_corpus(path))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("line", ["5", '"text"', "[1]", "null"])
@@ -296,7 +339,7 @@ class TestEmitCorpus:
         with open(path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
         with pytest.raises(MalformedDataset, match="TrainingExample") as err:
-            load_training_corpus(path)
+            list(load_training_corpus(path))
         assert err.value.line == 2
 
 

@@ -731,6 +731,31 @@ def _eager_contributions(index):
 class TestContributions:
     """Each row's contributions are computed on its first use and kept."""
 
+    @pytest.mark.parametrize("name", ["repeated-dfs", *EDGE_CORPORA])
+    def test_idf_is_the_per_term_log_bit_for_bit(self, tmp_path, name):
+        # idf is computed once per distinct df and spread to the terms.
+        # "every" is in all 29 documents: np.log of its idf argument is one
+        # ulp off math.log's (numpy 2.4 on x86-64), so a vectorized log
+        # fails here
+        rng = random.Random(5)
+        docs = EDGE_CORPORA.get(name) or [
+            Document(id=f"d{d:03d}", title="", body=" ".join(
+                ["every"] + [f"w{int(rng.expovariate(1 / 15))}"
+                             for _ in range(12)]))
+            for d in range(29)]
+        index = build_index(docs)
+        dfs = np.diff(index.offsets)
+        if name == "repeated-dfs":
+            assert len(np.unique(dfs)) < len(dfs) / 2
+        n = len(docs)
+        expected = np.array([math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                             for df in dfs.tolist()], dtype=np.float64)
+        save_index(index, tmp_path / "index.cache")
+        for candidate in (index, load_index(tmp_path / "index.cache")):
+            assert candidate.idf.dtype == np.float64
+            assert np.array_equal(candidate.idf.view(np.uint64),
+                                  expected.view(np.uint64))
+
     @pytest.mark.parametrize("name, k1, b", [
         ("fixture", 1.2, 0.75), ("fixture", 0.9, 0.4), ("fixture", 2.0, 0.0),
         ("chunked", 1.2, 1.0), ("non-ascii", 1.2, 0.75),
