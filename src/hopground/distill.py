@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (ConfigRecord, Count, DecodingParams, Document,
-                   GroundingKind, PositiveInt, Question, Record, expect_type,
-                   read_jsonl, scalar_text, write_jsonl)
+                   GroundingKind, PositiveInt, Question, Record, Text,
+                   expect_type, read_jsonl, scalar_text, write_jsonl)
 from .errors import (EmptyRecords, InvalidRecord, LlmError, MalformedGrounding,
                      MissingRevision)
 from .evaluation import cover_em
@@ -76,26 +76,31 @@ class SynthesisInput:
 class TrainingExample(Record):
     """One synthesized pair: grounding instruction -> teacher trajectory.
 
-    Only the gold document (at ``gold_position``) needs its body: every
-    body is rendered into ``instruction``, so the others may be null, as
-    ``synthesize_example`` writes them.
+    ``doc_ids`` are the ids of the documents in the order the instruction
+    numbers them, and ``gold_body`` is the body of the gold one, at
+    ``gold_position``.  Nothing else of a document is stored: the
+    instruction renders every title and body, and the synthesis inputs file
+    holds each document under its id.
     """
 
     instruction: str
-    documents: tuple[Document, ...]
+    doc_ids: tuple[str, ...]
+    gold_position: PositiveInt  # 1-based slot of the gold document
+    gold_body: Text
     immediate_answer: str
     target: str
-    gold_doc_id: str
-    gold_position: PositiveInt  # 1-based slot of the gold document
     verdict: Verdict
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gold_position > len(self.documents):
+        if self.gold_position > len(self.doc_ids):
             raise InvalidRecord(
                 f"gold_position {self.gold_position} is past the last of "
-                f"{len(self.documents)} documents")
-        self.documents[self.gold_position - 1].require_body()
+                f"{len(self.doc_ids)} documents")
+
+    @property
+    def gold_doc_id(self) -> str:
+        return self.doc_ids[self.gold_position - 1]
 
     def to_dict(self, include_verdict: bool = False) -> dict[str, Any]:
         """The record's JSON object, whose verdict is written only when
@@ -125,7 +130,32 @@ class TrainingExample(Record):
         else:
             raise InvalidRecord("drop_reason must be a non-blank string on a "
                                 f"dropped example, got {reason!r}")
+        if "documents" in d:
+            d = _from_documents(d)
         return super().from_dict({**d, "verdict": verdict})
+
+
+def _from_documents(d: dict[str, Any]) -> dict[str, Any]:
+    """``d``, a line of the form written before ``doc_ids``, with its
+    ``doc_ids`` and ``gold_body`` read from its ``documents`` objects.  As
+    when that form was written, each document must be a valid ``Document``
+    and the gold one must hold its body; ``gold_doc_id`` must also be the
+    id at ``gold_position``."""
+    if "doc_ids" in d or "gold_body" in d:
+        raise InvalidRecord("a line holds either documents or doc_ids and "
+                            "gold_body, not both")
+    documents = tuple(map(Document.from_dict,
+                          expect_type(d["documents"], list, "documents")))
+    position = d.get("gold_position")
+    if type(position) is not int or not 1 <= position <= len(documents):
+        raise InvalidRecord(f"gold_position must be a slot of the "
+                            f"{len(documents)} documents, got {position!r}")
+    gold = documents[position - 1].require_body()
+    if d.get("gold_doc_id") != gold.id:
+        raise InvalidRecord(f"gold_doc_id {d.get('gold_doc_id')!r} is not "
+                            f"{gold.id!r}, the id at gold_position {position}")
+    return {**d, "doc_ids": [doc.id for doc in documents],
+            "gold_body": gold.body}
 
 
 def apply_filters(target: str, gold_answer: str) -> Verdict:
@@ -166,8 +196,7 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 
     The student sees the bare question; the teacher sees the grounding
     instruction over the shuffled document list.  LLM failures yield a
-    Drop(llm_error) example rather than raising.  The example keeps the
-    body of the gold document only: the instruction holds every body.
+    Drop(llm_error) example rather than raising.
     """
     documents = place_gold(inp.gold_doc, inp.noise_docs, gold_position)
 
@@ -192,12 +221,11 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 
     return TrainingExample(
         instruction=teacher_messages[0].content,
-        documents=tuple(d if i == gold_position else replace(d, body=None)
-                        for i, d in enumerate(documents, start=1)),
+        doc_ids=tuple(d.id for d in documents),
+        gold_position=gold_position,
+        gold_body=inp.gold_doc.body,
         immediate_answer=immediate_answer,
         target=target,
-        gold_doc_id=inp.gold_doc.id,
-        gold_position=gold_position,
         verdict=verdict,
     )
 
@@ -242,7 +270,7 @@ def dataset_stats(examples: Iterable[TrainingExample]) -> dict[str, float]:
         instruction += len(e.instruction.split())
         target += len(e.target.split())
         gold_docs += 1 if e.gold_doc_id else 0
-        gold_doc_len += len(e.documents[e.gold_position - 1].body.split())
+        gold_doc_len += len(e.gold_body.split())
     if not n:
         raise EmptyRecords("no examples to describe")
     return {

@@ -127,9 +127,9 @@ def corpus_stats(examples) -> dict[str, float]:
     for e in examples:
         instruction_total += len(e.instruction.split())
         target_total += len(e.target.split())
-        gold = [d for d in e.documents if d.id == e.gold_doc_id]
-        gold_docs_total += len(gold)
-        gold_len_total += sum(len(d.body.split()) for d in gold)
+        gold_docs_total += sum(i == e.doc_ids[e.gold_position - 1]
+                               for i in e.doc_ids)
+        gold_len_total += len(e.gold_body.split())
     return {
         "count": n,
         "avg_instruction_len": round(instruction_total / n, 2),

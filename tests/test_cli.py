@@ -1060,9 +1060,9 @@ def synth_files(tmp_path):
     return write_synth_files(tmp_path)
 
 
-def _input_bodies(path):
-    """Each document body of a synthesis inputs file, by document id."""
-    return {doc["id"]: doc["body"]
+def _input_documents(path):
+    """Each document of a synthesis inputs file, by its id."""
+    return {doc["id"]: doc
             for inp in map(json.loads, path.read_text(
                 encoding="utf-8").splitlines())
             for doc in [inp["gold_doc"], *inp["noise_docs"]]}
@@ -1106,26 +1106,33 @@ class TestSynthCommand:
         reasons = [r["drop_reason"] for r in records if r["verdict"] == "drop"]
         assert sorted(reasons) == ["empty_evidence", "missing_revision"]
 
-    def test_each_line_keeps_only_the_gold_body(self, synth_files):
+    def test_each_line_keeps_the_slot_ids_and_the_gold_body(self,
+                                                            synth_files):
         out = synth_files["dir"] / "corpus-all.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "7",
                      "--config", str(synth_files["config"]),
                      "--include-dropped"]) == 0
-        bodies = _input_bodies(synth_files["input"])
+        documents = _input_documents(synth_files["input"])
+        inputs = [json.loads(line) for line in synth_files["input"].read_text(
+            encoding="utf-8").splitlines()]
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
         assert len(records) == 10
-        for record in records:
-            documents = record["documents"]
-            gold = documents[record["gold_position"] - 1]
-            assert gold["id"] == record["gold_doc_id"]
-            assert gold["body"] == bodies[gold["id"]]
-            nulled = [d for d in documents if d is not gold]
-            assert len(nulled) == 3
-            for doc in nulled:
-                assert doc["body"] is None
-                assert bodies[doc["id"]] in record["instruction"]
+        for inp, record in zip(inputs, records):
+            assert list(record) == [
+                "instruction", "doc_ids", "gold_position", "gold_body",
+                "immediate_answer", "target", "verdict", "drop_reason"]
+            ids = record["doc_ids"]
+            assert sorted(ids) == sorted(
+                d["id"] for d in [inp["gold_doc"], *inp["noise_docs"]])
+            assert ids[record["gold_position"] - 1] == inp["gold_doc"]["id"]
+            assert record["gold_body"] == inp["gold_doc"]["body"]
+            # the instruction numbers each document by its slot
+            for slot, doc_id in enumerate(ids, start=1):
+                doc = documents[doc_id]
+                assert (f"[{slot}] {doc['title']}\n{doc['body']}"
+                        in record["instruction"])
 
     def test_same_seed_is_byte_identical(self, synth_files):
         outputs = []
@@ -1236,14 +1243,14 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_blank_document_body_exits_two(self, synth_files, capsys):
+    def test_blank_gold_body_exits_two(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "3",
                      "--config", str(synth_files["config"])]) == 0
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
-        records[1]["documents"][0]["body"] = "  "
+        records[1]["gold_body"] = "  "
         write_jsonl(out, records)
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 2
@@ -1251,39 +1258,60 @@ class TestStatsCommand:
         assert "(line 2)" in err
         assert "Traceback" not in err
 
-    def test_corpus_with_every_body_present_loads_alike(self, synth_files,
-                                                        capsys):
-        # a line as written before only the gold document kept its body
+    @pytest.mark.parametrize("every_body", [False, True])
+    def test_documents_form_loads_alike(self, synth_files, capsys,
+                                        every_body):
+        # lines as written before doc_ids: a document object per slot, with
+        # the gold body only or with every body, and gold_doc_id
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "3",
                      "--config", str(synth_files["config"])]) == 0
-        bodies = _input_bodies(synth_files["input"])
+        documents = _input_documents(synth_files["input"])
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
         for record in records:
-            for doc in record["documents"]:
-                doc["body"] = bodies[doc["id"]]
-        full = synth_files["dir"] / "full.jsonl"
-        write_jsonl(full, records)
-        assert [[d.body for d in e.documents] for e in
-                load_training_corpus(full)] == [
-            [bodies[d["id"]] for d in r["documents"]] for r in records]
+            ids = record.pop("doc_ids")
+            del record["gold_body"]
+            record["gold_doc_id"] = gold_id = ids[record["gold_position"] - 1]
+            record["documents"] = [
+                {**documents[doc_id], "rank": None,
+                 **({} if every_body or doc_id == gold_id else {"body": None})}
+                for doc_id in ids]
+        old_path = synth_files["dir"] / "old.jsonl"
+        write_jsonl(old_path, records)
+        assert (list(load_training_corpus(old_path))
+                == list(load_training_corpus(out)))
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 0
-        nulled_stats = capsys.readouterr().out
-        assert main(["stats", "--corpus", str(full)]) == 0
-        assert capsys.readouterr().out == nulled_stats
+        new_stats = capsys.readouterr().out
+        assert main(["stats", "--corpus", str(old_path)]) == 0
+        assert capsys.readouterr().out == new_stats
 
-    def test_null_document_body_exits_two(self, synth_files, capsys):
+    def test_documents_form_with_another_gold_doc_id_exits_two(self, capsys,
+                                                                tmp_path):
+        lines = (FIXTURES / "synth-documents-form.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert '"gold_doc_id":"g0","gold_position":3' in lines[0]
+        # n0-0 is the noise document in slot 1
+        lines[0] = lines[0].replace('"gold_doc_id":"g0"',
+                                    '"gold_doc_id":"n0-0"')
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines),
+                          encoding="utf-8")
+        assert main(["stats", "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert "(line 1)" in err and "gold_doc_id 'n0-0'" in err
+        assert "Traceback" not in err
+
+    def test_null_gold_body_exits_two(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "3",
                      "--config", str(synth_files["config"])]) == 0
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
-        gold = records[1]["gold_position"] - 1
-        records[1]["documents"][gold]["body"] = None
+        records[1]["gold_body"] = None
         write_jsonl(out, records)
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 2

@@ -241,11 +241,10 @@ def _wrong_values(value):
     return [5, "x"]  # a nested record, an enum or a verdict
 
 
-_DOC = Document(id="d", title="T", body="b", rank=1)
 RECORD_SAMPLES = {  # a valid instance of each record with required fields
     Question: Question(id="q", text="t?", gold_answers=("a",),
                        metadata={"k": "v"}),
-    Document: _DOC,
+    Document: Document(id="d", title="T", body="b", rank=1),
     GroundingOutcome: make_hop().grounding,
     HopRecord: make_hop(),
     TokenUsage: TokenUsage(per_hop=(TokenCounts(1, 2),),
@@ -256,8 +255,8 @@ RECORD_SAMPLES = {  # a valid instance of each record with required fields
     ChatMessage: ChatMessage(role="user", content="hi"),
     Completion: Completion(text="x", prompt_tokens=1, completion_tokens=2),
     TrainingExample: TrainingExample(
-        instruction="i", documents=(_DOC,), immediate_answer="a",
-        target="t", gold_doc_id="d", gold_position=1, verdict=Verdict.kept()),
+        instruction="i", doc_ids=("d",), gold_position=1, gold_body="b",
+        immediate_answer="a", target="t", verdict=Verdict.kept()),
 }
 WRONG_FIELD_VALUES = [
     pytest.param(sample, f.name, wrong,

@@ -120,7 +120,7 @@ class TestSynthesizeExample:
         assert example.immediate_answer == "Paris."
         assert example.gold_doc_id == "gold"
         assert example.gold_position == 2
-        assert example.documents[1].id == "gold"
+        assert example.doc_ids[1] == "gold"
         assert "[2] France" in example.instruction
         # the teacher saw exactly the instruction we recorded
         assert teacher.calls[0][0].content == example.instruction
@@ -149,20 +149,20 @@ class TestSynthesizeExample:
         (["Paris."], []),                     # the teacher fails
         ([], []),                             # the student fails
     ])
-    def test_only_the_gold_document_keeps_its_body(self, library,
-                                                   student_replies,
-                                                   teacher_replies):
+    def test_keeps_the_slot_ids_and_the_gold_body(self, library,
+                                                  student_replies,
+                                                  teacher_replies):
         inp = make_input(n_noise=4)
         example = synthesize_example(inp, ScriptedClient(student_replies),
                                      ScriptedClient(teacher_replies),
                                      library, gold_position=3)
-        assert [d.id for d in example.documents] == [
-            d.id for d in place_gold(inp.gold_doc, inp.noise_docs, 3)]
-        assert [d.body for d in example.documents] == [
-            None, None, GOLD_DOC.body, None, None]
-        # each nulled body is in the instruction the teacher was sent
-        for doc in inp.noise_docs:
-            assert f"{doc.title}\n{doc.body}" in example.instruction
+        documents = place_gold(inp.gold_doc, inp.noise_docs, 3)
+        assert example.doc_ids == tuple(d.id for d in documents)
+        assert example.gold_doc_id == "gold"
+        assert example.gold_body == GOLD_DOC.body
+        # each slot's title and body is in the instruction the teacher saw
+        for slot, doc in enumerate(documents, start=1):
+            assert f"[{slot}] {doc.title}\n{doc.body}" in example.instruction
 
     def test_llm_error_recorded_as_drop(self, library):
         student = ScriptedClient([])  # exhausted immediately
@@ -205,14 +205,14 @@ class TestSynthesizeStream:
         examples = list(synthesize_stream(
             inputs, student, teacher, library, seed=0,
             config=SynthesisConfig(noise_docs=9)))
-        assert len(examples[0].documents) == 10  # gold + 9 noise
+        assert len(examples[0].doc_ids) == 10  # gold + 9 noise
 
     def test_output_order_matches_input(self, library):
         inputs = [make_input(i) for i in range(5)]
         student, teacher = self.scripts(5)
         examples = list(synthesize_stream(inputs, student, teacher, library,
                                           seed=9))
-        assert [e.documents[0].id.startswith(("gold", "noise")) for e in examples]
+        assert [e.doc_ids[0].startswith(("gold", "noise")) for e in examples]
         assert len(examples) == 5
 
     def test_progress_per_completion_under_concurrency(self, library):
@@ -238,18 +238,14 @@ class TestSynthesizeStream:
 
 
 def make_example(i, keep=True, target_tokens=12):
-    noise = (Document(id=f"n{i}", title="", body="some filler body"),)
-    docs = place_gold(
-        Document(id=f"g{i}", title="G", body=" ".join(["tok"] * (5 + i % 4))),
-        noise, position=1 + i % 2)
     verdict = Verdict.kept() if keep else Verdict.drop(DROP_MISALIGNED)
     return TrainingExample(
         instruction=" ".join(["inst"] * (8 + i % 5)),
-        documents=docs,
+        doc_ids=(f"g{i}", f"n{i}") if i % 2 == 0 else (f"n{i}", f"g{i}"),
+        gold_position=1 + i % 2,
+        gold_body=" ".join(["tok"] * (5 + i % 4)),
         immediate_answer=f"draft {i}",
         target=" ".join(["word"] * target_tokens),
-        gold_doc_id=f"g{i}",
-        gold_position=1 + i % 2,
         verdict=verdict,
     )
 
@@ -282,18 +278,114 @@ class TestDatasetStats:
             dataset_stats(iter(()))
 
 
-class TestTrainingExampleBodies:
-    def test_only_the_gold_body_is_required(self):
-        example = make_example(0)
-        gold = example.gold_position - 1
-        other = 1 - gold
-        documents = list(example.documents)
-        documents[other] = replace(documents[other], body=None)
-        assert replace(example, documents=tuple(documents)).documents[
-            other].body is None
-        documents[gold] = replace(documents[gold], body=None)
+VERDICTS = [Verdict.kept(), *map(Verdict.drop, (
+    DROP_EMPTY_EVIDENCE, DROP_MISSING_REVISION, DROP_MISALIGNED,
+    DROP_LLM_ERROR))]
+
+
+@st.composite
+def training_examples(draw):
+    doc_ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=5))
+    return TrainingExample(
+        instruction=draw(st.text()), doc_ids=doc_ids,
+        gold_position=draw(st.integers(1, len(doc_ids))),
+        gold_body=draw(st.text(min_size=1).filter(str.strip)),
+        immediate_answer=draw(st.text()), target=draw(st.text()),
+        verdict=draw(st.sampled_from(VERDICTS)))
+
+
+def json_line(record):
+    """``record`` as a corpus line holds it: encoded, then decoded."""
+    return json.loads(json.dumps(record, ensure_ascii=False))
+
+
+def documents_form(example, include_verdict, bodies):
+    """``example``'s line in the form written before ``doc_ids``: a
+    document object per slot, with the ``bodies`` of the other slots, and
+    the gold document's id as ``gold_doc_id``."""
+    d = example.to_dict(include_verdict=include_verdict)
+    d["documents"] = [
+        Document(id=doc_id, title=f"T{slot}",
+                 body=(example.gold_body if slot == example.gold_position
+                       else body)).to_dict()
+        for slot, (doc_id, body) in enumerate(
+            zip(d.pop("doc_ids"), bodies), start=1)]
+    d.pop("gold_body")
+    d["gold_doc_id"] = example.gold_doc_id
+    return d
+
+
+class TestTrainingExampleForms:
+    @settings(max_examples=300)
+    @given(training_examples(), st.booleans())
+    def test_json_round_trip(self, example, include_verdict):
+        decoded = TrainingExample.from_dict(json_line(
+            example.to_dict(include_verdict=include_verdict)))
+        # a line written without its verdict reads as kept
+        assert decoded == (example if include_verdict
+                           else replace(example, verdict=Verdict.kept()))
+
+    @settings(max_examples=300)
+    @given(training_examples(), st.booleans(), st.data())
+    def test_documents_form_decodes_to_the_same_record(self, example,
+                                                       include_verdict, data):
+        # a slot other than the gold one stores its body or a null body
+        bodies = data.draw(st.lists(
+            st.none() | st.text(min_size=1).filter(str.strip),
+            min_size=len(example.doc_ids), max_size=len(example.doc_ids)))
+        old = documents_form(example, include_verdict, bodies)
+        new = example.to_dict(include_verdict=include_verdict)
+        assert (TrainingExample.from_dict(json_line(old))
+                == TrainingExample.from_dict(json_line(new)))
+
+    def test_gold_doc_id_is_the_id_at_gold_position(self):
+        assert [make_example(i).gold_doc_id for i in range(2)] == ["g0", "g1"]
+
+    @pytest.mark.parametrize("gold_body", ["", "  ", None])
+    def test_gold_body_must_be_text(self, gold_body):
+        with pytest.raises(InvalidRecord, match="gold_body must be"):
+            replace(make_example(0), gold_body=gold_body)
+
+    def test_gold_position_past_the_last_slot_is_invalid(self):
+        with pytest.raises(InvalidRecord, match="past the last of 2"):
+            replace(make_example(0), gold_position=3)
+
+    def test_documents_form_with_another_gold_doc_id_is_invalid(self):
+        old = documents_form(make_example(1), False, [None, None])
+        old["gold_doc_id"] = "n1"  # a noise document's id
+        with pytest.raises(InvalidRecord, match="gold_doc_id 'n1' is not 'g1',"
+                                                " the id at gold_position 2"):
+            TrainingExample.from_dict(old)
+
+    @pytest.mark.parametrize("edit", [
+        {"gold_position": 3}, {"gold_position": 0}, {"gold_position": True},
+        {"gold_position": "2"}])
+    def test_documents_form_needs_a_slot_of_its_documents(self, edit):
+        old = documents_form(make_example(1), False, [None, None])
+        with pytest.raises(InvalidRecord, match="gold_position must be a "
+                                                "slot of the 2 documents"):
+            TrainingExample.from_dict({**old, **edit})
+
+    @pytest.mark.parametrize("body", [None, "  "])
+    def test_documents_form_needs_the_gold_body(self, body):
+        old = documents_form(make_example(1), False, [None, None])
+        old["documents"][1]["body"] = body
         with pytest.raises(InvalidRecord, match="body must be"):
-            replace(example, documents=tuple(documents))
+            TrainingExample.from_dict(old)
+
+    def test_documents_form_checks_every_document(self):
+        old = documents_form(make_example(1), False, [None, None])
+        old["documents"][0]["body"] = "  "
+        with pytest.raises(InvalidRecord, match="body must be"):
+            TrainingExample.from_dict(old)
+
+    @pytest.mark.parametrize("key", ["doc_ids", "gold_body"])
+    def test_a_line_of_both_forms_is_invalid(self, key):
+        example = make_example(1)
+        old = documents_form(example, False, [None, None])
+        with pytest.raises(InvalidRecord, match="not both"):
+            TrainingExample.from_dict(
+                {**old, key: example.to_dict()[key]})
 
 
 class TestEmitCorpus:

@@ -36,6 +36,18 @@ from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, write_festival_files, write_synth_files)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+# synth.jsonl as it was written before doc_ids and gold_body replaced the
+# document objects and gold_doc_id; it must still load
+DOCUMENTS_FORM = GOLDEN.parent / "synth-documents-form.jsonl"
+# what ``stats`` printed for it when that form was the one written
+DOCUMENTS_FORM_STATS = """{
+  "avg_gold_doc_len": 9.0,
+  "avg_gold_docs": 1.0,
+  "avg_instruction_len": 93.0,
+  "avg_target_len": 11.0,
+  "count": 8
+}
+"""
 
 # The festival question, then one whose script runs out after its first
 # hop, so that it ends in parse_failure.
@@ -126,6 +138,18 @@ def test_synth_corpus_loads_and_emits_back_byte_for_byte(tmp_path):
     emit_corpus(load_training_corpus(GOLDEN / "synth.jsonl"), out,
                 include_dropped=True)
     assert out.read_bytes() == (GOLDEN / "synth.jsonl").read_bytes()
+
+
+def test_synth_corpus_in_the_documents_form_loads_alike():
+    assert (list(load_training_corpus(DOCUMENTS_FORM))
+            == list(load_training_corpus(GOLDEN / "synth.jsonl")))
+
+
+@pytest.mark.parametrize("path", [DOCUMENTS_FORM, GOLDEN / "synth.jsonl"],
+                         ids=["documents-form", "golden"])
+def test_stats_prints_the_same_bytes_for_either_form(capsys, path):
+    assert main(["stats", "--corpus", str(path)]) == 0
+    assert capsys.readouterr().out == DOCUMENTS_FORM_STATS
 
 
 def test_golden_prompts_cover_every_renderer():
