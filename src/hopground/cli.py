@@ -214,8 +214,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                    traj.final_answer, question.gold_answers[0])
         return replace(record, acc_judge=verdict)
 
-    records = list(pipeline.map_ordered(score, trajectories, concurrency,
-                                        progress))
+    records = list(pipeline.map_ordered(score, trajectories, len(trajectories),
+                                        concurrency, progress))
 
     summary = evaluation.aggregate(records)
     out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
@@ -237,21 +237,37 @@ def cmd_synth(args: argparse.Namespace) -> int:
     student = config.student_llm.client("student_llm")
     teacher = config.teacher_llm.client("teacher_llm")
     library = config.templates.load()
-    inputs = distill.load_synthesis_inputs(args.input)
-
-    stream = distill.synthesize_stream(
-        inputs, student, teacher, library, seed=args.seed,
-        config=config.synthesis, progress=Progress("synthesized"))
     reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
     def count(example: distill.TrainingExample) -> distill.TrainingExample:
         reasons[example.verdict.reason] += 1
         return example
 
-    written = distill.emit_corpus(map(count, stream), args.out,
-                                  include_dropped=args.include_dropped)
+    # two passes over one open file: the first parses and counts every
+    # input and keeps none, so a bad line exits before the first call; the
+    # second streams them, so only the pool's look-ahead is held
+    with open(args.input, "rb") as f:
+        if not f.seekable():
+            print(f"error: --input {args.input}: synth reads its inputs "
+                  "twice, so they must come from a file, not a pipe",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        total = sum(1 for _ in distill.load_synthesis_inputs(f))
+        f.seek(0)
+        stream = distill.synthesize_stream(
+            distill.load_synthesis_inputs(f), total, student, teacher,
+            library, seed=args.seed, config=config.synthesis,
+            progress=Progress("synthesized"))
+        written = distill.emit_corpus(map(count, stream), args.out,
+                                      include_dropped=args.include_dropped)
+    synthesized = sum(reasons.values())
+    if synthesized != total:
+        print(f"error: --input {args.input}: {total} inputs on the first "
+              f"read, {synthesized} on the second; the file changed while "
+              "synth ran", file=sys.stderr)
+        return EXIT_DATASET
     kept = reasons.pop(None, 0)
-    print(f"kept {kept}/{len(inputs)} examples "
+    print(f"kept {kept}/{total} examples "
           f"(dropped: {json.dumps(reasons, sort_keys=True)}); "
           f"wrote {written} lines -> {args.out}")
     return EXIT_OK

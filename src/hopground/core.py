@@ -16,13 +16,14 @@ import functools
 import json
 import math
 import operator
+import os
 import re
 import threading
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import (Annotated, Any, Callable, Iterable, Iterator, Literal,
-                    Mapping, TypeVar, Union, get_args, get_origin,
+from typing import (Annotated, Any, BinaryIO, Callable, Iterable, Iterator,
+                    Literal, Mapping, TypeVar, Union, get_args, get_origin,
                     get_type_hints)
 
 from .errors import InvalidRecord, MalformedDataset
@@ -408,42 +409,60 @@ def loads_utf8(text: str) -> Any:
     return value
 
 
-def read_jsonl(path: str | Path,
+def read_jsonl(source: str | Path | BinaryIO,
                parse: Callable[[Any, int], _T]) -> Iterator[_T]:
     """Yield ``parse(record, line_no)`` for each non-blank line of a UTF-8
     file, reading a line only when the next record is asked for.
 
-    Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its line.  A
-    line that is not UTF-8 or not JSON, that holds a string UTF-8 cannot
-    encode, or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
-    ``ValueError``, raises ``MalformedDataset`` at its line, when it is
-    reached.  The file closes when the generator ends or is closed.
+    ``source`` is a path or a file open in binary mode, read from where it
+    stands.  Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its
+    line.  A line that is not UTF-8 or not JSON, that holds a string UTF-8
+    cannot encode, or that ``parse`` rejects with ``KeyError``,
+    ``TypeError`` or ``ValueError``, raises ``MalformedDataset`` at its
+    line, when it is reached.  A file opened from a path closes when the
+    generator ends or is closed; a file passed in stays open.
     """
-    with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = parse(loads_utf8(line), line_no)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedDataset(f"{path}: {exc}", line=line_no) from exc
-            yield record
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            yield from read_jsonl(f, parse)
+        return
+    for line_no, raw in enumerate(source, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            record = parse(loads_utf8(line), line_no)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedDataset(f"{source.name}: {exc}",
+                                   line=line_no) from exc
+        yield record
 
 
 def write_json(value: Any, path: str | Path) -> None:
     """Write ``value`` as UTF-8 JSON indented by 2, ending in a newline; a
-    value that cannot be encoded raises before the file is opened."""
+    value that cannot be encoded raises before any file is opened.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a process killed mid-write leaves the old file or the new one.
+    """
     data = json.dumps(value, indent=2, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as f:
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    with open(partial, "wb") as f:
         f.write(data + b"\n")
+    os.replace(partial, path)
 
 
 def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:
-    """Write one compact UTF-8 JSON object per line; return the line count."""
+    """Write one compact UTF-8 JSON object per line; return the line count.
+
+    Each line is flushed to the file once written, so a process killed
+    while ``records`` computes the next one keeps every finished line.
+    """
     written = 0
     with open(path, "w", encoding="utf-8") as f:
         for written, record in enumerate(records, start=1):
             f.write(json.dumps(record, ensure_ascii=False,
                                separators=(",", ":")) + "\n")
+            f.flush()
     return written

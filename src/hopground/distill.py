@@ -12,7 +12,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .core import (ConfigRecord, Count, DecodingParams, Document,
                    GroundingKind, PositiveInt, Question, Record, Text,
@@ -230,32 +230,36 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
     )
 
 
-def synthesize_stream(inputs: Sequence[SynthesisInput],
+def synthesize_stream(inputs: Iterable[SynthesisInput], total: int,
                       student_llm: LlmClient, teacher_llm: LlmClient,
                       library: TemplateLibrary, seed: int,
                       config: SynthesisConfig = SynthesisConfig(),
                       progress: Callable[[int, int], None] | None = None,
                       ) -> Iterator[TrainingExample]:
-    """Synthesize the corpus, yielding examples in input order as
-    ``map_ordered`` does.
+    """Synthesize the corpus of the ``total`` inputs ``inputs`` yields,
+    yielding examples in input order as ``map_ordered`` does, which pulls
+    an input only as it starts it.
 
     Each input keeps its first ``config.noise_docs`` noise documents.
     ``progress(done, total)`` fires after each completed example.  Gold
-    positions are drawn up front from one seeded RNG, so a fixed seed
-    reproduces the corpus exactly (given scripted or temperature-0 models).
+    positions are drawn from one seeded RNG as the inputs are pulled, in
+    input order, so a fixed seed reproduces the corpus exactly (given
+    scripted or temperature-0 models).
     """
     rng = random.Random(seed)
-    trimmed = [replace(inp, noise_docs=inp.noise_docs[:config.noise_docs])
-               for inp in inputs]
-    positions = [rng.randint(1, len(inp.noise_docs) + 1) for inp in trimmed]
+
+    def placed() -> Iterator[tuple[SynthesisInput, int]]:
+        for inp in inputs:
+            noise_docs = inp.noise_docs[:config.noise_docs]
+            yield (replace(inp, noise_docs=noise_docs),
+                   rng.randint(1, len(noise_docs) + 1))
 
     def run_one(pair: tuple[SynthesisInput, int]) -> TrainingExample:
         inp, position = pair
         return synthesize_example(inp, student_llm, teacher_llm, library,
                                   position)
 
-    return map_ordered(run_one, list(zip(trimmed, positions)),
-                       config.concurrency, progress)
+    return map_ordered(run_one, placed(), total, config.concurrency, progress)
 
 
 def dataset_stats(examples: Iterable[TrainingExample]) -> dict[str, float]:
@@ -301,13 +305,15 @@ def load_training_corpus(path: str | Path) -> Iterator[TrainingExample]:
     return read_jsonl(path, lambda record, _: TrainingExample.from_dict(record))
 
 
-def load_synthesis_inputs(path: str | Path) -> list[SynthesisInput]:
-    """Read synthesis inputs: JSONL of
+def load_synthesis_inputs(source: str | Path | BinaryIO,
+                          ) -> Iterator[SynthesisInput]:
+    """Yield the synthesis inputs of a path or binary file, read as
+    ``read_jsonl`` reads it: JSONL of
     ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``, each
     document read as a corpus line is (``corpus.parse_document``)."""
-    return list(read_jsonl(path, lambda record, _: SynthesisInput(
+    return read_jsonl(source, lambda record, _: SynthesisInput(
         question=Question(id=scalar_text(record["id"], "id"),
                           text=record["question"],
                           gold_answers=(scalar_text(record["answer"], "answer"),)),
         gold_doc=parse_document(record["gold_doc"]),
-        noise_docs=tuple(map(parse_document, record.get("noise_docs", []))))))
+        noise_docs=tuple(map(parse_document, record.get("noise_docs", [])))))

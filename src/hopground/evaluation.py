@@ -16,7 +16,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .core import (DecodingParams, Question, expect_type, loads_utf8,
                    read_jsonl, scalar_text)
@@ -223,10 +223,13 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
 
 # --- report files ---
 
-def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
+def write_records_csv(records: Iterable[EvalRecord], path: str | Path) -> None:
+    """Write a header and one row per record, each flushed to the file once
+    written, as ``core.write_jsonl`` does."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["question_id", "acc", "f1", "acc_judge"])
         for r in records:
             writer.writerow([r.question_id, r.acc, f"{r.f1:.4f}",
                              r.acc_judge if r.acc_judge is not None else ""])
+            f.flush()

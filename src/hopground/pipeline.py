@@ -195,7 +195,7 @@ def answer_stream(questions: Sequence[Question], config: PipelineConfig,
     """
     return map_ordered(
         lambda q: answer_question(q, config, llm, retriever, library),
-        questions, config.concurrency, progress)
+        questions, len(questions), config.concurrency, progress)
 
 
 def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
@@ -208,15 +208,22 @@ def answer_dataset(questions: Sequence[Question], config: PipelineConfig,
                               progress))
 
 
-def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
+def map_ordered(fn: Callable[[_T], _R], items: Iterable[_T], total: int,
+                concurrency: int,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> Iterator[_R]:
     """Yield ``fn(x) for x in items``, computed on up to ``concurrency``
-    threads, in input order.  The pool is never wider than the work: a
-    ``concurrency`` above ``len(items)`` starts one thread per item.
+    threads, in input order.
+
+    ``items`` may be any iterable; an item is pulled from it only when it
+    starts, so a generator is never read far ahead.  ``total`` is how many
+    items it holds: it is the total ``progress`` reports, and the pool is
+    never wider than it, so a ``concurrency`` above ``total`` starts one
+    thread per item.  The stream ends when ``items`` does, whatever
+    ``total`` said.
 
     The look-ahead is bounded: at most ``concurrency`` items are started and
-    unfinished at a time, at most ``4 * concurrency`` are started and not
+    unfinished at a time, at most ``4 * concurrency`` are pulled and not
     yet yielded, and no item starts while the consumer holds a result.  A
     result is yielded as soon as every item before it has finished, so a
     stalled item holds back at most ``4 * concurrency - 1`` finished
@@ -228,7 +235,6 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
     concurrency 1 the items run on the calling thread, so an interrupt stops
     the item it lands in.
     """
-    total = len(items)
     concurrency = min(concurrency, total)
     if concurrency <= 1:
         for done, item in enumerate(items, start=1):
@@ -257,7 +263,7 @@ def map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], concurrency: int,
                     window.popleft()
                     yield result
                     continue
-                if done == total:
+                if not running:  # items ran out, every result yielded
                     return
                 finished, running = wait(running, return_when=FIRST_COMPLETED)
                 for _ in finished:

@@ -293,6 +293,28 @@ class TrickleStub:
         self._server.server_close()
 
 
+def within(seconds, fn):
+    """``fn()`` on a daemon thread, failing the test if it is still running
+    after ``seconds``, so a call that never returns cannot hang the run.
+    An exception out of ``fn`` is raised here."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:  # handed to the test's thread
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
 class KeyedClient:
     """Chat stub whose reply depends on the prompt alone, not on call order:
     ``reply(prompt)`` of the last message, so any number of threads get the

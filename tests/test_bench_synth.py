@@ -8,18 +8,19 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "benchmarks"))
 import bench_synth  # noqa: E402
 
 RECORD_KEYS = {"label", "command", "machine", "seed", "held_out",
-               "stats_lines", "examples", "kept", "synth_s", "corpus_bytes",
-               "bytes_per_line", "stats_peak_rss_mb"}
+               "synth_inputs", "stats_lines", "examples", "kept", "synth_s",
+               "corpus_bytes", "bytes_per_line", "synth_peak_rss_mb",
+               "stats_peak_rss_mb"}
 
 
 def test_json_record_keys_and_replacement(tmp_path, capsys):
     path = tmp_path / "BENCH_synth.json"
     for label in ("parent", "change", "change"):
-        bench_synth.main(["--stats-lines", "5", "--json", str(path),
-                          "--label", label])
+        bench_synth.main(["--synth-inputs", "3", "--stats-lines", "5",
+                          "--json", str(path), "--label", label])
     out = capsys.readouterr().out
     for layer in ("synthesized 400 examples", "bytes/line",
-                  "MB peak RSS at 5 lines"):
+                  "MB peak RSS at 3 inputs", "MB peak RSS at 5 lines"):
         assert layer in out
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
     # a rerun replaces the record with the same label and settings
@@ -30,6 +31,8 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
             "python benchmarks/bench_synth.py")
         assert record["examples"] == 400 and 0 < record["kept"] < 400
         assert record["bytes_per_line"] == record["corpus_bytes"] / 400
+        assert set(record["synth_peak_rss_mb"]) == {"3"}
+        assert record["synth_peak_rss_mb"]["3"] > 0
         assert set(record["stats_peak_rss_mb"]) == {"5"}
         assert record["stats_peak_rss_mb"]["5"] > 0
 
@@ -38,4 +41,4 @@ def test_a_verdict_off_the_plan_fails_the_run(monkeypatch):
     monkeypatch.setattr(bench_synth.plan, "synth_expected",
                         lambda item: (True, None))
     with pytest.raises(SystemExit, match="planned"):
-        bench_synth.main(["--stats-lines", "5"])
+        bench_synth.main(["--synth-inputs", "3", "--stats-lines", "5"])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopground import distill
 from hopground.cli import Config, Progress, main
 from hopground.core import loads_utf8
 from hopground.distill import load_training_corpus
@@ -21,7 +22,7 @@ from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
-                     StubServer, write_festival_files, write_json,
+                     StubServer, within, write_festival_files, write_json,
                      write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
@@ -1214,6 +1215,79 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def keyed(self, synth_files, monkeypatch):
+        """A config at ``synthesis.concurrency`` 2 whose models both answer
+        through one ``KeyedClient``, which keeps every example."""
+        client = KeyedClient(lambda prompt: "Paris." if "capital and largest"
+                             not in prompt else KEEP_TARGET)
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = write_json(synth_files["dir"] / "keyed.json", {
+            "student_llm": OPENAI, "teacher_llm": OPENAI,
+            "synthesis": {"concurrency": 2}})
+        return config, client
+
+    def test_a_late_malformed_line_exits_two_before_any_call(
+            self, synth_files, monkeypatch, capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        lines = synth_files["input"].read_text(encoding="utf-8").splitlines()
+        lines[9] = '{"id": "s9", "question": "Q?"}'  # no answer, no gold_doc
+        synth_files["input"].write_text("\n".join(lines) + "\n",
+                                        encoding="utf-8")
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert within(30, lambda: main([
+            "synth", "--input", str(synth_files["input"]), "--out", str(out),
+            "--seed", "7", "--config", str(config)])) == 2
+        err = capsys.readouterr().err
+        assert "(line 10)" in err and "Traceback" not in err
+        assert client.calls == 0
+        assert not out.exists()
+
+    def test_piped_input_exits_one_before_any_call(self, synth_files):
+        read, write = os.pipe()
+        with open(write, "wb") as f:  # ten inputs fit in the pipe's buffer
+            f.write(synth_files["input"].read_bytes())
+        out = synth_files["dir"] / "corpus.jsonl"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopground", "synth",
+                 "--input", f"/dev/fd/{read}", "--out", str(out),
+                 "--seed", "7", "--config", str(synth_files["config"])],
+                pass_fds=(read,), env={**os.environ,
+                                       "PYTHONPATH": str(ROOT / "src")},
+                capture_output=True, text=True, timeout=60)
+        finally:
+            os.close(read)
+        assert proc.returncode == 1
+        assert "not a pipe" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["grown", "cut"])
+    def test_an_input_that_changes_between_reads_exits_two(
+            self, synth_files, monkeypatch, capsys, change):
+        config, _ = self.keyed(synth_files, monkeypatch)
+        path = synth_files["input"]
+        lines = path.read_bytes().splitlines(keepends=True)
+        reads = []
+        load = distill.load_synthesis_inputs
+
+        def load_and_change(source):
+            reads.append(source)
+            if len(reads) == 2:  # the file changes after the first read
+                path.write_bytes(b"".join(
+                    lines + lines[:1] if change == "grown" else lines[:7]))
+            return load(source)
+
+        monkeypatch.setattr(distill, "load_synthesis_inputs", load_and_change)
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert within(30, lambda: main([
+            "synth", "--input", str(path), "--out", str(out),
+            "--seed", "7", "--config", str(config)])) == 2
+        err = capsys.readouterr().err
+        second = 11 if change == "grown" else 7
+        assert f"--input {path}: 10 inputs on the first read, {second} on " \
+            "the second" in err
+        assert len(reads) == 2
+
 
 class TestStatsCommand:
     def test_stats_on_emitted_corpus(self, synth_files, capsys):
@@ -1459,5 +1533,5 @@ class TestConfigNumbers:
                 sock.settimeout(timeout)
         json.dumps({"temperature": config.pipeline.decoding.temperature},
                    allow_nan=False)
-        assert list(map_ordered(str, [1, 2, 3],
+        assert list(map_ordered(str, [1, 2, 3], 3,
                                 config.pipeline.concurrency)) == ["1", "2", "3"]

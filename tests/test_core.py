@@ -1,7 +1,12 @@
 import collections.abc
 import enum
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
+from pathlib import Path
 from typing import Mapping, get_origin, get_type_hints
 
 import pytest
@@ -16,6 +21,8 @@ from hopground.core import (Count, DecodingParams, Document, GroundingKind,
 from hopground.distill import TrainingExample, Verdict
 from hopground.errors import InvalidRecord
 from hopground.llm import ChatMessage, Completion
+
+SRC = Path(__file__).parents[1] / "src"
 
 text_st = st.text(min_size=1).filter(lambda s: s.strip())
 ids_st = st.text(
@@ -372,3 +379,58 @@ def test_write_json_of_an_unencodable_value_writes_nothing(tmp_path):
             write_json({"dataset_path": "ds\udcff.jsonl"}, path)
     assert not new.exists()
     assert old.read_bytes() == b'{"kept": true}\n'
+
+
+def test_write_json_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "summary.json"
+    write_json({"n": 1}, path)
+    write_json({"n": 2}, path)
+    assert json.loads(path.read_bytes()) == {"n": 2}
+    assert os.listdir(tmp_path) == ["summary.json"]
+
+    # a process that dies before the rename leaves the old file as it was
+    def die(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", die)
+    with pytest.raises(KeyboardInterrupt):
+        write_json({"n": 3}, path)
+    assert json.loads(path.read_bytes()) == {"n": 2}
+
+
+# the writer in a child process that SIGKILLs itself when asked for the item
+# after its Nth; each record is about 120 bytes, so 200 of them are past
+# the 8 KiB a text file buffered before each write was flushed
+_KILLED_WRITER = '''\
+import os, signal, sys
+from hopground.core import write_jsonl
+from hopground.evaluation import EvalRecord, write_records_csv
+
+kind, path, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+
+def items():
+    for i in range(10 * n):
+        if i == n:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield i
+
+if kind == "jsonl":
+    write_jsonl(({"i": i, "pad": "x" * 100} for i in items()), path)
+else:
+    write_records_csv((EvalRecord(question_id=f"q{i}-" + "x" * 100, acc=1,
+                                  f1=1.0) for i in items()), path)
+'''
+
+
+@pytest.mark.parametrize("kind, header", [("jsonl", 0), ("csv", 1)])
+@pytest.mark.parametrize("n", [1, 200])
+def test_a_killed_writer_keeps_every_finished_line(tmp_path, kind, header, n):
+    path = tmp_path / f"out.{kind}"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITER, kind, str(path), str(n)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        timeout=60)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    assert len(data.splitlines()) == header + n

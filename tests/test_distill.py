@@ -184,8 +184,8 @@ class TestSynthesizeStream:
         runs = []
         for _ in range(2):
             student, teacher = self.scripts(len(inputs))
-            examples = list(synthesize_stream(inputs, student, teacher,
-                                              library, seed=123))
+            examples = list(synthesize_stream(inputs, len(inputs), student,
+                                              teacher, library, seed=123))
             runs.append([e.gold_position for e in examples])
         assert runs[0] == runs[1]
 
@@ -194,8 +194,8 @@ class TestSynthesizeStream:
         positions = []
         for seed in (1, 2):
             student, teacher = self.scripts(len(inputs))
-            examples = list(synthesize_stream(inputs, student, teacher,
-                                              library, seed=seed))
+            examples = list(synthesize_stream(inputs, len(inputs), student,
+                                              teacher, library, seed=seed))
             positions.append([e.gold_position for e in examples])
         assert positions[0] != positions[1]
 
@@ -203,15 +203,15 @@ class TestSynthesizeStream:
         inputs = [make_input(0, n_noise=15)]
         student, teacher = self.scripts(1)
         examples = list(synthesize_stream(
-            inputs, student, teacher, library, seed=0,
+            inputs, 1, student, teacher, library, seed=0,
             config=SynthesisConfig(noise_docs=9)))
         assert len(examples[0].doc_ids) == 10  # gold + 9 noise
 
     def test_output_order_matches_input(self, library):
         inputs = [make_input(i) for i in range(5)]
         student, teacher = self.scripts(5)
-        examples = list(synthesize_stream(inputs, student, teacher, library,
-                                          seed=9))
+        examples = list(synthesize_stream(inputs, 5, student, teacher,
+                                          library, seed=9))
         assert [e.doc_ids[0].startswith(("gold", "noise")) for e in examples]
         assert len(examples) == 5
 
@@ -229,7 +229,7 @@ class TestSynthesizeStream:
         inputs = [make_input(i) for i in range(6)]
         seen = []
         examples = list(synthesize_stream(
-            inputs, EchoClient(), teacher, library, seed=9,
+            inputs, 6, EchoClient(), teacher, library, seed=9,
             config=SynthesisConfig(concurrency=3),
             progress=lambda done, total: seen.append((done, total))))
         assert seen == [(done, 6) for done in range(1, 7)]
@@ -443,7 +443,7 @@ class TestLoadSynthesisInputs:
             "gold_doc": {"id": "g", "title": "T", "body": "B"},
             "noise_docs": [{"id": "n", "title": "", "body": "N"}],
         }])
-        inputs = load_synthesis_inputs(path)
+        inputs = list(load_synthesis_inputs(path))
         assert inputs[0].gold_answer == "A"
         assert inputs[0].noise_docs[0].id == "n"
 
@@ -451,7 +451,7 @@ class TestLoadSynthesisInputs:
         path = tmp_path / "inputs.jsonl"
         path.write_text('{"id": "s1"}\n', encoding="utf-8")
         with pytest.raises(MalformedDataset) as err:
-            load_synthesis_inputs(path)
+            list(load_synthesis_inputs(path))
         assert err.value.line == 1
 
     @pytest.mark.parametrize("field, value", [
@@ -464,7 +464,7 @@ class TestLoadSynthesisInputs:
         path = tmp_path / "inputs.jsonl"
         write_jsonl(path, [record, {**record, field: value}])
         with pytest.raises(MalformedDataset, match=field) as err:
-            load_synthesis_inputs(path)
+            list(load_synthesis_inputs(path))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("slot", ["gold_doc", "noise_docs"])
@@ -476,7 +476,7 @@ class TestLoadSynthesisInputs:
         path = tmp_path / "inputs.jsonl"
         write_jsonl(path, [record, bad])
         with pytest.raises(MalformedDataset) as err:
-            load_synthesis_inputs(path)
+            list(load_synthesis_inputs(path))
         assert err.value.line == 2
 
     @pytest.mark.parametrize("document, expected", OPTIONAL_TITLE_DOCUMENTS)
@@ -494,7 +494,7 @@ class TestLoadSynthesisInputs:
         write_jsonl(path, [{"id": "s1", "question": "Q?", "answer": "A",
                             "gold_doc": {"id": "g", "title": "T", "body": "B",
                                          "rank": 3}}])
-        assert load_synthesis_inputs(path)[0].gold_doc.rank is None
+        assert next(load_synthesis_inputs(path)).gold_doc.rank is None
 
     def test_requires_single_gold_answer(self):
         with pytest.raises(ValueError):

@@ -111,7 +111,7 @@ def prompts(synth_dir: Path) -> bytes:
                    _Logged(ScriptedClient(SCRIPT), "run", log),
                    BM25Retriever(build_index(FESTIVAL_CORPUS)), library)
     list(synthesize_stream(
-        load_synthesis_inputs(synth_dir / "inputs.jsonl"),
+        load_synthesis_inputs(synth_dir / "inputs.jsonl"), 10,
         ScriptedClient.from_file(synth_dir / "student.json"),
         _Logged(ScriptedClient.from_file(synth_dir / "teacher.json"),
                 "synth_teacher", log),

@@ -17,7 +17,8 @@ from hopground.prompts import format_step
 from hopground.retrieval import build_index
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_HOP1_REVISED,
-                     FESTIVAL_HOP2_REVISED, FESTIVAL_QUESTION, FESTIVAL_SCRIPT)
+                     FESTIVAL_HOP2_REVISED, FESTIVAL_QUESTION, FESTIVAL_SCRIPT,
+                     within)
 
 QUESTION = Question(id="q1", text="What is the capital of France?")
 EMPTY = "<ref> Empty </ref>"
@@ -325,7 +326,7 @@ class TestMapOrdered:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            list(map_ordered(fn, list(range(50)), 2, progress))
+            list(map_ordered(fn, list(range(50)), 50, 2, progress))
         assert len(ran) <= 4
 
     def test_no_item_starts_beyond_the_look_ahead(self):
@@ -345,7 +346,7 @@ class TestMapOrdered:
                 unfinished -= 1
             return item
 
-        stream = map_ordered(fn, list(range(8)), 3)
+        stream = map_ordered(fn, list(range(8)), 8, 3)
         gates[0].set()
         assert next(stream) == 0  # items 1 and 2 are still running
         held = sorted(started)  # item 3 may have taken item 0's slot
@@ -373,7 +374,7 @@ class TestMapOrdered:
 
         results = []
         with pytest.raises(KeyboardInterrupt):
-            for result in map_ordered(fn, list(range(10)), 3, progress):
+            for result in map_ordered(fn, list(range(10)), 10, 3, progress):
                 results.append(result)
         assert results == [0, 1, 2]
         assert sorted(started) == [0, 1, 2]
@@ -392,7 +393,7 @@ class TestMapOrdered:
 
         results = []
         consumer = threading.Thread(target=lambda: results.extend(
-            map_ordered(fn, list(range(1000)), 2)))
+            map_ordered(fn, list(range(1000)), 1000, 2)))
         consumer.start()
         time.sleep(0.2)  # room for the items behind item 0 to run
         with lock:
@@ -411,7 +412,7 @@ class TestMapOrdered:
                 started.append(item)
             return item
 
-        stream = map_ordered(fn, list(range(100)), 2)
+        stream = map_ordered(fn, list(range(100)), 100, 2)
         assert next(stream) == 0
         stream.close()  # the items in flight finish, and nothing is raised
         with lock:
@@ -437,9 +438,9 @@ class TestMapOrdered:
             barrier.wait()
             return item * 10
 
-        assert list(map_ordered(fn, [1, 2, 3], 2**64)) == [10, 20, 30]
+        assert list(map_ordered(fn, [1, 2, 3], 3, 2**64)) == [10, 20, 30]
         assert widths == [3] and len(threads) == 3
-        assert list(map_ordered(fn, [], 2**64)) == []
+        assert list(map_ordered(fn, [], 0, 2**64)) == []
         assert widths == [3]  # no item starts no pool
 
     @pytest.mark.parametrize("concurrency", [1, 3])
@@ -451,9 +452,52 @@ class TestMapOrdered:
 
         results = []
         with pytest.raises(ValueError, match="bad item"):
-            for result in map_ordered(fn, list(range(6)), concurrency):
+            for result in map_ordered(fn, list(range(6)), 6, concurrency):
                 results.append(result)
         assert results == [0, 1]
+
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_items_that_end_before_total_end_the_stream(self, concurrency):
+        seen = []
+        results = within(5, lambda: list(map_ordered(
+            lambda x: x * 10, iter([1, 2]), 5, concurrency,
+            lambda done, total: seen.append((done, total)))))
+        assert results == [10, 20]
+        assert seen == [(1, 5), (2, 5)]
+
+    def test_an_empty_iterator_yields_nothing(self):
+        assert within(5, lambda: list(map_ordered(str, iter([]), 0, 3))) == []
+        assert within(5, lambda: list(map_ordered(str, iter([]), 4, 3))) == []
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 3])
+    def test_a_generator_is_never_read_past_the_look_ahead(self, concurrency):
+        lock = threading.Lock()
+        pulled = yielded = most_ahead = 0
+
+        def items():
+            nonlocal pulled, most_ahead
+            for i in range(200):
+                with lock:
+                    pulled += 1
+                    most_ahead = max(most_ahead, pulled - yielded)
+                yield i
+
+        def fn(item):
+            time.sleep(0.001 * (item % 3))  # finishes out of input order
+            return item
+
+        def consume():
+            nonlocal yielded
+            results = []
+            for result in map_ordered(fn, items(), 200, concurrency):
+                results.append(result)
+                with lock:
+                    yielded += 1
+            return results
+
+        assert within(30, consume) == list(range(200))
+        assert most_ahead <= 4 * concurrency
 
 
 class TestPipelineConfig:
