@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -244,8 +245,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return example
 
     # two passes over one open file: the first parses and counts every
-    # input and keeps none, so a bad line exits before the first call; the
-    # second streams them, so only the pool's look-ahead is held
+    # input, keeping none, so a bad line exits before any call; the second
+    # streams that many through the pool's look-ahead, then counts the rest
     with open(args.input, "rb") as f:
         if not f.seekable():
             print(f"error: --input {args.input}: synth reads its inputs "
@@ -254,16 +255,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
             return EXIT_CONFIG
         total = sum(1 for _ in distill.load_synthesis_inputs(f))
         f.seek(0)
+        inputs = distill.load_synthesis_inputs(f)
         stream = distill.synthesize_stream(
-            distill.load_synthesis_inputs(f), total, student, teacher,
-            library, seed=args.seed, config=config.synthesis,
+            islice(inputs, total), total, student, teacher, library,
+            seed=args.seed, config=config.synthesis,
             progress=Progress("synthesized"))
         written = distill.emit_corpus(map(count, stream), args.out,
                                       include_dropped=args.include_dropped)
-    synthesized = sum(reasons.values())
-    if synthesized != total:
+        second = sum(reasons.values()) + sum(1 for _ in inputs)
+    if second != total:
         print(f"error: --input {args.input}: {total} inputs on the first "
-              f"read, {synthesized} on the second; the file changed while "
+              f"read, {second} on the second; the file changed while "
               "synth ran", file=sys.stderr)
         return EXIT_DATASET
     kept = reasons.pop(None, 0)

@@ -9,7 +9,6 @@ round-trips are exact (``from_dict(to_dict(x)) == x``).
 
 from __future__ import annotations
 
-import collections.abc
 import difflib
 import enum
 import functools
@@ -20,7 +19,7 @@ import os
 import re
 import threading
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (Annotated, Any, BinaryIO, Callable, Iterable, Iterator,
                     Literal, Mapping, TypeVar, Union, get_args, get_origin,
@@ -72,6 +71,10 @@ Positive = Annotated[float,
                      f"a number > 0 and <= {int(threading.TIMEOUT_MAX)}",
                      lambda v: 0 < v <= threading.TIMEOUT_MAX]
 Text = Annotated[str, "a non-blank string", str.strip]
+# X or None, and not written while it is None: its key is left out of the
+# JSON object, and a line without the key reads as the field's default
+_UNWRITTEN = "not written when None"
+Unwritten = Annotated[_T | None, _UNWRITTEN]
 
 # a bool is no number here, so JSON true is not 1, and a float must be
 # finite, so JSON 1e400, read as inf, is not one (an int is always finite,
@@ -91,26 +94,20 @@ def _none_or(f: Callable[[Any], Any] | None) -> Callable[[Any], Any] | None:
     return f and (lambda v: v if v is None else f(v))
 
 
-def _read_only(mapping: Mapping) -> types.MappingProxyType:
-    """A read-only view of a copy of ``mapping``.  It compares equal to a
-    dict with the same items but cannot be hashed, so a mapping field is
-    declared with ``hash=False``."""
-    return types.MappingProxyType(dict(mapping))
-
-
 def _field(hint: Any, name: str) -> tuple:
     """One annotation, read once: a field's encoder, decoder and store (each
     None keeps the value as it is), the predicate a value meets and the noun
     a message names it by.  An int is a float; ``X | None`` admits null, a
-    ``Literal`` its values, ``tuple[X, ...]`` a list or tuple of X, stored
-    as a tuple, and ``Mapping[K, V]`` a mapping from K to V, stored as a
-    read-only copy.  ``name`` starts the messages of a nested config
+    ``Literal`` its values and ``tuple[X, ...]`` a list or tuple of X,
+    stored as a tuple.  ``name`` starts the messages of a nested config
     section."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, types.UnionType):  # X | None: null stays None
         *convert, ok, noun = _field(args[0], name)
         return (*map(_none_or, convert), (lambda v: v is None or ok(v)), noun)
     if origin is Annotated:
+        if args[1] is _UNWRITTEN:  # the codec's concern: see _table
+            return _field(args[0], name)
         (*convert, ok, _), noun, rule = _field(args[0], name), *args[1:]
         return (*convert, (lambda v: ok(v) and rule(v)), noun)
     if origin is Literal:
@@ -123,12 +120,6 @@ def _field(hint: Any, name: str) -> tuple:
                 tuple,
                 lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
                 f"a list, each item {noun}")
-    if origin in (dict, collections.abc.Mapping):
-        (*_, key_ok, _), (*_, ok, noun) = (_field(a, name) for a in args)
-        return (dict, lambda v: expect_type(v, dict, name), _read_only,
-                lambda v: (isinstance(v, collections.abc.Mapping)
-                           and all(key_ok(k) and ok(x) for k, x in v.items())),
-                f"an object, each value {noun}")
     check = _PLAIN.get(hint) or (hint.__instancecheck__, hint.__name__)
     if issubclass(hint, ConfigRecord):
         decode = functools.partial(hint.from_dict, name=name)
@@ -153,15 +144,14 @@ class Record:
 
     Each field's annotation is read once per class into one table
     (``_table``).  Construction checks each field against it, then stores a
-    list given for a tuple field as a tuple and a mapping as a read-only
-    copy (``_read_only``).  A subclass's ``__post_init__`` calls this one
-    first, then checks the rules that span fields.  The JSON object's keys
-    are the fields in declaration order: a nested record converts to its
-    dict, a tuple to a list, an enum to its value and a mapping to a dict;
-    any other value is written as it is.  ``from_dict`` reverses this: a key
-    it omits keeps the field's default, a key that names no field is
-    ignored, and a value that is not a JSON object raises ``TypeError``
-    naming the class.
+    list given for a tuple field as a tuple.  A subclass's
+    ``__post_init__`` calls this one first, then checks the rules that span
+    fields.  The JSON object's keys are the fields in declaration order,
+    less an ``Unwritten`` field that is None: a nested record converts to
+    its dict, a tuple to a list and an enum to its value; any other value
+    is written as it is.  ``from_dict`` reverses this: a key it omits keeps
+    the field's default, a key that names no field is ignored, and a value
+    that is not a JSON object raises ``TypeError`` naming the class.
     """
 
     def __post_init__(self):
@@ -175,9 +165,10 @@ class Record:
 
     def to_dict(self) -> dict[str, Any]:
         d = {}
-        for name, encode, _ in _table(type(self))[2]:
+        for name, encode, _, unwritten in _table(type(self))[2]:
             value = getattr(self, name)
-            d[name] = value if encode is None else encode(value)
+            if not (unwritten and value is None):
+                d[name] = value if encode is None else encode(value)
         return d
 
     @classmethod
@@ -229,20 +220,23 @@ def expect_type(value: Any, kind: type, name: str) -> Any:
 def _table(cls: type) -> tuple[tuple, tuple, tuple]:
     """A record class's fields from one ``get_type_hints`` call: the (name,
     predicate, noun) rows that check each field, the (name, store) rows of
-    the fields stored converted, and the (name, encoder, decoder) rows of
-    the codec."""
+    the fields stored converted, and the (name, encoder, decoder, unwritten)
+    rows of the codec."""
     hints = get_type_hints(cls, include_extras=True)
-    rows = [(f.name, *_field(hints[f.name], f.name)) for f in fields(cls)]
-    return (tuple((name, ok, noun) for name, *_, ok, noun in rows),
+    rows = [(f.name, *_field(hints[f.name], f.name),
+             _UNWRITTEN in getattr(hints[f.name], "__metadata__", ()))
+            for f in fields(cls)]
+    return (tuple((name, ok, noun) for name, *_, ok, noun, _ in rows),
             tuple((name, store) for name, _, _, store, *_ in rows if store),
-            tuple((name, encode, decode) for name, encode, decode, *_ in rows))
+            tuple((name, encode, decode, unwritten)
+                  for name, encode, decode, *_, unwritten in rows))
 
 
 def _decoded(cls: type, d: dict) -> dict[str, Any]:
     """The keyword arguments of the record ``d`` encodes; a key ``d`` omits
     is left to the field's default."""
     return {name: d[name] if decode is None else decode(d[name])
-            for name, _, decode in _table(cls)[2] if name in d}
+            for name, _, decode, _ in _table(cls)[2] if name in d}
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,6 @@ class Question(Record):
     id: str
     text: Text
     gold_answers: tuple[Text, ...] = ()
-    metadata: Mapping[str, str] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -260,13 +253,13 @@ class Document(Record):
     """A retrievable text unit; ``rank`` is set on retrieval results.
 
     ``body`` is None only on a retrieved document that a trajectory stores
-    outside the grounding windows the model read (see ``HopRecord``).  Code
-    that needs a body checks for one with ``require_body``.
+    outside the grounding windows the model read (see ``HopRecord``), with
+    no ``body`` key.  Code that needs a body checks with ``require_body``.
     """
 
     id: str
     title: str
-    body: Text | None
+    body: Unwritten[Text] = None
     rank: PositiveInt | None = None
 
     def require_body(self) -> "Document":
@@ -280,12 +273,13 @@ class Document(Record):
 class GroundingOutcome(Record):
     """Parsed grounding output: a citation plus revision, or the Empty signal.
 
+    An Empty outcome has neither, and is written without their keys.
     ``raw_text`` keeps the unparsed model output verbatim for debugging.
     """
 
     kind: GroundingKind
-    citation: str | None = None
-    revised_answer: str | None = None
+    citation: Unwritten[str] = None
+    revised_answer: Unwritten[str] = None
     raw_text: str = ""
 
     def __post_init__(self):
@@ -308,7 +302,7 @@ class HopRecord(Record):
 
     ``retrieved`` is the hop's whole ranked list.  Only the documents of the
     windows the model read, the first ``batches_consumed`` times the run's
-    batch size, keep their bodies; the rest are stored with a null body.
+    batch size, keep their bodies; the rest are stored without one.
     ``deduction_raw`` preserves the verbatim deduction output that produced
     this hop.  When every grounding window came back Empty, ``revised_answer``
     is byte-equal to ``immediate_answer``.

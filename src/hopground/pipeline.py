@@ -115,7 +115,7 @@ class RetrievalConfig(ConfigRecord, section="retrieval"):
 
 def _read_bodies(docs: Sequence[Document], read: int) -> list[Document]:
     """``docs`` with the bodies of the first ``read`` only: a document past
-    the windows the model read is stored by its id, title and rank."""
+    the windows the model read keeps its id, title and rank, not its body."""
     return [*docs[:read], *(replace(d, body=None) for d in docs[read:])]
 
 

@@ -764,8 +764,7 @@ def write_judge_files(directory, n):
                            "answers": ["gold"]} for i in range(n)])
     trajectories = directory / "trajs.jsonl"
     write_jsonl(trajectories, [{
-        "question": {"id": f"q{i}", "text": f"Q{i}?", "gold_answers": ["gold"],
-                     "metadata": {}},
+        "question": {"id": f"q{i}", "text": f"Q{i}?", "gold_answers": ["gold"]},
         "hops": [], "final_answer": "gold",
         "termination": "finish_signal",
         "token_usage": {"per_hop": [], "total": {"prompt_tokens": 0,
@@ -1264,7 +1263,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("change", ["grown", "cut"])
     def test_an_input_that_changes_between_reads_exits_two(
             self, synth_files, monkeypatch, capsys, change):
-        config, _ = self.keyed(synth_files, monkeypatch)
+        config, client = self.keyed(synth_files, monkeypatch)
         path = synth_files["input"]
         lines = path.read_bytes().splitlines(keepends=True)
         reads = []
@@ -1287,6 +1286,8 @@ class TestSynthCommand:
         assert f"--input {path}: 10 inputs on the first read, {second} on " \
             "the second" in err
         assert len(reads) == 2
+        # two calls for each input of the first count, and none past it
+        assert client.calls == 2 * min(second, 10)
 
 
 class TestStatsCommand:

@@ -48,6 +48,10 @@ DOCUMENTS_FORM_STATS = """{
   "count": 8
 }
 """
+# trajectories as run wrote them while a question's empty "metadata", a
+# document's null "body" and an empty grounding's null "citation" and
+# "revised_answer" were still written; they must still load
+NULL_FORM = GOLDEN.parent / "trajectories-null-form.jsonl"
 
 # The festival question, then one whose script runs out after its first
 # hop, so that it ends in parse_failure.
@@ -150,6 +154,41 @@ def test_synth_corpus_in_the_documents_form_loads_alike():
 def test_stats_prints_the_same_bytes_for_either_form(capsys, path):
     assert main(["stats", "--corpus", str(path)]) == 0
     assert capsys.readouterr().out == DOCUMENTS_FORM_STATS
+
+
+@pytest.fixture()
+def rewritten_null_form(tmp_path):
+    """The null-form file, loaded and written back by this version."""
+    path = tmp_path / "rewritten.jsonl"
+    write_trajectories(load_trajectories(NULL_FORM), path)
+    return path
+
+
+def test_trajectories_in_the_null_form_load_alike(rewritten_null_form):
+    old = NULL_FORM.read_bytes()
+    assert old.count(b'"metadata":{}') == 3
+    assert old.count(b'"body":null') == 7
+    assert b'"citation":null,"revised_answer":null' in old
+    assert load_trajectories(rewritten_null_form) == load_trajectories(
+        NULL_FORM)
+    assert b"null" not in rewritten_null_form.read_bytes()
+
+
+def test_eval_writes_the_same_bytes_for_either_trajectory_form(
+        tmp_path, rewritten_null_form):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": t.question.id, "question": t.question.text,
+                    "answers": list(t.question.gold_answers)}) + "\n"
+        for t in load_trajectories(NULL_FORM)), encoding="utf-8")
+    outputs = []
+    for form, path in [("null", NULL_FORM), ("new", rewritten_null_form)]:
+        out = tmp_path / form
+        assert main(["eval", "--trajectories", str(path),
+                     "--dataset", str(dataset), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("records.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_golden_prompts_cover_every_renderer():
