@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from collections import Counter
@@ -189,9 +190,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     missing = [t.question.id for t in trajectories if t.question.id not in by_id]
     if missing:
-        print(f"trajectory ids missing from dataset: {', '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_DATASET
+        raise MalformedDataset(
+            f"trajectory ids missing from dataset: {', '.join(missing)}")
 
     judge_llm = None
     library = None
@@ -205,6 +205,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         judge_llm = getattr(config, role).client(role)
         library = config.templates.load()
         progress = Progress("judged")
+    # made before any judge call, so an unusable --out costs none
+    out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def score(traj: Trajectory) -> evaluation.EvalRecord:
         question = by_id[traj.question.id]
@@ -219,8 +222,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                         concurrency, progress))
 
     summary = evaluation.aggregate(records)
-    out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_records_csv(records, out_dir / "records.csv")
     write_json(summary, out_dir / "summary.json")
 
@@ -249,10 +250,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # streams that many through the pool's look-ahead, then counts the rest
     with open(args.input, "rb") as f:
         if not f.seekable():
-            print(f"error: --input {args.input}: synth reads its inputs "
-                  "twice, so they must come from a file, not a pipe",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"--input {args.input}: synth reads its inputs "
+                              "twice, so they must come from a file, not a "
+                              "pipe")
+        if os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+            raise ConfigError(f"--out {args.out} is the --input file, which "
+                              "synth reads twice, so it cannot write there")
         total = sum(1 for _ in distill.load_synthesis_inputs(f))
         f.seek(0)
         inputs = distill.load_synthesis_inputs(f)
@@ -264,10 +267,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                       include_dropped=args.include_dropped)
         second = sum(reasons.values()) + sum(1 for _ in inputs)
     if second != total:
-        print(f"error: --input {args.input}: {total} inputs on the first "
-              f"read, {second} on the second; the file changed while "
-              "synth ran", file=sys.stderr)
-        return EXIT_DATASET
+        raise MalformedDataset(
+            f"--input {args.input}: {total} inputs on the first read, "
+            f"{second} on the second; the file changed while synth ran")
     kept = reasons.pop(None, 0)
     print(f"kept {kept}/{total} examples "
           f"(dropped: {json.dumps(reasons, sort_keys=True)}); "

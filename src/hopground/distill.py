@@ -42,16 +42,14 @@ class SynthesisConfig(ConfigRecord, section="synthesis"):
 
 @dataclass(frozen=True)
 class Verdict:
-    keep: bool
+    """The filters' verdict on one example: ``Verdict()`` keeps it, and
+    ``Verdict(reason)`` drops it for the first filter it failed."""
+
     reason: str | None = None
 
-    @classmethod
-    def kept(cls) -> "Verdict":
-        return cls(keep=True)
-
-    @classmethod
-    def drop(cls, reason: str) -> "Verdict":
-        return cls(keep=False, reason=reason)
+    @property
+    def keep(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,9 @@ class TrainingExample(Record):
             if reason is not None:
                 raise InvalidRecord("drop_reason must be null on a kept "
                                     f"example, got {reason!r}")
-            verdict = Verdict.kept()
+            verdict = Verdict()
         elif isinstance(reason, str) and reason.strip():
-            verdict = Verdict.drop(reason)
+            verdict = Verdict(reason)
         else:
             raise InvalidRecord("drop_reason must be a non-blank string on a "
                                 f"dropped example, got {reason!r}")
@@ -169,14 +167,14 @@ def apply_filters(target: str, gold_answer: str) -> Verdict:
     try:
         outcome = parse_grounding(target)
     except MissingRevision:
-        return Verdict.drop(DROP_MISSING_REVISION)
+        return Verdict(DROP_MISSING_REVISION)
     except MalformedGrounding:
-        return Verdict.drop(DROP_EMPTY_EVIDENCE)
+        return Verdict(DROP_EMPTY_EVIDENCE)
     if outcome.kind is GroundingKind.EMPTY:
-        return Verdict.drop(DROP_EMPTY_EVIDENCE)
+        return Verdict(DROP_EMPTY_EVIDENCE)
     if not cover_em(outcome.revised_answer, [gold_answer]):
-        return Verdict.drop(DROP_MISALIGNED)
-    return Verdict.kept()
+        return Verdict(DROP_MISALIGNED)
+    return Verdict()
 
 
 def place_gold(gold_doc: Document, noise_docs: Sequence[Document],
@@ -217,7 +215,7 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
         if teacher_messages is None:  # the student failed: no answer to show
             teacher_messages = render_synthesis_teacher(
                 library, inp.question.text, immediate_answer, documents)
-        verdict = Verdict.drop(DROP_LLM_ERROR)
+        verdict = Verdict(DROP_LLM_ERROR)
 
     return TrainingExample(
         instruction=teacher_messages[0].content,

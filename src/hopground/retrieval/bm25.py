@@ -23,7 +23,7 @@ UTF-8 byte blob, ``doc_text``, of three fields per document (id, title,
 body); document ``i`` in id order starts at ``doc_starts[i]`` and its fields
 end at the ``int64`` ``doc_ends[i]``; the index holds no list of ids.
 :meth:`CorpusIndex.document` decodes a :class:`Document` only for a ranked
-hit.  Repeated query terms contribute once per occurrence.
+hit.
 
 :func:`build_index` reads its documents once, as a stream (single-pass
 in-memory inversion): each document's fields go into one growing buffer and
@@ -54,9 +54,12 @@ A posting's BM25 contribution is computed the first time a query uses its
 term, by :meth:`CorpusIndex.contributions`, and kept for later queries; it
 is derived rather than stored in the cache.  A posting therefore costs 5
 bytes of memory, 4 of ``doc_idx`` and 1 of ``uint8`` ``tfs``, plus 8 of
-``float64`` contribution once its term has been queried.  A query's scores
-are one ``np.bincount`` of its terms' postings weighted by their
-contributions.  ``bincount`` adds in input order, so every document sums
+``float64`` contribution once its term has been queried.  A term that a
+query repeats ``qtf`` times weighs in once per occurrence, as ``idf * qtf *
+tf ...``: that rounds differently from ``qtf`` times the kept contribution,
+so the same method computes it afresh for that query and keeps nothing.  A
+query's scores are one ``np.bincount`` of its terms' postings weighted by
+their contributions.  ``bincount`` adds in input order, so every document sums
 its terms in query order and the scores are bit-identical to a per-term
 scatter-add of the BM25 formula.
 
@@ -270,20 +273,22 @@ class CorpusIndex:
                         str(text[title:body], "utf-8"),
                         str(text[body:end], "utf-8"), rank)
 
-    def contributions(self, row: int) -> np.ndarray:
-        """The BM25 contribution of each posting of row ``row``, computed on
-        its first use and kept: ``idf * tf * (k1 + 1) / (denom + tf)``, in
-        that order, so it rounds as the per-term expression does.  Threads
-        that race on one row compute identical arrays, so either may be
-        kept."""
-        weights = self._contributions.get(row)
+    def contributions(self, row: int, qtf: int = 1) -> np.ndarray:
+        """The BM25 contribution of each posting of row ``row`` to a query
+        that holds its term ``qtf`` times: ``idf * qtf * tf * (k1 + 1) /
+        (denom + tf)``, in that order, so it rounds as the per-term
+        expression does.  Only the ``qtf`` 1 arrays are kept, computed on
+        the row's first use; threads that race on one row compute identical
+        arrays, so either may be kept."""
+        weights = self._contributions.get(row) if qtf == 1 else None
         if weights is None:
             span = slice(self.offsets[row], self.offsets[row + 1])
             tfs = self.tfs[span]
-            weights = self.idf[row] * tfs
+            weights = self.idf[row] * qtf * tfs
             weights *= self.k1 + 1.0
             weights /= self._denom[self.doc_idx[span]] + tfs
-            self._contributions[row] = weights
+            if qtf == 1:
+                self._contributions[row] = weights
         return weights
 
     def scores(self, query: str) -> np.ndarray:
@@ -294,16 +299,8 @@ class CorpusIndex:
             row = self._rows.get(term)
             if row is None:
                 continue
-            span = slice(self.offsets[row], self.offsets[row + 1])
-            doc_idx = self.doc_idx[span]
-            rows.append(doc_idx)
-            if qtf == 1:
-                weights.append(self.contributions(row))
-            else:
-                # idf * qtf * ... rounds differently from qtf * contributions
-                tfs = self.tfs[span]
-                weights.append(self.idf[row] * qtf * tfs * (self.k1 + 1.0)
-                               / (tfs + self._denom[doc_idx]))
+            rows.append(self.doc_idx[self.offsets[row]:self.offsets[row + 1]])
+            weights.append(self.contributions(row, qtf))
         n_docs = len(self)
         if not rows:
             return np.zeros(n_docs, dtype=np.float64)

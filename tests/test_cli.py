@@ -798,10 +798,15 @@ class TestEvalCommand:
         other = tmp_path / "other.jsonl"
         write_jsonl(other, [{"id": "different", "question": "?",
                              "answers": ["x"]}])
+        capsys.readouterr()
         code = main(["eval", "--trajectories", str(trajectories),
                      "--dataset", str(other)])
         assert code == 2
-        assert FESTIVAL_QUESTION.id in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert FESTIVAL_QUESTION.id in err
+        assert not (festival_run["out"] / "records.csv").exists()
+        assert not (festival_run["out"] / "summary.json").exists()
 
     def test_empty_trajectories_exit_two(self, festival_run, tmp_path,
                                          capsys):
@@ -1054,10 +1059,32 @@ class TestEvalCommand:
         assert "judge_llm.backend" in err and "pipeline.concurrency" in err
         assert not (tmp_path / "reports").exists()
 
+    def test_out_that_is_a_file_exits_one_before_any_judge_call(
+            self, tmp_path, capsys, monkeypatch):
+        dataset, trajectories = write_judge_files(tmp_path, 3)
+        client = KeyedClient(lambda prompt: "Yes")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = write_json(tmp_path / "config.json", {
+            "pipeline": {"concurrency": 1}, "judge_llm": OPENAI})
+        reports = tmp_path / "reports"
+        reports.write_text("not a directory\n", encoding="utf-8")
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset), "--judge",
+                     "--config", str(config), "--out", str(reports)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(reports) in err
+        assert client.calls == 0
+
 
 @pytest.fixture()
 def synth_files(tmp_path):
     return write_synth_files(tmp_path)
+
+
+def _error_lines(stderr):
+    """How many lines of ``stderr`` report a failure; the others are
+    progress lines and logged warnings."""
+    return sum(line.startswith("error: ") for line in stderr.splitlines())
 
 
 def _input_documents(path):
@@ -1258,7 +1285,24 @@ class TestSynthCommand:
             os.close(read)
         assert proc.returncode == 1
         assert "not a pipe" in proc.stderr and "Traceback" not in proc.stderr
+        assert _error_lines(proc.stderr) == 1
         assert not out.exists()
+
+    def test_out_that_is_the_input_exits_one_before_any_call(
+            self, synth_files, monkeypatch, capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        path = synth_files["input"]
+        before = path.read_bytes()
+        link = synth_files["dir"] / "inputs-link.jsonl"
+        link.symlink_to(path)
+        for out in (path, link):
+            assert main(["synth", "--input", str(path), "--out", str(out),
+                         "--seed", "7", "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--out" in err and "--input" in err
+        assert path.read_bytes() == before
+        assert client.calls == 0
 
     @pytest.mark.parametrize("change", ["grown", "cut"])
     def test_an_input_that_changes_between_reads_exits_two(
@@ -1283,8 +1327,9 @@ class TestSynthCommand:
             "--seed", "7", "--config", str(config)])) == 2
         err = capsys.readouterr().err
         second = 11 if change == "grown" else 7
-        assert f"--input {path}: 10 inputs on the first read, {second} on " \
-            "the second" in err
+        assert f"error: --input {path}: 10 inputs on the first read, " \
+            f"{second} on the second" in err
+        assert _error_lines(err) == 1
         assert len(reads) == 2
         # two calls for each input of the first count, and none past it
         assert client.calls == 2 * min(second, 10)

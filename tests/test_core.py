@@ -223,7 +223,7 @@ RECORD_SAMPLES = {  # a valid instance of each record with required fields
     Completion: Completion(text="x", prompt_tokens=1, completion_tokens=2),
     TrainingExample: TrainingExample(
         instruction="i", doc_ids=("d",), gold_position=1, gold_body="b",
-        immediate_answer="a", target="t", verdict=Verdict.kept()),
+        immediate_answer="a", target="t", verdict=Verdict()),
 }
 WRONG_FIELD_VALUES = [
     pytest.param(sample, f.name, wrong,

@@ -93,8 +93,8 @@ class TestApplyFilters:
     def test_matches_tag_rules_oracle(self, target):
         verdict = apply_filters(target, GOLD_ANSWER)
         expected = oracles.synthesis_drop_reason(target, GOLD_ANSWER)
-        assert verdict == (Verdict.kept() if expected is None
-                           else Verdict.drop(expected)), target
+        assert verdict == (Verdict() if expected is None
+                           else Verdict(expected)), target
 
 
 class TestPlaceGold:
@@ -134,14 +134,14 @@ class TestSynthesizeExample:
         teacher = ScriptedClient(["<ref> Empty </ref> nothing relevant"])
         example = synthesize_example(make_input(), student, teacher, library,
                                      gold_position=1)
-        assert example.verdict == Verdict.drop(DROP_EMPTY_EVIDENCE)
+        assert example.verdict == Verdict(DROP_EMPTY_EVIDENCE)
 
     def test_missing_revision_drop(self, library):
         student = ScriptedClient(["Paris."])
         teacher = ScriptedClient(["<ref> Paris is the capital of France </ref>"])
         example = synthesize_example(make_input(), student, teacher, library,
                                      gold_position=1)
-        assert example.verdict == Verdict.drop(DROP_MISSING_REVISION)
+        assert example.verdict == Verdict(DROP_MISSING_REVISION)
 
     @pytest.mark.parametrize("student_replies, teacher_replies", [
         (["Paris."], [FILTER_TABLE[0][0]]),   # kept
@@ -169,7 +169,7 @@ class TestSynthesizeExample:
         teacher = ScriptedClient([])
         example = synthesize_example(make_input(), student, teacher, library,
                                      gold_position=1)
-        assert example.verdict == Verdict.drop(DROP_LLM_ERROR)
+        assert example.verdict == Verdict(DROP_LLM_ERROR)
         assert example.target == ""
 
 
@@ -238,7 +238,7 @@ class TestSynthesizeStream:
 
 
 def make_example(i, keep=True, target_tokens=12):
-    verdict = Verdict.kept() if keep else Verdict.drop(DROP_MISALIGNED)
+    verdict = Verdict() if keep else Verdict(DROP_MISALIGNED)
     return TrainingExample(
         instruction=" ".join(["inst"] * (8 + i % 5)),
         doc_ids=(f"g{i}", f"n{i}") if i % 2 == 0 else (f"n{i}", f"g{i}"),
@@ -278,7 +278,7 @@ class TestDatasetStats:
             dataset_stats(iter(()))
 
 
-VERDICTS = [Verdict.kept(), *map(Verdict.drop, (
+VERDICTS = [Verdict(), *map(Verdict, (
     DROP_EMPTY_EVIDENCE, DROP_MISSING_REVISION, DROP_MISALIGNED,
     DROP_LLM_ERROR))]
 
@@ -323,7 +323,7 @@ class TestTrainingExampleForms:
             example.to_dict(include_verdict=include_verdict)))
         # a line written without its verdict reads as kept
         assert decoded == (example if include_verdict
-                           else replace(example, verdict=Verdict.kept()))
+                           else replace(example, verdict=Verdict()))
 
     @settings(max_examples=300)
     @given(training_examples(), st.booleans(), st.data())

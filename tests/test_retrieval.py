@@ -12,6 +12,7 @@ import time
 import tracemalloc
 import weakref
 import zipfile
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -714,9 +715,10 @@ class TestScores:
                                        _fresh(tmp_path / "index.bin"))
 
 
-def _eager_contributions(index):
-    """Every posting's contribution in one pass, derived here from the CSR
-    arrays: ``idf * tf * (k1 + 1) / (denom + tf)``, in that order."""
+def _eager_contributions(index, qtf=1):
+    """Every posting's contribution to a query holding its term ``qtf``
+    times, in one pass, derived here from the CSR arrays: ``idf * qtf * tf *
+    (k1 + 1) / (denom + tf)``, in that order."""
     n_docs = len(index)
     dfs = np.diff(index.offsets)
     idf = np.array([math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
@@ -724,7 +726,7 @@ def _eager_contributions(index):
     avg = float(index.doc_lengths.mean())
     denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
                         / (avg if avg > 0 else 1.0))
-    return (np.repeat(idf, dfs) * index.tfs * (index.k1 + 1.0)
+    return (np.repeat(idf, dfs) * qtf * index.tfs * (index.k1 + 1.0)
             / (denom[index.doc_idx] + index.tfs))
 
 
@@ -766,21 +768,32 @@ class TestContributions:
         index = build_index(docs, k1=k1, b=b)
         save_index(index, tmp_path / "index.cache")
         for candidate in (index, load_index(tmp_path / "index.cache")):
-            oracle = _eager_contributions(candidate)
             offsets = candidate.offsets.tolist()
-            for row in range(len(candidate.terms)):
-                assert (candidate.contributions(row).tobytes()
-                        == oracle[offsets[row]:offsets[row + 1]].tobytes())
+            for qtf in (1, 2, 3):
+                oracle = _eager_contributions(candidate, qtf)
+                for row in range(len(candidate.terms)):
+                    assert (candidate.contributions(row, qtf).tobytes()
+                            == oracle[offsets[row]:offsets[row + 1]].tobytes())
 
     def test_only_queried_rows_are_kept(self, corpus, tmp_path):
         save_index(build_index(corpus), tmp_path / "index.cache")
-        query = "longest river in the world zyzzyva"
-        for index in (build_index(corpus), load_index(tmp_path / "index.cache")):
+        queries = ["longest river in the world zyzzyva",
+                   "river in the river world in river"]  # repeated terms
+        for query, load in itertools.product(queries, (False, True)):
+            index = (load_index(tmp_path / "index.cache") if load
+                     else build_index(corpus))
             assert index._contributions == {}
             index.scores(query)
-            assert set(index._contributions) == {
-                index.terms.index(term) for term in tokenize(query)
-                if term in index.terms}
+            # a repeated term's array is computed for its query, not kept
+            rows = {index.terms.index(term)
+                    for term, qtf in Counter(tokenize(query)).items()
+                    if qtf == 1 and term in index.terms}
+            assert set(index._contributions) == rows
+            oracle = _eager_contributions(index)
+            offsets = index.offsets.tolist()
+            for row in rows:
+                assert (index._contributions[row].tobytes()
+                        == oracle[offsets[row]:offsets[row + 1]].tobytes())
 
     def test_threads_racing_on_an_unseen_term_get_the_serial_scores(self):
         # every document holds every term, so each first use is a long one
