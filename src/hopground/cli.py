@@ -184,11 +184,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    trajectories = pipeline.load_trajectories(args.trajectories)
+    # a trajectory is read for its final answer only, so none is kept
+    answers = {t.question.id: t.final_answer
+               for t in pipeline.load_trajectories(args.trajectories)}
     questions = evaluation.load_dataset(args.dataset, format=args.format)
     by_id: dict[str, Question] = {q.id: q for q in questions}
 
-    missing = [t.question.id for t in trajectories if t.question.id not in by_id]
+    missing = [qid for qid in answers if qid not in by_id]
     if missing:
         raise MalformedDataset(
             f"trajectory ids missing from dataset: {', '.join(missing)}")
@@ -209,16 +211,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path(args.trajectories).parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def score(traj: Trajectory) -> evaluation.EvalRecord:
-        question = by_id[traj.question.id]
-        record = evaluation.score_prediction(question, traj.final_answer)
+    def score(item: tuple[str, str]) -> evaluation.EvalRecord:
+        question, answer = by_id[item[0]], item[1]
+        record = evaluation.score_prediction(question, answer)
         if judge_llm is None:
             return record
-        verdict = evaluation.judge(judge_llm, library, question.text,
-                                   traj.final_answer, question.gold_answers[0])
+        verdict = evaluation.judge(judge_llm, library, question.text, answer,
+                                   question.gold_answers[0])
         return replace(record, acc_judge=verdict)
 
-    records = list(pipeline.map_ordered(score, trajectories, len(trajectories),
+    records = list(pipeline.map_ordered(score, answers.items(), len(answers),
                                         concurrency, progress))
 
     summary = evaluation.aggregate(records)

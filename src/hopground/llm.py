@@ -70,15 +70,15 @@ class ScriptedClient:
     """Replays a fixed list of responses in order.
 
     Token counts are whitespace token counts of the request and response.
-    A lock makes the consumption order total under concurrent callers, and
-    ``calls`` records every request for call-order assertions in tests.
+    A lock makes the consumption order total under concurrent callers.  The
+    client keeps no request it has answered, so a long replay holds its
+    script and nothing more.
     """
 
     def __init__(self, responses: Sequence[str]):
         self._responses = list(responses)
         self._cursor = 0
         self._lock = threading.Lock()
-        self.calls: list[list[ChatMessage]] = []
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedClient":
@@ -89,11 +89,6 @@ class ScriptedClient:
             raise ValueError(f"{path}: script file must be a JSON array of strings")
         return cls(responses)
 
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return len(self._responses) - self._cursor
-
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion:
         _check_request(messages)
@@ -103,7 +98,6 @@ class ScriptedClient:
                     f"script exhausted after {self._cursor} responses")
             text = self._responses[self._cursor]
             self._cursor += 1
-            self.calls.append(list(messages))
         prompt_tokens = sum(len(m.content.split()) for m in messages)
         return Completion(text=text, prompt_tokens=prompt_tokens,
                           completion_tokens=len(text.split()))

@@ -286,9 +286,11 @@ def write_trajectories(trajectories: Iterable[Trajectory],
     write_jsonl((traj.to_dict() for traj in trajectories), path)
 
 
-def load_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a trajectory file; a bad line, or one that repeats an earlier
-    line's question id, raises ``MalformedDataset``."""
+def load_trajectories(path: str | Path) -> Iterator[Trajectory]:
+    """Yield the trajectories of a trajectory file, parsing a line only when
+    the next one is asked for, as ``read_jsonl`` does; wrap the call in
+    ``list`` to index them.  A bad line, or one that repeats an earlier
+    line's question id, raises ``MalformedDataset`` when it is reached."""
     seen: set[str] = set()
 
     def parse(record: Any, _: int) -> Trajectory:
@@ -298,4 +300,4 @@ def load_trajectories(path: str | Path) -> list[Trajectory]:
         seen.add(trajectory.question.id)
         return trajectory
 
-    return list(read_jsonl(path, parse))
+    return read_jsonl(path, parse)

@@ -7,7 +7,7 @@ import ssl
 import threading
 
 from hopground.core import Document, Question
-from hopground.llm import Completion
+from hopground.llm import Completion, ScriptedClient
 
 # Two-hop documentary-festival walkthrough: the deduction/grounding scripts
 # and the two wiki-style documents that support them.
@@ -313,6 +313,28 @@ def within(seconds, fn):
     if not ok:
         raise value
     return value
+
+
+class LoggedScript(ScriptedClient):
+    """A ``ScriptedClient`` that logs each request it answers in ``calls``,
+    for call-order assertions; ``remaining`` is the replies not yet handed
+    out.  It logs under the lock that hands out the replies, made reentrant,
+    so the log order is the reply order under any number of threads."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self._lock = threading.RLock()
+        self.calls = []
+
+    def complete(self, messages, params):
+        with self._lock:
+            completion = super().complete(messages, params)
+            self.calls.append(list(messages))
+        return completion
+
+    @property
+    def remaining(self):
+        return len(self._responses) - len(self.calls)
 
 
 class KeyedClient:

@@ -27,7 +27,7 @@ from hopground.retrieval import build_index, load_corpus, retrieve, tokenize
 
 import oracles
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
-                     FESTIVAL_SCRIPT, write_jsonl)
+                     FESTIVAL_SCRIPT, LoggedScript, write_jsonl)
 from test_distill import FILTER_TABLE, GOLD_ANSWER, make_example
 from test_evaluation import make_pairs
 from test_retrieval import QUERIES
@@ -73,7 +73,7 @@ def test_criterion_01_two_hop_replay():
 
 def test_criterion_02_batch_grounding_geometry():
     docs = sentinel_docs(10)
-    llm = ScriptedClient([EMPTY, CITED])
+    llm = LoggedScript([EMPTY, CITED])
     _, _, consumed = ground(llm, LIBRARY, FESTIVAL_QUESTION, "sub?", "draft",
                             docs, batch_size=3)
     assert consumed == 2
@@ -96,7 +96,7 @@ def test_criterion_02_batch_grounding_geometry():
             script = [EMPTY] * (cited_at - 1) + [CITED]
             expected_calls = cited_at
         docs = sentinel_docs(n_docs)
-        llm = ScriptedClient(script)
+        llm = LoggedScript(script)
         _, outcome, consumed = ground(llm, LIBRARY, FESTIVAL_QUESTION, "sub?",
                                       "draft", docs, batch_size=batch_size)
         assert consumed == expected_calls

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopground import distill
+from hopground import distill, evaluation
 from hopground.cli import Config, Progress, main
-from hopground.core import loads_utf8
+from hopground.core import Trajectory, loads_utf8
 from hopground.distill import load_training_corpus
 from hopground.errors import InvalidRecord
 from hopground.llm import LlmConfig
@@ -792,6 +793,26 @@ class TestEvalCommand:
                              .read_text(encoding="utf-8"))
         assert summary == {"acc": 100.0, "f1": 100.0, "acc_judge": None}
         assert (festival_run["out"] / "records.csv").exists()
+
+    def test_holds_no_trajectory_while_scoring(self, tmp_path, monkeypatch):
+        dataset, trajectories = write_judge_files(tmp_path, 3)
+        score = evaluation.score_prediction
+        held = []
+
+        def trajectories_alive():
+            gc.collect()
+            return sum(isinstance(o, Trajectory) for o in gc.get_objects())
+
+        def counting(question, prediction):
+            held.append(trajectories_alive())
+            return score(question, prediction)
+
+        monkeypatch.setattr(evaluation, "score_prediction", counting)
+        before = trajectories_alive()
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset),
+                     "--out", str(tmp_path / "reports")]) == 0
+        assert held == [before] * 3
 
     def test_id_mismatch_lists_missing(self, festival_run, tmp_path, capsys):
         trajectories = self.run_festival(festival_run)

@@ -20,7 +20,8 @@ from hopground.errors import EmptyRecords, InvalidRecord, MalformedDataset
 from hopground.llm import Completion, ScriptedClient
 
 import oracles
-from helpers import BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, write_jsonl
+from helpers import (BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, LoggedScript,
+                     write_jsonl)
 
 GOLD_ANSWER = "Paris"
 GOLD_DOC = Document(id="gold", title="France",
@@ -113,7 +114,7 @@ class TestPlaceGold:
 class TestSynthesizeExample:
     def test_keep_path(self, library):
         student = ScriptedClient(["Paris."])
-        teacher = ScriptedClient([FILTER_TABLE[0][0]])
+        teacher = LoggedScript([FILTER_TABLE[0][0]])
         example = synthesize_example(make_input(), student, teacher, library,
                                      gold_position=2)
         assert example.verdict.keep

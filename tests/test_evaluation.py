@@ -13,7 +13,7 @@ from hopground.evaluation import (EvalRecord, aggregate, cover_em, judge,
 from hopground.llm import ScriptedClient
 
 import oracles
-from helpers import write_jsonl
+from helpers import LoggedScript, write_jsonl
 
 WORDS = ["march", "april", "festival", "london", "river", "nile", "capital",
          "paris", "einstein", "prize", "honey", "reef", "desert", "monarch"]
@@ -165,7 +165,7 @@ class TestJudge:
         assert judge(llm, library, "q", "p", "g") == "no"
 
     def test_unparseable_retries_once_then_records_no(self, library):
-        llm = ScriptedClient(["maybe", "perhaps"])
+        llm = LoggedScript(["maybe", "perhaps"])
         assert judge(llm, library, "q", "p", "g") == "no"
         assert len(llm.calls) == 2
 
@@ -179,7 +179,7 @@ class TestJudge:
 
     @pytest.mark.parametrize("prediction", ["", "  ", "\n\t"])
     def test_blank_prediction_is_no_without_a_call(self, library, prediction):
-        llm = ScriptedClient([])  # any call would raise ScriptExhausted
+        llm = LoggedScript([])  # any call would raise ScriptExhausted
         assert judge(llm, library, "q", prediction, "g") == "no"
         assert llm.calls == []
 

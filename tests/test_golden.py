@@ -169,8 +169,8 @@ def test_trajectories_in_the_null_form_load_alike(rewritten_null_form):
     assert old.count(b'"metadata":{}') == 3
     assert old.count(b'"body":null') == 7
     assert b'"citation":null,"revised_answer":null' in old
-    assert load_trajectories(rewritten_null_form) == load_trajectories(
-        NULL_FORM)
+    assert list(load_trajectories(rewritten_null_form)) == list(
+        load_trajectories(NULL_FORM))
     assert b"null" not in rewritten_null_form.read_bytes()
 
 

@@ -11,6 +11,8 @@ from hopground.grounding import (citation_in_documents, first_tag_span,
                                  ground, parse_grounding)
 from hopground.llm import ScriptedClient
 
+from helpers import LoggedScript
+
 QUESTION = Question(id="q", text="In what month is the festival held?")
 
 CITED = "<ref> evidence span </ref> <revise> corrected answer </revise>"
@@ -105,7 +107,7 @@ class TestFirstTagSpan:
 class TestGround:
     def test_empty_then_cited_stops_at_second_window(self, library):
         docs = sentinel_docs(10)
-        llm = ScriptedClient([EMPTY, CITED])
+        llm = LoggedScript([EMPTY, CITED])
         revised, outcome, consumed = ground(
             llm, library, QUESTION, "sub?", "draft answer", docs, batch_size=3)
         assert consumed == 2
@@ -120,7 +122,7 @@ class TestGround:
 
     def test_all_empty_keeps_immediate_answer_verbatim(self, library):
         immediate = "  draft with odd spacing and trailing dots.. "
-        llm = ScriptedClient([EMPTY] * 4)
+        llm = LoggedScript([EMPTY] * 4)
         revised, outcome, consumed = ground(
             llm, library, QUESTION, "sub?", immediate, sentinel_docs(10),
             batch_size=3)
@@ -134,7 +136,7 @@ class TestGround:
         assert windows == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10]]
 
     def test_no_documents_makes_no_calls(self, library):
-        llm = ScriptedClient([])
+        llm = LoggedScript([])
         revised, outcome, consumed = ground(
             llm, library, QUESTION, "sub?", "draft", [], batch_size=3)
         assert revised == "draft"
@@ -143,7 +145,7 @@ class TestGround:
         assert llm.calls == []
 
     def test_malformed_retried_once_then_treated_as_empty(self, library):
-        llm = ScriptedClient(["garbage", "more garbage", CITED])
+        llm = LoggedScript(["garbage", "more garbage", CITED])
         revised, outcome, consumed = ground(
             llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
             batch_size=3)
@@ -161,7 +163,7 @@ class TestGround:
         assert outcome == GroundingOutcome.empty(raw_text="bad 4")
 
     def test_malformed_then_valid_retry_same_window(self, library):
-        llm = ScriptedClient(["garbage", CITED])
+        llm = LoggedScript(["garbage", CITED])
         revised, outcome, consumed = ground(
             llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
             batch_size=3)
@@ -171,7 +173,7 @@ class TestGround:
         assert llm.calls[0][0].content == llm.calls[1][0].content
 
     def test_no_calls_after_first_cited_window(self, library):
-        llm = ScriptedClient([CITED, "NEVER SENT"])
+        llm = LoggedScript([CITED, "NEVER SENT"])
         _, _, consumed = ground(llm, library, QUESTION, "sub?", "draft",
                                 sentinel_docs(9), batch_size=3)
         assert consumed == 1

@@ -1,6 +1,8 @@
 import json
 import threading
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,7 +17,7 @@ from hopground.retrieval import build_index
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_HOP1_REVISED,
                      FESTIVAL_QUESTION, FESTIVAL_SCRIPT, InFlightStub,
-                     StubServer)
+                     LoggedScript, StubServer)
 
 USER = [ChatMessage(role="user", content="hello there")]
 PARAMS = DecodingParams()
@@ -59,7 +61,7 @@ class TestScriptedClient:
         assert completion.completion_tokens == 3
 
     def test_records_calls(self):
-        client = ScriptedClient(["x", "y"])
+        client = LoggedScript(["x", "y"])
         client.complete(USER, PARAMS)
         client.complete([ChatMessage(role="user", content="second")], PARAMS)
         assert len(client.calls) == 2
@@ -79,13 +81,37 @@ class TestScriptedClient:
 
     def test_concurrent_consumption_is_total(self):
         # every scripted response is handed out exactly once across threads
-        from concurrent.futures import ThreadPoolExecutor
         script = [f"reply {i}" for i in range(100)]
         client = ScriptedClient(script)
         with ThreadPoolExecutor(max_workers=4) as pool:
             texts = list(pool.map(
                 lambda _: client.complete(USER, PARAMS).text, range(100)))
         assert sorted(texts) == sorted(script)
+        with pytest.raises(ScriptExhausted):
+            client.complete(USER, PARAMS)
+
+    def test_keeps_no_prompt_it_has_answered(self):
+        client = ScriptedClient(["reply"] * 1000)
+        answered = []
+        for i in range(1000):
+            message = ChatMessage(role="user", content=f"prompt {i}")
+            answered.append(weakref.ref(message))
+            client.complete([message], PARAMS)
+        del message
+        assert [ref for ref in answered if ref() is not None] == []
+
+    def test_logged_script_logs_in_reply_order_across_threads(self):
+        script = [f"reply {i}" for i in range(100)]
+        client = LoggedScript(script)
+
+        def ask(i):
+            prompt = f"prompt {i}"
+            text = client.complete([ChatMessage("user", prompt)], PARAMS).text
+            return prompt, text
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reply_to = dict(pool.map(ask, range(100)))
+        assert [reply_to[call[0].content] for call in client.calls] == script
         assert client.remaining == 0
 
 
@@ -110,7 +136,7 @@ class TestRetryParse:
             retry_parse(self.parse_next(llm, attempts))
         assert err.value.text == "second bad"
         assert len(attempts) == 2
-        assert llm.remaining == 1
+        assert llm.complete(USER, PARAMS).text == "never sent"
 
     def test_other_errors_are_not_retried(self):
         attempts = []

@@ -8,7 +8,7 @@ import pytest
 from hopground import pipeline
 from hopground.core import (Document, GroundingKind, Question, Termination,
                             TokenCounts, Trajectory)
-from hopground.errors import ConfigError
+from hopground.errors import ConfigError, MalformedDataset
 from hopground.llm import RecordingClient, ScriptedClient
 from hopground.pipeline import (BM25Retriever, PipelineConfig,
                                 RetrievalConfig, answer_dataset,
@@ -19,7 +19,7 @@ from hopground.retrieval import build_index
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_HOP1_REVISED,
                      FESTIVAL_HOP2_REVISED, FESTIVAL_QUESTION, FESTIVAL_SCRIPT,
-                     within)
+                     LoggedScript, within)
 
 QUESTION = Question(id="q1", text="What is the capital of France?")
 EMPTY = "<ref> Empty </ref>"
@@ -58,7 +58,7 @@ class TestAnswerQuestion:
 
     def test_immediate_finish_has_no_hops_and_no_grounding(self, library,
                                                            retriever):
-        llm = ScriptedClient(["###Finish[March and April]"])
+        llm = LoggedScript(["###Finish[March and April]"])
         traj = answer_question(FESTIVAL_QUESTION, config(), llm, retriever,
                                library)
         assert traj.termination is Termination.FINISH_SIGNAL
@@ -67,7 +67,7 @@ class TestAnswerQuestion:
         assert len(llm.calls) == 1
 
     def test_max_hops_cap_uses_last_revised_answer(self, library, retriever):
-        llm = ScriptedClient([FESTIVAL_SCRIPT[0], FESTIVAL_SCRIPT[1]])
+        llm = LoggedScript([FESTIVAL_SCRIPT[0], FESTIVAL_SCRIPT[1]])
         traj = answer_question(FESTIVAL_QUESTION, config(max_hops=1), llm,
                                retriever, library)
         assert traj.termination is Termination.MAX_HOPS_REACHED
@@ -77,7 +77,7 @@ class TestAnswerQuestion:
 
     def test_parse_failure_retries_once_then_terminates(self, library,
                                                         retriever):
-        llm = ScriptedClient(["garbage", "still garbage"])
+        llm = LoggedScript(["garbage", "still garbage"])
         traj = answer_question(FESTIVAL_QUESTION, config(), llm, retriever,
                                library)
         assert traj.termination is Termination.PARSE_FAILURE
@@ -104,7 +104,7 @@ class TestAnswerQuestion:
         assert traj.final_answer == FESTIVAL_HOP1_REVISED
 
     def test_context_grows_by_one_pair_per_hop(self, library, retriever):
-        llm = ScriptedClient(FESTIVAL_SCRIPT)
+        llm = LoggedScript(FESTIVAL_SCRIPT)
         traj = answer_question(FESTIVAL_QUESTION, config(), llm, retriever,
                                library)
         # deduction calls are 0, 2, 4 in the scripted call log
@@ -119,7 +119,7 @@ class TestAnswerQuestion:
         assert deduction_prompts[2].index(pairs[0]) < deduction_prompts[2].index(pairs[1])
 
     def test_total_llm_calls_match_hops_and_batches(self, library, retriever):
-        llm = ScriptedClient(FESTIVAL_SCRIPT)
+        llm = LoggedScript(FESTIVAL_SCRIPT)
         traj = answer_question(FESTIVAL_QUESTION, config(), llm, retriever,
                                library)
         deductions = len(traj.hops) + 1  # final finish call
@@ -128,9 +128,9 @@ class TestAnswerQuestion:
 
     def test_total_llm_calls_account_for_retries(self, library, retriever):
         # hop 1: deduction retried once, grounding retried once, then finish
-        llm = ScriptedClient(["unparseable", FESTIVAL_SCRIPT[0],
-                              "bad grounding", FESTIVAL_SCRIPT[1],
-                              "###Finish[done]"])
+        llm = LoggedScript(["unparseable", FESTIVAL_SCRIPT[0],
+                            "bad grounding", FESTIVAL_SCRIPT[1],
+                            "###Finish[done]"])
         traj = answer_question(FESTIVAL_QUESTION, config(), llm, retriever,
                                library)
         assert traj.termination is Termination.FINISH_SIGNAL
@@ -199,7 +199,7 @@ class TestStoredBodies:
     at batch size 3 make the windows 1-3, 4-6, 7-9 and 10."""
 
     def run(self, library, groundings, **kwargs):
-        llm = ScriptedClient([STEP, *groundings, "###Finish[x]"])
+        llm = LoggedScript([STEP, *groundings, "###Finish[x]"])
         traj = answer_question(QUESTION, config(batch_size=3, **kwargs), llm,
                                TenDocs(), library)
         assert llm.remaining == 0
@@ -252,7 +252,7 @@ class TestStoredBodies:
         traj = self.run(library, [CITED])
         whole = replace(traj, hops=[replace(traj.hops[0], retrieved=TEN_DOCS)])
         write_trajectories([whole], tmp_path / "whole.jsonl")
-        assert load_trajectories(tmp_path / "whole.jsonl") == [whole]
+        assert list(load_trajectories(tmp_path / "whole.jsonl")) == [whole]
 
 
 class TestBM25Retriever:
@@ -561,4 +561,33 @@ class TestTrajectoryFiles:
                                library)
         path = tmp_path / "trajectories.jsonl"
         write_trajectories(trajs, path)
-        assert load_trajectories(path) == trajs
+        assert list(load_trajectories(path)) == trajs
+
+    @staticmethod
+    def write_lines(path, ids, last=None):
+        """One finished trajectory per id, then ``last`` as a raw line."""
+        write_trajectories(
+            [Trajectory(Question(id=i, text="?"), (), "an answer",
+                        Termination.FINISH_SIGNAL) for i in ids], path)
+        if last is not None:
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(last + "\n")
+
+    def test_load_yields_each_line_before_a_bad_one(self, tmp_path):
+        path = tmp_path / "trajectories.jsonl"
+        self.write_lines(path, ["a", "b"], last="not a trajectory")
+        stream = load_trajectories(path)
+        assert [next(stream).question.id for _ in range(2)] == ["a", "b"]
+        with pytest.raises(MalformedDataset) as err:
+            next(stream)
+        assert err.value.line == 3
+
+    def test_load_raises_a_repeated_id_at_its_line(self, tmp_path):
+        path = tmp_path / "trajectories.jsonl"
+        self.write_lines(path, ["a", "b", "a", "c"])
+        stream = load_trajectories(path)
+        assert [next(stream).question.id for _ in range(2)] == ["a", "b"]
+        with pytest.raises(MalformedDataset, match="repeated question id 'a'"
+                           ) as err:
+            next(stream)
+        assert err.value.line == 3
