@@ -3,7 +3,10 @@
 A setting with a config key comes from the JSON config file (see README
 for the schema) or its default, never from a flag or the environment.  Exit
 codes: 0 = run completed (even with per-question failures), 1 =
-configuration or IO error, 2 = malformed or empty dataset/corpus input.
+configuration or IO error, 2 = malformed or empty input: a ``run``
+dataset, ``synth`` inputs file or ``eval`` trajectory file with no records
+exits 2 before any output is made or any model is called, as an empty
+corpus (``index``, ``stats``) does.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -148,6 +152,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     llm = RecordingClient(config.llm.client("llm"))
     retriever = config.retrieval.retriever(config.pipeline.retriever)
     questions = evaluation.load_dataset(args.dataset, format=args.format)
+    if not questions:
+        raise EmptyRecords(f"--dataset {args.dataset}: no questions")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,6 +193,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # a trajectory is read for its final answer only, so none is kept
     answers = {t.question.id: t.final_answer
                for t in pipeline.load_trajectories(args.trajectories)}
+    if not answers:
+        raise EmptyRecords(f"--trajectories {args.trajectories}: "
+                           "no trajectories")
     questions = evaluation.load_dataset(args.dataset, format=args.format)
     by_id: dict[str, Question] = {q.id: q for q in questions}
 
@@ -247,27 +256,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
         reasons[example.verdict.reason] += 1
         return example
 
-    # two passes over one open file: the first parses and counts every
+    # two reads of --input by path: the first parses and counts every
     # input, keeping none, so a bad line exits before any call; the second
     # streams that many through the pool's look-ahead, then counts the rest
-    with open(args.input, "rb") as f:
-        if not f.seekable():
-            raise ConfigError(f"--input {args.input}: synth reads its inputs "
-                              "twice, so they must come from a file, not a "
-                              "pipe")
-        if os.path.exists(args.out) and os.path.samefile(args.input, args.out):
-            raise ConfigError(f"--out {args.out} is the --input file, which "
-                              "synth reads twice, so it cannot write there")
-        total = sum(1 for _ in distill.load_synthesis_inputs(f))
-        f.seek(0)
-        inputs = distill.load_synthesis_inputs(f)
-        stream = distill.synthesize_stream(
-            islice(inputs, total), total, student, teacher, library,
-            seed=args.seed, config=config.synthesis,
-            progress=Progress("synthesized"))
-        written = distill.emit_corpus(map(count, stream), args.out,
-                                      include_dropped=args.include_dropped)
-        second = sum(reasons.values()) + sum(1 for _ in inputs)
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        raise ConfigError(f"--input {args.input}: synth reads its inputs "
+                          "twice, so they must come from a file, not a pipe")
+    if os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+        raise ConfigError(f"--out {args.out} is the --input file, which "
+                          "synth reads twice, so it cannot write there")
+    total = sum(1 for _ in distill.load_synthesis_inputs(args.input))
+    if not total:
+        raise EmptyRecords(f"--input {args.input}: no synthesis inputs")
+    inputs = distill.load_synthesis_inputs(args.input)
+    stream = distill.synthesize_stream(
+        islice(inputs, total), total, student, teacher, library,
+        seed=args.seed, config=config.synthesis,
+        progress=Progress("synthesized"))
+    written = distill.emit_corpus(map(count, stream), args.out,
+                                  include_dropped=args.include_dropped)
+    second = sum(reasons.values()) + sum(1 for _ in inputs)
     if second != total:
         raise MalformedDataset(
             f"--input {args.input}: {total} inputs on the first read, "

@@ -21,8 +21,8 @@ import threading
 import types
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import (Annotated, Any, BinaryIO, Callable, Iterable, Iterator,
-                    Literal, Mapping, TypeVar, Union, get_args, get_origin,
+from typing import (Annotated, Any, Callable, Iterable, Iterator, Literal,
+                    Mapping, TypeVar, Union, get_args, get_origin,
                     get_type_hints)
 
 from .errors import InvalidRecord, MalformedDataset
@@ -403,33 +403,28 @@ def loads_utf8(text: str) -> Any:
     return value
 
 
-def read_jsonl(source: str | Path | BinaryIO,
+def read_jsonl(path: str | Path,
                parse: Callable[[Any, int], _T]) -> Iterator[_T]:
     """Yield ``parse(record, line_no)`` for each non-blank line of a UTF-8
     file, reading a line only when the next record is asked for.
 
-    ``source`` is a path or a file open in binary mode, read from where it
-    stands.  Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its
-    line.  A line that is not UTF-8 or not JSON, that holds a string UTF-8
-    cannot encode, or that ``parse`` rejects with ``KeyError``,
-    ``TypeError`` or ``ValueError``, raises ``MalformedDataset`` at its
-    line, when it is reached.  A file opened from a path closes when the
-    generator ends or is closed; a file passed in stays open.
+    Lines end at "\n" only, so a raw U+2028 or U+0085 stays in its line.  A
+    line that is not UTF-8 or not JSON, that holds a string UTF-8 cannot
+    encode, or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
+    ``ValueError``, raises ``MalformedDataset`` at its line, when it is
+    reached.  The file closes when the generator ends or is closed.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            yield from read_jsonl(f, parse)
-        return
-    for line_no, raw in enumerate(source, start=1):
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            record = parse(loads_utf8(line), line_no)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDataset(f"{source.name}: {exc}",
-                                   line=line_no) from exc
-        yield record
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = parse(loads_utf8(line), line_no)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedDataset(f"{path}: {exc}",
+                                       line=line_no) from exc
+            yield record
 
 
 def write_json(value: Any, path: str | Path) -> None:

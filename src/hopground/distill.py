@@ -12,7 +12,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (ConfigRecord, Count, DecodingParams, Document,
                    GroundingKind, PositiveInt, Question, Record, Text,
@@ -303,13 +303,12 @@ def load_training_corpus(path: str | Path) -> Iterator[TrainingExample]:
     return read_jsonl(path, lambda record, _: TrainingExample.from_dict(record))
 
 
-def load_synthesis_inputs(source: str | Path | BinaryIO,
-                          ) -> Iterator[SynthesisInput]:
-    """Yield the synthesis inputs of a path or binary file, read as
-    ``read_jsonl`` reads it: JSONL of
-    ``{id, question, answer, gold_doc: {...}, noise_docs: [...]}``, each
-    document read as a corpus line is (``corpus.parse_document``)."""
-    return read_jsonl(source, lambda record, _: SynthesisInput(
+def load_synthesis_inputs(path: str | Path) -> Iterator[SynthesisInput]:
+    """Yield the synthesis inputs of a file, read as ``read_jsonl`` reads
+    it: JSONL of ``{id, question, answer, gold_doc: {...}, noise_docs:
+    [...]}``, each document read as a corpus line is
+    (``corpus.parse_document``)."""
+    return read_jsonl(path, lambda record, _: SynthesisInput(
         question=Question(id=scalar_text(record["id"], "id"),
                           text=record["question"],
                           gold_answers=(scalar_text(record["answer"], "answer"),)),

@@ -20,8 +20,6 @@ from .core import (ConfigRecord, Count, DecodingParams, Positive,
 from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
 from .transport import DEFAULT_MAX_ATTEMPTS, check_url, post_json
 
-DEFAULT_TIMEOUT = 120.0
-
 _T = TypeVar("_T")
 
 
@@ -104,33 +102,29 @@ class ScriptedClient:
 
 
 class OpenAIChatClient:
-    """Chat-completions client for any OpenAI-compatible endpoint.
+    """Chat-completions client for any OpenAI-compatible endpoint, built
+    by ``LlmConfig.client`` from the section it has checked.
 
     Requests go through ``transport.post_json``: 429/5xx replies and
-    connection errors are retried up to ``max_attempts`` attempts, a 3xx
-    reply is not followed, and each calling thread keeps one keep-alive
-    connection to the endpoint.  ``timeout`` bounds each attempt from its
-    start: its connect, send and reply, which may trickle in no longer than
-    the time left; a retry gets a new ``timeout``.  The client sets no limit
-    of its own on requests in flight: that is the number of threads calling
-    it.
+    connection errors are retried up to the section's ``max_attempts``
+    attempts, a 3xx reply is not followed, and each calling thread keeps
+    one keep-alive connection to the endpoint.  ``timeout`` bounds each
+    attempt from its start: its connect, send and reply, which may trickle
+    in no longer than the time left; a retry gets a new ``timeout``.  The
+    client sets no limit of its own on requests in flight: that is the
+    number of threads calling it.
     """
 
-    def __init__(self, base_url: str, model: str,
-                 api_key_env: str = "OPENAI_API_KEY",
-                 timeout: float = DEFAULT_TIMEOUT,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
+    def __init__(self, config: LlmConfig):
+        self.config = config
+        self.url = f"{config.base_url.rstrip('/')}/chat/completions"
+        self.api_key = os.environ.get(config.api_key_env, "")
 
     def complete(self, messages: Sequence[ChatMessage],
                  params: DecodingParams) -> Completion:
         _check_request(messages)
         payload = {
-            "model": self.model,
+            "model": self.config.model,
             "messages": [m.to_dict() for m in messages],
             "temperature": params.temperature,
             "max_tokens": params.max_output_tokens,
@@ -139,13 +133,15 @@ class OpenAIChatClient:
                    if self.api_key else {})
 
         return self._parse_response(post_json(
-            f"{self.base_url}/chat/completions", payload, self.timeout,
-            headers, self.max_attempts))
+            self.url, payload, self.config.timeout, headers,
+            self.config.max_attempts))
 
     @staticmethod
     def _parse_response(body: bytes) -> Completion:
         usage = (0, 0)  # an error raised before usage is read reports none
         try:
+            # not loads_utf8, which would reject a lone surrogate in the
+            # content before the usage beside it is read
             data = json.loads(body)
             reported = data.get("usage") or {}
             counts = TokenCounts(int(reported.get("prompt_tokens", 0)),
@@ -207,7 +203,7 @@ class LlmConfig(ConfigRecord, section="llm"):
     base_url: str | None = None
     model: str | None = None
     api_key_env: str = "OPENAI_API_KEY"
-    timeout: Positive = DEFAULT_TIMEOUT
+    timeout: Positive = 120.0
     max_attempts: PositiveInt = DEFAULT_MAX_ATTEMPTS
 
     def client(self, role: str) -> LlmClient:
@@ -226,7 +222,5 @@ class LlmConfig(ConfigRecord, section="llm"):
                 check_url(self.base_url)
             except ValueError as exc:
                 raise ConfigError(f"{role}.base_url {exc}") from exc
-            return OpenAIChatClient(
-                self.base_url, self.model, api_key_env=self.api_key_env,
-                timeout=self.timeout, max_attempts=self.max_attempts)
+            return OpenAIChatClient(self)
         raise ConfigError(f"{role}: backend must be 'openai' or 'scripted'")

@@ -35,7 +35,7 @@ from .errors import ConfigError, HopgroundError, RetrievalError
 from .grounding import ground
 from .llm import LlmClient, RecordingClient, retry_parse
 from .prompts import TemplateLibrary
-from .retrieval.external import DEFAULT_TIMEOUT, retrieve_external
+from .retrieval.external import ExternalRetriever
 from .transport import check_url
 
 log = logging.getLogger(__name__)
@@ -71,20 +71,11 @@ class BM25Retriever:
 
 
 @dataclass(frozen=True)
-class ExternalRetriever:
-    endpoint: str
-    timeout: float = DEFAULT_TIMEOUT
-
-    def retrieve(self, query: str, top_k: int) -> list[Document]:
-        return retrieve_external(self.endpoint, query, top_k, timeout=self.timeout)
-
-
-@dataclass(frozen=True)
 class RetrievalConfig(ConfigRecord, section="retrieval"):
     index_path: str | None = None
     corpus_path: str | None = None
     external_endpoint: str | None = None
-    timeout: Positive = DEFAULT_TIMEOUT
+    timeout: Positive = 30.0
 
     def retriever(self, kind: str) -> Retriever:
         """The ``kind`` retriever; a BM25 index is loaded from

@@ -85,7 +85,7 @@ class TemplateLibrary:
 
     templates: dict[str, tuple[str, ...]]
     deduction_examples: tuple[str, ...]
-    doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET
+    doc_char_budget: int
 
     @classmethod
     def load(cls, directory: str | Path | None = None,
@@ -101,7 +101,7 @@ class TemplateLibrary:
         examples = [block.strip() for block in
                     re.split(rf"^{_EXAMPLE_SEPARATOR}\s*$", examples_text, flags=re.M)]
         return cls(templates, tuple(b for b in examples if b),
-                   doc_char_budget=doc_char_budget)
+                   doc_char_budget)
 
 
 @dataclass(frozen=True)

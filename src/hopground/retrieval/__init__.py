@@ -1,5 +1,8 @@
 """Pluggable document retrieval: local BM25 index or an external service.
 
+A service is queried through ``external.ExternalRetriever``, which
+``RetrievalConfig.retriever`` builds from the ``retrieval`` config section.
+
 The BM25 names are imported on first access (PEP 562), because ``bm25``
 loads numpy: a command that never touches a local index, such as ``run``
 against an external retriever, never loads it.  The BM25 parameter
@@ -9,7 +12,6 @@ defaults live here, so that the CLI can show them without that import.
 import importlib
 
 from .corpus import load_corpus
-from .external import retrieve_external
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -20,7 +22,6 @@ __all__ = [
     "load_corpus",
     "load_index",
     "retrieve",
-    "retrieve_external",
     "save_index",
     "tokenize",
 ]

@@ -10,27 +10,36 @@ client's do.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core import Document, loads_utf8
 from ..errors import MalformedResponse
 from ..transport import post_json
 from .corpus import parse_document
 
-DEFAULT_TIMEOUT = 30.0
 
+@dataclass(frozen=True)
+class ExternalRetriever:
+    """The service at ``endpoint``; ``timeout`` bounds each request
+    attempt, as ``retrieval.timeout`` in the config sets it."""
 
-def retrieve_external(endpoint: str, query: str, top_k: int = 10,
-                      timeout: float = DEFAULT_TIMEOUT) -> list[Document]:
-    """Fetch up to ``top_k`` documents from ``endpoint`` for ``query``.
+    endpoint: str
+    timeout: float
 
-    Raises ``TransportError`` when the request fails and
-    ``MalformedResponse`` when the reply is unusable.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    body = post_json(endpoint, {"query": query, "top_k": top_k}, timeout)
-    try:
-        results = loads_utf8(body.decode("utf-8"))["results"]
-        return [parse_document(r, rank)
-                for rank, r in enumerate(results[:top_k], start=1)]
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise MalformedResponse(f"unusable payload from {endpoint}: {exc}") from exc
+    def retrieve(self, query: str, top_k: int) -> list[Document]:
+        """Fetch up to ``top_k`` documents for ``query``.
+
+        Raises ``TransportError`` when the request fails and
+        ``MalformedResponse`` when the reply is unusable.
+        """
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        body = post_json(self.endpoint, {"query": query, "top_k": top_k},
+                         self.timeout)
+        try:
+            results = loads_utf8(body.decode("utf-8"))["results"]
+            return [parse_document(r, rank)
+                    for rank, r in enumerate(results[:top_k], start=1)]
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise MalformedResponse(
+                f"unusable payload from {self.endpoint}: {exc}") from exc

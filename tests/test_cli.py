@@ -427,6 +427,21 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
+    @pytest.mark.parametrize("content", ["", "\n\n", "[]", " [ ]\n"])
+    def test_dataset_with_no_questions_exits_two_before_any_output(
+            self, festival_run, monkeypatch, capsys, content):
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        festival_run["dataset"].write_text(content, encoding="utf-8")
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(festival_run["config"]),
+                     "--out", str(festival_run["out"])]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --dataset {festival_run['dataset']}: " \
+            "no questions\n"
+        assert not festival_run["out"].exists()
+        assert client.calls == 0
+
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", "/nonexistent/config.json",
@@ -837,6 +852,18 @@ class TestEvalCommand:
                      "--dataset", str(festival_run["dataset"])]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_empty_trajectories_exit_two_before_any_output(
+            self, festival_run, tmp_path, capsys):
+        trajectories = tmp_path / "empty.jsonl"
+        trajectories.write_text("\n", encoding="utf-8")
+        out = tmp_path / "report"
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"]),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --trajectories {trajectories}: no trajectories\n"
+        assert not out.exists()
 
     def test_garbage_trajectories_exit_two(self, festival_run, tmp_path,
                                            capsys):
@@ -1308,6 +1335,35 @@ class TestSynthCommand:
         assert "not a pipe" in proc.stderr and "Traceback" not in proc.stderr
         assert _error_lines(proc.stderr) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["", "\n \n"])
+    def test_inputs_file_with_no_inputs_exits_two_before_any_call(
+            self, synth_files, monkeypatch, capsys, content):
+        config, client = self.keyed(synth_files, monkeypatch)
+        synth_files["input"].write_text(content, encoding="utf-8")
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --input {synth_files['input']}: " \
+            "no synthesis inputs\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert client.calls == 0
+
+    def test_missing_input_exits_one_naming_it(self, synth_files, monkeypatch,
+                                               capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        missing = synth_files["dir"] / "no-such-inputs.jsonl"
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(missing), "--out", str(out),
+                     "--seed", "7", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+        assert not out.exists()
+        assert client.calls == 0
 
     def test_out_that_is_the_input_exits_one_before_any_call(
             self, synth_files, monkeypatch, capsys):

@@ -6,12 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from hopground import llm
 from hopground.core import DecodingParams, Termination
-from hopground.errors import (ConfigError, MalformedGrounding,
+from hopground.errors import (ConfigError, InvalidRecord, MalformedGrounding,
                               ScriptExhausted, TransportError)
 from hopground.grounding import parse_grounding
 from hopground.llm import (ChatMessage, Completion, LlmConfig,
-                           OpenAIChatClient, ScriptedClient, retry_parse)
+                           ScriptedClient, retry_parse)
 from hopground.pipeline import BM25Retriever, PipelineConfig, answer_dataset
 from hopground.retrieval import build_index
 
@@ -163,8 +164,8 @@ def stub(monkeypatch):
 
 
 def make_client(stub, **kwargs):
-    return OpenAIChatClient(base_url=stub.url, model="test-model",
-                            api_key_env=KEY_ENV, **kwargs)
+    return LlmConfig(backend="openai", base_url=stub.url, model="test-model",
+                     api_key_env=KEY_ENV, **kwargs).client("llm")
 
 
 class TestOpenAIChatClient:
@@ -180,6 +181,29 @@ class TestOpenAIChatClient:
         assert body["max_tokens"] == 64
         assert body["messages"] == [{"role": "user", "content": "hello there"}]
         assert stub.headers[0]["Authorization"] == "Bearer sk-test"
+
+    def test_sends_with_the_settings_of_its_section(self, monkeypatch):
+        sent = []
+
+        def post_json(url, payload, timeout, headers, max_attempts):
+            sent.append((url, timeout, max_attempts))
+            return json.dumps({"choices": [{"message": {"content": "ok"}}]}
+                              ).encode()
+
+        monkeypatch.setattr(llm, "post_json", post_json)
+        client = LlmConfig(backend="openai", base_url="http://h:1/v1/",
+                           model="m", timeout=7.5, max_attempts=2
+                           ).client("llm")
+        assert client.complete(USER, PARAMS).text == "ok"
+        assert sent == [("http://h:1/v1/chat/completions", 7.5, 2)]
+
+    @pytest.mark.parametrize("setting", [{"timeout": 1e12},
+                                         {"max_attempts": 0}])
+    def test_no_client_outside_the_bounds_of_its_section(self, stub,
+                                                         setting):
+        with pytest.raises(InvalidRecord, match=next(iter(setting))):
+            make_client(stub, **setting)
+        assert stub.requests == []
 
     def test_unset_key_sends_no_authorization(self, stub, monkeypatch):
         monkeypatch.delenv(KEY_ENV)
@@ -251,8 +275,8 @@ class TestOpenAIChatClient:
         # its second request over the connection its first one opened
         monkeypatch.setenv(KEY_ENV, "k")
         stub = InFlightStub(12)
-        client = OpenAIChatClient(base_url=stub.url, model="m",
-                                  api_key_env=KEY_ENV)
+        client = LlmConfig(backend="openai", base_url=stub.url, model="m",
+                           api_key_env=KEY_ENV).client("llm")
         replies = []
 
         def call():

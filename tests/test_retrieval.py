@@ -21,13 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.lib import format as npy_format
 
+from hopground import ExternalRetriever
 from hopground.core import Document
 from hopground.errors import (DuplicateDocId, EmptyCorpus, InvalidRecord,
                               MalformedDataset, MalformedResponse,
                               TransportError)
+from hopground.pipeline import RetrievalConfig
 from hopground.retrieval import (build_index, load_corpus, load_index,
-                                 retrieve, retrieve_external, save_index,
-                                 tokenize)
+                                 retrieve, save_index, tokenize)
 from hopground.retrieval import bm25
 
 import oracles
@@ -1203,10 +1204,25 @@ def _results(n):
                          "score": 1.0 / (i + 1)} for i in range(n)]}
 
 
+def external(stub):
+    """The retriever for ``stub`` at the default ``retrieval.timeout``."""
+    return ExternalRetriever(stub.url, RetrievalConfig().timeout)
+
+
 class TestExternalRetriever:
+    def test_one_class_built_from_its_config_section(self):
+        import hopground.pipeline
+        import hopground.retrieval.external
+        assert (hopground.pipeline.ExternalRetriever is ExternalRetriever
+                is hopground.retrieval.external.ExternalRetriever)
+        config = RetrievalConfig(external_endpoint="http://h:1/search",
+                                 timeout=4.0)
+        assert config.retriever("external") == ExternalRetriever(
+            "http://h:1/search", 4.0)
+
     def test_passthrough_ordering(self, stub):
         stub.queue(200, _results(3))
-        docs = retrieve_external(stub.url, "anything", top_k=10)
+        docs = external(stub).retrieve("anything", 10)
         assert [d.id for d in docs] == ["r0", "r1", "r2"]
         assert [d.rank for d in docs] == [1, 2, 3]
         assert stub.requests[0] == {"query": "anything", "top_k": 10}
@@ -1214,37 +1230,37 @@ class TestExternalRetriever:
     def test_invalid_json(self, stub):
         stub.queue(200, "this is not json")
         with pytest.raises(MalformedResponse):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
 
     def test_deeply_nested_reply(self, stub):
         stub.queue(200, "[" * 100_000)
         with pytest.raises(MalformedResponse, match="nested too deeply"):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
 
     def test_missing_results_key(self, stub):
         stub.queue(200, {"docs": []})
         with pytest.raises(MalformedResponse):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
 
     def test_rejects_top_k_below_one_before_any_request(self, stub):
         with pytest.raises(ValueError, match="top_k must be >= 1"):
-            retrieve_external(stub.url, "q", top_k=0)
+            external(stub).retrieve("q", 0)
         assert stub.requests == []
 
     def test_truncates_to_top_k(self, stub):
         stub.queue(200, _results(15))
-        docs = retrieve_external(stub.url, "q", top_k=10)
+        docs = external(stub).retrieve("q", 10)
         assert len(docs) == 10
 
     def test_http_error(self, stub):
         stub.queue(502, {"error": "bad gateway"})
         with pytest.raises(TransportError):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
 
     def test_unavailable_then_recovers(self, stub):
         stub.queue(503, {"error": "down"})
         stub.queue(200, _results(2))
-        docs = retrieve_external(stub.url, "q", top_k=5)
+        docs = external(stub).retrieve("q", 5)
         assert [d.id for d in docs] == ["r0", "r1"]
         assert len(stub.requests) == 2
 
@@ -1252,13 +1268,13 @@ class TestExternalRetriever:
         for _ in range(3):
             stub.queue(503, {"error": "down"})
         with pytest.raises(TransportError):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
         assert len(stub.requests) == 3
 
     def test_non_retryable_status_fails_fast(self, stub):
         stub.queue(404, {"error": "no such endpoint"})
         with pytest.raises(TransportError):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
         assert len(stub.requests) == 1
 
     def test_one_connection_per_thread(self):
@@ -1266,8 +1282,8 @@ class TestExternalRetriever:
         try:
             stub.queue(200, _results(1))
             stub.queue(200, _results(1))
-            retrieve_external(stub.url, "first", top_k=5)
-            retrieve_external(stub.url, "second", top_k=5)
+            external(stub).retrieve("first", 5)
+            external(stub).retrieve("second", 5)
         finally:
             stub.close()
         assert len(stub.peers) == 2
@@ -1277,12 +1293,12 @@ class TestExternalRetriever:
     def test_unusable_result_is_malformed(self, stub, result):
         stub.queue(200, {"results": [result]})
         with pytest.raises(MalformedResponse):
-            retrieve_external(stub.url, "q", top_k=5)
+            external(stub).retrieve("q", 5)
 
     @pytest.mark.parametrize("result, expected", OPTIONAL_TITLE_DOCUMENTS)
     def test_optional_title_and_numeric_id(self, stub, result, expected):
         stub.queue(200, {"results": [result]})
-        assert retrieve_external(stub.url, "q", top_k=5) == [
+        assert external(stub).retrieve("q", 5) == [
             replace(expected, rank=1)]
 
 

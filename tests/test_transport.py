@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hopground import transport
+from hopground import ExternalRetriever, transport
 from hopground.core import DecodingParams
 from hopground.errors import MalformedResponse, TransportError
-from hopground.llm import ChatMessage, Completion, OpenAIChatClient
-from hopground.retrieval import retrieve_external
+from hopground.llm import ChatMessage, Completion, LlmConfig
+from hopground.pipeline import RetrievalConfig
 
 from helpers import StubServer, TrickleStub
 
@@ -404,8 +404,8 @@ def fuzz_stub():
 def test_chat_reply_shapes(fuzz_stub, monkeypatch, body):
     monkeypatch.setenv("HOPGROUND_TEST_KEY", "k")
     fuzz_stub.queue(200, body)
-    client = OpenAIChatClient(base_url=fuzz_stub.url, model="m",
-                              api_key_env="HOPGROUND_TEST_KEY")
+    client = LlmConfig(backend="openai", base_url=fuzz_stub.url, model="m",
+                       api_key_env="HOPGROUND_TEST_KEY").client("llm")
     try:
         assert isinstance(client.complete(USER, DecodingParams()), Completion)
     except TransportError:
@@ -417,7 +417,8 @@ def test_chat_reply_shapes(fuzz_stub, monkeypatch, body):
 def test_retrieval_reply_shapes(fuzz_stub, body):
     fuzz_stub.queue(200, body)
     try:
-        docs = retrieve_external(fuzz_stub.url, "q", top_k=2)
+        docs = ExternalRetriever(fuzz_stub.url, RetrievalConfig().timeout
+                                 ).retrieve("q", 2)
     except MalformedResponse:
         return
     results = json.loads(body)["results"]
