@@ -77,8 +77,9 @@ def run_eval(records, n_lines, tmp) -> tuple[float, float, str]:
     than the expected one exits non-zero."""
     trajectories, dataset = write_inputs(records, n_lines, tmp)
     out = tmp / f"reports-{n_lines}"
-    seconds, peak = run_child(["eval", "--trajectories", str(trajectories),
-                               "--dataset", str(dataset), "--out", str(out)])
+    seconds, peak, _ = run_child([
+        "eval", "--trajectories", str(trajectories), "--dataset", str(dataset),
+        "--out", str(out)])
     trajectories.unlink()
     dataset.unlink()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))

@@ -13,11 +13,12 @@ peak of the process it was started from, this benchmark.
 ``hopground synth --include-dropped`` first runs over the 400 inputs of
 ``plan.synth_inputs``.  Every verdict in the corpus is checked against the
 plan (a mismatch exits non-zero), and the corpus size is reported in bytes
-per line.  ``synth`` then runs on the inputs repeated under fresh ids to
-each ``--synth-inputs`` count, so the client's own state stays at the 400
-planned items, and ``stats`` runs on the corpus lines repeated to each
-``--stats-lines`` count.  Memory that grows with the input shows as the
-gap between the counts.
+per line and the teacher's prompts in tokens per item, counted as perfbench
+counts them (``plan.count_tokens``).  ``synth`` then runs on the inputs
+repeated under fresh ids to each ``--synth-inputs`` count, so the client's
+own state stays at the 400 planned items, and ``stats`` runs on the corpus
+lines repeated to each ``--stats-lines`` count.  Memory that grows with the
+input shows as the gap between the counts.
 
     python benchmarks/bench_synth.py --json benchmarks/BENCH_synth.json \\
         --label change
@@ -48,12 +49,13 @@ import plan  # noqa: E402
 CONCURRENCY = 2  # as synth-http runs
 
 # ``python -m hopground`` with the arguments of the child's argv, then the
-# seconds ``main`` took and VmHWM in KiB.  For ``synth`` both models answer
-# the plan of the run's ``--seed``.
+# seconds ``main`` took, VmHWM in KiB and the tokens of every teacher prompt.
+# For ``synth`` both models answer the plan of the run's ``--seed``.
 _CHILD = """\
-import logging, sys, time
+import logging, sys, threading, time
 from hopground.cli import main
 
+teacher_tokens = [0]
 if sys.argv[1] == "synth":
     import plan
     from hopground.errors import TransportError
@@ -61,10 +63,15 @@ if sys.argv[1] == "synth":
 
     seed = int(sys.argv[sys.argv.index("--seed") + 1])
     responder = plan.Responder(synth_inputs=plan.synth_inputs(seed))
+    lock = threading.Lock()
 
     class ResponderClient:
         def complete(self, messages, params):
-            text, _ = responder.reply("\\n".join(m.content for m in messages))
+            prompt = "\\n".join(m.content for m in messages)
+            if plan.GROUNDING_CUE in prompt:  # the teacher's prompt
+                with lock:
+                    teacher_tokens[0] += plan.count_tokens(prompt)
+            text, _ = responder.reply(prompt)
             if text is None:
                 raise TransportError("planned failure")
             return Completion(text=text)
@@ -78,13 +85,14 @@ code = main(sys.argv[1:])
 print(time.perf_counter() - started)
 with open("/proc/self/status", encoding="ascii") as f:
     print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+print(teacher_tokens[0])
 sys.exit(code)
 """
 
 
-def run_child(args) -> tuple[float, float]:
+def run_child(args) -> tuple[float, float, int]:
     """``hopground`` with ``args`` in a child process: (seconds, peak RSS
-    in MB = 2**20 bytes)."""
+    in MB = 2**20 bytes, tokens of the teacher's prompts)."""
     src = str(Path(hopground.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, str(PERFBENCH), os.environ.get("PYTHONPATH")]))}
@@ -93,8 +101,8 @@ def run_child(args) -> tuple[float, float]:
     if proc.returncode != 0:
         raise SystemExit(f"{args[0]} exited {proc.returncode}: "
                          f"{proc.stderr.strip()}")
-    seconds, hwm = proc.stdout.split()[-2:]
-    return float(seconds), int(hwm) / 1024  # VmHWM is in KiB
+    seconds, hwm, tokens = proc.stdout.split()[-3:]
+    return float(seconds), int(hwm) / 1024, int(tokens)  # VmHWM is in KiB
 
 
 def write_inputs(items, n_inputs, path) -> None:
@@ -111,11 +119,11 @@ def write_inputs(items, n_inputs, path) -> None:
             }, separators=(",", ":")) + "\n")
 
 
-def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float]:
+def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float, int]:
     """``hopground synth --include-dropped`` over ``items`` repeated to
     ``n_inputs`` inputs, with gold positions drawn from ``seed``: (corpus
-    path, seconds, peak RSS in MB).  A corpus short of its inputs exits
-    non-zero."""
+    path, seconds, peak RSS in MB, tokens of the teacher's prompts).  A
+    corpus short of its inputs exits non-zero."""
     inputs = tmp / f"inputs-{n_inputs}.jsonl"
     out = tmp / f"corpus-{n_inputs}.jsonl"
     config = tmp / "config.json"
@@ -126,7 +134,7 @@ def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float]:
         "student_llm": model, "teacher_llm": model,
         "synthesis": {"concurrency": CONCURRENCY}}), encoding="utf-8")
     write_inputs(items, n_inputs, inputs)
-    seconds, peak = run_child([
+    seconds, peak, tokens = run_child([
         "synth", "--input", str(inputs), "--out", str(out),
         "--seed", str(seed), "--config", str(config), "--include-dropped"])
     inputs.unlink()
@@ -134,7 +142,7 @@ def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float]:
         lines = sum(1 for _ in f)
     if lines != n_inputs:
         raise SystemExit(f"synth wrote {lines} lines for {n_inputs} inputs")
-    return out, seconds, peak
+    return out, seconds, peak, tokens
 
 
 def check_verdicts(items, corpus) -> int:
@@ -181,16 +189,17 @@ def main(argv=None) -> dict:
     items = plan.synth_inputs(seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        corpus, synth_s, _ = synthesize(items, seed, len(items), tmp)
+        corpus, synth_s, _, tokens = synthesize(items, seed, len(items), tmp)
         kept = check_verdicts(items, corpus)
         corpus_bytes = corpus.stat().st_size
         print(f"synthesized {len(items)} examples ({kept} kept) in "
               f"{synth_s:.3f} s")
         print(f"  corpus {corpus_bytes} bytes, "
               f"{corpus_bytes / len(items):.2f} bytes/line")
+        print(f"  teacher prompts {tokens / len(items):.2f} tokens/item")
         synth_peaks = {}
         for n_inputs in args.synth_inputs:
-            out, _, peak = synthesize(items, seed, n_inputs, tmp)
+            out, _, peak, _ = synthesize(items, seed, n_inputs, tmp)
             out.unlink()
             synth_peaks[str(n_inputs)] = peak
             print(f"  synth  {peak:8.1f} MB peak RSS at {n_inputs} inputs")
@@ -212,6 +221,7 @@ def main(argv=None) -> dict:
         "examples": len(items), "kept": kept, "synth_s": synth_s,
         "corpus_bytes": corpus_bytes,
         "bytes_per_line": corpus_bytes / len(items),
+        "teacher_prompt_tokens_per_item": tokens / len(items),
         "synth_peak_rss_mb": synth_peaks,
         "stats_peak_rss_mb": stats_peaks,
     }

@@ -250,6 +250,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     student = config.student_llm.client("student_llm")
     teacher = config.teacher_llm.client("teacher_llm")
     library = config.templates.load()
+    if config.templates.dir is not None:
+        retired = Path(config.templates.dir, "synthesis_teacher.txt")
+        if retired.exists():
+            raise ConfigError(f"templates.dir holds {retired}, which synth "
+                              "no longer reads: the teacher is sent "
+                              "grounding.txt, so move any edits there")
     reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
     def count(example: distill.TrainingExample) -> distill.TrainingExample:
@@ -271,7 +277,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     inputs = distill.load_synthesis_inputs(args.input)
     stream = distill.synthesize_stream(
         islice(inputs, total), total, student, teacher, library,
-        seed=args.seed, config=config.synthesis,
+        seed=args.seed, batch_size=config.pipeline.batch_size,
+        config=config.synthesis,
         progress=Progress("synthesized"))
     written = distill.emit_corpus(map(count, stream), args.out,
                                   include_dropped=args.include_dropped)

@@ -1,9 +1,10 @@
 """Training-corpus synthesis for grounding distillation.
 
 For each single-hop input question, a student model produces an immediate
-answer, a teacher model revises it against the gold document hidden among
-noise documents, and heuristic filters drop low-quality teacher outputs.
-The kept (instruction, target) pairs form the instruction-tuning corpus.
+answer, a teacher model revises it in the grounding prompt inference sends,
+over one window that hides the gold document among noise documents, and
+heuristic filters drop low-quality teacher outputs.  The kept (instruction,
+target) pairs form the instruction-tuning corpus.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import (ConfigRecord, Count, DecodingParams, Document,
-                   GroundingKind, PositiveInt, Question, Record, Text,
-                   expect_type, read_jsonl, scalar_text, write_jsonl)
+from .core import (ConfigRecord, DecodingParams, Document, GroundingKind,
+                   PositiveInt, Question, Record, Text, expect_type,
+                   read_jsonl, scalar_text, write_jsonl)
 from .errors import (EmptyRecords, InvalidRecord, LlmError, MalformedGrounding,
                      MissingRevision)
 from .evaluation import cover_em
 from .grounding import parse_grounding
 from .llm import ChatMessage, LlmClient
-from .pipeline import map_ordered
-from .prompts import TemplateLibrary, render_synthesis_teacher
+from .pipeline import PipelineConfig, map_ordered
+from .prompts import TemplateLibrary, render_grounding
 from .retrieval.corpus import parse_document
 
 log = logging.getLogger(__name__)
@@ -36,7 +37,6 @@ DROP_LLM_ERROR = "llm_error"
 
 @dataclass(frozen=True)
 class SynthesisConfig(ConfigRecord, section="synthesis"):
-    noise_docs: Count = 9  # gold + 9 mirrors top-10 retrieval at inference
     concurrency: PositiveInt = 1
 
 
@@ -187,14 +187,23 @@ def place_gold(gold_doc: Document, noise_docs: Sequence[Document],
     return tuple(docs)
 
 
+def render_synthesis_teacher(library: TemplateLibrary, question: Question,
+                             immediate_answer: str,
+                             window: Sequence[Document]) -> list[ChatMessage]:
+    """The teacher's prompt: the grounding prompt inference sends over one
+    window, with the single-hop question as its own sub-question."""
+    return render_grounding(library, question, question.text,
+                            immediate_answer, window)
+
+
 def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
                        teacher_llm: LlmClient, library: TemplateLibrary,
                        gold_position: int) -> TrainingExample:
     """Synthesize one training example.
 
     The student sees the bare question; the teacher sees the grounding
-    instruction over the shuffled document list.  LLM failures yield a
-    Drop(llm_error) example rather than raising.
+    prompt over the gold document placed among the noise.  LLM failures
+    yield a Drop(llm_error) example rather than raising.
     """
     documents = place_gold(inp.gold_doc, inp.noise_docs, gold_position)
 
@@ -207,14 +216,14 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
             DecodingParams())
         immediate_answer = student_reply.text.strip()
         teacher_messages = render_synthesis_teacher(
-            library, inp.question.text, immediate_answer, documents)
+            library, inp.question, immediate_answer, documents)
         target = teacher_llm.complete(teacher_messages, DecodingParams()).text
         verdict = apply_filters(target, inp.gold_answer)
     except LlmError as exc:
         log.warning("question %s: synthesis failed: %s", inp.question.id, exc)
         if teacher_messages is None:  # the student failed: no answer to show
             teacher_messages = render_synthesis_teacher(
-                library, inp.question.text, immediate_answer, documents)
+                library, inp.question, immediate_answer, documents)
         verdict = Verdict(DROP_LLM_ERROR)
 
     return TrainingExample(
@@ -231,6 +240,7 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
 def synthesize_stream(inputs: Iterable[SynthesisInput], total: int,
                       student_llm: LlmClient, teacher_llm: LlmClient,
                       library: TemplateLibrary, seed: int,
+                      batch_size: int = PipelineConfig.batch_size,
                       config: SynthesisConfig = SynthesisConfig(),
                       progress: Callable[[int, int], None] | None = None,
                       ) -> Iterator[TrainingExample]:
@@ -238,7 +248,8 @@ def synthesize_stream(inputs: Iterable[SynthesisInput], total: int,
     yielding examples in input order as ``map_ordered`` does, which pulls
     an input only as it starts it.
 
-    Each input keeps its first ``config.noise_docs`` noise documents.
+    Each input is one inference window of ``batch_size`` documents: the
+    gold document and the input's first ``batch_size - 1`` noise documents.
     ``progress(done, total)`` fires after each completed example.  Gold
     positions are drawn from one seeded RNG as the inputs are pulled, in
     input order, so a fixed seed reproduces the corpus exactly (given
@@ -248,7 +259,7 @@ def synthesize_stream(inputs: Iterable[SynthesisInput], total: int,
 
     def placed() -> Iterator[tuple[SynthesisInput, int]]:
         for inp in inputs:
-            noise_docs = inp.noise_docs[:config.noise_docs]
+            noise_docs = inp.noise_docs[:batch_size - 1]
             yield (replace(inp, noise_docs=noise_docs),
                    rng.randint(1, len(noise_docs) + 1))
 

@@ -140,9 +140,10 @@ class OpenAIChatClient:
     def _parse_response(body: bytes) -> Completion:
         usage = (0, 0)  # an error raised before usage is read reports none
         try:
-            # not loads_utf8, which would reject a lone surrogate in the
-            # content before the usage beside it is read
-            data = json.loads(body)
+            # strictly UTF-8, as every outside input: json.loads alone
+            # accepts UTF-16, UTF-32 and a BOM.  Not loads_utf8, which
+            # would reject a lone surrogate before the usage is read
+            data = json.loads(body.decode("utf-8"))
             reported = data.get("usage") or {}
             counts = TokenCounts(int(reported.get("prompt_tokens", 0)),
                                  int(reported.get("completion_tokens", 0)))

@@ -27,8 +27,6 @@ TEMPLATE_BINDINGS: dict[str, frozenset[str]] = {
     "grounding": frozenset({"question", "sub_question", "immediate_answer",
                             "documents"}),
     "judge": frozenset({"question", "prediction", "gold_answer"}),
-    "synthesis_teacher": frozenset({"question", "immediate_answer",
-                                    "documents"}),
 }
 TEMPLATE_NAMES = tuple(TEMPLATE_BINDINGS)
 
@@ -142,14 +140,15 @@ def render_deduction(library: TemplateLibrary, question: Question,
         "next_index": str(len(hops) + 1)})
 
 
-def _render_documents(library: TemplateLibrary, name: str,
-                      batch: Sequence[Document],
-                      **bindings: str) -> list[ChatMessage]:
-    """A prompt over numbered documents, each body cut to the library's
-    character budget; every text in it is sanitized.  A document stored
-    without its body raises ``InvalidRecord``."""
+def render_grounding(library: TemplateLibrary, question: Question,
+                     sub_question: str, immediate_answer: str,
+                     batch: Sequence[Document]) -> list[ChatMessage]:
+    """Build the grounding prompt over one batch of numbered documents,
+    each body cut to the library's character budget; every text in it is
+    sanitized.  A document stored without its body raises
+    ``InvalidRecord``."""
     if not batch:
-        raise EmptyBatch(f"{name} needs at least one document")
+        raise EmptyBatch("grounding needs at least one document")
     budget = library.doc_char_budget
     blocks = []
     for i, doc in enumerate(batch, start=1):
@@ -157,27 +156,11 @@ def _render_documents(library: TemplateLibrary, name: str,
         body = body[:budget].rstrip() if budget else body
         header = f"[{i}] {sanitize_markup(doc.title)}".rstrip()
         blocks.append(f"{header}\n{sanitize_markup(body)}")
-    values = {slot: sanitize_markup(value) for slot, value in bindings.items()}
-    values["documents"] = "\n\n".join(blocks)
-    return _render(library, name, values)
-
-
-def render_grounding(library: TemplateLibrary, question: Question,
-                     sub_question: str, immediate_answer: str,
-                     batch: Sequence[Document]) -> list[ChatMessage]:
-    """Build the grounding prompt over one batch of documents."""
-    return _render_documents(library, "grounding", batch,
-                             question=question.text, sub_question=sub_question,
-                             immediate_answer=immediate_answer)
-
-
-def render_synthesis_teacher(library: TemplateLibrary, question_text: str,
-                             immediate_answer: str,
-                             batch: Sequence[Document]) -> list[ChatMessage]:
-    """Grounding prompt variant for single-hop synthesis inputs."""
-    return _render_documents(library, "synthesis_teacher", batch,
-                             question=question_text,
-                             immediate_answer=immediate_answer)
+    return _render(library, "grounding", {
+        "question": sanitize_markup(question.text),
+        "sub_question": sanitize_markup(sub_question),
+        "immediate_answer": sanitize_markup(immediate_answer),
+        "documents": "\n\n".join(blocks)})
 
 
 def render_judge(library: TemplateLibrary, question: str, prediction: str,

@@ -9,7 +9,8 @@ import bench_synth  # noqa: E402
 
 RECORD_KEYS = {"label", "command", "machine", "seed", "held_out",
                "synth_inputs", "stats_lines", "examples", "kept", "synth_s",
-               "corpus_bytes", "bytes_per_line", "synth_peak_rss_mb",
+               "corpus_bytes", "bytes_per_line",
+               "teacher_prompt_tokens_per_item", "synth_peak_rss_mb",
                "stats_peak_rss_mb"}
 
 
@@ -19,7 +20,7 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
         bench_synth.main(["--synth-inputs", "3", "--stats-lines", "5",
                           "--json", str(path), "--label", label])
     out = capsys.readouterr().out
-    for layer in ("synthesized 400 examples", "bytes/line",
+    for layer in ("synthesized 400 examples", "bytes/line", "tokens/item",
                   "MB peak RSS at 3 inputs", "MB peak RSS at 5 lines"):
         assert layer in out
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
@@ -31,6 +32,7 @@ def test_json_record_keys_and_replacement(tmp_path, capsys):
             "python benchmarks/bench_synth.py")
         assert record["examples"] == 400 and 0 < record["kept"] < 400
         assert record["bytes_per_line"] == record["corpus_bytes"] / 400
+        assert record["teacher_prompt_tokens_per_item"] > 0
         assert set(record["synth_peak_rss_mb"]) == {"3"}
         assert record["synth_peak_rss_mb"]["3"] > 0
         assert set(record["stats_peak_rss_mb"]) == {"5"}

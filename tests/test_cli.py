@@ -18,7 +18,7 @@ from hopground.core import Trajectory, loads_utf8
 from hopground.distill import load_training_corpus
 from hopground.errors import InvalidRecord
 from hopground.llm import LlmConfig
-from hopground.pipeline import map_ordered
+from hopground.pipeline import PipelineConfig, map_ordered
 from hopground.retrieval import build_index, load_corpus, load_index, retrieve
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
@@ -300,8 +300,8 @@ class TestRunCommand:
         ({"llm": {**OPENAI, "modle": "m"}}, "llm.modle", "llm.model"),
         ({"retrieval": {"corpus": "x.jsonl"}}, "retrieval.corpus",
          "retrieval.corpus_path"),
-        ({"synthesis": {"noise": 3}}, "synthesis.noise",
-         "synthesis.noise_docs"),
+        ({"synthesis": {"concurency": 2}}, "synthesis.concurency",
+         "synthesis.concurrency"),
         ({"pipeline": {"decoding": {"max_tokens": 9}}},
          "decoding.max_tokens", "decoding.max_output_tokens"),
     ])
@@ -1198,9 +1198,11 @@ class TestSynthCommand:
             assert list(record) == [
                 "instruction", "doc_ids", "gold_position", "gold_body",
                 "immediate_answer", "target", "verdict", "drop_reason"]
+            # one inference window: the gold and the first noise documents
             ids = record["doc_ids"]
-            assert sorted(ids) == sorted(
-                d["id"] for d in [inp["gold_doc"], *inp["noise_docs"]])
+            window = [inp["gold_doc"],
+                      *inp["noise_docs"][:PipelineConfig.batch_size - 1]]
+            assert sorted(ids) == sorted(d["id"] for d in window)
             assert ids[record["gold_position"] - 1] == inp["gold_doc"]["id"]
             assert record["gold_body"] == inp["gold_doc"]["body"]
             # the instruction numbers each document by its slot
@@ -1253,8 +1255,6 @@ class TestSynthCommand:
     @pytest.mark.parametrize("synthesis, key", [
         ({"concurrency": "2"}, "synthesis.concurrency"),
         ({"concurrency": 0}, "synthesis.concurrency"),
-        ({"noise_docs": "3"}, "synthesis.noise_docs"),
-        ({"noise_docs": -1}, "synthesis.noise_docs"),
     ])
     def test_wrong_typed_synthesis_exits_one(self, synth_files, capsys,
                                              synthesis, key):
@@ -1379,6 +1379,40 @@ class TestSynthCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "--out" in err and "--input" in err
         assert path.read_bytes() == before
+        assert client.calls == 0
+
+    def test_the_removed_noise_docs_key_exits_one_before_any_call(
+            self, synth_files, monkeypatch, capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
+                            "synthesis": {"noise_docs": 9}})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config)]) == 1
+        assert "unknown config key synthesis.noise_docs" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert client.calls == 0
+
+    def test_a_retired_teacher_template_exits_one_naming_it(
+            self, synth_files, monkeypatch, capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        templates = synth_files["dir"] / "templates"
+        templates.mkdir()
+        retired = templates / "synthesis_teacher.txt"
+        retired.write_text("Question: {question}\n{documents}",
+                           encoding="utf-8")
+        write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
+                            "templates": {"dir": str(templates)}})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(retired) in err and "grounding.txt" in err
+        assert not out.exists()
         assert client.calls == 0
 
     @pytest.mark.parametrize("change", ["grown", "cut"])
@@ -1560,6 +1594,7 @@ class TestStatsCommand:
 @pytest.mark.parametrize("command, flag", [
     ("run", "--max-hops"), ("run", "--top-k"), ("run", "--batch-size"),
     ("run", "--concurrency"), ("run", "--strict-citation"),
+    # synthesis.noise_docs is gone, and no flag took its place
     ("run", "--templates"), ("synth", "--noise-docs"), ("synth", "--templates"),
 ])
 def test_a_config_key_has_no_flag(tmp_path, capsys, command, flag):

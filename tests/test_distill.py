@@ -18,6 +18,7 @@ from hopground.distill import (DROP_EMPTY_EVIDENCE, DROP_LLM_ERROR,
                                synthesize_stream)
 from hopground.errors import EmptyRecords, InvalidRecord, MalformedDataset
 from hopground.llm import Completion, ScriptedClient
+from hopground.prompts import render_grounding
 
 import oracles
 from helpers import (BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, LoggedScript,
@@ -201,12 +202,28 @@ class TestSynthesizeStream:
         assert positions[0] != positions[1]
 
     def test_noise_docs_trimmed_to_maximum(self, library):
-        inputs = [make_input(0, n_noise=15)]
-        student, teacher = self.scripts(1)
-        examples = list(synthesize_stream(
-            inputs, 1, student, teacher, library, seed=0,
-            config=SynthesisConfig(noise_docs=9)))
-        assert len(examples[0].doc_ids) == 10  # gold + 9 noise
+        # one inference window: the gold document and the first
+        # batch_size - 1 noise documents
+        for batch_size in (1, 3):
+            inp = make_input(0, n_noise=15)
+            student, teacher = self.scripts(1)
+            [example] = synthesize_stream([inp], 1, student, teacher, library,
+                                          seed=0, batch_size=batch_size)
+            assert len(example.doc_ids) == batch_size
+            assert set(example.doc_ids) == {
+                "gold", *(d.id for d in inp.noise_docs[:batch_size - 1])}
+
+    def test_instruction_is_the_grounding_prompt_of_its_window(self, library):
+        inputs = [make_input(i, n_noise=4) for i in range(4)]
+        student, teacher = self.scripts(len(inputs))
+        examples = synthesize_stream(inputs, len(inputs), student, teacher,
+                                     library, seed=5, batch_size=3)
+        for inp, example in zip(inputs, examples):
+            window = place_gold(inp.gold_doc, inp.noise_docs[:2],
+                                example.gold_position)
+            assert example.instruction == render_grounding(
+                library, inp.question, inp.question.text,
+                example.immediate_answer, window)[0].content
 
     def test_output_order_matches_input(self, library):
         inputs = [make_input(i) for i in range(5)]

@@ -36,14 +36,27 @@ from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, write_festival_files, write_synth_files)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
-# synth.jsonl as it was written before doc_ids and gold_body replaced the
-# document objects and gold_doc_id; it must still load
+# synth.jsonl as it was written while the teacher was sent its own template
+# over the gold and every noise document, in the doc_ids form
+DOC_IDS_FORM = GOLDEN.parent / "synth-doc-ids-form.jsonl"
+# the same examples as they were written before doc_ids and gold_body
+# replaced the document objects and gold_doc_id; it must still load
 DOCUMENTS_FORM = GOLDEN.parent / "synth-documents-form.jsonl"
-# what ``stats`` printed for it when that form was the one written
+# what ``stats`` printed for both when the documents form was the one written
 DOCUMENTS_FORM_STATS = """{
   "avg_gold_doc_len": 9.0,
   "avg_gold_docs": 1.0,
   "avg_instruction_len": 93.0,
+  "avg_target_len": 11.0,
+  "count": 8
+}
+"""
+# what ``stats`` prints for the golden corpus, whose instructions are
+# grounding prompts over one window of three documents
+GOLDEN_STATS = """{
+  "avg_gold_doc_len": 9.0,
+  "avg_gold_docs": 1.0,
+  "avg_instruction_len": 97.0,
   "avg_target_len": 11.0,
   "count": 8
 }
@@ -146,14 +159,19 @@ def test_synth_corpus_loads_and_emits_back_byte_for_byte(tmp_path):
 
 def test_synth_corpus_in_the_documents_form_loads_alike():
     assert (list(load_training_corpus(DOCUMENTS_FORM))
-            == list(load_training_corpus(GOLDEN / "synth.jsonl")))
+            == list(load_training_corpus(DOC_IDS_FORM)))
 
 
-@pytest.mark.parametrize("path", [DOCUMENTS_FORM, GOLDEN / "synth.jsonl"],
+@pytest.mark.parametrize("path", [DOCUMENTS_FORM, DOC_IDS_FORM],
                          ids=["documents-form", "golden"])
 def test_stats_prints_the_same_bytes_for_either_form(capsys, path):
     assert main(["stats", "--corpus", str(path)]) == 0
     assert capsys.readouterr().out == DOCUMENTS_FORM_STATS
+
+
+def test_stats_of_the_golden_corpus(capsys):
+    assert main(["stats", "--corpus", str(GOLDEN / "synth.jsonl")]) == 0
+    assert capsys.readouterr().out == GOLDEN_STATS
 
 
 @pytest.fixture()

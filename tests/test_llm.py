@@ -263,6 +263,20 @@ class TestOpenAIChatClient:
         with pytest.raises(TransportError, match="unusable completion"):
             make_client(stub).complete(USER, PARAMS)
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_a_reply_not_in_utf8_is_a_transport_error(self, monkeypatch,
+                                                      encoding):
+        # json.loads would read each of these bytes as the reply "ok"
+        body = json.dumps({"choices": [{"message": {"content": "ok"}}],
+                           "usage": {"prompt_tokens": 3,
+                                     "completion_tokens": 1}})
+        monkeypatch.setattr(llm, "post_json",
+                            lambda *args: body.encode(encoding))
+        client = LlmConfig(backend="openai", base_url="http://h:1/v1",
+                           model="m").client("llm")
+        with pytest.raises(TransportError, match="unusable completion"):
+            client.complete(USER, PARAMS)
+
     def test_unusable_reply_carries_its_usage(self, stub):
         stub.queue(200, {"choices": [], "usage": {"prompt_tokens": 5,
                                                   "completion_tokens": 2}})

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord, Question
+from hopground.distill import render_synthesis_teacher
 from hopground.errors import EmptyBatch, InvalidRecord, MissingPlaceholder
 from hopground.llm import ChatMessage
 from hopground.prompts import (TEMPLATE_BINDINGS, TEMPLATE_NAMES,
                                TemplateLibrary, format_step, parse_template,
                                render_deduction, render_grounding,
-                               render_judge, render_synthesis_teacher,
-                               sanitize_markup)
+                               render_judge, sanitize_markup)
 
 from helpers import FESTIVAL_QUESTION
 
@@ -97,8 +97,6 @@ class TestPromptTemplate:
             "grounding": render_grounding(library, QUESTION, "Who?", "Him.",
                                           docs(2)),
             "judge": render_judge(library, "Q?", "P", "G"),
-            "synthesis_teacher": render_synthesis_teacher(
-                library, "Who else?", "Her.", docs(2)),
         }
         assert rendered == {
             "deduction": [ChatMessage(role="user", content=expected(
@@ -110,9 +108,6 @@ class TestPromptTemplate:
                 immediate_answer="Him.", documents=documents))],
             "judge": [ChatMessage(role="user", content=expected(
                 "judge", question="Q?", prediction="P", gold_answer="G"))],
-            "synthesis_teacher": [ChatMessage(role="user", content=expected(
-                "synthesis_teacher", question="Who else?",
-                immediate_answer="Her.", documents=documents))],
         }
 
 
@@ -247,13 +242,18 @@ class TestRenderJudge:
 
 class TestSynthesisTeacher:
     def test_renders_question_and_documents(self, library):
-        content = render_synthesis_teacher(library, "Who?", "Him.", docs(2))[0].content
-        assert "Who?" in content and "Him." in content
+        # the grounding prompt, with the question as its own sub-question
+        question = Question(id="s1", text="Who?")
+        content = render_synthesis_teacher(library, question, "Him.",
+                                           docs(2))[0].content
+        assert content == render_grounding(library, question, "Who?", "Him.",
+                                           docs(2))[0].content
         assert "[1]" in content and "[2]" in content
 
     def test_empty_batch_rejected(self, library):
         with pytest.raises(EmptyBatch):
-            render_synthesis_teacher(library, "q", "a", [])
+            render_synthesis_teacher(library, Question(id="s1", text="q"),
+                                     "a", [])
 
 
 class TestTemplateDirectory:
