@@ -119,14 +119,13 @@ def write_inputs(items, n_inputs, path) -> None:
             }, separators=(",", ":")) + "\n")
 
 
-def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float, int]:
+def synthesize(items, seed, n_inputs, out) -> tuple[float, float, int]:
     """``hopground synth --include-dropped`` over ``items`` repeated to
-    ``n_inputs`` inputs, with gold positions drawn from ``seed``: (corpus
-    path, seconds, peak RSS in MB, tokens of the teacher's prompts).  A
-    corpus short of its inputs exits non-zero."""
-    inputs = tmp / f"inputs-{n_inputs}.jsonl"
-    out = tmp / f"corpus-{n_inputs}.jsonl"
-    config = tmp / "config.json"
+    ``n_inputs`` inputs, with gold positions drawn from ``seed``, into the
+    corpus ``out``: (seconds, peak RSS in MB, tokens of the teacher's
+    prompts).  A corpus short of its inputs exits non-zero."""
+    inputs = out.with_name(f"inputs-{n_inputs}.jsonl")
+    config = out.with_name("config.json")
     # the child replaces each model's client, so the URL is never reached
     model = {"backend": "openai", "base_url": "http://127.0.0.1:9",
              "model": "plan"}
@@ -142,7 +141,7 @@ def synthesize(items, seed, n_inputs, tmp) -> tuple[Path, float, float, int]:
         lines = sum(1 for _ in f)
     if lines != n_inputs:
         raise SystemExit(f"synth wrote {lines} lines for {n_inputs} inputs")
-    return out, seconds, peak, tokens
+    return seconds, peak, tokens
 
 
 def check_verdicts(items, corpus) -> int:
@@ -189,7 +188,10 @@ def main(argv=None) -> dict:
     items = plan.synth_inputs(seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        corpus, synth_s, _, tokens = synthesize(items, seed, len(items), tmp)
+        # a name of its own: a --synth-inputs count may equal len(items),
+        # and stats reads this corpus after those runs
+        corpus = tmp / "corpus-planned.jsonl"
+        synth_s, _, tokens = synthesize(items, seed, len(items), corpus)
         kept = check_verdicts(items, corpus)
         corpus_bytes = corpus.stat().st_size
         print(f"synthesized {len(items)} examples ({kept} kept) in "
@@ -199,7 +201,8 @@ def main(argv=None) -> dict:
         print(f"  teacher prompts {tokens / len(items):.2f} tokens/item")
         synth_peaks = {}
         for n_inputs in args.synth_inputs:
-            out, _, peak, _ = synthesize(items, seed, n_inputs, tmp)
+            out = tmp / f"corpus-{n_inputs}.jsonl"
+            _, peak, _ = synthesize(items, seed, n_inputs, out)
             out.unlink()
             synth_peaks[str(n_inputs)] = peak
             print(f"  synth  {peak:8.1f} MB peak RSS at {n_inputs} inputs")

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .core import ConfigRecord, Count, Document, HopRecord, Question
+from .core import ConfigRecord, Document, HopRecord, Question
 from .errors import ConfigError, EmptyBatch, MissingPlaceholder, PromptError
 from .llm import ChatMessage
 
@@ -30,7 +30,8 @@ TEMPLATE_BINDINGS: dict[str, frozenset[str]] = {
 }
 TEMPLATE_NAMES = tuple(TEMPLATE_BINDINGS)
 
-DEFAULT_DOC_CHAR_BUDGET = 1500
+# every grounding prompt, run's and synth's alike, cuts a body to this
+DOC_CHAR_BUDGET = 1500
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _MARKUP_RE = re.compile(r"<(/?)(ref|revise)>", re.IGNORECASE)
@@ -83,11 +84,9 @@ class TemplateLibrary:
 
     templates: dict[str, tuple[str, ...]]
     deduction_examples: tuple[str, ...]
-    doc_char_budget: int
 
     @classmethod
-    def load(cls, directory: str | Path | None = None,
-             doc_char_budget: int = DEFAULT_DOC_CHAR_BUDGET) -> "TemplateLibrary":
+    def load(cls, directory: str | Path | None = None) -> "TemplateLibrary":
         """Load templates from ``directory``, falling back to the packaged
         defaults file by file."""
         base = Path(directory) if directory is not None else None
@@ -98,20 +97,18 @@ class TemplateLibrary:
         examples_text = _read_template_text(base, "deduction_examples.txt")
         examples = [block.strip() for block in
                     re.split(rf"^{_EXAMPLE_SEPARATOR}\s*$", examples_text, flags=re.M)]
-        return cls(templates, tuple(b for b in examples if b),
-                   doc_char_budget)
+        return cls(templates, tuple(b for b in examples if b))
 
 
 @dataclass(frozen=True)
 class TemplatesConfig(ConfigRecord, section="templates"):
     dir: str | None = None
-    doc_char_budget: Count = DEFAULT_DOC_CHAR_BUDGET  # 0: no budget
 
     def load(self) -> TemplateLibrary:
         if self.dir is not None and not Path(self.dir).is_dir():
             raise ConfigError(f"templates.dir {self.dir!r} is not a directory")
         try:
-            return TemplateLibrary.load(self.dir, self.doc_char_budget)
+            return TemplateLibrary.load(self.dir)
         except (OSError, PromptError, ValueError) as exc:
             raise ConfigError(f"cannot load templates: {exc}") from exc
 
@@ -144,16 +141,14 @@ def render_grounding(library: TemplateLibrary, question: Question,
                      sub_question: str, immediate_answer: str,
                      batch: Sequence[Document]) -> list[ChatMessage]:
     """Build the grounding prompt over one batch of numbered documents,
-    each body cut to the library's character budget; every text in it is
+    each body cut to ``DOC_CHAR_BUDGET`` characters; every text in it is
     sanitized.  A document stored without its body raises
     ``InvalidRecord``."""
     if not batch:
         raise EmptyBatch("grounding needs at least one document")
-    budget = library.doc_char_budget
     blocks = []
     for i, doc in enumerate(batch, start=1):
-        body = doc.require_body().body
-        body = body[:budget].rstrip() if budget else body
+        body = doc.require_body().body[:DOC_CHAR_BUDGET].rstrip()
         header = f"[{i}] {sanitize_markup(doc.title)}".rstrip()
         blocks.append(f"{header}\n{sanitize_markup(body)}")
     return _render(library, "grounding", {

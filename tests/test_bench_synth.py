@@ -44,3 +44,10 @@ def test_a_verdict_off_the_plan_fails_the_run(monkeypatch):
                         lambda item: (True, None))
     with pytest.raises(SystemExit, match="planned"):
         bench_synth.main(["--synth-inputs", "3", "--stats-lines", "5"])
+
+
+def test_synth_inputs_equal_to_the_planned_count():
+    # the planned corpus, which stats reads, outlives a run of that size
+    record = bench_synth.main(["--synth-inputs", "400", "--stats-lines", "5"])
+    assert set(record["synth_peak_rss_mb"]) == {"400"}
+    assert record["stats_peak_rss_mb"]["5"] > 0

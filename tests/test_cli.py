@@ -241,7 +241,7 @@ class TestRunCommand:
         ({"pipeline": {"decoding": []}}, "decoding"),
         ({"pipeline": 5}, "pipeline"),
         ({"templates": []}, "templates"),
-        ({"templates": {"doc_char_budget": "2"}}, "doc_char_budget"),
+        ({"pipeline": {"strict_citation": "false"}}, "strict_citation"),
         ({"llm": {**OPENAI, "max_attempts": "3"}}, "max_attempts"),
         ({"llm": {**OPENAI, "max_attempts": 0}}, "max_attempts"),
         ({"llm": {**OPENAI, "timeout": "120"}}, "timeout"),
@@ -330,6 +330,22 @@ class TestRunCommand:
         assert "unknown config key templates.num_examples" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
+
+    def test_the_removed_doc_char_budget_key_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys):
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = write_json(tmp_path / "budget.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "templates": {"doc_char_budget": 1500}})
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key templates.doc_char_budget" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+        assert client.calls == 0
 
     def test_unused_section_is_type_checked(self, festival_run, tmp_path,
                                             capsys):
@@ -1391,6 +1407,20 @@ class TestSynthCommand:
                      "--out", str(out), "--seed", "7",
                      "--config", str(config)]) == 1
         assert "unknown config key synthesis.noise_docs" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert client.calls == 0
+
+    def test_the_removed_doc_char_budget_key_exits_one_before_any_call(
+            self, synth_files, monkeypatch, capsys):
+        config, client = self.keyed(synth_files, monkeypatch)
+        write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
+                            "templates": {"doc_char_budget": 1500}})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config)]) == 1
+        assert "unknown config key templates.doc_char_budget" in \
             capsys.readouterr().err
         assert not out.exists()
         assert client.calls == 0

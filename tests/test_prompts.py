@@ -8,10 +8,10 @@ from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord,
 from hopground.distill import render_synthesis_teacher
 from hopground.errors import EmptyBatch, InvalidRecord, MissingPlaceholder
 from hopground.llm import ChatMessage
-from hopground.prompts import (TEMPLATE_BINDINGS, TEMPLATE_NAMES,
-                               TemplateLibrary, format_step, parse_template,
-                               render_deduction, render_grounding,
-                               render_judge, sanitize_markup)
+from hopground.prompts import (DOC_CHAR_BUDGET, TEMPLATE_BINDINGS,
+                               TEMPLATE_NAMES, TemplateLibrary, format_step,
+                               parse_template, render_deduction,
+                               render_grounding, render_judge, sanitize_markup)
 
 from helpers import FESTIVAL_QUESTION
 
@@ -182,12 +182,21 @@ class TestRenderGrounding:
         for token in ("<ref>", "</ref>", "<revise>", "</revise>", "Empty"):
             assert token in content
 
-    def test_body_truncated_to_char_budget(self):
-        small = TemplateLibrary.load(doc_char_budget=20)
-        long_doc = Document(id="d", title="T", body="x" * 500)
-        content = render_grounding(small, QUESTION, "s", "a", [long_doc])[0].content
-        assert "x" * 20 in content
-        assert "x" * 21 not in content
+    def test_body_truncated_to_char_budget(self, tmp_path):
+        (tmp_path / "grounding.txt").write_text("{documents}", encoding="utf-8")
+        library = TemplateLibrary.load(tmp_path)
+
+        def body_sent(body):
+            doc = Document(id="d", title="T", body=body)
+            content = render_grounding(library, QUESTION, "s", "a",
+                                       [doc])[0].content
+            return content.removeprefix("[1] T\n")
+
+        assert body_sent("x" * (DOC_CHAR_BUDGET + 1)) == "x" * DOC_CHAR_BUDGET
+        assert body_sent("x" * DOC_CHAR_BUDGET) == "x" * DOC_CHAR_BUDGET
+        # a cut that ends in whitespace is sent without it
+        kept = "x" * (DOC_CHAR_BUDGET - 3)
+        assert body_sent(kept + " \t\n" + "y" * 10) == kept
 
     def test_festival_hop2_prompt_carries_starred_answer(self, library):
         content = render_grounding(
