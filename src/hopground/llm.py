@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, Protocol, Sequence, TypeVar
 
-from .core import (ConfigRecord, Count, DecodingParams, Positive,
-                   PositiveInt, Record, TokenCounts, loads_utf8)
+from .core import (ConfigRecord, Count, DecodingParams, Positive, Record,
+                   TokenCounts, loads_utf8)
 from .errors import ConfigError, ParseError, ScriptExhausted, TransportError
-from .transport import DEFAULT_MAX_ATTEMPTS, check_url, post_json
+from .transport import check_url, post_json
 
 _T = TypeVar("_T")
 
@@ -106,13 +106,13 @@ class OpenAIChatClient:
     by ``LlmConfig.client`` from the section it has checked.
 
     Requests go through ``transport.post_json``: 429/5xx replies and
-    connection errors are retried up to the section's ``max_attempts``
-    attempts, a 3xx reply is not followed, and each calling thread keeps
-    one keep-alive connection to the endpoint.  ``timeout`` bounds each
-    attempt from its start: its connect, send and reply, which may trickle
-    in no longer than the time left; a retry gets a new ``timeout``.  The
-    client sets no limit of its own on requests in flight: that is the
-    number of threads calling it.
+    connection errors are retried up to ``transport.MAX_ATTEMPTS``
+    attempts, as every outside request is, a 3xx reply is not followed,
+    and each calling thread keeps one keep-alive connection to the
+    endpoint.  ``timeout`` bounds each attempt from its start: its connect,
+    send and reply, which may trickle in no longer than the time left; a
+    retry gets a new ``timeout``.  The client sets no limit of its own on
+    requests in flight: that is the number of threads calling it.
     """
 
     def __init__(self, config: LlmConfig):
@@ -133,8 +133,7 @@ class OpenAIChatClient:
                    if self.api_key else {})
 
         return self._parse_response(post_json(
-            self.url, payload, self.config.timeout, headers,
-            self.config.max_attempts))
+            self.url, payload, self.config.timeout, headers))
 
     @staticmethod
     def _parse_response(body: bytes) -> Completion:
@@ -205,7 +204,6 @@ class LlmConfig(ConfigRecord, section="llm"):
     model: str | None = None
     api_key_env: str = "OPENAI_API_KEY"
     timeout: Positive = 120.0
-    max_attempts: PositiveInt = DEFAULT_MAX_ATTEMPTS
 
     def client(self, role: str) -> LlmClient:
         """The client this section configures; ``role`` is its key."""

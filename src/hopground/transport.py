@@ -9,8 +9,8 @@ reused, a zero-timeout poll checks whether the server closed it while it sat
 idle; such a connection is replaced at no cost of an attempt.
 
 A ``RETRYABLE_STATUS`` reply, a connection error or a timeout is retried, up
-to ``max_attempts`` attempts in all, after an exponential backoff; a
-``Retry-After`` header in delay-seconds (RFC 9110 §10.2.3) lengthens that
+to ``MAX_ATTEMPTS`` attempts for every request, after an exponential backoff;
+a ``Retry-After`` header in delay-seconds (RFC 9110 §10.2.3) lengthens that
 wait, up to ``MAX_RETRY_AFTER``.  Any other status but 200 fails at once,
 3xx included: redirects are not followed.
 
@@ -44,7 +44,7 @@ from typing import Any, Mapping
 from . import __version__
 from .errors import TransportError
 
-DEFAULT_MAX_ATTEMPTS = 3
+MAX_ATTEMPTS = 3  # attempts per request, read at each call
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubled after each
 MAX_RETRY_AFTER = 30.0  # longest wait a server's Retry-After can ask for
@@ -189,8 +189,7 @@ def _retry_after(resp: http.client.HTTPResponse) -> float:
 
 
 def post_json(url: str, payload: Any, timeout: float,
-              headers: Mapping[str, str] | None = None,
-              max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> bytes:
+              headers: Mapping[str, str] | None = None) -> bytes:
     """POST ``payload`` as JSON to ``url`` and return the 200 reply's body.
 
     Raises ``TransportError`` at once for a URL that is not http(s) with a
@@ -207,7 +206,7 @@ def post_json(url: str, payload: Any, timeout: float,
     sent = {**_HEADERS, **(headers or {})}
     last_error: Exception | None = None
     retry_after = 0.0
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
             time.sleep(max(BACKOFF_BASE * (2 ** (attempt - 1)), retry_after))
         retry_after = 0.0
@@ -241,4 +240,4 @@ def post_json(url: str, payload: Any, timeout: float,
         raise TransportError(f"HTTP {resp.status} from {url}: "
                              f"{reply.decode('utf-8', 'replace')[:200]}")
     raise TransportError(
-        f"request failed after {max_attempts} attempts: {last_error}")
+        f"request failed after {MAX_ATTEMPTS} attempts: {last_error}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopground import distill, evaluation
+from hopground import distill, evaluation, transport
 from hopground.cli import Config, Progress, main
 from hopground.core import Trajectory, loads_utf8
 from hopground.distill import load_training_corpus
@@ -242,8 +242,8 @@ class TestRunCommand:
         ({"pipeline": 5}, "pipeline"),
         ({"templates": []}, "templates"),
         ({"pipeline": {"strict_citation": "false"}}, "strict_citation"),
-        ({"llm": {**OPENAI, "max_attempts": "3"}}, "max_attempts"),
-        ({"llm": {**OPENAI, "max_attempts": 0}}, "max_attempts"),
+        ({"llm": {**OPENAI, "api_key_env": 5}}, "llm.api_key_env"),
+        ({"judge_llm": {**OPENAI, "model": ["m"]}}, "judge_llm.model"),
         ({"llm": {**OPENAI, "timeout": "120"}}, "timeout"),
         ({"pipeline": {"retriever": "external"},
           "retrieval": {"external_endpoint": "http://127.0.0.1:9",
@@ -343,6 +343,22 @@ class TestRunCommand:
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
         assert "unknown config key templates.doc_char_budget" in err
+        assert "Traceback" not in err
+        assert not festival_run["out"].exists()
+        assert client.calls == 0
+
+    def test_the_removed_max_attempts_key_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys):
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["llm"]["max_attempts"] = 3
+        path = write_json(tmp_path / "attempts.json", config)
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key llm.max_attempts" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
         assert client.calls == 0
@@ -711,14 +727,14 @@ class TestRunCommand:
     def test_environment_does_not_redirect_the_model(self, festival_run,
                                                      tmp_path, monkeypatch):
         monkeypatch.setenv(RETIRED_BASE_URL_VAR, "http://127.0.0.1:9")
+        monkeypatch.setattr(transport, "MAX_ATTEMPTS", 1)
         stub = StubServer()
         stub.queue_completion("###Finish[x]")
         try:
             config = write_json(tmp_path / "stub.json", {
                 "pipeline": {"concurrency": 1},
                 "llm": {"backend": "openai", "base_url": stub.url,
-                        "model": "m", "max_attempts": 1,
-                        "api_key_env": "HOPGROUND_NO_KEY"},
+                        "model": "m", "api_key_env": "HOPGROUND_NO_KEY"},
                 "retrieval": {"corpus_path": str(festival_run["corpus"])},
             })
             out = tmp_path / "stub-out"
@@ -1060,7 +1076,8 @@ class TestEvalCommand:
         assert rows[1:] == [f"q{i},1,1.0000,no" for i in range(4)]
 
     def test_failed_judge_call_leaves_its_record_unjudged(
-            self, tmp_path, caplog):
+            self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_ATTEMPTS", 1)
         dataset, trajectories = write_judge_files(tmp_path, 3)
         stub = StubServer()
         stub.queue_completion("Yes")
@@ -1070,7 +1087,7 @@ class TestEvalCommand:
             config = write_json(tmp_path / "config.json", {
                 "pipeline": {"concurrency": 1},
                 "judge_llm": {"backend": "openai", "base_url": stub.url,
-                              "model": "stub", "max_attempts": 1,
+                              "model": "stub",
                               "api_key_env": "HOPGROUND_NO_KEY"},
             })
             assert main(["eval", "--trajectories", str(trajectories),
@@ -1137,6 +1154,23 @@ class TestEvalCommand:
                      "--config", str(config), "--out", str(reports)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(reports) in err
+        assert client.calls == 0
+
+    def test_the_removed_max_attempts_key_exits_one_before_any_call(
+            self, tmp_path, capsys, monkeypatch):
+        dataset, trajectories = write_judge_files(tmp_path, 3)
+        client = KeyedClient(lambda prompt: "Yes")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = write_json(tmp_path / "config.json", {
+            "pipeline": {"concurrency": 1},
+            "judge_llm": {**OPENAI, "max_attempts": 3}})
+        reports = tmp_path / "reports"
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(dataset), "--judge",
+                     "--config", str(config), "--out", str(reports)]) == 1
+        assert "unknown config key judge_llm.max_attempts" in \
+            capsys.readouterr().err
+        assert not reports.exists()
         assert client.calls == 0
 
 
@@ -1421,6 +1455,21 @@ class TestSynthCommand:
                      "--out", str(out), "--seed", "7",
                      "--config", str(config)]) == 1
         assert "unknown config key templates.doc_char_budget" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("section", ["student_llm", "teacher_llm"])
+    def test_the_removed_max_attempts_key_exits_one_before_any_call(
+            self, synth_files, monkeypatch, capsys, section):
+        config, client = self.keyed(synth_files, monkeypatch)
+        write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
+                            section: {**OPENAI, "max_attempts": 3}})
+        out = synth_files["dir"] / "corpus.jsonl"
+        assert main(["synth", "--input", str(synth_files["input"]),
+                     "--out", str(out), "--seed", "7",
+                     "--config", str(config)]) == 1
+        assert f"unknown config key {section}.max_attempts" in \
             capsys.readouterr().err
         assert not out.exists()
         assert client.calls == 0

@@ -185,20 +185,18 @@ class TestOpenAIChatClient:
     def test_sends_with_the_settings_of_its_section(self, monkeypatch):
         sent = []
 
-        def post_json(url, payload, timeout, headers, max_attempts):
-            sent.append((url, timeout, max_attempts))
+        def post_json(url, payload, timeout, headers):
+            sent.append((url, timeout))
             return json.dumps({"choices": [{"message": {"content": "ok"}}]}
                               ).encode()
 
         monkeypatch.setattr(llm, "post_json", post_json)
         client = LlmConfig(backend="openai", base_url="http://h:1/v1/",
-                           model="m", timeout=7.5, max_attempts=2
-                           ).client("llm")
+                           model="m", timeout=7.5).client("llm")
         assert client.complete(USER, PARAMS).text == "ok"
-        assert sent == [("http://h:1/v1/chat/completions", 7.5, 2)]
+        assert sent == [("http://h:1/v1/chat/completions", 7.5)]
 
-    @pytest.mark.parametrize("setting", [{"timeout": 1e12},
-                                         {"max_attempts": 0}])
+    @pytest.mark.parametrize("setting", [{"timeout": 1e12}, {"timeout": 0}])
     def test_no_client_outside_the_bounds_of_its_section(self, stub,
                                                          setting):
         with pytest.raises(InvalidRecord, match=next(iter(setting))):
@@ -222,7 +220,7 @@ class TestOpenAIChatClient:
     def test_transport_error_after_bounded_retries(self, stub):
         for _ in range(3):
             stub.queue(503, {"error": "down"})
-        client = make_client(stub, max_attempts=3)
+        client = make_client(stub)
         with pytest.raises(TransportError):
             client.complete(USER, PARAMS)
         assert len(stub.requests) == 3

@@ -38,6 +38,12 @@ def sleeps(monkeypatch):
     return waited
 
 
+@pytest.fixture()
+def attempts(monkeypatch):
+    """Sets ``transport.MAX_ATTEMPTS`` for one test."""
+    return functools.partial(monkeypatch.setattr, transport, "MAX_ATTEMPTS")
+
+
 def ok(stub):
     stub.queue(200, {"ok": True})
     return stub
@@ -73,11 +79,12 @@ class TestRetryAfter:
         transport.post_json(ok(stub).url, {}, timeout=5)
         assert sleeps == [4.0, 2 * transport.BACKOFF_BASE]
 
-    def test_no_wait_after_the_last_attempt(self, stub, sleeps):
+    def test_no_wait_after_the_last_attempt(self, stub, sleeps, attempts):
+        attempts(2)
         for _ in range(2):
             stub.queue(429, {}, {"Retry-After": "7"})
         with pytest.raises(TransportError, match="after 2 attempts"):
-            transport.post_json(stub.url, {}, timeout=5, max_attempts=2)
+            transport.post_json(stub.url, {}, timeout=5)
         assert sleeps == [7.0]
 
 
@@ -113,22 +120,24 @@ class TestConnectionFailures:
 
 
 class TestTimeoutBoundsTheAttempt:
-    def test_reply_that_trickles_in_fails_within_the_timeout(self):
+    def test_reply_that_trickles_in_fails_within_the_timeout(self, attempts):
+        attempts(1)
         stub = TrickleStub(b"x" * 20, interval=0.3)  # 6 s to send it all
         try:
             start = time.monotonic()
             with pytest.raises(TransportError, match="timed out"):
-                transport.post_json(stub.url, {}, timeout=0.5, max_attempts=1)
+                transport.post_json(stub.url, {}, timeout=0.5)
             assert time.monotonic() - start < 1.0
         finally:
             stub.close()
 
-    def test_headers_that_trickle_in_fail_within_the_timeout(self):
+    def test_headers_that_trickle_in_fail_within_the_timeout(self, attempts):
+        attempts(1)
         stub = TrickleStub(b"{}", interval=0.3, head=True)  # 11 s of headers
         try:
             start = time.monotonic()
             with pytest.raises(TransportError, match="timed out"):
-                transport.post_json(stub.url, {}, timeout=0.5, max_attempts=1)
+                transport.post_json(stub.url, {}, timeout=0.5)
             assert time.monotonic() - start < 1.0
         finally:
             stub.close()
@@ -140,11 +149,12 @@ class TestTimeoutBoundsTheAttempt:
         finally:
             stub.close()
 
-    def test_late_attempt_is_retried(self, sleeps):
+    def test_late_attempt_is_retried(self, sleeps, attempts):
+        attempts(2)
         stub = TrickleStub(b"x" * 20, interval=0.3)
         try:
             with pytest.raises(TransportError, match="after 2 attempts"):
-                transport.post_json(stub.url, {}, timeout=0.2, max_attempts=2)
+                transport.post_json(stub.url, {}, timeout=0.2)
         finally:
             stub.close()
         assert stub.requests == 2
@@ -159,11 +169,12 @@ class TestTimeoutBoundsTheAttempt:
         finally:
             stub.close()
 
-    def test_body_shorter_than_its_length_fails(self, sleeps):
+    def test_body_shorter_than_its_length_fails(self, sleeps, attempts):
+        attempts(1)
         stub = TrickleStub(b"x" * 20, interval=0, piece=20, length=30)
         try:
             with pytest.raises(TransportError, match="after 1 attempts"):
-                transport.post_json(stub.url, {}, timeout=5, max_attempts=1)
+                transport.post_json(stub.url, {}, timeout=5)
         finally:
             stub.close()
 
@@ -207,6 +218,23 @@ def test_request_shape(stub):
     assert headers["Authorization"] == "Bearer k"
 
 
+def test_every_client_makes_the_transports_attempts(stub, attempts):
+    # the count is read at each call, so the chat client and the retriever
+    # both follow the one patched value
+    attempts(2)
+    for _ in range(6):
+        stub.queue(503, {"error": "down"})
+    chat = LlmConfig(backend="openai", base_url=stub.url, model="m",
+                     api_key_env="HOPGROUND_NO_KEY").client("llm")
+    with pytest.raises(TransportError, match="after 2 attempts"):
+        chat.complete(USER, DecodingParams())
+    retriever = ExternalRetriever(stub.url + "/search",
+                                  RetrievalConfig().timeout)
+    with pytest.raises(TransportError, match="after 2 attempts"):
+        retriever.retrieve("q", 2)
+    assert stub.targets == ["/chat/completions"] * 2 + ["/search"] * 2
+
+
 @pytest.fixture()
 def no_proxies(monkeypatch):
     for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
@@ -245,11 +273,12 @@ class TestProxies:
             transport.post_json("http://bad-proxy.test/v1", {}, timeout=5)
         assert sleeps == []
 
-    def test_https_request_tunnels_through_connect(self, stub, monkeypatch):
+    def test_https_request_tunnels_through_connect(self, stub, monkeypatch,
+                                                  attempts):
+        attempts(1)
         monkeypatch.setenv("HTTPS_PROXY", stub.url)
         with pytest.raises(TransportError, match="Tunnel connection failed"):
-            transport.post_json("https://secure.test:8443/v1", {}, timeout=5,
-                                max_attempts=1)
+            transport.post_json("https://secure.test:8443/v1", {}, timeout=5)
         assert stub.targets == ["secure.test:8443"]
         assert stub.requests == []
 
@@ -281,7 +310,8 @@ class TestTls:
         ("localhost", False, "self.signed certificate"),
     ])
     def test_unverified_server_is_refused(self, tls_stub, monkeypatch, host,
-                                          trusted, reason):
+                                          trusted, reason, attempts):
+        attempts(1)
         if trusted:
             monkeypatch.setenv("SSL_CERT_FILE",
                                str(FIXTURES / "localhost.pem"))
@@ -290,7 +320,7 @@ class TestTls:
         url = tls_stub.url.replace("127.0.0.1", host)
         with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"
                            ) as err:
-            transport.post_json(url, {}, timeout=5, max_attempts=1)
+            transport.post_json(url, {}, timeout=5)
         assert re.search(reason, str(err.value))
         assert tls_stub.requests == []
 
