@@ -117,14 +117,9 @@ class Progress:
 # --- subcommands ---
 
 def cmd_index(args: argparse.Namespace) -> int:
-    try:
-        retrieval.bm25.check_params(args.k1, args.b)
-    except ValueError as exc:  # its message starts with the parameter name
-        raise ConfigError(f"--{exc}") from exc
     # the build parses the corpus file one document at a time and keeps
     # none, so no document list is held at the build's peak
-    index = retrieval.build_index(retrieval.load_corpus(args.corpus),
-                                  k1=args.k1, b=args.b)
+    index = retrieval.build_index(retrieval.load_corpus(args.corpus))
     retrieval.save_index(index, args.out)
     print(f"indexed {len(index)} documents -> {args.out}")
     return EXIT_OK
@@ -150,10 +145,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except UnicodeEncodeError:
         raise ConfigError(f"--dataset {args.dataset!r} is not UTF-8") from None
     llm = RecordingClient(config.llm.client("llm"))
-    retriever = config.retrieval.retriever(config.pipeline.retriever)
+    # the dataset is checked before any index is built or loaded
     questions = evaluation.load_dataset(args.dataset, format=args.format)
     if not questions:
         raise EmptyRecords(f"--dataset {args.dataset}: no questions")
+    retriever = config.retrieval.retriever(config.pipeline.retriever)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and persist a BM25 index cache")
     p.add_argument("--corpus", required=True, help="corpus JSONL (id, title, body)")
     p.add_argument("--out", required=True, help="index cache file to write")
-    p.add_argument("--k1", type=float, default=retrieval.DEFAULT_K1)
-    p.add_argument("--b", type=float, default=retrieval.DEFAULT_B)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("run", help="answer a dataset of questions")

@@ -5,16 +5,12 @@ A service is queried through ``external.ExternalRetriever``, which
 
 The BM25 names are imported on first access (PEP 562), because ``bm25``
 loads numpy: a command that never touches a local index, such as ``run``
-against an external retriever, never loads it.  The BM25 parameter
-defaults live here, so that the CLI can show them without that import.
+against an external retriever, never loads it.
 """
 
 import importlib
 
 from .corpus import load_corpus
-
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
 
 __all__ = [
     "CorpusIndex",

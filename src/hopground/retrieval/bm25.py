@@ -50,6 +50,9 @@ lengths in chunks of at least one posting per document).  A load
 therefore peaks at about what the index holds, and the build never holds
 a second copy of the document text or of the postings.
 
+Every index scores with Robertson and Zaragoza's parameters, the module
+constants ``K1`` (1.2) and ``B`` (0.75); they are not settable.
+
 A posting's BM25 contribution is computed the first time a query uses its
 term, by :meth:`CorpusIndex.contributions`, and kept for later queries; it
 is derived rather than stored in the cache.  A posting therefore costs 5
@@ -74,19 +77,23 @@ float as the floor, which keeps every document that scores above zero.
 :func:`save_index` writes the cache (format ``hopground-bm25-csr-v3``)
 byte for byte as ``np.savez`` would write the id-order arrays into an
 uncompressed ``.npz``, with the documents in id order and cut by one
-``doc_offsets`` array.  It writes each member itself, a ``numpy.lib.format``
-header and then the array's own buffer, so it copies no array; ``doc_text``
-goes out as the blob's runs in id order.  A loaded index keeps the cache's
-id-order blob, and its bounds are views of ``doc_offsets``.
-:func:`load_index` never deserializes Python objects and rejects any
-malformed file with ``ValueError``.  Caches of earlier formats are rejected,
-not converted.
+``doc_offsets`` array, and ``params`` always ``[K1, B]``.  It writes each
+member itself, a ``numpy.lib.format`` header and then the array's own
+buffer, so it copies no array; ``doc_text`` goes out as the blob's runs in
+id order.  The bytes go to a temporary file beside the cache, which then
+replaces it, so a save that fails or is killed leaves the old cache as it
+was.  A loaded index keeps the cache's id-order blob, and its bounds are
+views of ``doc_offsets``.  :func:`load_index` never deserializes Python
+objects and rejects any malformed file with ``ValueError``, as it does a
+cache whose ``params`` are not ``[K1, B]``.  Caches of earlier formats are
+rejected, not converted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 import zipfile
 from array import array
@@ -99,7 +106,9 @@ from numpy.lib import format as npy_format
 
 from ..core import Document
 from ..errors import DuplicateDocId, EmptyCorpus
-from . import DEFAULT_B, DEFAULT_K1
+
+K1 = 1.2  # term-frequency saturation
+B = 0.75  # document-length normalization
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # Unicode alphanumeric runs
 # each byte -> itself lowercased if an ASCII letter or digit, else a space
@@ -130,15 +139,6 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():  # O(1): CPython keeps the flag on the string
         return text.encode().translate(_ASCII_FOLD).decode().split()
     return _TOKEN_RE.findall(text.lower())
-
-
-def check_params(k1: float, b: float) -> None:
-    """Raise ``ValueError``, its message starting with the parameter's
-    name, unless ``k1`` is finite and > 0 and ``b`` is in [0, 1]."""
-    if not 0 < k1 < math.inf:
-        raise ValueError(f"k1 must be a finite number > 0, got {k1!r}")
-    if not 0 <= b <= 1:
-        raise ValueError(f"b must be in [0, 1], got {b!r}")
 
 
 def _doc_text(doc: Document) -> str:
@@ -234,9 +234,7 @@ class CorpusIndex:
     def __init__(self, doc_text: np.ndarray, doc_starts: np.ndarray,
                  doc_ends: np.ndarray, terms: Sequence[str],
                  offsets: np.ndarray, doc_idx: np.ndarray, tfs: np.ndarray,
-                 doc_lengths: np.ndarray, k1: float, b: float):
-        self.k1 = k1
-        self.b = b
+                 doc_lengths: np.ndarray):
         self.doc_text = doc_text
         self.doc_starts = doc_starts
         self.doc_ends = doc_ends
@@ -251,7 +249,7 @@ class CorpusIndex:
         # A corpus with no tokens at all has no postings either, so the
         # normalization divisor only needs to be finite.
         divisor = self.avg_doc_length if self.avg_doc_length > 0 else 1.0
-        self._denom = k1 * (1.0 - b + b * doc_lengths / divisor)
+        self._denom = K1 * (1.0 - B + B * doc_lengths / divisor)
         n_docs = len(doc_starts)
         # math.log once per distinct df: many terms share a df, and numpy's
         # log may differ from math.log in the last bit
@@ -275,7 +273,7 @@ class CorpusIndex:
 
     def contributions(self, row: int, qtf: int = 1) -> np.ndarray:
         """The BM25 contribution of each posting of row ``row`` to a query
-        that holds its term ``qtf`` times: ``idf * qtf * tf * (k1 + 1) /
+        that holds its term ``qtf`` times: ``idf * qtf * tf * (K1 + 1) /
         (denom + tf)``, in that order, so it rounds as the per-term
         expression does.  Only the ``qtf`` 1 arrays are kept, computed on
         the row's first use; threads that race on one row compute identical
@@ -285,7 +283,7 @@ class CorpusIndex:
             span = slice(self.offsets[row], self.offsets[row + 1])
             tfs = self.tfs[span]
             weights = self.idf[row] * qtf * tfs
-            weights *= self.k1 + 1.0
+            weights *= K1 + 1.0
             weights /= self._denom[self.doc_idx[span]] + tfs
             if qtf == 1:
                 self._contributions[row] = weights
@@ -310,8 +308,7 @@ class CorpusIndex:
                            minlength=n_docs)
 
 
-def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
-                b: float = DEFAULT_B) -> CorpusIndex:
+def build_index(corpus: Iterable[Document]) -> CorpusIndex:
     """Index a corpus; ids must be unique and the corpus non-empty.
 
     ``corpus`` is read once, in order, so it may be a generator such as
@@ -321,7 +318,6 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     ``InvalidRecord``.  The postings, the rankings and the saved cache
     are the same for any input order; only the blob keeps the input order.
     """
-    check_params(k1, b)  # before the work, not after it
     # term ids in first-seen input order, held as C integers wide enough to
     # be overwritten by their (term, doc) keys; the fields of every
     # document in one buffer
@@ -394,7 +390,7 @@ def build_index(corpus: Iterable[Document], k1: float = DEFAULT_K1,
     doc_idx = np.frombuffer(token_ids, dtype=np.int32, count=tfs.size)
     return CorpusIndex(np.frombuffer(text, dtype=np.uint8), doc_starts,
                        doc_ends, terms, offsets, doc_idx, tfs,
-                       doc_lengths[order].astype(np.float64), k1=k1, b=b)
+                       doc_lengths[order].astype(np.float64))
 
 
 def _heads(values: np.ndarray, before: int) -> np.ndarray:
@@ -506,12 +502,14 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     index's own buffers.
 
     Two saves of one index write the same bytes: every member is stamped
-    with the zip format's fixed 1980-01-01 default, not the clock."""
+    with the zip format's fixed 1980-01-01 default, not the clock.  The
+    bytes go to ``<path>.tmp``, which then replaces ``path``; on any
+    exception it is removed and ``path`` is left as it was."""
     doc_offsets, run_starts, run_ends = _id_order_layout(index.doc_starts,
                                                          index.doc_ends)
     members = {
         "magic": _blob(_CACHE_MAGIC),
-        "params": np.array([index.k1, index.b], dtype=np.float64),
+        "params": np.array([K1, B], dtype=np.float64),
         "doc_text": index.doc_text,
         "doc_offsets": doc_offsets,
         "terms": _blob("\n".join(index.terms)),
@@ -520,17 +518,24 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "tfs": index.tfs,
         "doc_lengths": index.doc_lengths,
     }
-    with open(path, "wb") as f, zipfile.ZipFile(f, "w") as archive:
-        for name, array in members.items():
-            # stored, not compressed, with zip64 extras, as np.savez writes
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                npy_format.write_array_header_1_0(
-                    member, npy_format.header_data_from_array_1_0(array))
-                if name == "doc_text":
-                    _write_runs(member, memoryview(array), run_starts,
-                                run_ends)
-                else:
-                    member.write(array)
+    partial = Path(f"{path}.tmp")
+    try:
+        with open(partial, "wb") as f, zipfile.ZipFile(f, "w") as archive:
+            for name, array in members.items():
+                # stored, not compressed, with zip64 extras, as np.savez writes
+                with archive.open(f"{name}.npy", "w",
+                                  force_zip64=True) as member:
+                    npy_format.write_array_header_1_0(
+                        member, npy_format.header_data_from_array_1_0(array))
+                    if name == "doc_text":
+                        _write_runs(member, memoryview(array), run_starts,
+                                    run_ends)
+                    else:
+                        member.write(array)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _id_order_layout(starts: np.ndarray, ends: np.ndarray
@@ -607,7 +612,10 @@ def load_index(path: str | Path) -> CorpusIndex:
                 if set(names) != _CACHE_MEMBERS:
                     raise ValueError(f"members {sorted(names)}, expected "
                                      f"{sorted(_CACHE_MEMBERS)}")
-                k1, b = _member(archive, "params", np.float64).tolist()
+                params = _member(archive, "params", np.float64).tolist()
+                if params != [K1, B]:
+                    raise ValueError(f"params {params}, expected [{K1}, {B}]; "
+                                     "rebuild it with `hopground index`")
                 text = _text(archive, "terms")
                 terms = text.split("\n") if text else []
                 doc_text = _member(archive, "doc_text", np.uint8)
@@ -616,13 +624,12 @@ def load_index(path: str | Path) -> CorpusIndex:
                           _member(archive, "doc_idx", np.int32),
                           _member(archive, "tfs", *_TFS_DTYPES),
                           _member(archive, "doc_lengths", np.float64))
-                check_params(k1, b)
                 _check_documents(doc_text, doc_offsets)
                 if len(set(terms)) != len(terms):
                     raise ValueError("duplicate term")
                 doc_ends = doc_offsets[1:].reshape(-1, _FIELDS)
                 _check_postings(len(doc_ends), len(terms), *arrays)
                 return CorpusIndex(doc_text, doc_offsets[:-1:_FIELDS],
-                                   doc_ends, terms, *arrays, k1=k1, b=b)
+                                   doc_ends, terms, *arrays)
         except _MALFORMED as exc:
             raise ValueError(f"{path}: malformed index cache: {exc}") from exc

@@ -9,6 +9,8 @@ import math
 import re
 import string
 
+from hopground.retrieval import bm25
+
 ARTICLES = ("a", "an", "the")
 PUNCT = set(string.punctuation)
 
@@ -27,9 +29,9 @@ def tokens_alnum(text: str) -> list[str]:
     return out
 
 
-def bm25_rank(docs, query: str, top_k: int, k1: float = 1.2,
-              b: float = 0.75) -> list[str]:
-    """Exhaustively score every document with the Okapi formula.
+def bm25_rank(docs, query: str, top_k: int) -> list[str]:
+    """Exhaustively score every document with the Okapi formula, with the
+    library's parameters ``bm25.K1`` and ``bm25.B``.
 
     ``docs`` are core Documents; ranking ties break by ascending id and
     zero-score documents are dropped.  Returns ranked doc ids.
@@ -38,6 +40,7 @@ def bm25_rank(docs, query: str, top_k: int, k1: float = 1.2,
              for d in docs}
     n_docs = len(docs)
     avgdl = sum(len(t) for t in texts.values()) / n_docs
+    k1, b = bm25.K1, bm25.B
     query_tokens = tokens_alnum(query)
     df = {term: sum(1 for t in texts.values() if term in t)
           for term in set(query_tokens)}

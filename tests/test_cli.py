@@ -19,7 +19,8 @@ from hopground.distill import load_training_corpus
 from hopground.errors import InvalidRecord
 from hopground.llm import LlmConfig
 from hopground.pipeline import PipelineConfig, map_ordered
-from hopground.retrieval import build_index, load_corpus, load_index, retrieve
+from hopground.retrieval import (bm25, build_index, load_corpus, load_index,
+                                 retrieve)
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
@@ -74,18 +75,16 @@ class TestIndexCommand:
         assert main(["index", "--corpus", str(corpus),
                      "--out", str(tmp_path / "x.bin")]) == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--k1", "-1"), ("--k1", "0"), ("--k1", "nan"), ("--k1", "inf"),
-        ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan"),
-    ])
-    def test_bad_bm25_parameter_exits_one(self, tmp_path, capsys, flag, value):
-        # a corpus that does not exist: the flags are checked before any read
+    @pytest.mark.parametrize("flag", ["--k1", "--b"])
+    def test_the_removed_bm25_flags_are_unknown_arguments(self, tmp_path,
+                                                          capsys, flag):
+        # every index scores with bm25.K1 and bm25.B; no flag sets them
         out = tmp_path / "x.bin"
-        assert main(["index", "--corpus", str(tmp_path / "missing.jsonl"),
-                     "--out", str(out), flag, value]) == 1
-        err = capsys.readouterr().err
-        assert f"{flag} must be" in err
-        assert "Traceback" not in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["index", "--corpus", str(FIXTURES / "corpus20.jsonl"),
+                  "--out", str(out), flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -134,6 +133,22 @@ class TestRunCommand:
             assert main(["run", "--dataset", str(festival_run["dataset"]),
                          "--config", str(festival_run["config"]),
                          "--out", str(out)]) == 0
+            outputs.append((out / "trajectories.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_index_cache_run_equals_corpus_run(self, festival_run, tmp_path):
+        cache = tmp_path / "index.bin"
+        assert main(["index", "--corpus", str(festival_run["corpus"]),
+                     "--out", str(cache)]) == 0
+        cached = write_json(tmp_path / "cached.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "retrieval": {"index_path": str(cache)}})
+        outputs = []
+        for name, config in (("corpus", festival_run["config"]),
+                             ("cache", cached)):
+            out = tmp_path / f"out-{name}"
+            assert main(["run", "--dataset", str(festival_run["dataset"]),
+                         "--config", str(config), "--out", str(out)]) == 0
             outputs.append((out / "trajectories.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -464,6 +479,10 @@ class TestRunCommand:
             self, festival_run, monkeypatch, capsys, content):
         client = KeyedClient(lambda prompt: "###Finish[x]")
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        prepared = []
+        for name in ("build_index", "load_index"):
+            monkeypatch.setattr(bm25, name,
+                                lambda *args, name=name: prepared.append(name))
         festival_run["dataset"].write_text(content, encoding="utf-8")
         assert main(["run", "--dataset", str(festival_run["dataset"]),
                      "--config", str(festival_run["config"]),
@@ -473,6 +492,7 @@ class TestRunCommand:
             "no questions\n"
         assert not festival_run["out"].exists()
         assert client.calls == 0
+        assert prepared == []
 
     def test_missing_config_file(self, festival_run):
         assert main(["run", "--dataset", str(festival_run["dataset"]),
@@ -495,6 +515,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert str(cache) in err
         assert "Traceback" not in err
+
+    def test_index_cache_with_other_bm25_params_exits_one(
+            self, festival_run, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "index.bin"
+        with monkeypatch.context() as patch:  # params other than [K1, B]
+            patch.setattr(bm25, "K1", 0.9)
+            patch.setattr(bm25, "B", 0.4)
+            assert main(["index", "--corpus", str(festival_run["corpus"]),
+                         "--out", str(cache)]) == 0
+        config = write_json(tmp_path / "cached.json", {
+            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
+            "retrieval": {"index_path": str(cache)}})
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(config),
+                     "--out", str(festival_run["out"])]) == 1
+        err = capsys.readouterr().err
+        assert str(cache) in err
+        assert "params [0.9, 0.4], expected [1.2, 0.75]" in err
+        assert "rebuild it with `hopground index`" in err
+        assert not festival_run["out"].exists()
 
     def test_malformed_dataset_exits_two(self, festival_run, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -14,6 +14,7 @@ import weakref
 import zipfile
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,12 +174,6 @@ class TestBuildIndex:
                             for i, tf in zip(index.doc_idx[span], index.tfs[span])}
         assert actual == expected
         assert _doc_ids(index) == sorted(doc.id for doc in corpus)
-
-    def test_validates_parameters(self, corpus):
-        with pytest.raises(ValueError):
-            build_index(corpus, k1=0)
-        with pytest.raises(ValueError):
-            build_index(corpus, b=1.5)
 
     def test_index_keeps_no_input_document(self):
         docs = [Document(id=f"d{i}", title="t", body=f"body {i}")
@@ -606,6 +601,8 @@ CACHE_MUTATIONS = {
     "k1 nan": lambda m: m.update(params=np.array([np.nan, 0.75])),
     "b above 1": lambda m: m.update(params=np.array([1.2, 1.5])),
     "three params": lambda m: m.update(params=np.array([1.2, 0.75, 0.0])),
+    # valid BM25 parameters, but not the ones every index scores with
+    "params 0.9 0.4": lambda m: m.update(params=np.array([0.9, 0.4])),
 }
 
 
@@ -643,12 +640,12 @@ def _load_outcome(path, data):
 
 def _scatter_add_scores(index, query):
     """Reference scores: one scatter-add per distinct query term of
-    idf * qtf * tf * (k1 + 1) / (tf + denom), in first-occurrence order,
+    idf * qtf * tf * (K1 + 1) / (tf + denom), in first-occurrence order,
     with idf and length normalization derived here from the CSR arrays."""
     n_docs = len(index)
     avg = float(index.doc_lengths.mean())
-    denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
-                        / (avg if avg > 0 else 1.0))
+    denom = bm25.K1 * (1.0 - bm25.B + bm25.B * index.doc_lengths
+                       / (avg if avg > 0 else 1.0))
     rows = {term: row for row, term in enumerate(index.terms)}
     scores = np.zeros(n_docs, dtype=np.float64)
     counts: dict[str, int] = {}
@@ -661,7 +658,7 @@ def _scatter_add_scores(index, query):
         start, end = int(index.offsets[row]), int(index.offsets[row + 1])
         idf = math.log((n_docs - (end - start) + 0.5) / (end - start + 0.5) + 1.0)
         doc_idx, tfs = index.doc_idx[start:end], index.tfs[start:end]
-        scores[doc_idx] += idf * qtf * tfs * (index.k1 + 1.0) / (tfs + denom[doc_idx])
+        scores[doc_idx] += idf * qtf * tfs * (bm25.K1 + 1.0) / (tfs + denom[doc_idx])
     return scores
 
 
@@ -702,6 +699,8 @@ class TestScores:
                                     max_size=12), label="documents")
         docs = [Document(id=f"d{i:02d}", title="", body=body)
                 for i, body in enumerate(chosen)]
+        # patched into bm25.K1 and bm25.B: scoring and the cache follow the
+        # constants at any values
         k1 = data.draw(st.sampled_from([1.2, 0.9, 2.0]), label="k1")
         b = data.draw(st.sampled_from([0.75, 0.4, 0.0, 1.0]), label="b")
         # terms repeated up to three times, unknown terms among them
@@ -711,23 +710,24 @@ class TestScores:
             label="query terms")
         query = " ".join(data.draw(st.permutations(
             [term for term, qtf in repeats for _ in range(qtf)]), label="query"))
-        _assert_scores_match_reference(build_index(docs, k1=k1, b=b),
-                                       [query, "pine zzz pine"],
-                                       _fresh(tmp_path / "index.bin"))
+        with mock.patch.multiple(bm25, K1=k1, B=b):
+            _assert_scores_match_reference(build_index(docs),
+                                           [query, "pine zzz pine"],
+                                           _fresh(tmp_path / "index.bin"))
 
 
 def _eager_contributions(index, qtf=1):
     """Every posting's contribution to a query holding its term ``qtf``
     times, in one pass, derived here from the CSR arrays: ``idf * qtf * tf *
-    (k1 + 1) / (denom + tf)``, in that order."""
+    (K1 + 1) / (denom + tf)``, in that order."""
     n_docs = len(index)
     dfs = np.diff(index.offsets)
     idf = np.array([math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
                     for df in dfs.tolist()])
     avg = float(index.doc_lengths.mean())
-    denom = index.k1 * (1.0 - index.b + index.b * index.doc_lengths
-                        / (avg if avg > 0 else 1.0))
-    return (np.repeat(idf, dfs) * qtf * index.tfs * (index.k1 + 1.0)
+    denom = bm25.K1 * (1.0 - bm25.B + bm25.B * index.doc_lengths
+                       / (avg if avg > 0 else 1.0))
+    return (np.repeat(idf, dfs) * qtf * index.tfs * (bm25.K1 + 1.0)
             / (denom[index.doc_idx] + index.tfs))
 
 
@@ -763,10 +763,13 @@ class TestContributions:
         ("fixture", 1.2, 0.75), ("fixture", 0.9, 0.4), ("fixture", 2.0, 0.0),
         ("chunked", 1.2, 1.0), ("non-ascii", 1.2, 0.75),
         ("one-document", 1.2, 0.75)])
-    def test_every_row_equals_the_eager_oracle(self, corpus, tmp_path, name,
-                                               k1, b):
+    def test_every_row_equals_the_eager_oracle(self, corpus, tmp_path,
+                                               monkeypatch, name, k1, b):
         docs = {**EDGE_CORPORA, "chunked": CHUNKED}.get(name, corpus)
-        index = build_index(docs, k1=k1, b=b)
+        # scoring and the cache follow bm25.K1 and bm25.B at any values
+        monkeypatch.setattr(bm25, "K1", k1)
+        monkeypatch.setattr(bm25, "B", b)
+        index = build_index(docs)
         save_index(index, tmp_path / "index.cache")
         for candidate in (index, load_index(tmp_path / "index.cache")):
             offsets = candidate.offsets.tolist()
@@ -835,14 +838,19 @@ class TestIndexCache:
         ("one-document", 1.2, 0.75), ("non-ascii", 1.2, 0.75),
         ("astral", 1.2, 0.75), ("fixture", 0.9, 0.4)])
     def test_save_then_load_preserves_retrieval(self, corpus, tmp_path,
-                                                name, k1, b):
+                                                monkeypatch, name, k1, b):
         docs = EDGE_CORPORA.get(name, corpus)
-        index = build_index(docs, k1=k1, b=b)
+        # scoring and the cache follow bm25.K1 and bm25.B at any values
+        monkeypatch.setattr(bm25, "K1", k1)
+        monkeypatch.setattr(bm25, "B", b)
+        index = build_index(docs)
         cache = tmp_path / "index.bin"
         save_index(index, cache)
         assert os.listdir(tmp_path) == ["index.bin"]
+        with zipfile.ZipFile(cache) as archive:
+            params = np.load(archive.open("params.npy")).tolist()
+        assert params == [k1, b]
         reloaded = load_index(cache)
-        assert (reloaded.k1, reloaded.b) == (k1, b)
         assert _all_documents(reloaded) == _all_documents(index) == _ranked(docs)
         assert reloaded.terms == index.terms
         for query in [*QUERIES, "Dvořák 物理 symphony", "🦀 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 smile"]:
@@ -1001,7 +1009,7 @@ def _savez_bytes(index, docs, path):
     ``doc_text`` and ``doc_offsets`` laid out in id order from ``docs``."""
     rows = [(d.id, d.title, d.body) for d in sorted(docs, key=lambda d: d.id)]
     members = {"magic": _blob("hopground-bm25-csr-v3"),
-               "params": np.array([index.k1, index.b]),
+               "params": np.array([bm25.K1, bm25.B]),
                **_doc_members(*rows),
                "terms": _blob("\n".join(index.terms)),
                "offsets": index.offsets, "doc_idx": index.doc_idx,
@@ -1031,6 +1039,22 @@ class TestCacheWriter:
         save_index(index, path)
         assert path.read_bytes() == _savez_bytes(index, docs,
                                                  tmp_path / "savez.npz")
+
+    def test_a_failed_save_leaves_the_old_cache(self, corpus, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "index.cache"
+        save_index(build_index(corpus), path)
+        saved = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bm25, "_write_runs", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(STREAMED), path)
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["index.cache"]
+        assert _all_documents(load_index(path)) == _ranked(corpus)
 
 
 # runs of equal (term, doc) keys that span several chunks of one or two
