@@ -432,14 +432,19 @@ def write_json(value: Any, path: str | Path) -> None:
     value that cannot be encoded raises before any file is opened.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
-    so a process killed mid-write leaves the old file or the new one.
+    so a process killed mid-write leaves the old file or the new one; on any
+    exception the temporary file is removed and ``path`` is left as it was.
     """
     data = json.dumps(value, indent=2, ensure_ascii=False).encode("utf-8")
     path = Path(path)
     partial = path.with_name(path.name + ".tmp")
-    with open(partial, "wb") as f:
-        f.write(data + b"\n")
-    os.replace(partial, path)
+    try:
+        with open(partial, "wb") as f:
+            f.write(data + b"\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> int:

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (ConfigRecord, DecodingParams, Document, GroundingKind,
-                   PositiveInt, Question, Record, Text, expect_type,
-                   read_jsonl, scalar_text, write_jsonl)
+                   PositiveInt, Question, Record, expect_type, read_jsonl,
+                   scalar_text, write_jsonl)
 from .errors import (EmptyRecords, InvalidRecord, LlmError, MalformedGrounding,
                      MissingRevision)
 from .evaluation import cover_em
@@ -75,16 +75,16 @@ class TrainingExample(Record):
     """One synthesized pair: grounding instruction -> teacher trajectory.
 
     ``doc_ids`` are the ids of the documents in the order the instruction
-    numbers them, and ``gold_body`` is the body of the gold one, at
-    ``gold_position``.  Nothing else of a document is stored: the
-    instruction renders every title and body, and the synthesis inputs file
-    holds each document under its id.
+    numbers them, the gold one at ``gold_position``.  Nothing else of a
+    document is stored: the instruction renders every title and body, and
+    the synthesis inputs file holds each document under its id.  A line
+    written when it also held the gold body as ``gold_body`` loads, the
+    key ignored.
     """
 
     instruction: str
     doc_ids: tuple[str, ...]
     gold_position: PositiveInt  # 1-based slot of the gold document
-    gold_body: Text
     immediate_answer: str
     target: str
     verdict: Verdict
@@ -135,25 +135,23 @@ class TrainingExample(Record):
 
 def _from_documents(d: dict[str, Any]) -> dict[str, Any]:
     """``d``, a line of the form written before ``doc_ids``, with its
-    ``doc_ids`` and ``gold_body`` read from its ``documents`` objects.  As
-    when that form was written, each document must be a valid ``Document``
-    and the gold one must hold its body; ``gold_doc_id`` must also be the
-    id at ``gold_position``."""
-    if "doc_ids" in d or "gold_body" in d:
-        raise InvalidRecord("a line holds either documents or doc_ids and "
-                            "gold_body, not both")
+    ``doc_ids`` read from its ``documents`` objects.  Each document must be
+    a valid ``Document`` and ``gold_doc_id`` must be the id at
+    ``gold_position``."""
+    if "doc_ids" in d:
+        raise InvalidRecord("a line holds either documents or doc_ids, "
+                            "not both")
     documents = tuple(map(Document.from_dict,
                           expect_type(d["documents"], list, "documents")))
     position = d.get("gold_position")
     if type(position) is not int or not 1 <= position <= len(documents):
         raise InvalidRecord(f"gold_position must be a slot of the "
                             f"{len(documents)} documents, got {position!r}")
-    gold = documents[position - 1].require_body()
-    if d.get("gold_doc_id") != gold.id:
+    gold_id = documents[position - 1].id
+    if d.get("gold_doc_id") != gold_id:
         raise InvalidRecord(f"gold_doc_id {d.get('gold_doc_id')!r} is not "
-                            f"{gold.id!r}, the id at gold_position {position}")
-    return {**d, "doc_ids": [doc.id for doc in documents],
-            "gold_body": gold.body}
+                            f"{gold_id!r}, the id at gold_position {position}")
+    return {**d, "doc_ids": [doc.id for doc in documents]}
 
 
 def apply_filters(target: str, gold_answer: str) -> Verdict:
@@ -230,7 +228,6 @@ def synthesize_example(inp: SynthesisInput, student_llm: LlmClient,
         instruction=teacher_messages[0].content,
         doc_ids=tuple(d.id for d in documents),
         gold_position=gold_position,
-        gold_body=inp.gold_doc.body,
         immediate_answer=immediate_answer,
         target=target,
         verdict=verdict,
@@ -277,21 +274,17 @@ def dataset_stats(examples: Iterable[TrainingExample]) -> dict[str, float]:
     ``examples`` is read once, keeping only integer running sums, so a
     streamed corpus is described in constant memory.
     """
-    n = instruction = target = gold_docs = gold_doc_len = 0
+    n = instruction = target = 0
     for e in examples:
         n += 1
         instruction += len(e.instruction.split())
         target += len(e.target.split())
-        gold_docs += 1 if e.gold_doc_id else 0
-        gold_doc_len += len(e.gold_body.split())
     if not n:
         raise EmptyRecords("no examples to describe")
     return {
         "count": n,
         "avg_instruction_len": round(instruction / n, 2),
         "avg_target_len": round(target / n, 2),
-        "avg_gold_docs": round(gold_docs / n, 2),
-        "avg_gold_doc_len": round(gold_doc_len / n, 2),
     }
 
 

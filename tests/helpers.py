@@ -8,6 +8,7 @@ import threading
 
 from hopground.core import Document, Question
 from hopground.llm import Completion, ScriptedClient
+from hopground.prompts import DOC_CHAR_BUDGET
 
 # Two-hop documentary-festival walkthrough: the deduction/grounding scripts
 # and the two wiki-style documents that support them.
@@ -409,6 +410,19 @@ def write_festival_files(directory, questions=(FESTIVAL_QUESTION,),
     })
     return {"corpus": corpus, "dataset": dataset, "script": script_path,
             "config": config, "out": directory / "out"}
+
+
+def assert_gold_slot(line, gold_doc) -> None:
+    """A corpus line's ``doc_ids`` hold the input's gold document at
+    ``gold_position``, and its instruction's block of that slot shows the
+    document's body, cut as every grounding prompt cuts it; ``gold_doc``
+    is the document's JSON object in the synthesis inputs file."""
+    position = line["gold_position"]
+    assert line["doc_ids"][position - 1] == gold_doc["id"]
+    body = gold_doc["body"][:DOC_CHAR_BUDGET].rstrip()
+    block = f"[{position}] {gold_doc['title']}\n{body}"
+    blocks = line["instruction"].split("\n\nDocuments:\n", 1)[1]
+    assert block in blocks.split("\n\n")
 
 
 KEEP_TARGET = "<ref> Paris is the capital of France </ref> <revise> Paris </revise>"

@@ -121,24 +121,17 @@ def batch_windows(n_docs: int, batch_size: int) -> list[tuple[int, int]]:
 
 
 def corpus_stats(examples) -> dict[str, float]:
-    """Recount the five training-corpus statistics from scratch."""
+    """Recount the three training-corpus statistics from scratch."""
     n = len(examples)
     instruction_total = 0
     target_total = 0
-    gold_docs_total = 0
-    gold_len_total = 0
     for e in examples:
         instruction_total += len(e.instruction.split())
         target_total += len(e.target.split())
-        gold_docs_total += sum(i == e.doc_ids[e.gold_position - 1]
-                               for i in e.doc_ids)
-        gold_len_total += len(e.gold_body.split())
     return {
         "count": n,
         "avg_instruction_len": round(instruction_total / n, 2),
         "avg_target_len": round(target_total / n, 2),
-        "avg_gold_docs": round(gold_docs_total / n, 2),
-        "avg_gold_doc_len": round(gold_len_total / n, 2),
     }
 
 

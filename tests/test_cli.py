@@ -24,8 +24,9 @@ from hopground.retrieval import (bm25, build_index, load_corpus, load_index,
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
                      FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
-                     StubServer, within, write_festival_files, write_json,
-                     write_jsonl, write_synth_files)
+                     StubServer, assert_gold_slot, within,
+                     write_festival_files, write_json, write_jsonl,
+                     write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 # once overrode the base_url of every model role; no command reads it now
@@ -1287,15 +1288,14 @@ class TestSynthCommand:
         assert len(records) == 10
         for inp, record in zip(inputs, records):
             assert list(record) == [
-                "instruction", "doc_ids", "gold_position", "gold_body",
+                "instruction", "doc_ids", "gold_position",
                 "immediate_answer", "target", "verdict", "drop_reason"]
             # one inference window: the gold and the first noise documents
             ids = record["doc_ids"]
             window = [inp["gold_doc"],
                       *inp["noise_docs"][:PipelineConfig.batch_size - 1]]
             assert sorted(ids) == sorted(d["id"] for d in window)
-            assert ids[record["gold_position"] - 1] == inp["gold_doc"]["id"]
-            assert record["gold_body"] == inp["gold_doc"]["body"]
+            assert_gold_slot(record, inp["gold_doc"])
             # the instruction numbers each document by its slot
             for slot, doc_id in enumerate(ids, start=1):
                 doc = documents[doc_id]
@@ -1575,9 +1575,7 @@ class TestStatsCommand:
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["avg_gold_docs"] == 1.00
-        assert set(stats) == {"count", "avg_instruction_len", "avg_target_len",
-                              "avg_gold_docs", "avg_gold_doc_len"}
+        assert set(stats) == {"count", "avg_instruction_len", "avg_target_len"}
 
     def test_no_kept_examples_exits_two(self, synth_files, capsys):
         out = synth_files["dir"] / "corpus.jsonl"
@@ -1594,26 +1592,11 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_blank_gold_body_exits_two(self, synth_files, capsys):
-        out = synth_files["dir"] / "corpus.jsonl"
-        assert main(["synth", "--input", str(synth_files["input"]),
-                     "--out", str(out), "--seed", "3",
-                     "--config", str(synth_files["config"])]) == 0
-        records = [json.loads(line) for line in
-                   out.read_text(encoding="utf-8").splitlines()]
-        records[1]["gold_body"] = "  "
-        write_jsonl(out, records)
-        capsys.readouterr()
-        assert main(["stats", "--corpus", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "(line 2)" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("every_body", [False, True])
     def test_documents_form_loads_alike(self, synth_files, capsys,
                                         every_body):
         # lines as written before doc_ids: a document object per slot, with
-        # the gold body only or with every body, and gold_doc_id
+        # no body or with every body, and gold_doc_id
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "3",
@@ -1623,11 +1606,10 @@ class TestStatsCommand:
                    out.read_text(encoding="utf-8").splitlines()]
         for record in records:
             ids = record.pop("doc_ids")
-            del record["gold_body"]
-            record["gold_doc_id"] = gold_id = ids[record["gold_position"] - 1]
+            record["gold_doc_id"] = ids[record["gold_position"] - 1]
             record["documents"] = [
                 {**documents[doc_id], "rank": None,
-                 **({} if every_body or doc_id == gold_id else {"body": None})}
+                 **({} if every_body else {"body": None})}
                 for doc_id in ids]
         old_path = synth_files["dir"] / "old.jsonl"
         write_jsonl(old_path, records)
@@ -1653,21 +1635,6 @@ class TestStatsCommand:
         assert main(["stats", "--corpus", str(corpus)]) == 2
         err = capsys.readouterr().err
         assert "(line 1)" in err and "gold_doc_id 'n0-0'" in err
-        assert "Traceback" not in err
-
-    def test_null_gold_body_exits_two(self, synth_files, capsys):
-        out = synth_files["dir"] / "corpus.jsonl"
-        assert main(["synth", "--input", str(synth_files["input"]),
-                     "--out", str(out), "--seed", "3",
-                     "--config", str(synth_files["config"])]) == 0
-        records = [json.loads(line) for line in
-                   out.read_text(encoding="utf-8").splitlines()]
-        records[1]["gold_body"] = None
-        write_jsonl(out, records)
-        capsys.readouterr()
-        assert main(["stats", "--corpus", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "(line 2)" in err and "body must be" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [

@@ -1,4 +1,5 @@
 import enum
+import errno
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hopground.cli  # noqa: F401  (defines every config record)
+from hopground import core
 from hopground.core import (Count, DecodingParams, Document, GroundingKind,
                             GroundingOutcome, HopRecord, Question, Record,
                             Termination, TokenCounts, TokenUsage, Trajectory,
@@ -222,7 +224,7 @@ RECORD_SAMPLES = {  # a valid instance of each record with required fields
     ChatMessage: ChatMessage(role="user", content="hi"),
     Completion: Completion(text="x", prompt_tokens=1, completion_tokens=2),
     TrainingExample: TrainingExample(
-        instruction="i", doc_ids=("d",), gold_position=1, gold_body="b",
+        instruction="i", doc_ids=("d",), gold_position=1,
         immediate_answer="a", target="t", verdict=Verdict()),
 }
 WRONG_FIELD_VALUES = [
@@ -374,6 +376,41 @@ def test_write_json_replaces_the_file_whole(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         write_json({"n": 3}, path)
     assert json.loads(path.read_bytes()) == {"n": 2}
+
+
+class _FullFile:
+    """An ``open`` whose file is created but takes no bytes."""
+
+    def __init__(self, file, mode):
+        self._file = open(file, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_write_json_that_fails_leaves_no_temporary_file(tmp_path, monkeypatch,
+                                                        step):
+    path = tmp_path / "summary.json"
+    write_json({"n": 1}, path)
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if step == "write":
+        monkeypatch.setattr(core, "open", _FullFile, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        write_json({"n": 2}, path)
+    assert os.listdir(tmp_path) == ["summary.json"]
+    assert path.read_bytes() == b'{\n  "n": 1\n}\n'
 
 
 # the writer in a child process that SIGKILLs itself when asked for the item

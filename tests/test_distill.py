@@ -22,7 +22,7 @@ from hopground.prompts import render_grounding
 
 import oracles
 from helpers import (BAD_DOCUMENTS, OPTIONAL_TITLE_DOCUMENTS, LoggedScript,
-                     write_jsonl)
+                     assert_gold_slot, write_jsonl)
 
 GOLD_ANSWER = "Paris"
 GOLD_DOC = Document(id="gold", title="France",
@@ -154,17 +154,15 @@ class TestSynthesizeExample:
     def test_keeps_the_slot_ids_and_the_gold_body(self, library,
                                                   student_replies,
                                                   teacher_replies):
-        inp = make_input(n_noise=4)
+        # a gold body longer than the prompt's cut
+        gold = replace(GOLD_DOC, body=GOLD_DOC.body + " Filler." * 250)
+        inp = replace(make_input(n_noise=4), gold_doc=gold)
         example = synthesize_example(inp, ScriptedClient(student_replies),
                                      ScriptedClient(teacher_replies),
                                      library, gold_position=3)
         documents = place_gold(inp.gold_doc, inp.noise_docs, 3)
         assert example.doc_ids == tuple(d.id for d in documents)
-        assert example.gold_doc_id == "gold"
-        assert example.gold_body == GOLD_DOC.body
-        # each slot's title and body is in the instruction the teacher saw
-        for slot, doc in enumerate(documents, start=1):
-            assert f"[{slot}] {doc.title}\n{doc.body}" in example.instruction
+        assert_gold_slot(example.to_dict(), gold.to_dict())
 
     def test_llm_error_recorded_as_drop(self, library):
         student = ScriptedClient([])  # exhausted immediately
@@ -261,7 +259,6 @@ def make_example(i, keep=True, target_tokens=12):
         instruction=" ".join(["inst"] * (8 + i % 5)),
         doc_ids=(f"g{i}", f"n{i}") if i % 2 == 0 else (f"n{i}", f"g{i}"),
         gold_position=1 + i % 2,
-        gold_body=" ".join(["tok"] * (5 + i % 4)),
         immediate_answer=f"draft {i}",
         target=" ".join(["word"] * target_tokens),
         verdict=verdict,
@@ -275,10 +272,6 @@ class TestDatasetStats:
         stats = dataset_stats(examples)
         assert stats["avg_target_len"] == 15.00
         assert stats["count"] == 2
-
-    def test_avg_gold_docs_is_one(self):
-        stats = dataset_stats([make_example(i) for i in range(7)])
-        assert stats["avg_gold_docs"] == 1.00
 
     def test_thirty_example_fixture_matches_recount_oracle(self):
         examples = [make_example(i, target_tokens=5 + i) for i in range(30)]
@@ -307,7 +300,6 @@ def training_examples(draw):
     return TrainingExample(
         instruction=draw(st.text()), doc_ids=doc_ids,
         gold_position=draw(st.integers(1, len(doc_ids))),
-        gold_body=draw(st.text(min_size=1).filter(str.strip)),
         immediate_answer=draw(st.text()), target=draw(st.text()),
         verdict=draw(st.sampled_from(VERDICTS)))
 
@@ -319,16 +311,13 @@ def json_line(record):
 
 def documents_form(example, include_verdict, bodies):
     """``example``'s line in the form written before ``doc_ids``: a
-    document object per slot, with the ``bodies`` of the other slots, and
-    the gold document's id as ``gold_doc_id``."""
+    document object per slot, with the ``bodies`` of the slots, and the
+    gold document's id as ``gold_doc_id``."""
     d = example.to_dict(include_verdict=include_verdict)
     d["documents"] = [
-        Document(id=doc_id, title=f"T{slot}",
-                 body=(example.gold_body if slot == example.gold_position
-                       else body)).to_dict()
+        Document(id=doc_id, title=f"T{slot}", body=body).to_dict()
         for slot, (doc_id, body) in enumerate(
             zip(d.pop("doc_ids"), bodies), start=1)]
-    d.pop("gold_body")
     d["gold_doc_id"] = example.gold_doc_id
     return d
 
@@ -347,7 +336,7 @@ class TestTrainingExampleForms:
     @given(training_examples(), st.booleans(), st.data())
     def test_documents_form_decodes_to_the_same_record(self, example,
                                                        include_verdict, data):
-        # a slot other than the gold one stores its body or a null body
+        # each slot, the gold one too, stores its body or a null body
         bodies = data.draw(st.lists(
             st.none() | st.text(min_size=1).filter(str.strip),
             min_size=len(example.doc_ids), max_size=len(example.doc_ids)))
@@ -358,11 +347,6 @@ class TestTrainingExampleForms:
 
     def test_gold_doc_id_is_the_id_at_gold_position(self):
         assert [make_example(i).gold_doc_id for i in range(2)] == ["g0", "g1"]
-
-    @pytest.mark.parametrize("gold_body", ["", "  ", None])
-    def test_gold_body_must_be_text(self, gold_body):
-        with pytest.raises(InvalidRecord, match="gold_body must be"):
-            replace(make_example(0), gold_body=gold_body)
 
     def test_gold_position_past_the_last_slot_is_invalid(self):
         with pytest.raises(InvalidRecord, match="past the last of 2"):
@@ -384,20 +368,13 @@ class TestTrainingExampleForms:
                                                 "slot of the 2 documents"):
             TrainingExample.from_dict({**old, **edit})
 
-    @pytest.mark.parametrize("body", [None, "  "])
-    def test_documents_form_needs_the_gold_body(self, body):
-        old = documents_form(make_example(1), False, [None, None])
-        old["documents"][1]["body"] = body
-        with pytest.raises(InvalidRecord, match="body must be"):
-            TrainingExample.from_dict(old)
-
     def test_documents_form_checks_every_document(self):
         old = documents_form(make_example(1), False, [None, None])
         old["documents"][0]["body"] = "  "
         with pytest.raises(InvalidRecord, match="body must be"):
             TrainingExample.from_dict(old)
 
-    @pytest.mark.parametrize("key", ["doc_ids", "gold_body"])
+    @pytest.mark.parametrize("key", ["doc_ids"])
     def test_a_line_of_both_forms_is_invalid(self, key):
         example = make_example(1)
         old = documents_form(example, False, [None, None])

@@ -22,9 +22,9 @@ import pytest
 
 from hopground.cli import main
 from hopground.core import Question
-from hopground.distill import (SynthesisConfig, emit_corpus,
-                               load_synthesis_inputs, load_training_corpus,
-                               synthesize_stream)
+from hopground.distill import (SynthesisConfig, TrainingExample,
+                               emit_corpus, load_synthesis_inputs,
+                               load_training_corpus, synthesize_stream)
 from hopground.evaluation import judge
 from hopground.llm import ScriptedClient
 from hopground.pipeline import (BM25Retriever, PipelineConfig, answer_dataset,
@@ -42,10 +42,11 @@ DOC_IDS_FORM = GOLDEN.parent / "synth-doc-ids-form.jsonl"
 # the same examples as they were written before doc_ids and gold_body
 # replaced the document objects and gold_doc_id; it must still load
 DOCUMENTS_FORM = GOLDEN.parent / "synth-documents-form.jsonl"
-# what ``stats`` printed for both when the documents form was the one written
+# synth.jsonl as it was written while each line also held the gold
+# document's body as gold_body; it must still load
+GOLD_BODY_FORM = GOLDEN.parent / "synth-gold-body-form.jsonl"
+# what ``stats`` prints for both the documents and the doc_ids form
 DOCUMENTS_FORM_STATS = """{
-  "avg_gold_doc_len": 9.0,
-  "avg_gold_docs": 1.0,
   "avg_instruction_len": 93.0,
   "avg_target_len": 11.0,
   "count": 8
@@ -54,8 +55,6 @@ DOCUMENTS_FORM_STATS = """{
 # what ``stats`` prints for the golden corpus, whose instructions are
 # grounding prompts over one window of three documents
 GOLDEN_STATS = """{
-  "avg_gold_doc_len": 9.0,
-  "avg_gold_docs": 1.0,
   "avg_instruction_len": 97.0,
   "avg_target_len": 11.0,
   "count": 8
@@ -169,8 +168,26 @@ def test_stats_prints_the_same_bytes_for_either_form(capsys, path):
     assert capsys.readouterr().out == DOCUMENTS_FORM_STATS
 
 
+def test_synth_corpus_in_the_gold_body_form_loads_alike():
+    old_lines = GOLD_BODY_FORM.read_bytes().splitlines()
+    new_lines = (GOLDEN / "synth.jsonl").read_bytes().splitlines()
+    assert len(old_lines) == len(new_lines) == 10
+    for old, new in zip(old_lines, new_lines):
+        gold_body = json.dumps(json.loads(old)["gold_body"],
+                               ensure_ascii=False)
+        # the golden line is the old one without its gold_body key
+        assert old.replace(f'"gold_body":{gold_body},'.encode(), b"") == new
+        assert (TrainingExample.from_dict(json.loads(old))
+                == TrainingExample.from_dict(json.loads(new)))
+
+
 def test_stats_of_the_golden_corpus(capsys):
     assert main(["stats", "--corpus", str(GOLDEN / "synth.jsonl")]) == 0
+    assert capsys.readouterr().out == GOLDEN_STATS
+
+
+def test_stats_prints_the_same_bytes_for_the_gold_body_form(capsys):
+    assert main(["stats", "--corpus", str(GOLD_BODY_FORM)]) == 0
     assert capsys.readouterr().out == GOLDEN_STATS
 
 
