@@ -135,7 +135,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": {
             "pipeline": config.pipeline.to_dict(),
             "templates_dir": config.templates.dir,
-            "retriever": config.pipeline.retriever,
         },
         "dataset_path": str(args.dataset),
         "dataset_format": args.format,

@@ -65,31 +65,22 @@ def parse_grounding(text: str) -> GroundingOutcome:
                             citation=citation, revised_answer=revised)
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
-def citation_in_documents(citation: str, docs: Sequence[Document]) -> bool:
-    """Whitespace-normalized substring check against title+body."""
-    needle = _normalize_ws(citation)
-    return any(needle in _normalize_ws(f"{d.title} {d.body}") for d in docs)
-
-
 def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
            sub_question: str, immediate_answer: str, docs: Sequence[Document],
-           batch_size: int, params: DecodingParams = DecodingParams(),
-           strict_citation: bool = False) -> tuple[str, GroundingOutcome, int]:
+           batch_size: int, params: DecodingParams = DecodingParams()
+           ) -> tuple[str, GroundingOutcome, int]:
     """Revise ``immediate_answer`` against ``docs`` using windowed grounding.
 
     Windows are visited strictly in order and iteration stops at the first
-    Cited window.  A malformed reply is retried once and then treated as
-    Empty for that window.  In strict mode a citation that is not a
-    substring of its window's documents downgrades to Empty.
+    Cited window, whose citation and revised answer are taken as the model
+    gives them.  A malformed reply is retried once and then treated as
+    Empty for that window.
 
     Returns ``(revised_answer, outcome, batches_consumed)`` where
     ``batches_consumed`` counts windows sent to the model (a retry does not
     increment it).  When no window cites, the immediate answer is returned
-    byte-for-byte unchanged.
+    byte-for-byte unchanged, with the last window's Empty outcome (a bare
+    Empty when there are no documents).
     """
     consumed = 0
     outcome = GroundingOutcome.empty()
@@ -104,7 +95,5 @@ def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
             outcome = GroundingOutcome.empty(raw_text=exc.text)
         consumed += 1
         if outcome.kind is GroundingKind.CITED:
-            if strict_citation and not citation_in_documents(outcome.citation, batch):
-                continue
             return outcome.revised_answer, outcome, consumed
-    return immediate_answer, GroundingOutcome.empty(outcome.raw_text), consumed
+    return immediate_answer, outcome, consumed

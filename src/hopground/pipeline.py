@@ -51,7 +51,6 @@ class PipelineConfig(ConfigRecord, section="pipeline"):
     batch_size: PositiveInt = 3
     retriever: Literal["bm25", "external"] = "bm25"
     decoding: DecodingParams = DecodingParams()
-    strict_citation: bool = False
     concurrency: PositiveInt = 4
 
 
@@ -140,7 +139,7 @@ def answer_question(question: Question, config: PipelineConfig, llm: LlmClient,
             revised, outcome, consumed = ground(
                 recorder, library, question, result.sub_question,
                 result.immediate_answer, docs, config.batch_size,
-                params=config.decoding, strict_citation=config.strict_citation)
+                params=config.decoding)
             hop = HopRecord(
                 index=len(hops) + 1,
                 sub_question=result.sub_question,

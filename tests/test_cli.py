@@ -33,6 +33,12 @@ OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 RETIRED_BASE_URL_VAR = "HOPGROUND_BASE_URL"
 ROOT = Path(__file__).parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
+# pipeline.strict_citation is gone: a config holding either value exits 1,
+# as one with any unknown key does
+STRICT_CITATION = [
+    pytest.param("pipeline", "strict_citation", value,
+                 id=f"pipeline.strict_citation={json.dumps(value)}")
+    for value in (False, True)]
 
 
 @pytest.fixture()
@@ -257,7 +263,7 @@ class TestRunCommand:
         ({"pipeline": {"decoding": []}}, "decoding"),
         ({"pipeline": 5}, "pipeline"),
         ({"templates": []}, "templates"),
-        ({"pipeline": {"strict_citation": "false"}}, "strict_citation"),
+        ({"pipeline": {"top_k": "10"}}, "top_k"),
         ({"llm": {**OPENAI, "api_key_env": 5}}, "llm.api_key_env"),
         ({"judge_llm": {**OPENAI, "model": ["m"]}}, "judge_llm.model"),
         ({"llm": {**OPENAI, "timeout": "120"}}, "timeout"),
@@ -347,18 +353,23 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
 
-    def test_the_removed_doc_char_budget_key_exits_one_before_any_call(
-            self, festival_run, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("templates", "doc_char_budget", 1500,
+                     id="templates.doc_char_budget"),
+        *STRICT_CITATION])
+    def test_a_removed_key_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys, section, key,
+            value):
         client = KeyedClient(lambda prompt: "###Finish[x]")
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
-        config = write_json(tmp_path / "budget.json", {
-            **json.loads(festival_run["config"].read_text(encoding="utf-8")),
-            "templates": {"doc_char_budget": 1500}})
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config.setdefault(section, {})[key] = value
+        path = write_json(tmp_path / "removed.json", config)
         assert main(["run", "--dataset", str(festival_run["dataset"]),
-                     "--config", str(config),
+                     "--config", str(path),
                      "--out", str(festival_run["out"])]) == 1
         err = capsys.readouterr().err
-        assert "unknown config key templates.doc_char_budget" in err
+        assert f"unknown config key {section}.{key}" in err
         assert "Traceback" not in err
         assert not festival_run["out"].exists()
         assert client.calls == 0
@@ -1198,19 +1209,23 @@ class TestEvalCommand:
         assert err.startswith("error: ") and str(reports) in err
         assert client.calls == 0
 
-    def test_the_removed_max_attempts_key_exits_one_before_any_call(
-            self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("judge_llm", "max_attempts", 3,
+                     id="judge_llm.max_attempts"),
+        *STRICT_CITATION])
+    def test_a_removed_key_exits_one_before_any_call(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
         dataset, trajectories = write_judge_files(tmp_path, 3)
         client = KeyedClient(lambda prompt: "Yes")
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
-        config = write_json(tmp_path / "config.json", {
-            "pipeline": {"concurrency": 1},
-            "judge_llm": {**OPENAI, "max_attempts": 3}})
+        config = {"pipeline": {"concurrency": 1}, "judge_llm": dict(OPENAI)}
+        config[section][key] = value
+        path = write_json(tmp_path / "config.json", config)
         reports = tmp_path / "reports"
         assert main(["eval", "--trajectories", str(trajectories),
                      "--dataset", str(dataset), "--judge",
-                     "--config", str(config), "--out", str(reports)]) == 1
-        assert "unknown config key judge_llm.max_attempts" in \
+                     "--config", str(path), "--out", str(reports)]) == 1
+        assert f"unknown config key {section}.{key}" in \
             capsys.readouterr().err
         assert not reports.exists()
         assert client.calls == 0
@@ -1486,16 +1501,20 @@ class TestSynthCommand:
         assert not out.exists()
         assert client.calls == 0
 
-    def test_the_removed_doc_char_budget_key_exits_one_before_any_call(
-            self, synth_files, monkeypatch, capsys):
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("templates", "doc_char_budget", 1500,
+                     id="templates.doc_char_budget"),
+        *STRICT_CITATION])
+    def test_a_removed_key_exits_one_before_any_call(
+            self, synth_files, monkeypatch, capsys, section, key, value):
         config, client = self.keyed(synth_files, monkeypatch)
         write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
-                            "templates": {"doc_char_budget": 1500}})
+                            section: {key: value}})
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "7",
                      "--config", str(config)]) == 1
-        assert "unknown config key templates.doc_char_budget" in \
+        assert f"unknown config key {section}.{key}" in \
             capsys.readouterr().err
         assert not out.exists()
         assert client.calls == 0

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hopground.core import Document, GroundingKind, GroundingOutcome, Question
 from hopground.errors import (MalformedGrounding, MissingRevision,
                               ScriptExhausted)
-from hopground.grounding import (citation_in_documents, first_tag_span,
-                                 ground, parse_grounding)
+from hopground.grounding import first_tag_span, ground, parse_grounding
 from hopground.llm import ScriptedClient
 
 from helpers import LoggedScript
@@ -135,6 +134,16 @@ class TestGround:
                    for call in llm.calls]
         assert windows == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10]]
 
+    def test_all_empty_returns_the_last_windows_outcome(self, library):
+        last = "<ref> empty </ref> nothing in this window"
+        llm = ScriptedClient([EMPTY, last])
+        revised, outcome, consumed = ground(
+            llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
+            batch_size=3)
+        assert (revised, consumed) == ("draft", 2)
+        assert outcome == parse_grounding(last)
+        assert outcome == GroundingOutcome.empty(raw_text=last)
+
     def test_no_documents_makes_no_calls(self, library):
         llm = LoggedScript([])
         revised, outcome, consumed = ground(
@@ -180,6 +189,18 @@ class TestGround:
         assert len(llm.calls) == 1
         assert llm.remaining == 1
 
+    def test_cited_reply_is_taken_as_given(self, library):
+        # the quote appears in no document, and is not checked against them
+        reply = "<ref> fabricated   evidence </ref> <revise> as given </revise>"
+        llm = LoggedScript([reply, "NEVER SENT"])
+        revised, outcome, consumed = ground(
+            llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
+            batch_size=3)
+        assert (revised, consumed) == ("as given", 1)
+        assert outcome == parse_grounding(reply)
+        assert outcome.citation == "fabricated   evidence"
+        assert len(llm.calls) == 1
+
     def test_consumed_bounded_by_window_count(self, library):
         for n, b in [(10, 3), (7, 2), (5, 5), (1, 4)]:
             llm = ScriptedClient([EMPTY] * math.ceil(n / b))
@@ -192,40 +213,3 @@ class TestGround:
         with pytest.raises(ScriptExhausted):
             ground(llm, library, QUESTION, "s", "draft", sentinel_docs(3),
                    batch_size=3)
-
-    def test_strict_citation_downgrades_unsupported_evidence(self, library):
-        docs = sentinel_docs(6)
-        fabricated = "<ref> fabricated evidence </ref> <revise> wrong </revise>"
-        supported = (f"<ref> content SENTINEL04 </ref> "
-                     f"<revise> right </revise>")
-        llm = ScriptedClient([fabricated, supported])
-        revised, outcome, consumed = ground(
-            llm, library, QUESTION, "s", "draft", docs, batch_size=3,
-            strict_citation=True)
-        assert revised == "right"
-        assert consumed == 2
-
-    def test_strict_citation_normalizes_whitespace(self, library):
-        docs = [Document(id="d", title="", body="the  answer\nis here")]
-        reply = "<ref> the answer is here </ref> <revise> fine </revise>"
-        llm = ScriptedClient([reply])
-        revised, _, _ = ground(llm, library, QUESTION, "s", "draft", docs,
-                               batch_size=3, strict_citation=True)
-        assert revised == "fine"
-
-    def test_strict_all_downgraded_falls_back(self, library):
-        fabricated = "<ref> nothing real </ref> <revise> wrong </revise>"
-        llm = ScriptedClient([fabricated, fabricated])
-        revised, outcome, consumed = ground(
-            llm, library, QUESTION, "s", "draft", sentinel_docs(6),
-            batch_size=3, strict_citation=True)
-        assert revised == "draft"
-        assert outcome.kind is GroundingKind.EMPTY
-        assert consumed == 2
-
-
-class TestCitationInDocuments:
-    def test_substring_after_whitespace_normalization(self):
-        docs = [Document(id="d", title="T", body="alpha   beta\tgamma")]
-        assert citation_in_documents("alpha beta", docs)
-        assert not citation_in_documents("beta alpha", docs)

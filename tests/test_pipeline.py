@@ -198,10 +198,10 @@ class TestStoredBodies:
     """A hop keeps the bodies of the windows the model read: ten documents
     at batch size 3 make the windows 1-3, 4-6, 7-9 and 10."""
 
-    def run(self, library, groundings, **kwargs):
+    def run(self, library, groundings):
         llm = LoggedScript([STEP, *groundings, "###Finish[x]"])
-        traj = answer_question(QUESTION, config(batch_size=3, **kwargs), llm,
-                               TenDocs(), library)
+        traj = answer_question(QUESTION, config(batch_size=3), llm, TenDocs(),
+                               library)
         assert llm.remaining == 0
         return traj
 
@@ -230,11 +230,15 @@ class TestStoredBodies:
         assert traj.hops[0].batches_consumed == 2
         assert self.kept(traj) == [*range(1, 7)]
 
-    def test_strict_downgrade_keeps_every_window_it_consumed(self, library):
+    def test_quote_from_another_window_is_kept_as_given(self, library):
+        # doc 5 is in window two, yet window one's citation of it stands
         quoted = "<ref> text of doc 5 </ref> <revise> five </revise>"
-        traj = self.run(library, [CITED, quoted], strict_citation=True)
-        assert traj.hops[0].grounding.citation == "text of doc 5"
-        assert self.kept(traj) == [*range(1, 7)]
+        traj = self.run(library, [quoted])
+        [hop] = traj.hops
+        assert hop.grounding.citation == "text of doc 5"
+        assert hop.revised_answer == "five"
+        assert hop.batches_consumed == 1
+        assert self.kept(traj) == [1, 2, 3]
 
     def test_null_bodies_round_trip_exactly(self, library, tmp_path):
         traj = self.run(library, [CITED])
@@ -515,13 +519,12 @@ class TestPipelineConfig:
         assert cfg.batch_size == 3
         assert cfg.retriever == "bm25"
         assert cfg.concurrency == 4
-        assert cfg.strict_citation is False
         assert cfg.decoding.temperature == 0
 
     @pytest.mark.parametrize("bad", [
         {"max_hops": 0}, {"top_k": 0}, {"batch_size": 0},
         {"retriever": "dense"}, {"concurrency": 0}, {"max_hops": "3"},
-        {"top_k": True}, {"concurrency": 2.0}, {"strict_citation": "yes"},
+        {"top_k": True}, {"concurrency": 2.0}, {"batch_size": "3"},
         {"decoding": {"temperature": 0}}])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -538,7 +541,7 @@ class TestPipelineConfig:
             PipelineConfig.from_dict({"decoding": {"max_tokens": 9}})
 
     def test_round_trip(self):
-        cfg = PipelineConfig(max_hops=3, strict_citation=True)
+        cfg = PipelineConfig(max_hops=3, batch_size=2)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
