@@ -305,7 +305,8 @@ class HopRecord(Record):
     batch size, keep their bodies; the rest are stored without one.
     ``deduction_raw`` preserves the verbatim deduction output that produced
     this hop.  When every grounding window came back Empty, ``revised_answer``
-    is byte-equal to ``immediate_answer``.
+    is byte-equal to ``immediate_answer``; when one was cited, to that
+    outcome's ``revised_answer``.
     """
 
     index: PositiveInt
@@ -322,6 +323,10 @@ class HopRecord(Record):
         if self.grounding.kind is GroundingKind.EMPTY:
             _require(self.revised_answer == self.immediate_answer,
                      "empty grounding must keep the immediate answer verbatim")
+        else:
+            _require(self.revised_answer == self.grounding.revised_answer,
+                     "revised_answer must be the cited grounding's "
+                     "revised_answer")
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,9 @@ class TrainingExample(Record):
     ``doc_ids`` are the ids of the documents in the order the instruction
     numbers them, the gold one at ``gold_position``.  Nothing else of a
     document is stored: the instruction renders every title and body, and
-    the synthesis inputs file holds each document under its id.  A line
-    written when it also held the gold body as ``gold_body`` loads, the
-    key ignored.
+    the synthesis inputs file holds each document under its id.  A key
+    that names no field, such as the ``gold_body`` of a line that earlier
+    versions wrote, is ignored.
     """
 
     instruction: str
@@ -95,10 +95,6 @@ class TrainingExample(Record):
             raise InvalidRecord(
                 f"gold_position {self.gold_position} is past the last of "
                 f"{len(self.doc_ids)} documents")
-
-    @property
-    def gold_doc_id(self) -> str:
-        return self.doc_ids[self.gold_position - 1]
 
     def to_dict(self, include_verdict: bool = False) -> dict[str, Any]:
         """The record's JSON object, whose verdict is written only when
@@ -128,30 +124,7 @@ class TrainingExample(Record):
         else:
             raise InvalidRecord("drop_reason must be a non-blank string on a "
                                 f"dropped example, got {reason!r}")
-        if "documents" in d:
-            d = _from_documents(d)
         return super().from_dict({**d, "verdict": verdict})
-
-
-def _from_documents(d: dict[str, Any]) -> dict[str, Any]:
-    """``d``, a line of the form written before ``doc_ids``, with its
-    ``doc_ids`` read from its ``documents`` objects.  Each document must be
-    a valid ``Document`` and ``gold_doc_id`` must be the id at
-    ``gold_position``."""
-    if "doc_ids" in d:
-        raise InvalidRecord("a line holds either documents or doc_ids, "
-                            "not both")
-    documents = tuple(map(Document.from_dict,
-                          expect_type(d["documents"], list, "documents")))
-    position = d.get("gold_position")
-    if type(position) is not int or not 1 <= position <= len(documents):
-        raise InvalidRecord(f"gold_position must be a slot of the "
-                            f"{len(documents)} documents, got {position!r}")
-    gold_id = documents[position - 1].id
-    if d.get("gold_doc_id") != gold_id:
-        raise InvalidRecord(f"gold_doc_id {d.get('gold_doc_id')!r} is not "
-                            f"{gold_id!r}, the id at gold_position {position}")
-    return {**d, "doc_ids": [doc.id for doc in documents]}
 
 
 def apply_filters(target: str, gold_answer: str) -> Verdict:

@@ -4,7 +4,9 @@ Metrics use SQuAD-style normalization (lowercase, strip ASCII punctuation,
 drop the articles a/an/the, split on whitespace).  Accuracy is cover-EM:
 1 when some gold answer's token sequence appears contiguously in the
 prediction's tokens.  F1 is the token-multiset harmonic mean, maximized
-over gold answers.
+over gold answers; as in HotpotQA's scorer, it is 0 when the prediction or
+the gold normalizes to yes, no or noanswer and the other does not
+normalize to the same.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ DATASET_FORMATS = ("hotpotqa", "musique", "2wiki", "strategyqa", "generic")
 
 _ARTICLES_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# answers that F1 scores all or nothing (HotpotQA's hotpot_evaluate_v1.py)
+_CLOSED_ANSWERS = (["yes"], ["no"], ["noanswer"])
 
 
 def normalize(text: str) -> list[str]:
@@ -59,8 +63,10 @@ def cover_em(prediction: str, gold_answers: Sequence[str]) -> int:
 
 
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if not pred_tokens and not gold_tokens:
+    if pred_tokens == gold_tokens:
         return 1.0
+    if pred_tokens in _CLOSED_ANSWERS or gold_tokens in _CLOSED_ANSWERS:
+        return 0.0
     shared = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     if shared == 0:
         return 0.0

@@ -89,10 +89,19 @@ def cover_em(prediction: str, gold_answers) -> int:
 
 
 def token_f1(prediction: str, gold_answers) -> float:
+    """HotpotQA's ``f1_score`` over each gold, the best kept: on the
+    normalized strings, a prediction or gold in ['yes', 'no', 'noanswer']
+    that differs from the other scores 0."""
     pred = normalize_tokens(prediction)
+    normalized_prediction = " ".join(pred)
     best = 0.0
     for gold in gold_answers:
         gold_tokens = normalize_tokens(gold)
+        normalized_ground_truth = " ".join(gold_tokens)
+        if normalized_prediction != normalized_ground_truth and (
+                normalized_prediction in ["yes", "no", "noanswer"]
+                or normalized_ground_truth in ["yes", "no", "noanswer"]):
+            continue
         if not pred and not gold_tokens:
             best = max(best, 1.0)
             continue

@@ -1025,6 +1025,23 @@ class TestEvalCommand:
         assert "index must be an integer >= 1" in err
         assert "Traceback" not in err
 
+    def test_cited_hop_with_another_revised_answer_exits_two(
+            self, festival_run, capsys):
+        trajectories = self.run_festival(festival_run)
+        record = json.loads(trajectories.read_text(encoding="utf-8"))
+        hop = record["hops"][0]
+        assert hop["grounding"]["kind"] == "cited"
+        assert hop["revised_answer"] == hop["grounding"]["revised_answer"]
+        hop["revised_answer"] = hop["immediate_answer"]
+        write_jsonl(trajectories, [record])
+        capsys.readouterr()
+        assert main(["eval", "--trajectories", str(trajectories),
+                     "--dataset", str(festival_run["dataset"])]) == 2
+        err = capsys.readouterr().err
+        assert f"{trajectories}" in err and "(line 1)" in err
+        assert "revised_answer" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad_file", ["corpus", "dataset",
                                           "trajectories"])
     def test_lone_surrogate_exits_two(self, festival_run, bad_file, capsys):
@@ -1611,11 +1628,10 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("every_body", [False, True])
-    def test_documents_form_loads_alike(self, synth_files, capsys,
-                                        every_body):
-        # lines as written before doc_ids: a document object per slot, with
-        # no body or with every body, and gold_doc_id
+    def test_a_line_in_the_documents_form_exits_two(self, synth_files,
+                                                     capsys):
+        # a line as written before doc_ids: a document object per slot and
+        # gold_doc_id; it holds no doc_ids, so it is malformed
         out = synth_files["dir"] / "corpus.jsonl"
         assert main(["synth", "--input", str(synth_files["input"]),
                      "--out", str(out), "--seed", "3",
@@ -1623,37 +1639,15 @@ class TestStatsCommand:
         documents = _input_documents(synth_files["input"])
         records = [json.loads(line) for line in
                    out.read_text(encoding="utf-8").splitlines()]
-        for record in records:
-            ids = record.pop("doc_ids")
-            record["gold_doc_id"] = ids[record["gold_position"] - 1]
-            record["documents"] = [
-                {**documents[doc_id], "rank": None,
-                 **({} if every_body else {"body": None})}
-                for doc_id in ids]
-        old_path = synth_files["dir"] / "old.jsonl"
-        write_jsonl(old_path, records)
-        assert (list(load_training_corpus(old_path))
-                == list(load_training_corpus(out)))
+        ids = records[1].pop("doc_ids")
+        records[1]["gold_doc_id"] = ids[records[1]["gold_position"] - 1]
+        records[1]["documents"] = [{**documents[doc_id], "rank": None}
+                                   for doc_id in ids]
+        write_jsonl(out, records)
         capsys.readouterr()
-        assert main(["stats", "--corpus", str(out)]) == 0
-        new_stats = capsys.readouterr().out
-        assert main(["stats", "--corpus", str(old_path)]) == 0
-        assert capsys.readouterr().out == new_stats
-
-    def test_documents_form_with_another_gold_doc_id_exits_two(self, capsys,
-                                                                tmp_path):
-        lines = (FIXTURES / "synth-documents-form.jsonl").read_text(
-            encoding="utf-8").splitlines()
-        assert '"gold_doc_id":"g0","gold_position":3' in lines[0]
-        # n0-0 is the noise document in slot 1
-        lines[0] = lines[0].replace('"gold_doc_id":"g0"',
-                                    '"gold_doc_id":"n0-0"')
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(line + "\n" for line in lines),
-                          encoding="utf-8")
-        assert main(["stats", "--corpus", str(corpus)]) == 2
+        assert main(["stats", "--corpus", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "(line 1)" in err and "gold_doc_id 'n0-0'" in err
+        assert f"{out}" in err and "(line 2)" in err and "doc_ids" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [

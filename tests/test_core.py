@@ -90,6 +90,10 @@ class TestHopRecord:
                       retrieved=(), grounding=outcome, revised_answer="b",
                       batches_consumed=0)
 
+    def test_cited_grounding_must_hold_the_revised_answer(self):
+        with pytest.raises(InvalidRecord, match="cited grounding"):
+            replace(make_hop(revised="Paris"), revised_answer="Lyon")
+
     def test_rejects_empty_sub_question(self):
         with pytest.raises(InvalidRecord):
             HopRecord(index=1, sub_question=" ", immediate_answer="a",

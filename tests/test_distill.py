@@ -120,7 +120,6 @@ class TestSynthesizeExample:
                                      gold_position=2)
         assert example.verdict.keep
         assert example.immediate_answer == "Paris."
-        assert example.gold_doc_id == "gold"
         assert example.gold_position == 2
         assert example.doc_ids[1] == "gold"
         assert "[2] France" in example.instruction
@@ -309,19 +308,6 @@ def json_line(record):
     return json.loads(json.dumps(record, ensure_ascii=False))
 
 
-def documents_form(example, include_verdict, bodies):
-    """``example``'s line in the form written before ``doc_ids``: a
-    document object per slot, with the ``bodies`` of the slots, and the
-    gold document's id as ``gold_doc_id``."""
-    d = example.to_dict(include_verdict=include_verdict)
-    d["documents"] = [
-        Document(id=doc_id, title=f"T{slot}", body=body).to_dict()
-        for slot, (doc_id, body) in enumerate(
-            zip(d.pop("doc_ids"), bodies), start=1)]
-    d["gold_doc_id"] = example.gold_doc_id
-    return d
-
-
 class TestTrainingExampleForms:
     @settings(max_examples=300)
     @given(training_examples(), st.booleans())
@@ -332,55 +318,9 @@ class TestTrainingExampleForms:
         assert decoded == (example if include_verdict
                            else replace(example, verdict=Verdict()))
 
-    @settings(max_examples=300)
-    @given(training_examples(), st.booleans(), st.data())
-    def test_documents_form_decodes_to_the_same_record(self, example,
-                                                       include_verdict, data):
-        # each slot, the gold one too, stores its body or a null body
-        bodies = data.draw(st.lists(
-            st.none() | st.text(min_size=1).filter(str.strip),
-            min_size=len(example.doc_ids), max_size=len(example.doc_ids)))
-        old = documents_form(example, include_verdict, bodies)
-        new = example.to_dict(include_verdict=include_verdict)
-        assert (TrainingExample.from_dict(json_line(old))
-                == TrainingExample.from_dict(json_line(new)))
-
-    def test_gold_doc_id_is_the_id_at_gold_position(self):
-        assert [make_example(i).gold_doc_id for i in range(2)] == ["g0", "g1"]
-
     def test_gold_position_past_the_last_slot_is_invalid(self):
         with pytest.raises(InvalidRecord, match="past the last of 2"):
             replace(make_example(0), gold_position=3)
-
-    def test_documents_form_with_another_gold_doc_id_is_invalid(self):
-        old = documents_form(make_example(1), False, [None, None])
-        old["gold_doc_id"] = "n1"  # a noise document's id
-        with pytest.raises(InvalidRecord, match="gold_doc_id 'n1' is not 'g1',"
-                                                " the id at gold_position 2"):
-            TrainingExample.from_dict(old)
-
-    @pytest.mark.parametrize("edit", [
-        {"gold_position": 3}, {"gold_position": 0}, {"gold_position": True},
-        {"gold_position": "2"}])
-    def test_documents_form_needs_a_slot_of_its_documents(self, edit):
-        old = documents_form(make_example(1), False, [None, None])
-        with pytest.raises(InvalidRecord, match="gold_position must be a "
-                                                "slot of the 2 documents"):
-            TrainingExample.from_dict({**old, **edit})
-
-    def test_documents_form_checks_every_document(self):
-        old = documents_form(make_example(1), False, [None, None])
-        old["documents"][0]["body"] = "  "
-        with pytest.raises(InvalidRecord, match="body must be"):
-            TrainingExample.from_dict(old)
-
-    @pytest.mark.parametrize("key", ["doc_ids"])
-    def test_a_line_of_both_forms_is_invalid(self, key):
-        example = make_example(1)
-        old = documents_form(example, False, [None, None])
-        with pytest.raises(InvalidRecord, match="not both"):
-            TrainingExample.from_dict(
-                {**old, key: example.to_dict()[key]})
 
 
 class TestEmitCorpus:

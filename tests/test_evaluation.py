@@ -117,6 +117,30 @@ class TestTokenF1:
         with pytest.raises(MissingGold):
             token_f1("anything", [])
 
+    # HotpotQA's scorer: a yes, no or noanswer on either side scores all or
+    # nothing; cover-EM (Acc) keeps its own rule
+    @pytest.mark.parametrize("pred, golds, f1, acc", [
+        ("yes it is", ["yes"], 0.0, 1),  # gold is yes
+        ("no, never", ["no"], 0.0, 1),  # gold is no
+        ("yes", ["yes it is"], 0.0, 0),  # prediction is yes
+        ("no", ["no way"], 0.0, 0),  # prediction is no
+        ("yes", ["no"], 0.0, 0),
+        ("Yes!", ["YES"], 1.0, 1),  # case and punctuation normalize away
+        ("No.", ["the no"], 1.0, 1),  # so does an article
+        ("yes yes", ["yes"], 0.0, 1),
+        ("yesterday", ["yes"], 0.0, 0),
+        ("noanswer", ["noanswer"], 1.0, 1),
+        ("no answer", ["noanswer"], 0.0, 0),
+        ("noanswer", ["no answer"], 0.0, 0),
+        ("yes it is", ["yes", "it is"], 0.8, 1),  # the best alias wins
+        ("no", ["nope", "No"], 1.0, 1),
+        ("march and april", ["april"], 0.5, 1),  # other answers as before
+    ])
+    def test_closed_answers_score_all_or_nothing(self, pred, golds, f1, acc):
+        assert token_f1(pred, golds) == pytest.approx(f1, abs=1e-12)
+        assert oracles.token_f1(pred, golds) == pytest.approx(f1, abs=1e-12)
+        assert cover_em(pred, golds) == acc
+
     @settings(max_examples=150)
     @given(phrase_st, phrase_st)
     def test_bounded_and_one_iff_equal_multisets(self, pred, gold):

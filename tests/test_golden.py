@@ -39,14 +39,11 @@ GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 # synth.jsonl as it was written while the teacher was sent its own template
 # over the gold and every noise document, in the doc_ids form
 DOC_IDS_FORM = GOLDEN.parent / "synth-doc-ids-form.jsonl"
-# the same examples as they were written before doc_ids and gold_body
-# replaced the document objects and gold_doc_id; it must still load
-DOCUMENTS_FORM = GOLDEN.parent / "synth-documents-form.jsonl"
 # synth.jsonl as it was written while each line also held the gold
 # document's body as gold_body; it must still load
 GOLD_BODY_FORM = GOLDEN.parent / "synth-gold-body-form.jsonl"
-# what ``stats`` prints for both the documents and the doc_ids form
-DOCUMENTS_FORM_STATS = """{
+# what ``stats`` prints for the doc_ids form
+DOC_IDS_FORM_STATS = """{
   "avg_instruction_len": 93.0,
   "avg_target_len": 11.0,
   "count": 8
@@ -156,16 +153,24 @@ def test_synth_corpus_loads_and_emits_back_byte_for_byte(tmp_path):
     assert out.read_bytes() == (GOLDEN / "synth.jsonl").read_bytes()
 
 
-def test_synth_corpus_in_the_documents_form_loads_alike():
-    assert (list(load_training_corpus(DOCUMENTS_FORM))
-            == list(load_training_corpus(DOC_IDS_FORM)))
+def without_gold_body(line: bytes) -> bytes:
+    """A corpus line of the gold_body form, less its gold_body key."""
+    gold_body = json.dumps(json.loads(line)["gold_body"], ensure_ascii=False)
+    return line.replace(f'"gold_body":{gold_body},'.encode(), b"")
 
 
-@pytest.mark.parametrize("path", [DOCUMENTS_FORM, DOC_IDS_FORM],
-                         ids=["documents-form", "golden"])
-def test_stats_prints_the_same_bytes_for_either_form(capsys, path):
-    assert main(["stats", "--corpus", str(path)]) == 0
-    assert capsys.readouterr().out == DOCUMENTS_FORM_STATS
+def test_doc_ids_form_emits_back_without_its_gold_body(tmp_path):
+    out = tmp_path / "synth.jsonl"
+    emit_corpus(load_training_corpus(DOC_IDS_FORM), out, include_dropped=True)
+    old_lines = DOC_IDS_FORM.read_bytes().splitlines()
+    assert len(old_lines) == 10
+    assert out.read_bytes().splitlines() == list(map(without_gold_body,
+                                                     old_lines))
+
+
+def test_stats_of_the_doc_ids_form(capsys):
+    assert main(["stats", "--corpus", str(DOC_IDS_FORM)]) == 0
+    assert capsys.readouterr().out == DOC_IDS_FORM_STATS
 
 
 def test_synth_corpus_in_the_gold_body_form_loads_alike():
@@ -173,10 +178,7 @@ def test_synth_corpus_in_the_gold_body_form_loads_alike():
     new_lines = (GOLDEN / "synth.jsonl").read_bytes().splitlines()
     assert len(old_lines) == len(new_lines) == 10
     for old, new in zip(old_lines, new_lines):
-        gold_body = json.dumps(json.loads(old)["gold_body"],
-                               ensure_ascii=False)
-        # the golden line is the old one without its gold_body key
-        assert old.replace(f'"gold_body":{gold_body},'.encode(), b"") == new
+        assert without_gold_body(old) == new
         assert (TrainingExample.from_dict(json.loads(old))
                 == TrainingExample.from_dict(json.loads(new)))
 
