@@ -19,7 +19,7 @@ import os
 import re
 import threading
 import types
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import (Annotated, Any, Callable, Iterable, Iterator, Literal,
                     Mapping, TypeVar, Union, get_args, get_origin,
@@ -150,12 +150,12 @@ class Record:
     less an ``Unwritten`` field that is None: a nested record converts to
     its dict, a tuple to a list and an enum to its value; any other value
     is written as it is.  ``from_dict`` reverses this: a key it omits keeps
-    the field's default, a key that names no field is ignored, and a value
-    that is not a JSON object raises ``TypeError`` naming the class.
+    the field's default or is "missing", a key that names no field is
+    ignored, and a non-object raises ``TypeError`` naming the class.
     """
 
     def __post_init__(self):
-        checks, stores, _ = _table(type(self))
+        checks, stores, *_ = _table(type(self))
         for name, ok, noun in checks:  # the first bad field is named
             value = getattr(self, name)
             if not ok(value):
@@ -217,11 +217,11 @@ def expect_type(value: Any, kind: type, name: str) -> Any:
 
 
 @functools.cache
-def _table(cls: type) -> tuple[tuple, tuple, tuple]:
+def _table(cls: type) -> tuple[tuple, tuple, tuple, tuple]:
     """A record class's fields from one ``get_type_hints`` call: the (name,
     predicate, noun) rows that check each field, the (name, store) rows of
-    the fields stored converted, and the (name, encoder, decoder, unwritten)
-    rows of the codec."""
+    the fields stored converted, the (name, encoder, decoder, unwritten)
+    rows of the codec, and the names of the fields with no default."""
     hints = get_type_hints(cls, include_extras=True)
     rows = [(f.name, *_field(hints[f.name], f.name),
              _UNWRITTEN in getattr(hints[f.name], "__metadata__", ()))
@@ -229,12 +229,16 @@ def _table(cls: type) -> tuple[tuple, tuple, tuple]:
     return (tuple((name, ok, noun) for name, *_, ok, noun, _ in rows),
             tuple((name, store) for name, _, _, store, *_ in rows if store),
             tuple((name, encode, decode, unwritten)
-                  for name, encode, decode, *_, unwritten in rows))
+                  for name, encode, decode, *_, unwritten in rows),
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING))
 
 
 def _decoded(cls: type, d: dict) -> dict[str, Any]:
     """The keyword arguments of the record ``d`` encodes; a key ``d`` omits
-    is left to the field's default."""
+    is left to the field's default, and is an ``InvalidRecord`` without one."""
+    for name in _table(cls)[3]:
+        _require(name in d, f"{name} is missing")
     return {name: d[name] if decode is None else decode(d[name])
             for name, _, decode, _ in _table(cls)[2] if name in d}
 
@@ -271,25 +275,23 @@ class Document(Record):
 
 @dataclass(frozen=True)
 class GroundingOutcome(Record):
-    """Parsed grounding output: a citation plus revision, or the Empty signal.
-
-    An Empty outcome has neither, and is written without their keys.
-    ``raw_text`` keeps the unparsed model output verbatim for debugging.
+    """Parsed grounding output: a citation, or the Empty signal, written
+    without a citation key.  The revision a cited reply gives is the hop's
+    ``revised_answer``, no part of the outcome.  ``raw_text`` keeps the
+    unparsed model output verbatim for debugging.
     """
 
     kind: GroundingKind
     citation: Unwritten[str] = None
-    revised_answer: Unwritten[str] = None
     raw_text: str = ""
 
     def __post_init__(self):
         super().__post_init__()
         if self.kind is GroundingKind.CITED:
-            _require(bool(self.citation and self.revised_answer),
-                     "cited outcome needs a citation and a revised answer")
+            _require(bool(self.citation), "cited outcome needs a citation")
         else:
-            _require(self.citation is None and self.revised_answer is None,
-                     "empty outcome carries no citation or revision")
+            _require(self.citation is None,
+                     "empty outcome carries no citation")
 
     @classmethod
     def empty(cls, raw_text: str = "") -> "GroundingOutcome":
@@ -305,8 +307,8 @@ class HopRecord(Record):
     batch size, keep their bodies; the rest are stored without one.
     ``deduction_raw`` preserves the verbatim deduction output that produced
     this hop.  When every grounding window came back Empty, ``revised_answer``
-    is byte-equal to ``immediate_answer``; when one was cited, to that
-    outcome's ``revised_answer``.
+    is byte-equal to ``immediate_answer``; when one was cited, it is the
+    revision that window's reply gave, stored here only.
     """
 
     index: PositiveInt
@@ -323,10 +325,6 @@ class HopRecord(Record):
         if self.grounding.kind is GroundingKind.EMPTY:
             _require(self.revised_answer == self.immediate_answer,
                      "empty grounding must keep the immediate answer verbatim")
-        else:
-            _require(self.revised_answer == self.grounding.revised_answer,
-                     "revised_answer must be the cited grounding's "
-                     "revised_answer")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import (ConfigRecord, DecodingParams, Document, GroundingKind,
-                   PositiveInt, Question, Record, expect_type, read_jsonl,
-                   scalar_text, write_jsonl)
+from .core import (ConfigRecord, DecodingParams, Document, PositiveInt,
+                   Question, Record, expect_type, read_jsonl, scalar_text,
+                   write_jsonl)
 from .errors import (EmptyRecords, InvalidRecord, LlmError, MalformedGrounding,
                      MissingRevision)
 from .evaluation import cover_em
@@ -136,14 +136,14 @@ def apply_filters(target: str, gold_answer: str) -> Verdict:
     cover-EM against the gold answer.
     """
     try:
-        outcome = parse_grounding(target)
+        _, revised = parse_grounding(target)
     except MissingRevision:
         return Verdict(DROP_MISSING_REVISION)
     except MalformedGrounding:
         return Verdict(DROP_EMPTY_EVIDENCE)
-    if outcome.kind is GroundingKind.EMPTY:
+    if revised is None:  # the Empty signal
         return Verdict(DROP_EMPTY_EVIDENCE)
-    if not cover_em(outcome.revised_answer, [gold_answer]):
+    if not cover_em(revised, [gold_answer]):
         return Verdict(DROP_MISALIGNED)
     return Verdict()
 

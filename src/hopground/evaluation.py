@@ -6,7 +6,8 @@ drop the articles a/an/the, split on whitespace).  Accuracy is cover-EM:
 prediction's tokens.  F1 is the token-multiset harmonic mean, maximized
 over gold answers; as in HotpotQA's scorer, it is 0 when the prediction or
 the gold normalizes to yes, no or noanswer and the other does not
-normalize to the same.
+normalize to the same.  A gold answer that normalizes to no tokens, such
+as "The", matches nothing: it scores 0 on both metrics.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ def normalize(text: str) -> list[str]:
 
 
 def _contains_subsequence(haystack: list[str], needle: list[str]) -> bool:
-    if not needle:
-        return True
     n = len(needle)
-    return any(haystack[i:i + n] == needle
-               for i in range(len(haystack) - n + 1))
+    return n > 0 and any(haystack[i:i + n] == needle
+                         for i in range(len(haystack) - n + 1))
 
 
 def cover_em(prediction: str, gold_answers: Sequence[str]) -> int:
@@ -63,9 +62,8 @@ def cover_em(prediction: str, gold_answers: Sequence[str]) -> int:
 
 
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if pred_tokens == gold_tokens:
-        return 1.0
-    if pred_tokens in _CLOSED_ANSWERS or gold_tokens in _CLOSED_ANSWERS:
+    if pred_tokens != gold_tokens and (pred_tokens in _CLOSED_ANSWERS
+                                       or gold_tokens in _CLOSED_ANSWERS):
         return 0.0
     shared = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
     if shared == 0:

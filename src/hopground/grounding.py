@@ -35,13 +35,13 @@ def first_tag_span(text: str, open_tag: str, close_tag: str) -> str | None:
     return text[start + len(open_tag):end]
 
 
-def parse_grounding(text: str) -> GroundingOutcome:
-    """Parse one grounding output into Cited or Empty.
+def parse_grounding(text: str) -> tuple[GroundingOutcome, str | None]:
+    """Parse one grounding output into ``(outcome, revised_answer)``.
 
     The first ``<ref>..</ref>`` pair wins; a span equal to "Empty"
-    (case-insensitive) is the no-evidence signal.  Cited additionally needs
-    a non-empty ``<revise>..</revise>`` span.  The revised answer is trimmed
-    of surrounding whitespace and periods only.
+    (case-insensitive) is the no-evidence signal: Empty, and None.  Cited
+    additionally needs a non-empty ``<revise>..</revise>`` span, whose text
+    trimmed of surrounding whitespace and periods only is the revision.
 
     Raises ``MissingRevision`` when a citation has no usable revise span and
     ``MalformedGrounding`` for anything else.
@@ -51,7 +51,7 @@ def parse_grounding(text: str) -> GroundingOutcome:
         raise MalformedGrounding(f"no ref span in: {text[:120]!r}", text)
     citation = ref_span.strip()
     if citation.lower() == EMPTY_KEYWORD:
-        return GroundingOutcome.empty(raw_text=text)
+        return GroundingOutcome.empty(raw_text=text), None
     if not citation:
         raise MalformedGrounding("ref span is blank", text)
 
@@ -62,7 +62,7 @@ def parse_grounding(text: str) -> GroundingOutcome:
     if not revised:
         raise MissingRevision("revise span is blank", text)
     return GroundingOutcome(kind=GroundingKind.CITED, raw_text=text,
-                            citation=citation, revised_answer=revised)
+                            citation=citation), revised
 
 
 def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
@@ -76,11 +76,11 @@ def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
     gives them.  A malformed reply is retried once and then treated as
     Empty for that window.
 
-    Returns ``(revised_answer, outcome, batches_consumed)`` where
-    ``batches_consumed`` counts windows sent to the model (a retry does not
-    increment it).  When no window cites, the immediate answer is returned
-    byte-for-byte unchanged, with the last window's Empty outcome (a bare
-    Empty when there are no documents).
+    Returns ``(revised_answer, outcome, batches_consumed)``; the outcome
+    holds no revision, and ``batches_consumed`` counts windows sent to the
+    model (a retry does not increment it).  When no window cites, the
+    immediate answer is returned byte-for-byte unchanged, with the last
+    window's Empty outcome (a bare Empty when there are no documents).
     """
     consumed = 0
     outcome = GroundingOutcome.empty()
@@ -89,11 +89,11 @@ def ground(llm: LlmClient, library: TemplateLibrary, question: Question,
         messages = render_grounding(library, question, sub_question,
                                     immediate_answer, batch)
         try:
-            outcome = retry_parse(
+            outcome, revised = retry_parse(
                 lambda: parse_grounding(llm.complete(messages, params).text))
         except MalformedGrounding as exc:
-            outcome = GroundingOutcome.empty(raw_text=exc.text)
+            outcome, revised = GroundingOutcome.empty(raw_text=exc.text), None
         consumed += 1
-        if outcome.kind is GroundingKind.CITED:
-            return outcome.revised_answer, outcome, consumed
+        if revised is not None:
+            return revised, outcome, consumed
     return immediate_answer, outcome, consumed

@@ -80,8 +80,8 @@ def cover_em(prediction: str, gold_answers) -> int:
     pred = normalize_tokens(prediction)
     for gold in gold_answers:
         needle = normalize_tokens(gold)
-        if not needle:
-            return 1
+        if not needle:  # a gold of no tokens matches nothing
+            continue
         for i in range(len(pred) - len(needle) + 1):
             if pred[i:i + len(needle)] == needle:
                 return 1
@@ -91,7 +91,8 @@ def cover_em(prediction: str, gold_answers) -> int:
 def token_f1(prediction: str, gold_answers) -> float:
     """HotpotQA's ``f1_score`` over each gold, the best kept: on the
     normalized strings, a prediction or gold in ['yes', 'no', 'noanswer']
-    that differs from the other scores 0."""
+    that differs from the other scores 0, and a gold of no tokens shares
+    none, so it scores 0 too."""
     pred = normalize_tokens(prediction)
     normalized_prediction = " ".join(pred)
     best = 0.0
@@ -101,9 +102,6 @@ def token_f1(prediction: str, gold_answers) -> float:
         if normalized_prediction != normalized_ground_truth and (
                 normalized_prediction in ["yes", "no", "noanswer"]
                 or normalized_ground_truth in ["yes", "no", "noanswer"]):
-            continue
-        if not pred and not gold_tokens:
-            best = max(best, 1.0)
             continue
         shared = 0
         remaining = list(gold_tokens)

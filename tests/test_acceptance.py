@@ -284,7 +284,7 @@ def test_criterion_09_parser_totality_fuzz():
             deduction_outcomes["parse_failure"] += 1
 
         try:
-            outcome = parse_grounding(text)
+            outcome, _ = parse_grounding(text)
             assert outcome.kind in (GroundingKind.CITED, GroundingKind.EMPTY)
             grounding_outcomes[outcome.kind.value] += 1
         except MalformedGrounding:

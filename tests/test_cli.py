@@ -1025,21 +1025,17 @@ class TestEvalCommand:
         assert "index must be an integer >= 1" in err
         assert "Traceback" not in err
 
-    def test_cited_hop_with_another_revised_answer_exits_two(
+    def test_trajectory_without_hops_exits_two_naming_them(
             self, festival_run, capsys):
         trajectories = self.run_festival(festival_run)
         record = json.loads(trajectories.read_text(encoding="utf-8"))
-        hop = record["hops"][0]
-        assert hop["grounding"]["kind"] == "cited"
-        assert hop["revised_answer"] == hop["grounding"]["revised_answer"]
-        hop["revised_answer"] = hop["immediate_answer"]
+        del record["hops"]
         write_jsonl(trajectories, [record])
         capsys.readouterr()
         assert main(["eval", "--trajectories", str(trajectories),
                      "--dataset", str(festival_run["dataset"])]) == 2
         err = capsys.readouterr().err
-        assert f"{trajectories}" in err and "(line 1)" in err
-        assert "revised_answer" in err
+        assert f"{trajectories}: hops is missing (line 1)" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad_file", ["corpus", "dataset",
@@ -1647,7 +1643,7 @@ class TestStatsCommand:
         capsys.readouterr()
         assert main(["stats", "--corpus", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{out}" in err and "(line 2)" in err and "doc_ids" in err
+        assert f"{out}: doc_ids is missing (line 2)" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [

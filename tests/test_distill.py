@@ -128,7 +128,7 @@ class TestSynthesizeExample:
         # every Keep target parses as a citation
         from hopground.core import GroundingKind
         from hopground.grounding import parse_grounding
-        assert parse_grounding(example.target).kind is GroundingKind.CITED
+        assert parse_grounding(example.target)[0].kind is GroundingKind.CITED
 
     def test_empty_evidence_drop(self, library):
         student = ScriptedClient(["Paris."])

@@ -107,7 +107,7 @@ class TestTokenF1:
         assert value == 1.0
 
     def test_both_empty_after_normalization(self):
-        assert token_f1("the", ["an a"]) == 1.0
+        assert token_f1("the", ["an a"]) == 0.0
 
     def test_one_side_empty(self):
         assert token_f1("the", ["word"]) == 0.0
@@ -118,7 +118,8 @@ class TestTokenF1:
             token_f1("anything", [])
 
     # HotpotQA's scorer: a yes, no or noanswer on either side scores all or
-    # nothing; cover-EM (Acc) keeps its own rule
+    # nothing; cover-EM (Acc) keeps its own rule.  On both metrics a gold of
+    # no tokens matches nothing
     @pytest.mark.parametrize("pred, golds, f1, acc", [
         ("yes it is", ["yes"], 0.0, 1),  # gold is yes
         ("no, never", ["no"], 0.0, 1),  # gold is no
@@ -135,6 +136,11 @@ class TestTokenF1:
         ("yes it is", ["yes", "it is"], 0.8, 1),  # the best alias wins
         ("no", ["nope", "No"], 1.0, 1),
         ("march and april", ["april"], 0.5, 1),  # other answers as before
+        ("Paris", ["The"], 0.0, 0),  # the gold normalizes to no tokens
+        ("", ["the"], 0.0, 0),
+        ("the", ["an a"], 0.0, 0),
+        ("Paris", ["the", "Paris"], 1.0, 1),  # an alias that matches wins
+        ("yes", ["A", "yes"], 1.0, 1),
     ])
     def test_closed_answers_score_all_or_nothing(self, pred, golds, f1, acc):
         assert token_f1(pred, golds) == pytest.approx(f1, abs=1e-12)

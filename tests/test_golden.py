@@ -61,6 +61,10 @@ GOLDEN_STATS = """{
 # document's null "body" and an empty grounding's null "citation" and
 # "revised_answer" were still written; they must still load
 NULL_FORM = GOLDEN.parent / "trajectories-null-form.jsonl"
+# trajectories.jsonl as it was written while a cited grounding also held
+# its hop's "revised_answer"; it must still load
+GROUNDING_REVISION_FORM = (GOLDEN.parent
+                           / "trajectories-grounding-revision-form.jsonl")
 
 # The festival question, then one whose script runs out after its first
 # hop, so that it ends in parse_failure.
@@ -226,6 +230,20 @@ def test_eval_writes_the_same_bytes_for_either_trajectory_form(
         outputs.append([(out / name).read_bytes()
                         for name in ("records.csv", "summary.json")])
     assert outputs[0] == outputs[1]
+
+
+def test_trajectories_in_the_grounding_revision_form_load_alike(tmp_path):
+    old = GROUNDING_REVISION_FORM.read_bytes()
+    new = (GOLDEN / "trajectories.jsonl").read_bytes()
+    # three cited hops, each of whose revision the old form held twice
+    assert old.count(b'"kind":"cited"') == 3
+    assert (old.count(b'"revised_answer"'), new.count(b'"revised_answer"')
+            ) == (6, 3)
+    assert list(load_trajectories(GROUNDING_REVISION_FORM)) == list(
+        load_trajectories(GOLDEN / "trajectories.jsonl"))
+    out = tmp_path / "rewritten.jsonl"
+    write_trajectories(load_trajectories(GROUNDING_REVISION_FORM), out)
+    assert out.read_bytes() == new
 
 
 def test_golden_prompts_cover_every_renderer():

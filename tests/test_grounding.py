@@ -31,19 +31,21 @@ def sentinel_docs(n):
 
 class TestParseGrounding:
     def test_empty_signal(self):
-        outcome = parse_grounding(EMPTY)
+        outcome, revised = parse_grounding(EMPTY)
         assert outcome.kind is GroundingKind.EMPTY
         assert outcome.raw_text == EMPTY
+        assert revised is None
 
     def test_empty_signal_is_case_insensitive(self):
-        assert parse_grounding("<ref>  eMpTy </ref>").kind is GroundingKind.EMPTY
+        outcome, _ = parse_grounding("<ref>  eMpTy </ref>")
+        assert outcome.kind is GroundingKind.EMPTY
 
     def test_festival_style_citation(self):
-        outcome = parse_grounding(FESTIVAL_GROUNDING)
+        outcome, revised = parse_grounding(FESTIVAL_GROUNDING)
         assert outcome.kind is GroundingKind.CITED
         assert outcome.citation.startswith("...is called the London")
-        assert outcome.revised_answer == ("the London International "
-                                          "Documentary Festival (LIDF)")
+        assert revised == ("the London International "
+                           "Documentary Festival (LIDF)")
 
     def test_missing_revise_is_malformed(self):
         with pytest.raises(MissingRevision):
@@ -58,8 +60,9 @@ class TestParseGrounding:
             parse_grounding("<ref>   </ref> <revise> x </revise>")
 
     def test_revise_trimmed_of_whitespace_and_periods_only(self):
-        outcome = parse_grounding("<ref> e </ref> <revise>  May, 1990.. </revise>")
-        assert outcome.revised_answer == "May, 1990"
+        _, revised = parse_grounding(
+            "<ref> e </ref> <revise>  May, 1990.. </revise>")
+        assert revised == "May, 1990"
 
     def test_revise_of_only_periods_is_malformed(self):
         with pytest.raises(MissingRevision):
@@ -68,18 +71,21 @@ class TestParseGrounding:
     def test_first_tag_pair_wins(self):
         text = ("<ref> first evidence </ref> <revise> first answer </revise> "
                 "<ref> second </ref> <revise> second </revise>")
-        outcome = parse_grounding(text)
+        outcome, revised = parse_grounding(text)
         assert outcome.citation == "first evidence"
-        assert outcome.revised_answer == "first answer"
+        assert revised == "first answer"
 
     def test_empty_keyword_beats_revise_span(self):
-        outcome = parse_grounding("<ref> Empty </ref> <revise> ghost </revise>")
+        outcome, revised = parse_grounding(
+            "<ref> Empty </ref> <revise> ghost </revise>")
         assert outcome.kind is GroundingKind.EMPTY
+        assert revised is None
 
     def test_revise_before_ref_still_cited(self):
-        outcome = parse_grounding("<revise> answer </revise> <ref> ev </ref>")
+        outcome, revised = parse_grounding(
+            "<revise> answer </revise> <ref> ev </ref>")
         assert outcome.kind is GroundingKind.CITED
-        assert outcome.revised_answer == "answer"
+        assert revised == "answer"
 
     def test_unclosed_ref_is_malformed(self):
         with pytest.raises(MalformedGrounding):
@@ -89,8 +95,9 @@ class TestParseGrounding:
     @given(st.text(alphabet=list("<>/refvis eEmpty"), max_size=60))
     def test_totality(self, text):
         try:
-            outcome = parse_grounding(text)
-            assert outcome.kind in (GroundingKind.CITED, GroundingKind.EMPTY)
+            outcome, revised = parse_grounding(text)
+            # a revision comes with a citation, and only with one
+            assert (revised is None) == (outcome.kind is GroundingKind.EMPTY)
         except MalformedGrounding:
             pass
 
@@ -141,7 +148,7 @@ class TestGround:
             llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
             batch_size=3)
         assert (revised, consumed) == ("draft", 2)
-        assert outcome == parse_grounding(last)
+        assert parse_grounding(last) == (outcome, None)
         assert outcome == GroundingOutcome.empty(raw_text=last)
 
     def test_no_documents_makes_no_calls(self, library):
@@ -197,7 +204,7 @@ class TestGround:
             llm, library, QUESTION, "sub?", "draft", sentinel_docs(6),
             batch_size=3)
         assert (revised, consumed) == ("as given", 1)
-        assert outcome == parse_grounding(reply)
+        assert parse_grounding(reply) == (outcome, revised)
         assert outcome.citation == "fabricated   evidence"
         assert len(llm.calls) == 1
 

@@ -126,8 +126,8 @@ class TestRetryParse:
     def test_bad_then_good_returns_the_retry(self):
         llm = ScriptedClient(["no tags", "<ref> e </ref> <revise> a </revise>"])
         attempts = []
-        outcome = retry_parse(self.parse_next(llm, attempts))
-        assert outcome.revised_answer == "a"
+        _, revised = retry_parse(self.parse_next(llm, attempts))
+        assert revised == "a"
         assert len(attempts) == 2
 
     def test_bad_twice_raises_the_second_error(self):

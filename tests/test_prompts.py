@@ -39,8 +39,7 @@ def make_hop(index, sub_question, revised):
     return HopRecord(
         index=index, sub_question=sub_question, immediate_answer="draft",
         retrieved=(), grounding=GroundingOutcome(
-            kind=GroundingKind.CITED, raw_text="", citation="ev",
-            revised_answer=revised),
+            kind=GroundingKind.CITED, raw_text="", citation="ev"),
         revised_answer=revised, batches_consumed=1)
 
 
