@@ -165,6 +165,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     stream = pipeline.answer_stream(questions, config.pipeline, llm,
                                     retriever, library, Progress("answered"))
+    # an earlier run's manifest must not outlive its truncated trajectories
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     pipeline.write_trajectories(map(count, stream),
                                 out_dir / "trajectories.jsonl")
 
@@ -245,12 +247,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     student = config.student_llm.client("student_llm")
     teacher = config.teacher_llm.client("teacher_llm")
     library = config.templates.load()
-    if config.templates.dir is not None:
-        retired = Path(config.templates.dir, "synthesis_teacher.txt")
-        if retired.exists():
-            raise ConfigError(f"templates.dir holds {retired}, which synth "
-                              "no longer reads: the teacher is sent "
-                              "grounding.txt, so move any edits there")
     reasons: Counter[str | None] = Counter()  # None counts the kept ones
 
     def count(example: distill.TrainingExample) -> distill.TrainingExample:

@@ -4,9 +4,10 @@ Templates are plain text with ``{placeholder}`` slots (lowercase names).
 Text outside those slots, other braces such as ``{X}``, ``{}`` or ``{{``
 included, is sent verbatim, and a bound value is never scanned for slots.
 The packaged defaults under ``hopground/templates/`` are best-effort
-wordings; point ``TemplateLibrary.load`` at a directory to override any of
-them.  A trailing newline in a template file is stripped on load so prompts
-end exactly where the file's text does.
+wordings, one file per template, worked examples inside ``deduction.txt``;
+point ``TemplateLibrary.load`` at a directory to override any of them.  A
+trailing newline in a template file is stripped on load so prompts end
+exactly where the file's text does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .llm import ChatMessage
 
 # each template's name and the placeholders its renderer binds
 TEMPLATE_BINDINGS: dict[str, frozenset[str]] = {
-    "deduction": frozenset({"question", "context", "examples", "next_index"}),
+    "deduction": frozenset({"question", "context", "next_index"}),
     "grounding": frozenset({"question", "sub_question", "immediate_answer",
                             "documents"}),
     "judge": frozenset({"question", "prediction", "gold_answer"}),
@@ -35,7 +36,6 @@ DOC_CHAR_BUDGET = 1500
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _MARKUP_RE = re.compile(r"<(/?)(ref|revise)>", re.IGNORECASE)
-_EXAMPLE_SEPARATOR = "==="
 
 
 def parse_template(name: str, text: str) -> tuple[str, ...]:
@@ -79,25 +79,27 @@ def _read_template_text(directory: Path | None, filename: str) -> str:
 
 @dataclass(frozen=True)
 class TemplateLibrary:
-    """Every template, split by ``parse_template``, plus the deduction
-    in-context examples, each block of the examples file."""
+    """Every template, split by ``parse_template``."""
 
     templates: dict[str, tuple[str, ...]]
-    deduction_examples: tuple[str, ...]
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateLibrary":
         """Load templates from ``directory``, falling back to the packaged
-        defaults file by file."""
+        defaults file by file; any other ``*.txt`` file there, which would
+        be ignored, raises ``PromptError``."""
         base = Path(directory) if directory is not None else None
-        templates = {
+        strays = [] if base is None else sorted(
+            str(path) for path in base.glob("*.txt")
+            if path.stem not in TEMPLATE_NAMES)
+        if strays:
+            raise PromptError(f"{', '.join(strays)}: not a template; a templates"
+                              " dir holds only deduction.txt, grounding.txt "
+                              "and judge.txt")
+        return cls({
             name: parse_template(name, _read_template_text(base, f"{name}.txt"))
             for name in TEMPLATE_NAMES
-        }
-        examples_text = _read_template_text(base, "deduction_examples.txt")
-        examples = [block.strip() for block in
-                    re.split(rf"^{_EXAMPLE_SEPARATOR}\s*$", examples_text, flags=re.M)]
-        return cls(templates, tuple(b for b in examples if b))
+        })
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,8 @@ def render_deduction(library: TemplateLibrary, question: Question,
     context = "\n".join(
         format_step(hop.index, hop.sub_question, hop.revised_answer)
         for hop in hops)
-    examples = "\n\n".join(library.deduction_examples)
     return _render(library, "deduction", {
-        "question": question.text, "context": context, "examples": examples,
+        "question": question.text, "context": context,
         "next_index": str(len(hops) + 1)})
 
 

@@ -856,6 +856,69 @@ class TestRunCommand:
             assert len(cut) == 5
         assert not (tmp_path / "cut" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_an_interrupted_rerun_leaves_no_earlier_manifest(
+            self, festival_run, tmp_path, monkeypatch, concurrency):
+        dataset = tmp_path / "twelve.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "answers": ["x"],
+                               "question": f"Which number is {i}?"}
+                              for i in range(12)])
+        config = write_json(tmp_path / "keyed.json", {
+            "pipeline": {"concurrency": concurrency},
+            "llm": OPENAI,
+            "retrieval": {"corpus_path": str(festival_run["corpus"])},
+        })
+        out = tmp_path / "out"
+
+        def run(client):
+            monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+            return main(["run", "--dataset", str(dataset), "--config",
+                         str(config), "--out", str(out)])
+
+        def answer(prompt):
+            number = re.search(r"Which number is (\d+)\?", prompt)[1]
+            return f"###Finish[{number}]"
+
+        assert run(KeyedClient(answer)) == 0
+        manifest = json.loads((out / "manifest.json").read_text(
+            encoding="utf-8"))
+        assert manifest["totals"]["questions"] == 12
+        with pytest.raises(KeyboardInterrupt):
+            run(KeyedClient(answer, interrupt_after=5))
+        lines = (out / "trajectories.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) < 12
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_a_rerun_that_exits_early_keeps_the_earlier_pair(
+            self, festival_run, tmp_path, monkeypatch, capsys, concurrency):
+        config = json.loads(festival_run["config"].read_text(encoding="utf-8"))
+        config["pipeline"]["concurrency"] = concurrency
+        config["llm"] = OPENAI
+        path = write_json(tmp_path / "keyed.json", config)
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        out = festival_run["out"]
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(path), "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("trajectories.jsonl", "manifest.json")}
+        empty = tmp_path / "empty.jsonl"
+        write_jsonl(empty, [])
+        bad = write_json(tmp_path / "bad.json", {
+            **config, "retrieval": {"corpus_path": str(tmp_path / "none")}})
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(empty), "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(bad), "--out", str(out)]) == 1
+        assert main(["run", "--dataset", str(festival_run["dataset"]),
+                     "--config", str(tmp_path / "absent.json"),
+                     "--out", str(out)]) == 1
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert client.calls == 1
+
 
 def write_judge_files(directory, n):
     """A dataset of ``n`` questions and a trajectory file answering each
@@ -1244,6 +1307,94 @@ class TestEvalCommand:
         assert client.calls == 0
 
 
+class TestTemplateDirectoryRule:
+    """A ``*.txt`` file in ``templates.dir`` that is not one of the three
+    templates stops ``run``, ``synth`` and ``eval --judge`` before any
+    output or model call."""
+
+    COMMANDS = ["run", "synth", "eval"]
+
+    def invoke(self, command, tmp_path, templates, monkeypatch):
+        """Run ``command`` with ``templates`` as its templates.dir through
+        one ``KeyedClient``; returns the exit code, the output path and the
+        client."""
+        client = KeyedClient(lambda prompt: (
+            "Yes" if command == "eval" else
+            KEEP_TARGET if "capital and largest" in prompt else "###Finish[x]"))
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = {"templates": {"dir": str(templates)}}
+        if command == "run":
+            files = write_festival_files(tmp_path)
+            out = files["out"]
+            config.update(llm=OPENAI,
+                          retrieval={"corpus_path": str(files["corpus"])})
+            argv = ["run", "--dataset", str(files["dataset"]),
+                    "--out", str(out)]
+        elif command == "synth":
+            files = write_synth_files(tmp_path)
+            out = tmp_path / "corpus.jsonl"
+            config.update(student_llm=OPENAI, teacher_llm=OPENAI)
+            argv = ["synth", "--input", str(files["input"]),
+                    "--out", str(out), "--seed", "7"]
+        else:
+            dataset, trajectories = write_judge_files(tmp_path, 2)
+            out = tmp_path / "reports"
+            config.update(llm=OPENAI)
+            argv = ["eval", "--trajectories", str(trajectories),
+                    "--dataset", str(dataset), "--judge", "--out", str(out)]
+        path = write_json(tmp_path / "templated.json", config)
+        return main([*argv, "--config", str(path)]), out, client
+
+    @pytest.mark.parametrize("stray", ["notes.txt", "deduction_examples.txt",
+                                       "synthesis_teacher.txt"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_stray_txt_file_exits_one_naming_it(
+            self, tmp_path, monkeypatch, capsys, command, stray):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "grounding.txt").write_text(
+            "{question} {documents}", encoding="utf-8")
+        (templates / stray).write_text("Question: {question}\n",
+                                       encoding="utf-8")
+        code, out, client = self.invoke(command, tmp_path, templates,
+                                        monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(templates / stray) in err
+        for name in ("deduction.txt", "grounding.txt", "judge.txt"):
+            assert name in err
+        assert not out.exists()
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_file_that_is_not_txt_is_allowed(self, tmp_path, monkeypatch,
+                                               command):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "README.md").write_text("notes.txt: my notes\n",
+                                             encoding="utf-8")
+        code, out, client = self.invoke(command, tmp_path, templates,
+                                        monkeypatch)
+        assert code == 0 and out.exists() and client.calls > 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_deduction_template_using_examples_exits_one(
+            self, tmp_path, monkeypatch, capsys, command):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "deduction.txt").write_text(
+            "{examples}\n\nOriginal question: {question}\n\n{context}\n",
+            encoding="utf-8")
+        code, out, client = self.invoke(command, tmp_path, templates,
+                                        monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'deduction'" in err and "'examples'" in err
+        assert not out.exists()
+        assert client.calls == 0
+
+
 @pytest.fixture()
 def synth_files(tmp_path):
     return write_synth_files(tmp_path)
@@ -1544,26 +1695,6 @@ class TestSynthCommand:
                      "--config", str(config)]) == 1
         assert f"unknown config key {section}.max_attempts" in \
             capsys.readouterr().err
-        assert not out.exists()
-        assert client.calls == 0
-
-    def test_a_retired_teacher_template_exits_one_naming_it(
-            self, synth_files, monkeypatch, capsys):
-        config, client = self.keyed(synth_files, monkeypatch)
-        templates = synth_files["dir"] / "templates"
-        templates.mkdir()
-        retired = templates / "synthesis_teacher.txt"
-        retired.write_text("Question: {question}\n{documents}",
-                           encoding="utf-8")
-        write_json(config, {**json.loads(config.read_text(encoding="utf-8")),
-                            "templates": {"dir": str(templates)}})
-        out = synth_files["dir"] / "corpus.jsonl"
-        assert main(["synth", "--input", str(synth_files["input"]),
-                     "--out", str(out), "--seed", "7",
-                     "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(retired) in err and "grounding.txt" in err
         assert not out.exists()
         assert client.calls == 0
 

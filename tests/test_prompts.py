@@ -83,7 +83,6 @@ class TestPromptTemplate:
                                                    encoding="utf-8")
         library = TemplateLibrary.load(tmp_path)
         documents = "[1] Title 1\nbody of doc 1\n\n[2] Title 2\nbody of doc 2"
-        examples = "\n\n".join(library.deduction_examples)
         hop = make_hop(1, "Which chapel?", "The Sistine Chapel.")
 
         def expected(name, **values):
@@ -101,7 +100,7 @@ class TestPromptTemplate:
             "deduction": [ChatMessage(role="user", content=expected(
                 "deduction", question=QUESTION.text,
                 context="Question 1: Which chapel?\nAnswer 1: The Sistine Chapel.",
-                examples=examples, next_index="2"))],
+                next_index="2"))],
             "grounding": [ChatMessage(role="user", content=expected(
                 "grounding", question=QUESTION.text, sub_question="Who?",
                 immediate_answer="Him.", documents=documents))],
@@ -129,18 +128,6 @@ class TestRenderDeduction:
     def test_single_user_message(self, library):
         messages = render_deduction(library, QUESTION, [])
         assert [m.role for m in messages] == ["user"]
-
-    def test_examples_file_is_sent_whole(self, library, tmp_path):
-        block = ("Original question: Q?\n\nQuestion 1: A?\nAnswer 1: B.\n"
-                 "###Finish[B]")
-        (tmp_path / "deduction_examples.txt").write_text(f"{block}\n",
-                                                         encoding="utf-8")
-        one = TemplateLibrary.load(tmp_path)
-        assert one.deduction_examples == (block,)
-        packaged = render_deduction(library, QUESTION, [])[0].content
-        joined = "\n\n".join(library.deduction_examples)
-        assert render_deduction(one, QUESTION, [])[0].content == \
-            packaged.replace(joined, block)
 
 
 class TestRenderGrounding:
