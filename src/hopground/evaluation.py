@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import stat
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -180,10 +181,13 @@ def load_dataset(path: str | Path, format: str = "generic") -> list[Question]:
     accept the public release layouts (JSON array or JSONL) and map
     StrategyQA's boolean labels to yes/no.  Records without an id take
     their line number (array position for a JSON array).  A repeated id
-    makes its line bad.
+    makes its line bad.  The file is read twice, so one that is not regular
+    raises ``OSError`` unopened: a pipe would lose what the first read took.
     """
     if format not in DATASET_FORMATS:
         raise ValueError(f"format must be one of {DATASET_FORMATS}")
+    if not stat.S_ISREG(Path(path).stat().st_mode):
+        raise OSError(f"{path}: a dataset must be a regular file, not a pipe")
     seen: set[str] = set()
 
     def to_question(record: Any, line_no: int) -> Question:

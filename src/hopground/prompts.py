@@ -5,8 +5,9 @@ Text outside those slots, other braces such as ``{X}``, ``{}`` or ``{{``
 included, is sent verbatim, and a bound value is never scanned for slots.
 The packaged defaults under ``hopground/templates/`` are best-effort
 wordings, one file per template, worked examples inside ``deduction.txt``;
-point ``TemplateLibrary.load`` at a directory to override any of them.  A
-trailing newline in a template file is stripped on load so prompts end
+point ``TemplateLibrary.load`` at a directory to override any of them with
+a regular file of the same name; any other ``*.txt`` entry there is refused.
+A trailing newline in a template file is stripped on load so prompts end
 exactly where the file's text does.
 """
 
@@ -70,13 +71,6 @@ def format_step(index: int, sub_question: str, answer: str) -> str:
     return f"Question {index}: {sub_question}\nAnswer {index}: {answer}"
 
 
-def _read_template_text(directory: Path | None, filename: str) -> str:
-    path = directory / filename if directory is not None else None
-    if path is None or not path.is_file():
-        path = resources.files("hopground") / "templates" / filename
-    return path.read_text(encoding="utf-8").removesuffix("\n")
-
-
 @dataclass(frozen=True)
 class TemplateLibrary:
     """Every template, split by ``parse_template``."""
@@ -85,21 +79,22 @@ class TemplateLibrary:
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateLibrary":
-        """Load templates from ``directory``, falling back to the packaged
-        defaults file by file; any other ``*.txt`` file there, which would
-        be ignored, raises ``PromptError``."""
-        base = Path(directory) if directory is not None else None
-        strays = [] if base is None else sorted(
-            str(path) for path in base.glob("*.txt")
-            if path.stem not in TEMPLATE_NAMES)
-        if strays:
-            raise PromptError(f"{', '.join(strays)}: not a template; a templates"
-                              " dir holds only deduction.txt, grounding.txt "
-                              "and judge.txt")
-        return cls({
-            name: parse_template(name, _read_template_text(base, f"{name}.txt"))
-            for name in TEMPLATE_NAMES
-        })
+        """The packaged templates, each replaced by its regular file in
+        ``directory`` if there is one; any other ``*.txt`` entry there (a
+        stray name, a directory, a dangling symlink, a FIFO, which is never
+        opened) raises ``PromptError`` naming it."""
+        packaged = resources.files("hopground") / "templates"
+        paths = {name: packaged / f"{name}.txt" for name in TEMPLATE_NAMES}
+        entries = () if directory is None else Path(directory).glob("*.txt")
+        for path in sorted(entries):
+            if path.stem not in paths or not path.is_file():
+                raise PromptError(f"{path}: not a template; a templates dir "
+                                  "holds only deduction.txt, grounding.txt "
+                                  "and judge.txt, each a regular file")
+            paths[path.stem] = path
+        return cls({name: parse_template(name, path.read_text(
+            encoding="utf-8").removesuffix("\n"))
+            for name, path in paths.items()})
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ the input files of scripted CLI runs."""
 
 import http.server
 import json
+import os
 import ssl
 import threading
 
@@ -314,6 +315,21 @@ def within(seconds, fn):
     if not ok:
         raise value
     return value
+
+
+# kinds of directory entry that are not a regular file, none of which may
+# be opened: a FIFO's open blocks until something writes to it
+NOT_REGULAR = ["directory", "dangling symlink", "fifo"]
+
+
+def make_not_regular(path, kind) -> None:
+    """Make ``path`` an entry of ``kind``, one of ``NOT_REGULAR``."""
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "dangling symlink":
+        path.symlink_to(path.with_name("no-such-file"))
+    else:
+        os.mkfifo(path)
 
 
 class LoggedScript(ScriptedClient):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopground
 from hopground import distill, evaluation, transport
 from hopground.cli import Config, Progress, main
 from hopground.core import Trajectory, loads_utf8
@@ -23,10 +24,10 @@ from hopground.retrieval import (bm25, build_index, load_corpus, load_index,
                                  retrieve)
 
 from helpers import (FESTIVAL_CORPUS, FESTIVAL_FINAL, FESTIVAL_QUESTION,
-                     FESTIVAL_SCRIPT, KEEP_TARGET, InFlightStub, KeyedClient,
-                     StubServer, assert_gold_slot, within,
-                     write_festival_files, write_json, write_jsonl,
-                     write_synth_files)
+                     FESTIVAL_SCRIPT, KEEP_TARGET, NOT_REGULAR, InFlightStub,
+                     KeyedClient, StubServer, assert_gold_slot,
+                     make_not_regular, within, write_festival_files,
+                     write_json, write_jsonl, write_synth_files)
 
 OPENAI = {"backend": "openai", "base_url": "http://127.0.0.1:9", "model": "m"}
 # once overrode the base_url of every model role; no command reads it now
@@ -761,6 +762,24 @@ class TestRunCommand:
         assert client.calls == 0
         assert not festival_run["out"].exists()
 
+    def test_fifo_dataset_exits_one_before_any_call(
+            self, festival_run, tmp_path, monkeypatch, capsys):
+        # the dataset is read twice, so a pipe would lose the first read's
+        # buffer; a FIFO nothing writes to is refused without being opened
+        fifo = tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        client = KeyedClient(lambda prompt: "###Finish[x]")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        assert within(30, lambda: main([
+            "run", "--dataset", str(fifo),
+            "--config", str(festival_run["config"]),
+            "--out", str(festival_run["out"])])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{fifo}: a dataset must be a regular file" in err
+        assert client.calls == 0
+        assert not festival_run["out"].exists()
+
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_templates_dir_that_is_no_directory_exits_one(
             self, festival_run, tmp_path, capsys, kind):
@@ -1144,6 +1163,25 @@ class TestEvalCommand:
         assert "llm.base_url must be an http:// or https:// URL" in err
         assert "judge_llm" not in err
 
+    def test_fifo_dataset_exits_one_before_any_output(
+            self, tmp_path, monkeypatch, capsys):
+        _, trajectories = write_judge_files(tmp_path, 2)
+        fifo = tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        client = KeyedClient(lambda prompt: "Yes")
+        monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
+        config = write_json(tmp_path / "judge.json", {"llm": OPENAI})
+        out = tmp_path / "reports"
+        assert within(30, lambda: main([
+            "eval", "--trajectories", str(trajectories), "--dataset",
+            str(fifo), "--judge", "--config", str(config),
+            "--out", str(out)])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{fifo}: a dataset must be a regular file" in err
+        assert client.calls == 0
+        assert not out.exists()
+
     def test_judge_templates_dir_that_is_no_directory_exits_one(
             self, tmp_path, capsys):
         dataset, trajectories = write_judge_files(tmp_path, 1)
@@ -1316,11 +1354,15 @@ class TestTemplateDirectoryRule:
 
     def invoke(self, command, tmp_path, templates, monkeypatch):
         """Run ``command`` with ``templates`` as its templates.dir through
-        one ``KeyedClient``; returns the exit code, the output path and the
-        client."""
-        client = KeyedClient(lambda prompt: (
-            "Yes" if command == "eval" else
-            KEEP_TARGET if "capital and largest" in prompt else "###Finish[x]"))
+        one ``KeyedClient``, which keeps each prompt in ``prompts``; returns
+        the exit code, the output path and the client."""
+        def reply(prompt):
+            client.prompts.append(prompt)
+            return ("Yes" if command == "eval" else KEEP_TARGET
+                    if "capital and largest" in prompt else "###Finish[x]")
+
+        client = KeyedClient(reply)
+        client.prompts = []
         monkeypatch.setattr(LlmConfig, "client", lambda self, role: client)
         config = {"templates": {"dir": str(templates)}}
         if command == "run":
@@ -1366,6 +1408,42 @@ class TestTemplateDirectoryRule:
             assert name in err
         assert not out.exists()
         assert client.calls == 0
+
+    @pytest.mark.parametrize("name,kind", [
+        ("grounding.txt", "directory"), ("judge.txt", "dangling symlink"),
+        ("deduction.txt", "fifo")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_template_that_is_not_a_regular_file_exits_one_naming_it(
+            self, tmp_path, monkeypatch, capsys, command, name, kind):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        make_not_regular(templates / name, kind)
+        code, out, client = within(30, lambda: self.invoke(
+            command, tmp_path, templates, monkeypatch))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(templates / name) in err
+        assert not out.exists()
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_symlink_to_a_regular_file_overrides_its_template(
+            self, tmp_path, monkeypatch, command):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        packaged = Path(hopground.__file__).parent / "templates"
+        for name in ("deduction", "grounding", "judge"):
+            custom = tmp_path / f"custom-{name}"
+            custom.write_text("CUSTOM\n" + (packaged / f"{name}.txt").read_text(
+                encoding="utf-8"), encoding="utf-8")
+            (templates / f"{name}.txt").symlink_to(custom)
+        code, out, client = self.invoke(command, tmp_path, templates,
+                                        monkeypatch)
+        # synth's student is sent the bare question, every other prompt
+        # comes from a template
+        assert code == 0 and out.exists()
+        assert any(p.startswith("CUSTOM\n") for p in client.prompts)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_a_file_that_is_not_txt_is_allowed(self, tmp_path, monkeypatch,

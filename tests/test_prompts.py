@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from hopground.core import Document, GroundingKind, GroundingOutcome, HopRecord, Question
 from hopground.distill import render_synthesis_teacher
-from hopground.errors import EmptyBatch, InvalidRecord, MissingPlaceholder
+from hopground.errors import (EmptyBatch, InvalidRecord, MissingPlaceholder,
+                             PromptError)
 from hopground.llm import ChatMessage
 from hopground.prompts import (DOC_CHAR_BUDGET, TEMPLATE_BINDINGS,
                                TEMPLATE_NAMES, TemplateLibrary, format_step,
                                parse_template, render_deduction,
                                render_grounding, render_judge, sanitize_markup)
 
-from helpers import FESTIVAL_QUESTION
+from helpers import FESTIVAL_QUESTION, NOT_REGULAR, make_not_regular
 
 QUESTION = Question(id="q1", text="Who painted the ceiling of the Sistine Chapel?")
 
@@ -261,6 +262,15 @@ class TestTemplateDirectory:
         assert judged == "Custom judge: q / p / g"
         # deduction fell back to the packaged default
         assert "Question 1" in render_deduction(library, QUESTION, [])[0].content
+
+    @pytest.mark.parametrize("kind", NOT_REGULAR)
+    def test_a_template_entry_that_is_not_a_regular_file_is_refused(
+            self, tmp_path, kind):
+        # a packaged template never stands in for an entry the directory holds
+        make_not_regular(tmp_path / "grounding.txt", kind)
+        with pytest.raises(PromptError, match=re.escape(
+                f"{tmp_path / 'grounding.txt'}: not a template")):
+            TemplateLibrary.load(tmp_path)
 
     def test_missing_template_name_rejected(self):
         with pytest.raises(ValueError):
